@@ -2,16 +2,19 @@
 closed-form fiducial coefficients.
 
 All matrix entries are signed powers of tau = -exp(i pi/16), a primitive
-32nd root of unity. The transcriptions are gated by algebraic identities
-(unitarity, the omega commutation relation, diagonality of the 4th powers,
-Zauner-as-permutation) before any SIC arithmetic touches them.
+32nd root of unity; a sign is stored as transcribed and becomes +16 on the
+exponent, since tau^16 = -1. The transcriptions are gated by algebraic
+identities (unitarity, the omega commutation relation, diagonality of the 4th
+powers, Zauner-as-permutation) before any SIC arithmetic touches them.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .dims import Dimension
+from .dims import Dimension, phase_permutation, tau_powers
 from .errors import NegativeRadicand
 
 DIM16 = Dimension(16)
@@ -70,8 +73,15 @@ FIDUCIAL_SLOT_GROUPS = {
 }
 
 
-def _tau_pow(k: int) -> complex:
-    return complex(np.exp(1j * np.pi * ((k * 17) % 32) / 16))
+def _tau_exponents(signed) -> np.ndarray:
+    """Exponents e' with tau^{e'} = sign * tau^e, for rows (sign, e)."""
+    signs, expo = np.asarray(signed).T
+    return expo + 8 * (1 - signs)
+
+
+def _generator(entries: list) -> np.ndarray:
+    e = np.asarray(entries)
+    return phase_permutation(DIM16, e[:, 0], e[:, 1], _tau_exponents(e[:, 2:]))
 
 
 def adapted16_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -81,17 +91,10 @@ def adapted16_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     standard shift and clock, so a vector v in the adapted basis corresponds
     to T.T @ v in the standard basis.
     """
-    X = np.zeros((16, 16), dtype=complex)
-    Z = np.zeros((16, 16), dtype=complex)
-    for r, c, sg, e in _X16_ENTRIES:
-        X[r, c] = sg * _tau_pow(e)
-    for r, c, sg, e in _Z16_ENTRIES:
-        Z[r, c] = sg * _tau_pow(e)
     T = np.zeros((16, 16), dtype=complex)
     for row, (cols, vals) in enumerate(_T_ROWS):
-        for c, (sg, e) in zip(cols, vals):
-            T[row, c] = 0.5 * sg * _tau_pow(e)
-    return X, Z, T
+        T[row, cols] = 0.5 * tau_powers(DIM16, _tau_exponents(vals))
+    return _generator(_X16_ENTRIES), _generator(_Z16_ENTRIES), T
 
 
 def adapted_to_standard(v: np.ndarray) -> np.ndarray:
@@ -101,9 +104,10 @@ def adapted_to_standard(v: np.ndarray) -> np.ndarray:
 
 
 def _checked_sqrt(x: float, name: str) -> float:
+    """sqrt(x) for a radicand that must be non-negative up to roundoff."""
     if x < -1e-12:
         raise NegativeRadicand(f"{name}: radicand {x} is negative")
-    return float(np.sqrt(max(x, 0.0)))
+    return math.sqrt(max(x, 0.0))
 
 
 def field_elements(t2_branch: int = +1, conjugate_orbit: bool = False) -> dict[str, float]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,14 +39,14 @@ def _emit(report: dict, out: str | None) -> None:
             fh.write(text)
 
 
-def _builtin_fiducial(args) -> Fiducial:
-    if args.builtin == "n4":
+def _builtin_fiducial(builtin: str, args) -> Fiducial:
+    if builtin == "n4":
         return fiducial_n4(args.slot, args.s, args.t, args.u)
-    if args.builtin == "n9":
+    if builtin == "n9":
         return fiducial_n9(args.s0, args.s1, args.s2, args.m3, args.m4)
-    if args.builtin == "n16":
+    if builtin == "n16":
         return fiducial_n16(args.t2_branch)
-    raise ValueError(f"unknown builtin {args.builtin!r}")
+    raise ValueError(f"unknown builtin {builtin!r}")
 
 
 def cmd_verify(args) -> int:
@@ -56,7 +57,7 @@ def cmd_verify(args) -> int:
         if args.file is not None:
             f = fileio.load_fiducial(args.file)
         else:
-            f = _builtin_fiducial(args)
+            f = _builtin_fiducial(args.builtin, args)
         cert = verify_sic(f, args.tol)
         metrics["max_abs_deviation"] = cert.max_abs_deviation
         metrics["N"] = f.dim.N
@@ -87,7 +88,7 @@ def cmd_verify(args) -> int:
         metrics["all_phase_permutation"] = bool(ok)
         passed = ok and worst <= max(args.tol, 1e-9)
     elif args.target == "crt":
-        worst = verify_product_iso(args.dim, args.tol, rng_seed=args.seed)
+        worst = verify_product_iso(args.dim, rng_seed=args.seed)
         metrics["max_abs_deviation"] = worst
         passed = worst <= max(args.tol, 1e-9)
     elif args.target == "zauner":
@@ -110,14 +111,9 @@ def cmd_generate(args) -> int:
     inputs = {k: v for k, v in vars(args).items()
               if k not in ("func", "out") and v is not None}
     if args.target == "sic":
-        if args.dim == 4:
-            f = fiducial_n4(args.slot, args.s, args.t, args.u)
-        elif args.dim == 9:
-            f = fiducial_n9(args.s0, args.s1, args.s2, args.m3, args.m4)
-        elif args.dim == 16:
-            f = fiducial_n16(args.t2_branch)
-        else:
+        if args.dim not in (4, 9, 16):
             raise ValueError(f"no closed form for N={args.dim}; use search")
+        f = _builtin_fiducial(f"n{args.dim}", args)
         cert = verify_sic(f, args.tol if args.dim != 16 else max(args.tol, 1e-8))
         report = {"command": "generate sic", "inputs": inputs,
                   "pass": bool(cert.passed),
@@ -140,12 +136,9 @@ def cmd_generate(args) -> int:
                "artifacts": {"bases": payload}}, args.out)
         return 0
     if args.target == "projection":
-        if args.dim == 4:
-            f = fiducial_n4(0, 0, 0, 0)
-        elif args.dim == 9:
-            f = fiducial_n9(1, 1, 1, 0, 0)
-        else:
+        if args.dim not in (4, 9):
             raise ValueError("projection data is available for N = 4 and 9")
+        f = _builtin_fiducial(f"n{args.dim}", args)
         dim = f.dim
         X, Z = basis_generators(dim, f.basis)
         D = all_displacements(dim, X, Z)
@@ -194,14 +187,13 @@ def cmd_search(args) -> int:
     if not (2 <= args.dim <= SEARCH_DIM_CAP):
         sys.stderr.write(f"search dimension must be in 2..{SEARCH_DIM_CAP}\n")
         return 2
-    tol = args.tol if args.tol is not None else 1e-8
     f = search_fiducial(Dimension(args.dim), rng_seed=args.seed,
-                        max_restarts=args.restarts, tol=tol)
+                        max_restarts=args.restarts, tol=args.tol)
     if f is None:
         _emit({"command": "search", "inputs": inputs, "pass": False,
                "metrics": {"found": False}}, args.out)
         return 1
-    cert = verify_sic(f, tol)
+    cert = verify_sic(f, args.tol)
     report = {"command": "search", "inputs": inputs, "pass": bool(cert.passed),
               "metrics": {"found": True,
                           "max_abs_deviation": cert.max_abs_deviation,
@@ -276,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     if args.tol is None:
         args.tol = 1e-10
-    if args.command != "search" and not _validate_ranges(args):
+    if not _validate_ranges(args):
         return 2
     try:
         return args.func(args)
@@ -286,6 +278,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _validate_ranges(args) -> bool:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        sys.stderr.write("--tol must be a finite non-negative number\n")
+        return False
+    for name in ("samples", "restarts"):
+        val = getattr(args, name, None)
+        if val is not None and val < 1:
+            sys.stderr.write(f"--{name} must be positive\n")
+            return False
     checks = [("slot", 0, 3), ("s", 0, 3), ("t", 0, 3), ("u", 0, 3),
               ("m3", 0, 2), ("m4", 0, 2)]
     for name, lo, hi in checks:

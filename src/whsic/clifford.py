@@ -2,7 +2,7 @@
 
 The metaplectic formula used throughout is
 
-    U_G = (e^{i theta}/sqrt(N)) sum_{u,v} tau^{beta^{-1}(delta u^2 - 2uv + alpha v^2)} |u><v|
+    U_G = (1/sqrt(N)) sum_{u,v} tau^{beta^{-1}(delta u^2 - 2uv + alpha v^2)} |u><v|
 
 valid when beta is invertible mod nbar; otherwise G is split as
 G = (0,-1;1,x) * (gamma+x*alpha, delta+x*beta; -alpha, -beta) with x chosen
@@ -17,13 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import DEFAULT_TOL, Dimension, tau_power
+from .dims import DEFAULT_TOL, Dimension, tau_powers, tau_table
 from .errors import BranchNotFound, ClusterAmbiguity, DetNotMinusOne
-from .weyl import (
-    all_displacements,
-    displacement_matrix,
-    mod_inverse,
-)
+from .weyl import all_displacements, mod_inverse
 
 
 @dataclass(frozen=True)
@@ -88,63 +84,36 @@ def decompose(G: SymplecticMatrix, dim: Dimension) -> tuple[SymplecticMatrix, Sy
     raise AssertionError("no valid x found; existence is guaranteed for symplectic G")
 
 
-def metaplectic(G: SymplecticMatrix, dim: Dimension, theta: float = 0.0) -> np.ndarray:
+def metaplectic(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
     """Unitary representative of a symplectic G in the standard basis."""
     nbar = dim.nbar
     G = G.reduced(nbar)
     if math.gcd(G.beta, nbar) != 1:
         G1, G2 = decompose(G, dim)
-        return np.exp(1j * theta) * (metaplectic(G1, dim) @ metaplectic(G2, dim))
+        return metaplectic(G1, dim) @ metaplectic(G2, dim)
     N = dim.N
     binv = mod_inverse(G.beta, nbar)
     u = np.arange(N).reshape(-1, 1)
     v = np.arange(N).reshape(1, -1)
-    expo = (binv * (G.delta * u * u - 2 * u * v + G.alpha * v * v)) % nbar
-    tau_table = np.array([tau_power(dim, k) for k in range(nbar)])
-    return np.exp(1j * theta) / np.sqrt(N) * tau_table[expo]
-
-
-def conjugation_check(G: SymplecticMatrix, dim: Dimension,
-                      U: np.ndarray | None = None) -> float:
-    """Max over (i,j) of || U D_ij U^dag - tau^k D_{G(i,j)} || with the best
-    tau-power chosen per (i,j)."""
-    N, nbar = dim.N, dim.nbar
-    if U is None:
-        U = metaplectic(G, dim)
-    Ud = U.conj().T
-    tau_table = np.array([tau_power(dim, k) for k in range(nbar)])
-    worst = 0.0
-    for i in range(N):
-        for j in range(N):
-            lhs = U @ displacement_matrix(dim, i, j) @ Ud
-            ip, jp = G.apply(i, j, N)
-            tgt = displacement_matrix(dim, ip, jp)
-            # best phase: project onto the target, snap to the nearest tau power
-            ph = np.trace(tgt.conj().T @ lhs) / N
-            k = int(np.argmin(np.abs(tau_table - ph)))
-            dev = float(np.max(np.abs(lhs - tau_table[k] * tgt)))
-            worst = max(worst, dev)
-    return worst
+    expo = binv * (G.delta * u * u - 2 * u * v + G.alpha * v * v)
+    return tau_powers(dim, expo) / np.sqrt(N)
 
 
 def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension,
                               U: np.ndarray,
                               D: np.ndarray | None = None) -> float:
-    """Same as conjugation_check but vectorized over all displacements."""
-    N, nbar = dim.N, dim.nbar
+    """Max over (i,j) of || U D_ij U^dag - tau^k D_{G(i,j)} || with the best
+    tau-power chosen per (i,j), vectorized over all displacements."""
+    N = dim.N
     if D is None:
         D = all_displacements(dim)
     conj = np.einsum("ab,kbc,cd->kad", U, D, U.conj().T, optimize=True)
-    idx = np.empty(N * N, dtype=int)
-    for i in range(N):
-        for j in range(N):
-            ip, jp = G.apply(i, j, N)
-            idx[i * N + j] = ip * N + jp
-    tgt = D[idx]
+    ip, jp = G.apply(*np.divmod(np.arange(N * N), N), N)
+    tgt = D[ip * N + jp]
+    # best phase: project onto the target, snap to the nearest tau power
     ph = np.einsum("kab,kab->k", tgt.conj(), conj) / N
-    tau_table = np.array([tau_power(dim, k) for k in range(nbar)])
-    ks = np.argmin(np.abs(tau_table[None, :] - ph[:, None]), axis=1)
-    snapped = tau_table[ks]
+    table = tau_table(dim)
+    snapped = table[np.argmin(np.abs(table[None, :] - ph[:, None]), axis=1)]
     dev = np.abs(conj - snapped[:, None, None] * tgt)
     return float(dev.max())
 
@@ -200,9 +169,6 @@ class EigenspaceDims:
     d0: int
     d1: int
     d2: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.d0, self.d1, self.d2)
 
 
 def eigenspace_dims(dim: Dimension) -> tuple[EigenspaceDims, EigenspaceDims]:
@@ -275,5 +241,5 @@ def random_symplectic(dim: Dimension, rng: np.random.Generator) -> SymplecticMat
     while True:
         a, b, g_, d = (int(x) for x in rng.integers(0, nbar, size=4))
         G = SymplecticMatrix(a, b, g_, d)
-        if G.det() % nbar == 1:
+        if is_symplectic(G, dim):
             return G

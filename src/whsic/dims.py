@@ -1,8 +1,20 @@
-"""Dimension bookkeeping and root-of-unity phase conventions.
+"""Dimension bookkeeping and the one phase path.
 
-All phases are evaluated from reduced angle rationals (exp(i*pi*m/M) with the
-integer exponent reduced first), never by repeated multiplication, so that
-high powers stay accurate to machine precision even for N = 16 radical checks.
+Every phase in the package is a power of tau = -e^{i pi/N}: omega = tau^2 and,
+for square N = n^2, sigma = tau^{2n}. `tau_power` is the one scalar
+evaluation: it reduces the integer exponent first and evaluates
+exp(i pi m/N) once, never by repeated multiplication, so high powers stay
+accurate to machine precision even for N = 16 radical checks. `tau_table`
+lists tau^k for k < 2N from `tau_power`; `tau_powers` is the one array lookup
+into it (the only place an exponent array is reduced mod 2N), and
+`phase_permutation` builds every operator that carries one tau power per
+column from those lookups.
+
+The scalar evaluation is kept, instead of a vectorised numpy exp, because the
+seeded fiducial search amplifies one-ulp differences: numpy's array exp and
+complex multiply round differently from the scalar path, and a changed last
+bit in the displacement stack or the Zauner eigenbasis changes the L-BFGS-B
+trajectory and its restart and residual-call counts.
 """
 
 from __future__ import annotations
@@ -53,43 +65,39 @@ class Dimension:
         return 0 if n % 2 == 1 else n // 2
 
 
-@dataclass(frozen=True)
-class PhaseConventions:
-    """The primitive phases omega = e^{2 pi i/N}, tau = -e^{i pi/N} and,
-    for square dimensions, sigma = e^{2 pi i/n}."""
-
-    omega: complex
-    tau: complex
-    sigma: complex | None
-
-    def check(self, N: int, tol: float = 1e-14) -> bool:
-        ok = abs(self.tau**2 - self.omega) < tol
-        ok &= abs(self.tau**N - (-1 if N % 2 == 0 else 1)) < 1e-12
-        return bool(ok)
-
-
-def omega_power(dim: Dimension, k: int) -> complex:
-    """omega^k = exp(2 pi i k / N), with exact exponent reduction."""
-    return complex(np.exp(2j * np.pi * (k % dim.N) / dim.N))
-
-
 def tau_power(dim: Dimension, k: int) -> complex:
     """tau^k with tau = -e^{i pi/N}, i.e. exp(i pi (N+1) k / N) reduced mod 2N."""
     m = (k * (dim.N + 1)) % (2 * dim.N)
     return complex(np.exp(1j * np.pi * m / dim.N))
 
 
+def omega_power(dim: Dimension, k: int) -> complex:
+    """omega^k = tau^{2k} = exp(2 pi i k / N)."""
+    return tau_power(dim, 2 * k)
+
+
 def sigma_power(dim: Dimension, k: int) -> complex:
-    """sigma^k = exp(2 pi i k / n) for square dimensions."""
+    """sigma^k = tau^{2nk} = exp(2 pi i k / n) for square dimensions."""
     n = dim.n
     if n is None:
         raise ValueError(f"N={dim.N} is not a square")
-    return complex(np.exp(2j * np.pi * (k % n) / n))
+    return tau_power(dim, 2 * n * k)
 
 
-def phases(dim: Dimension) -> PhaseConventions:
-    return PhaseConventions(
-        omega=omega_power(dim, 1),
-        tau=tau_power(dim, 1),
-        sigma=sigma_power(dim, 1) if dim.is_square else None,
-    )
+def tau_table(dim: Dimension) -> np.ndarray:
+    """tau^k for 0 <= k < 2N; index it with any exponent reduced mod 2N."""
+    return np.fromiter((tau_power(dim, k) for k in range(2 * dim.N)),
+                       dtype=complex, count=2 * dim.N)
+
+
+def tau_powers(dim: Dimension, exponents) -> np.ndarray:
+    """tau^e for every integer e of an exponent array, of any sign or size."""
+    return tau_table(dim)[np.asarray(exponents) % (2 * dim.N)]
+
+
+def phase_permutation(dim: Dimension, rows, cols, tau_exponents) -> np.ndarray:
+    """Dense N x N matrix with tau^e at each (row, col, e) of the given index
+    arrays and zeros elsewhere."""
+    M = np.zeros((dim.N, dim.N), dtype=complex)
+    M[rows, cols] = tau_powers(dim, tau_exponents)
+    return M

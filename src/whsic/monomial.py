@@ -8,7 +8,7 @@ The generators act by
 
 and a symplectic G with beta coprime to nbar acts by
 
-    U_G|r,s> = e^{i theta} tau^{beta^{-1}(delta s'^2 - 2 s s' + alpha s^2)}
+    U_G|r,s> = tau^{beta^{-1}(delta s'^2 - 2 s s' + alpha s^2)}
                |delta r - gamma s + m gamma delta, -beta r + alpha s + m alpha beta>
 
 with s' = -beta r + alpha s + m alpha taken in [0, n) and m = 0 (n odd) or
@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import DEFAULT_TOL, Dimension, omega_power, sigma_power, tau_power
+from .dims import (DEFAULT_TOL, Dimension, phase_permutation, tau_powers,
+                   tau_table)
 from .errors import NotSquare
-from .weyl import mod_inverse
-from .clifford import SymplecticMatrix, ZAUNER, decompose, metaplectic
+from .weyl import displacement_matrix_from, mod_inverse
+from .clifford import SymplecticMatrix, decompose
 
 
 def _require_square(dim: Dimension) -> int:
@@ -42,76 +43,56 @@ def flatten(r: int, s: int, n: int) -> int:
 def zak_matrix(dim: Dimension) -> np.ndarray:
     """Unitary whose columns are |r,s> = (1/sqrt(n)) sum_t omega^{-ntr} |nt+s>."""
     n = _require_square(dim)
-    N = dim.N
-    V = np.zeros((N, N), dtype=complex)
-    for r in range(n):
-        for s in range(n):
-            col = flatten(r, s, n)
-            for t in range(n):
-                V[n * t + s, col] = omega_power(dim, -n * t * r) / np.sqrt(n)
+    r, s, t = np.indices((n, n, n))
+    V = np.zeros((dim.N, dim.N), dtype=complex)
+    V[n * t + s, flatten(r, s, n)] = tau_powers(dim, -2 * n * t * r) / np.sqrt(n)
     return V
 
 
 def monomial_weyl_generators(dim: Dimension) -> tuple[np.ndarray, np.ndarray]:
     """(X, Z) acting on the |r,s> basis."""
     n = _require_square(dim)
-    N = dim.N
-    X = np.zeros((N, N), dtype=complex)
-    Z = np.zeros((N, N), dtype=complex)
-    for r in range(n):
-        for s in range(n):
-            col = flatten(r, s, n)
-            if s + 1 < n:
-                X[flatten(r, s + 1, n), col] = 1.0
-            else:
-                X[flatten(r, 0, n), col] = sigma_power(dim, r)
-            Z[flatten(r - 1, s, n), col] = omega_power(dim, s)
+    r, s = np.divmod(np.arange(dim.N), n)
+    col = np.arange(dim.N)
+    # the wrap X|r,n-1> = sigma^r |r,0> carries tau^{2nr}
+    X = phase_permutation(dim, flatten(r, s + 1, n), col, 2 * n * r * (s == n - 1))
+    Z = phase_permutation(dim, flatten(r - 1, s, n), col, 2 * s)
     return X, Z
 
 
-def monomial_clifford(G: SymplecticMatrix, dim: Dimension, theta: float = 0.0) -> np.ndarray:
+def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
     """Phase-permutation unitary of a symplectic G on the |r,s> basis."""
     n = _require_square(dim)
-    N, nbar = dim.N, dim.nbar
+    nbar = dim.nbar
     m = dim.half_shift
     G = G.reduced(nbar)
     if math.gcd(G.beta, nbar) != 1:
         G1, G2 = decompose(G, dim)
-        return np.exp(1j * theta) * (monomial_clifford(G1, dim) @ monomial_clifford(G2, dim))
+        return monomial_clifford(G1, dim) @ monomial_clifford(G2, dim)
     a, b, g_, d = G.alpha, G.beta, G.gamma, G.delta
     binv = mod_inverse(b, nbar)
-    U = np.zeros((N, N), dtype=complex)
-    for r in range(n):
-        for s in range(n):
-            col = flatten(r, s, n)
-            sp = (-b * r + a * s + m * a) % n
-            rp = (d * r - g_ * s + m * g_ * d) % n
-            expo = binv * (d * sp * sp - 2 * s * sp + a * s * s)
-            U[flatten(rp, sp, n), col] = np.exp(1j * theta) * tau_power(dim, expo)
-    return U
+    r, s = np.divmod(np.arange(dim.N), n)
+    sp = (-b * r + a * s + m * a) % n
+    rp = (d * r - g_ * s + m * g_ * d) % n
+    expo = binv * (d * sp * sp - 2 * s * sp + a * s * s)
+    return phase_permutation(dim, flatten(rp, sp, n), np.arange(dim.N), expo)
 
 
 def monomial_zauner(dim: Dimension) -> np.ndarray:
     """U|r,s> = e^{i pi (N-1)/12} tau^{r^2+2rs} |-r-s-m, r>, satisfying U^3 = 1."""
     n = _require_square(dim)
-    N = dim.N
-    m = dim.half_shift
-    ph = np.exp(1j * np.pi * (N - 1) / 12)
-    U = np.zeros((N, N), dtype=complex)
-    for r in range(n):
-        for s in range(n):
-            U[flatten(-r - s - m, r, n), flatten(r, s, n)] = ph * tau_power(dim, r * r + 2 * r * s)
-    return U
+    r, s = np.divmod(np.arange(dim.N), n)
+    return np.exp(1j * np.pi * (dim.N - 1) / 12) * phase_permutation(
+        dim, flatten(-r - s - dim.half_shift, r, n), np.arange(dim.N),
+        r * r + 2 * r * s)
 
 
 def monomial_antiunitary(dim: Dimension, v: np.ndarray) -> np.ndarray:
     """Anti-unitary of J: conjugate amplitudes and send (r,s) -> (-r, s)."""
     n = _require_square(dim)
-    out = np.zeros_like(v, dtype=complex)
-    for r in range(n):
-        for s in range(n):
-            out[flatten(-r, s, n)] = np.conj(v[flatten(r, s, n)])
-    return out
+    r, s = np.divmod(np.arange(dim.N), n)
+    # (r,s) -> (-r,s) is an involution, so gathering through it also scatters
+    return np.conj(np.asarray(v, dtype=complex))[flatten(-r, s, n)]
 
 
 def is_phase_permutation(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -251,26 +232,18 @@ def stabilized_abelian_check(G: SymplecticMatrix, dim: Dimension) -> float:
     tau^k X^{an} Z^{bn} for the indices predicted by the symplectic action,
     up to the best tau power."""
     n = _require_square(dim)
-    N, nbar = dim.N, dim.nbar
+    N = dim.N
     U = monomial_clifford(G, dim)
     Ud = U.conj().T
     X, Z = monomial_weyl_generators(dim)
-    tau_table = np.array([tau_power(dim, k) for k in range(nbar)])
-    Xp = [np.eye(N, dtype=complex)]
-    Zp = [np.eye(N, dtype=complex)]
-    for _ in range(N - 1):
-        Xp.append(Xp[-1] @ X)
-        Zp.append(Zp[-1] @ Z)
+    table = tau_table(dim)
     worst = 0.0
     for (i, j) in ((n, 0), (0, n)):
-        D = tau_power(dim, i * j) * (Xp[i] @ Zp[j])
-        conj = U @ D @ Ud
+        conj = U @ displacement_matrix_from(X, Z, dim, i, j) @ Ud
         ip, jp = G.apply(i, j, N)
         assert ip % n == 0 and jp % n == 0, "conjugate left the subgroup"
-        tgt = tau_power(dim, ip * jp) * (Xp[ip] @ Zp[jp])
+        tgt = displacement_matrix_from(X, Z, dim, ip, jp)
         ph = np.trace(tgt.conj().T @ conj) / N
-        k = int(np.argmin(np.abs(tau_table - ph)))
-        worst = max(worst, float(np.max(np.abs(conj - tau_table[k] * tgt))))
-    # tau * identity must be fixed exactly
-    worst = max(worst, 0.0)
+        k = int(np.argmin(np.abs(table - ph)))
+        worst = max(worst, float(np.max(np.abs(conj - table[k] * tgt))))
     return worst

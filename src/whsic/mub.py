@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import Dimension, omega_power, sigma_power
-from .errors import DimensionMismatch, NotLatin, NotOrthonormal, NotPrime, NotSquare
-from .monomial import flatten, monomial_weyl_generators
+from .crt import factor_dimension
+from .dims import Dimension, sigma_power, tau_powers
+from .errors import DimensionMismatch, NotLatin, NotOrthonormal, NotPrime
+from .monomial import _require_square, flatten, monomial_weyl_generators
 
 
 @dataclass(frozen=True)
@@ -69,52 +70,39 @@ class Basis:
         return float(np.max(np.abs(G - np.eye(self.dim.N))))
 
 
-def _require_square(dim: Dimension) -> int:
-    if dim.n is None:
-        raise NotSquare(f"N={dim.N} is not a square dimension")
-    return dim.n
-
-
 def eigenbasis_zero(dim: Dimension) -> Basis:
     """Eigenbasis of Z in monomial coordinates: Z|u>_0 = omega^u |u>_0.
 
-    The phase is sigma^{+br}; the opposite sign would flip the eigenvalue of
-    the n-part of u (Z decreases r by one, so the Fourier phase over r must
-    run with a positive exponent to produce omega^{a+nb}).
+    It is the Latin basis of lam(r, a) = a with phases sigma^{+br}; the
+    opposite sign would flip the eigenvalue of the n-part of u (Z decreases r
+    by one, so the Fourier phase over r must run with a positive exponent to
+    produce omega^{a+nb}).
     """
     n = _require_square(dim)
-    N = dim.N
-    V = np.zeros((N, N), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            u = a + n * b
-            for r in range(n):
-                V[flatten(r, a, n), u] = sigma_power(dim, b * r) / np.sqrt(n)
-    return Basis(dim, V, "zero")
+    r, _, b = np.indices((n, n, n))
+    return latin_basis(dim, cyclic_latin_square(n, 0),
+                       tau_powers(dim, 2 * n * b * r), "zero")
 
 
 def eigenbasis_infinity(dim: Dimension) -> Basis:
     """Eigenbasis of X in monomial coordinates: X|u>_inf = omega^u |u>_inf."""
     n = _require_square(dim)
-    N = dim.N
-    V = np.zeros((N, N), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            u = a + n * b
-            for r in range(n):
-                V[flatten(a, r, n), u] = (sigma_power(dim, -b * r)
-                                          * omega_power(dim, -a * r) / np.sqrt(n))
+    a, b, r = np.indices((n, n, n))
+    # sigma^{-br} omega^{-ar} = tau^{-2nbr - 2ar}
+    phase = tau_powers(dim, -2 * n * b * r - 2 * a * r)
+    V = np.zeros((dim.N, dim.N), dtype=complex)
+    V[flatten(a, r, n), a + n * b] = phase / np.sqrt(n)
     return Basis(dim, V, "infinity")
 
 
 def latin_basis(dim: Dimension, lam: LatinSquare, phases: np.ndarray,
-                label: str = "latin", check: bool = True) -> Basis:
+                label: str = "latin") -> Basis:
     """Vectors |a+nb> = (1/sqrt n) sum_r phases[r,a,b] |r, lam(r,a)>.
 
     phases has shape (n, n, n) indexed (r, a, b) with unit-modulus entries.
-    With check=True the Gram matrix must be the identity within 1e-10,
-    otherwise NotOrthonormal names an offending pair. lam need not actually
-    be Latin; unbiasedness claims then fail downstream, not here.
+    The Gram matrix must be the identity within 1e-10, otherwise
+    NotOrthonormal names an offending pair. lam need not actually be Latin;
+    unbiasedness claims then fail downstream, not here.
     """
     n = _require_square(dim)
     if lam.n != n:
@@ -125,21 +113,16 @@ def latin_basis(dim: Dimension, lam: LatinSquare, phases: np.ndarray,
     if np.max(np.abs(np.abs(phases) - 1.0)) > 1e-10:
         raise ValueError("phase table entries must have unit modulus")
     N = dim.N
+    r, a, b = np.indices((n, n, n))
     V = np.zeros((N, N), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            u = a + n * b
-            for r in range(n):
-                V[flatten(r, lam.cells[r][a], n), u] = phases[r, a, b] / np.sqrt(n)
-    basis = Basis(dim, V, label)
-    if check:
-        G = V.conj().T @ V
-        dev = np.abs(G - np.eye(N))
-        if dev.max() > 1e-10:
-            u, v = np.unravel_index(int(np.argmax(dev)), dev.shape)
-            raise NotOrthonormal(
-                f"vectors {u} and {v} fail orthonormality by {dev.max():.3e}")
-    return basis
+    V[flatten(r, np.array(lam.cells)[r, a], n), a + n * b] = phases / np.sqrt(n)
+    G = V.conj().T @ V
+    dev = np.abs(G - np.eye(N))
+    if dev.max() > 1e-10:
+        u, v = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        raise NotOrthonormal(
+            f"vectors {u} and {v} fail orthonormality by {dev.max():.3e}")
+    return Basis(dim, V, label)
 
 
 @dataclass(frozen=True)
@@ -158,12 +141,6 @@ def is_unbiased(A: Basis, B: Basis, tol: float = 1e-10) -> UnbiasedReport:
     return UnbiasedReport(dev <= tol, dev)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
 def prime_family(p: int) -> list[Basis]:
     """p + 1 mutually unbiased bases in dimension p^2.
 
@@ -174,7 +151,7 @@ def prime_family(p: int) -> list[Basis]:
     eigenvalue branch is the principal n-th root of the loop phase, so the
     output is deterministic.
     """
-    if not _is_prime(p):
+    if p < 2 or factor_dimension(p).factors[0].p != p:
         raise NotPrime(f"{p} is not prime")
     dim = Dimension(p * p)
     n = p
@@ -183,7 +160,7 @@ def prime_family(p: int) -> list[Basis]:
     Zinv = Z.conj().T
     for k in range(1, p):
         A = np.linalg.matrix_power(X, k) @ Zinv
-        V = np.zeros((dim.N, dim.N), dtype=complex)
+        phases = np.empty((n, n, n), dtype=complex)
         for a in range(n):
             idx = [flatten(r, a + k * r, n) for r in range(n)]
             # phase picked up moving from orbit point r to r+1 (cyclically)
@@ -196,8 +173,9 @@ def prime_family(p: int) -> list[Basis]:
             for b in range(n):
                 mu = root * sigma_power(dim, b)
                 for r in range(n):
-                    V[idx[r], a + n * b] = prefix[r] * mu ** (-r) / np.sqrt(n)
-        bases.append(Basis(dim, V, f"latin({k})"))
+                    phases[r, a, b] = prefix[r] * mu ** (-r)
+        bases.append(latin_basis(dim, cyclic_latin_square(n, k), phases,
+                                 f"latin({k})"))
     return bases
 
 

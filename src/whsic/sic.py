@@ -27,9 +27,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import adapted16
+from .adapted16 import _checked_sqrt
 from .clifford import zauner_unitary
-from .dims import Dimension, omega_power, sigma_power, tau_power
-from .errors import BasisUnavailable, NegativeRadicand, NullProjection
+from .dims import Dimension, sigma_power, tau_powers
+from .errors import BasisUnavailable, NullProjection
 from .monomial import flatten, monomial_weyl_generators, monomial_zauner
 from .weyl import all_displacements, standard_generators
 
@@ -52,7 +53,6 @@ class SicCertificate:
     max_abs_deviation: float
     tolerance: float
     passed: bool
-    per_displacement: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def rephased4_generators() -> tuple[np.ndarray, np.ndarray]:
     X, Z = monomial_weyl_generators(dim)
     # rescaling the kets |e_j> -> ph_j |e_j> conjugates operators by the
     # inverse diagonal: M' = P^{-1} M P
-    ph = np.array([tau_power(dim, -2), tau_power(dim, -7), tau_power(dim, -5), 1.0])
+    ph = tau_powers(dim, [-2, -7, -5, 0])
     P = np.diag(ph)
     Pinv = np.diag(1.0 / ph)
     return Pinv @ X @ P, Pinv @ Z @ P
@@ -92,8 +92,7 @@ def basis_generators(dim: Dimension, basis: str) -> tuple[np.ndarray, np.ndarray
     raise BasisUnavailable(f"no generators registered for basis {basis!r} at N={dim.N}")
 
 
-def verify_sic(f: Fiducial, tol: float = 1e-8,
-               keep_table: bool = False) -> SicCertificate:
+def verify_sic(f: Fiducial, tol: float = 1e-8) -> SicCertificate:
     """Max deviation of |<psi|D_ij|psi>|^2 from 1/(N+1) over the N^2 - 1
     nontrivial displacements, in the fiducial's own basis."""
     dim = f.dim
@@ -106,12 +105,8 @@ def verify_sic(f: Fiducial, tol: float = 1e-8,
     dev = np.abs(probs - 1.0 / (N + 1))
     dev[0] = 0.0  # D_00 = identity carries no condition
     worst = float(dev.max())
-    return SicCertificate(
-        max_abs_deviation=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-        per_displacement=dev.reshape(N, N) if keep_table else None,
-    )
+    return SicCertificate(max_abs_deviation=worst, tolerance=tol,
+                          passed=worst <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +134,6 @@ def fiducial_n4(slot: int, s: int, t: int, u: int) -> Fiducial:
 # ---------------------------------------------------------------------------
 # N = 9 closed form
 # ---------------------------------------------------------------------------
-
-def _checked_sqrt(x: float, name: str) -> float:
-    if x < -1e-12:
-        raise NegativeRadicand(f"{name}: radicand {x} is negative")
-    return math.sqrt(max(x, 0.0))
-
 
 def fiducial_n9_amplitudes(s0: int, s1: int, s2: int) -> tuple[float, float, float, float]:
     """(p1, p2, p3, p4) from the closed radicals; they solve
@@ -200,7 +189,7 @@ def fiducial_n9(s0: int, s1: int, s2: int, m3: int, m4: int) -> Fiducial:
     z3 = math.sqrt(p3) * e_mu3
     z4 = math.sqrt(p4) * e_mu4
 
-    w = [omega_power(dim, k) for k in range(9)]
+    w = tau_powers(dim, 2 * np.arange(9))  # omega^k
     v = np.zeros(9, dtype=complex)
     v[flatten(1, 1, 3)] = -z1 * w[7]
     v[flatten(2, 2, 3)] = -z2 * w[1]
@@ -220,9 +209,6 @@ def fiducial_n9(s0: int, s1: int, s2: int, m3: int, m4: int) -> Fiducial:
 # ---------------------------------------------------------------------------
 # N = 16 closed form (heavy lifting lives in adapted16)
 # ---------------------------------------------------------------------------
-
-adapted16_generators = adapted16.adapted16_generators
-
 
 def fiducial_n16(t2_branch: int = +1, conjugate_orbit: bool = False) -> Fiducial:
     """Closed-form N = 16 fiducial in the adapted basis. Both t2 branches

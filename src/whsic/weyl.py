@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import DEFAULT_TOL, Dimension, omega_power, tau_power
-from .errors import DimensionMismatch, NotCoprime
+from .dims import Dimension, phase_permutation, tau_power, tau_powers
+from .errors import NotCoprime
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -90,22 +90,25 @@ def element_order(g: GroupElement, dim: Dimension) -> int:
 
 def standard_generators(dim: Dimension) -> tuple[np.ndarray, np.ndarray]:
     """The cyclic shift X|u> = |u+1> and clock Z|u> = omega^u |u>."""
-    N = dim.N
-    X = np.zeros((N, N), dtype=complex)
-    for v in range(N):
-        X[(v + 1) % N, v] = 1.0
-    Z = np.diag([omega_power(dim, u) for u in range(N)])
-    return X, Z
+    u = np.arange(dim.N)
+    return (phase_permutation(dim, (u + 1) % dim.N, u, 0),
+            phase_permutation(dim, u, u, 2 * u))
 
 
 def displacement_matrix(dim: Dimension, i: int, j: int) -> np.ndarray:
     """D_{ij} = tau^{ij} X^i Z^j in the standard basis."""
-    N = dim.N
-    D = np.zeros((N, N), dtype=complex)
-    ph = tau_power(dim, i * j)
-    for v in range(N):
-        D[(v + i) % N, v] = ph * omega_power(dim, j * v)
+    D = np.zeros((dim.N, dim.N), dtype=complex)
+    _fill_displacement(D, i, tau_power(dim, i * j),
+                       tau_powers(dim, 2 * j * np.arange(dim.N)).tolist())
     return D
+
+
+def _fill_displacement(D: np.ndarray, i: int, ph: complex, col: list) -> None:
+    """Write ph * col[v] at (v + i, v): the products are taken in Python
+    complex arithmetic because the fiducial search consumes this stack and is
+    sensitive to its last bits."""
+    v = np.arange(len(col))
+    D[(v + i) % len(col), v] = [ph * c for c in col]
 
 
 def displacement_matrix_from(X: np.ndarray, Z: np.ndarray, dim: Dimension,
@@ -120,18 +123,20 @@ def all_displacements(dim: Dimension, X: np.ndarray | None = None,
                       Z: np.ndarray | None = None) -> np.ndarray:
     """Stack of all N^2 displacement matrices, index (i*N + j, :, :)."""
     N = dim.N
+    out = np.zeros((N * N, N, N), dtype=complex)
     if X is None or Z is None:
-        out = np.empty((N * N, N, N), dtype=complex)
+        ij = np.multiply.outer(np.arange(N), np.arange(N))
+        phs = tau_powers(dim, ij).tolist()        # tau^{ij}
+        cols = tau_powers(dim, 2 * ij).tolist()   # row j: tau^{2jv}
         for i in range(N):
             for j in range(N):
-                out[i * N + j] = displacement_matrix(dim, i, j)
+                _fill_displacement(out[i * N + j], i, phs[i][j], cols[j])
         return out
     Xp = [np.eye(N, dtype=complex)]
     Zp = [np.eye(N, dtype=complex)]
     for _ in range(N - 1):
         Xp.append(Xp[-1] @ X)
         Zp.append(Zp[-1] @ Z)
-    out = np.empty((N * N, N, N), dtype=complex)
     for i in range(N):
         for j in range(N):
             out[i * N + j] = tau_power(dim, i * j) * (Xp[i] @ Zp[j])
@@ -141,13 +146,3 @@ def all_displacements(dim: Dimension, X: np.ndarray | None = None,
 def element_matrix(g: GroupElement, dim: Dimension) -> np.ndarray:
     """Dense matrix of tau^k D_{ij} in the standard basis."""
     return tau_power(dim, g.k) * displacement_matrix(dim, g.i, g.j)
-
-
-def check_same_dim(dim: Dimension, *dims: Dimension) -> None:
-    for d in dims:
-        if d.N != dim.N:
-            raise DimensionMismatch(f"dimensions differ: {dim.N} vs {d.N}")
-
-
-def matrices_close(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return bool(np.max(np.abs(A - B)) <= tol)

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, reports, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import whsic
 from whsic import fileio
 from whsic.cli import main
 from whsic.dims import Dimension
@@ -74,6 +79,33 @@ def test_verify_monomial(capsys):
                     capsys)
     assert code == 0
     assert rep["metrics"]["all_phase_permutation"] is True
+
+
+def test_verify_monomial_dim_one_terminates():
+    """random_symplectic once looped forever at N = 1, where nbar = 1."""
+    path = [str(Path(whsic.__file__).resolve().parent.parent),
+            os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", "whsic.cli", "verify", "monomial",
+                           "--dim", "1"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "monomial", "--samples", "0"],
+    ["verify", "monomial", "--samples", "-3"],
+    ["search", "--dim", "5", "--restarts", "0"],
+    ["search", "--dim", "5", "--restarts", "-2"],
+    ["verify", "sic", "--builtin", "n4", "--tol", "nan"],
+    ["verify", "sic", "--builtin", "n4", "--tol", "inf"],
+    ["verify", "sic", "--builtin", "n4", "--tol", "-1"],
+    ["--tol", "nan", "search", "--dim", "5"],
+])
+def test_vacuous_or_invalid_inputs_exit_two(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_out_of_range_flag_exits_two(capsys):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whsic.clifford import ZAUNER, conjugation_check_batched, random_symplectic
+from whsic.clifford import (ZAUNER, conjugation_check_batched, decompose,
+                            random_symplectic)
 from whsic.dims import Dimension
 from whsic.errors import NotSquare
-from whsic.monomial import (is_phase_permutation, invariant_subgroup,
+from whsic.monomial import (flatten, is_phase_permutation, invariant_subgroup,
                             monomial_antiunitary, monomial_clifford,
                             monomial_weyl_generators, monomial_zauner,
                             sl2_orbit, stabilized_abelian_check, vector_order,
@@ -16,6 +17,55 @@ from whsic.monomial import (is_phase_permutation, invariant_subgroup,
 from whsic.weyl import all_displacements
 
 SQUARES = [4, 9, 16, 25]
+
+
+# Entry-by-entry reference formulas; tau^k is taken by repeated
+# multiplication so that no code path is shared with the operators under test.
+
+def tau_pow(dim, k):
+    return (-np.exp(1j * np.pi / dim.N)) ** (k % (2 * dim.N))
+
+
+def ref_weyl_generators(dim):
+    n, N = dim.n, dim.N
+    X = np.zeros((N, N), dtype=complex)
+    Z = np.zeros((N, N), dtype=complex)
+    for r in range(n):
+        for s in range(n):
+            col = flatten(r, s, n)
+            X[flatten(r, s + 1, n), col] = (1.0 if s + 1 < n
+                                            else np.exp(2j * np.pi * r / n))
+            Z[flatten(r - 1, s, n), col] = np.exp(2j * np.pi * s / N)
+    return X, Z
+
+
+def ref_clifford(G, dim):
+    n, nbar, m = dim.n, dim.nbar, dim.half_shift
+    G = G.reduced(nbar)
+    if np.gcd(G.beta, nbar) != 1:
+        G1, G2 = decompose(G, dim)
+        return ref_clifford(G1, dim) @ ref_clifford(G2, dim)
+    a, b, g_, d = G.alpha, G.beta, G.gamma, G.delta
+    binv = pow(b, -1, nbar)
+    U = np.zeros((dim.N, dim.N), dtype=complex)
+    for r in range(n):
+        for s in range(n):
+            sp = (-b * r + a * s + m * a) % n
+            rp = (d * r - g_ * s + m * g_ * d) % n
+            U[flatten(rp, sp, n), flatten(r, s, n)] = tau_pow(
+                dim, binv * (d * sp * sp - 2 * s * sp + a * s * s))
+    return U
+
+
+def ref_zauner(dim):
+    n, m = dim.n, dim.half_shift
+    ph = np.exp(1j * np.pi * (dim.N - 1) / 12)
+    U = np.zeros((dim.N, dim.N), dtype=complex)
+    for r in range(n):
+        for s in range(n):
+            U[flatten(-r - s - m, r, n), flatten(r, s, n)] = (
+                ph * tau_pow(dim, r * r + 2 * r * s))
+    return U
 
 
 @pytest.mark.parametrize("N", SQUARES)
@@ -27,6 +77,8 @@ def test_generators_commutation_and_order(N):
     assert np.max(np.abs(np.linalg.matrix_power(X, N) - np.eye(N))) < 1e-11
     assert np.max(np.abs(np.linalg.matrix_power(Z, N) - np.eye(N))) < 1e-11
     assert is_phase_permutation(X) and is_phase_permutation(Z)
+    Xr, Zr = ref_weyl_generators(dim)
+    assert np.max(np.abs(X - Xr)) < 1e-12 and np.max(np.abs(Z - Zr)) < 1e-12
 
 
 @pytest.mark.parametrize("N", [4, 9])
@@ -53,6 +105,7 @@ def test_monomial_clifford_phase_permutation_and_covariance(N):
         U = monomial_clifford(G, dim)
         assert is_phase_permutation(U, 1e-10)
         assert conjugation_check_batched(G, dim, U, D) < 1e-9
+        assert np.max(np.abs(U - ref_clifford(G, dim))) < 1e-12
 
 
 @pytest.mark.parametrize("N", SQUARES)
@@ -61,6 +114,7 @@ def test_monomial_zauner_cubes_to_identity(N):
     U = monomial_zauner(dim)
     assert np.max(np.abs(U @ U @ U - np.eye(N))) < 1e-10
     assert is_phase_permutation(U)
+    assert np.max(np.abs(U - ref_zauner(dim))) < 1e-12
     # it represents the Zauner symplectic up to phase
     X, Z = monomial_weyl_generators(dim)
     D = all_displacements(dim, X, Z)
@@ -83,6 +137,9 @@ def test_monomial_antiunitary_respects_norm():
     v /= np.linalg.norm(v)
     w = monomial_antiunitary(dim, v)
     assert abs(np.linalg.norm(w) - 1) < 1e-12
+    for r in range(3):
+        for s in range(3):
+            assert w[flatten(-r, s, 3)] == np.conj(v[flatten(r, s, 3)])
 
 
 def test_non_square_rejected():

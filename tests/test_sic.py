@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from whsic import adapted16
 from whsic.dims import Dimension, tau_power
 from whsic.errors import BasisUnavailable, NegativeRadicand, NullProjection
-from whsic.monomial import monomial_zauner, zak_matrix
+from whsic.monomial import is_phase_permutation, monomial_zauner, zak_matrix
 from whsic.sic import (Fiducial, autocorrelation_check, basis_generators,
                        fiducial_n4, fiducial_n9, fiducial_n9_amplitudes,
                        fiducial_n16, fiducial_n16_standard, rephased4_generators,
@@ -174,6 +175,30 @@ def test_n16_both_branches_and_orbits():
             assert verify_sic(f, 1e-8).max_abs_deviation < 1e-12
             g = fiducial_n16_standard(branch, conj)
             assert verify_sic(g, 1e-8).max_abs_deviation < 1e-12
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("conj", [False, True])
+def test_n16_embedding_pins_omega32(branch, conj):
+    elems = adapted16.field_elements(branch, conj)
+    assert abs(adapted16.omega32_identity(elems) - np.exp(1j * np.pi / 16)) < 1e-14
+
+
+def test_adapted16_generators_match_signed_transcription():
+    """Each entry is sign * tau^e as transcribed, tau = -exp(i pi/16)."""
+    tau = -np.exp(1j * np.pi / 16)
+    X, Z, T = adapted16.adapted16_generators()
+    for M, entries in ((X, adapted16._X16_ENTRIES), (Z, adapted16._Z16_ENTRIES)):
+        ref = np.zeros((16, 16), dtype=complex)
+        for r, c, sg, e in entries:
+            ref[r, c] = sg * tau ** e
+        assert is_phase_permutation(M)
+        assert np.max(np.abs(M - ref)) < 1e-12
+    ref = np.zeros((16, 16), dtype=complex)
+    for row, (cols, vals) in enumerate(adapted16._T_ROWS):
+        for c, (sg, e) in zip(cols, vals):
+            ref[row, c] = 0.5 * sg * tau ** e
+    assert np.max(np.abs(T - ref)) < 1e-12
 
 
 def test_n16_orbit_pair_differs():

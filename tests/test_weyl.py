@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whsic.dims import Dimension, tau_power
+from whsic.dims import Dimension, omega_power, tau_power, tau_powers, tau_table
 from whsic.errors import NotCoprime
-from whsic.weyl import (GroupElement, canonicalize, compose, displacement_matrix,
-                        element_matrix, element_order, identity_element, inverse,
-                        mod_inverse, standard_generators)
+from whsic.monomial import is_phase_permutation
+from whsic.weyl import (GroupElement, all_displacements, canonicalize, compose,
+                        displacement_matrix, element_matrix, element_order,
+                        identity_element, inverse, mod_inverse,
+                        standard_generators)
 
 DIMS = st.integers(min_value=1, max_value=12)
 
@@ -82,6 +84,9 @@ def test_generators_commutation():
         dim = Dimension(N)
         X, Z = standard_generators(dim)
         omega = np.exp(2j * np.pi / N)
+        assert is_phase_permutation(X) and is_phase_permutation(Z)
+        assert np.array_equal(X, np.roll(np.eye(N), 1, axis=0))
+        assert np.max(np.abs(Z - np.diag(omega ** np.arange(N)))) < 1e-12
         assert np.max(np.abs(Z @ X - omega * X @ Z)) < 1e-12
         assert np.max(np.abs(np.linalg.matrix_power(X, N) - np.eye(N))) < 1e-12
 
@@ -96,6 +101,21 @@ def test_displacement_phase_convention():
                 expect = tau_power(dim, i * j) * (
                     np.linalg.matrix_power(X, i) @ np.linalg.matrix_power(Z, j))
                 assert np.max(np.abs(displacement_matrix(dim, i, j) - expect)) < 1e-12
+
+
+@given(N=st.integers(1, 30), k=st.integers(-200, 200))
+def test_one_phase_path_is_exact(N, k):
+    dim = Dimension(N)
+    assert tau_table(dim)[k % (2 * N)] == tau_power(dim, k)
+    assert tau_powers(dim, [k])[0] == tau_power(dim, k)
+    assert omega_power(dim, k) == tau_power(dim, 2 * k)
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_standard_stack_matches_generator_stack(N):
+    dim = Dimension(N)
+    D = all_displacements(dim)
+    assert np.max(np.abs(D - all_displacements(dim, *standard_generators(dim)))) < 1e-12
 
 
 @given(a=st.integers(-30, 30), m=st.integers(2, 40))
