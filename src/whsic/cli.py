@@ -27,7 +27,7 @@ from .sic import (Fiducial, basis_generators, fiducial_n4, fiducial_n9,
                   fiducial_n16, search_fiducial, verify_sic)
 from .weyl import all_displacements, standard_generators
 
-SEARCH_DIM_CAP = 20
+SEARCH_DIM_CAP = 48
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -60,6 +60,7 @@ def cmd_verify(args) -> int:
             f = _builtin_fiducial(args.builtin, args)
         cert = verify_sic(f, args.tol)
         metrics["max_abs_deviation"] = cert.max_abs_deviation
+        metrics["worst_displacement"] = list(cert.worst_displacement)
         metrics["N"] = f.dim.N
         passed = cert.passed
     elif args.target == "mub":
@@ -86,11 +87,13 @@ def cmd_verify(args) -> int:
             worst = max(worst, conjugation_check_batched(G, dim, U, D))
         metrics["max_conjugation_residual"] = worst
         metrics["all_phase_permutation"] = bool(ok)
-        passed = ok and worst <= max(args.tol, 1e-9)
+        metrics["effective_tol"] = max(args.tol, 1e-9)
+        passed = ok and worst <= metrics["effective_tol"]
     elif args.target == "crt":
         worst = verify_product_iso(args.dim, rng_seed=args.seed)
         metrics["max_abs_deviation"] = worst
-        passed = worst <= max(args.tol, 1e-9)
+        metrics["effective_tol"] = max(args.tol, 1e-9)
+        passed = worst <= metrics["effective_tol"]
     elif args.target == "zauner":
         dim = Dimension(args.dim)
         U = zauner_unitary(dim)
@@ -99,7 +102,8 @@ def cmd_verify(args) -> int:
         metrics["cube_deviation"] = cube_dev
         metrics["measured_dims"] = [measured.d0, measured.d1, measured.d2]
         metrics["predicted_dims"] = [predicted.d0, predicted.d1, predicted.d2]
-        passed = cube_dev <= max(args.tol, 1e-10) and measured == predicted
+        metrics["effective_tol"] = max(args.tol, 1e-10)
+        passed = cube_dev <= metrics["effective_tol"] and measured == predicted
     else:
         raise ValueError(f"unknown verify target {args.target!r}")
     _emit({"command": f"verify {args.target}", "inputs": inputs,
@@ -117,7 +121,8 @@ def cmd_generate(args) -> int:
         cert = verify_sic(f, args.tol if args.dim != 16 else max(args.tol, 1e-8))
         report = {"command": "generate sic", "inputs": inputs,
                   "pass": bool(cert.passed),
-                  "metrics": {"max_abs_deviation": cert.max_abs_deviation},
+                  "metrics": {"max_abs_deviation": cert.max_abs_deviation,
+                              "effective_tol": cert.tolerance},
                   "artifacts": {"fiducial": fileio.fiducial_to_dict(f)}}
         _emit(report, args.out)
         return 0 if cert.passed else 1
@@ -197,6 +202,7 @@ def cmd_search(args) -> int:
     report = {"command": "search", "inputs": inputs, "pass": bool(cert.passed),
               "metrics": {"found": True,
                           "max_abs_deviation": cert.max_abs_deviation,
+                          "worst_displacement": list(cert.worst_displacement),
                           "restart": f.provenance["restart"],
                           "residual": f.provenance["residual"]},
               "artifacts": {"fiducial": fileio.fiducial_to_dict(f)}}

@@ -11,10 +11,10 @@ into it (the only place an exponent array is reduced mod 2N), and
 column from those lookups.
 
 The scalar evaluation is kept, instead of a vectorised numpy exp, because the
-seeded fiducial search amplifies one-ulp differences: numpy's array exp and
-complex multiply round differently from the scalar path, and a changed last
-bit in the displacement stack or the Zauner eigenbasis changes the L-BFGS-B
-trajectory and its restart and residual-call counts.
+seeded fiducial search amplifies one-ulp differences: numpy's array exp
+rounds differently from the scalar path, and a changed last bit in the
+Zauner unitary, and so in the E0 basis the search reads, changes the
+L-BFGS-B trajectory and its restart and evaluation counts.
 """
 
 from __future__ import annotations

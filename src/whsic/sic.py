@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import adapted16
 from .adapted16 import _checked_sqrt
@@ -53,6 +52,7 @@ class SicCertificate:
     max_abs_deviation: float
     tolerance: float
     passed: bool
+    worst_displacement: tuple[int, int]  # (i, j) of the largest deviation
 
 
 @dataclass(frozen=True)
@@ -94,19 +94,29 @@ def basis_generators(dim: Dimension, basis: str) -> tuple[np.ndarray, np.ndarray
 
 def verify_sic(f: Fiducial, tol: float = 1e-8) -> SicCertificate:
     """Max deviation of |<psi|D_ij|psi>|^2 from 1/(N+1) over the N^2 - 1
-    nontrivial displacements, in the fiducial's own basis."""
+    nontrivial displacements, in the fiducial's own basis, with the (i, j)
+    where it occurs.
+
+    Standard-basis vectors go through the FFT kernel `standard_overlaps`;
+    the other bases contract the dense displacement stack of their
+    generators."""
     dim = f.dim
     N = dim.N
-    X, Z = basis_generators(dim, f.basis)
-    D = all_displacements(dim, X, Z)
     psi = f.amplitudes
-    overlaps = np.einsum("i,kij,j->k", psi.conj(), D, psi)
-    probs = np.abs(overlaps) ** 2
+    if f.basis == "standard":
+        probs = np.abs(standard_overlaps(psi)) ** 2
+    else:
+        X, Z = basis_generators(dim, f.basis)
+        D = all_displacements(dim, X, Z)
+        overlaps = np.einsum("i,kij,j->k", psi.conj(), D, psi)
+        probs = (np.abs(overlaps) ** 2).reshape(N, N)
     dev = np.abs(probs - 1.0 / (N + 1))
-    dev[0] = 0.0  # D_00 = identity carries no condition
-    worst = float(dev.max())
+    dev[0, 0] = 0.0  # D_00 = identity carries no condition
+    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    worst = float(dev[i, j])
     return SicCertificate(max_abs_deviation=worst, tolerance=tol,
-                          passed=worst <= tol)
+                          passed=worst <= tol,
+                          worst_displacement=(int(i), int(j)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,46 +326,88 @@ def _e0_basis(dim: Dimension) -> np.ndarray:
 
 
 def sic_residual(psi: np.ndarray, D: np.ndarray, N: int) -> float:
+    """F(psi) contracted over a dense displacement stack D: the O(N^4)
+    reference that `frame_residual` is tested against."""
     overlaps = np.einsum("i,kij,j->k", psi.conj(), D, psi)
     probs = np.abs(overlaps) ** 2
     probs[0] = 1.0 / (N + 1)
     return float(np.sum((probs - 1.0 / (N + 1)) ** 2))
 
 
+def _shift_index(N: int, sign: int) -> np.ndarray:
+    """(v + sign*i) mod N at row i, column v."""
+    u = np.arange(N)
+    return (u[None, :] + sign * u[:, None]) % N
+
+
+def standard_overlaps(psi: np.ndarray) -> np.ndarray:
+    """S_ij = sum_v conj(psi_{v+i}) omega^{jv} psi_v as an N x N array.
+
+    In the standard basis D_ij|v> = tau^{ij} omega^{jv} |v+i>, so
+    <psi|D_ij|psi> = tau^{ij} S_ij: N shifted products and one FFT along v,
+    O(N^2 log N) in place of the O(N^4) dense contraction."""
+    N = len(psi)
+    return N * np.fft.ifft(psi[_shift_index(N, +1)].conj() * psi, axis=1)
+
+
+def frame_residual(psi: np.ndarray) -> tuple[float, np.ndarray]:
+    """F(psi) = sum_{(i,j) != 0} (|S_ij|^2 - 1/(N+1))^2 for a standard-basis
+    unit vector, with its Wirtinger gradient dF/d conj(psi).
+
+    With w_ij = |S_ij|^2 - 1/(N+1) (w_00 = 0) and
+    B_i(v) = sum_j w_ij conj(S_ij) omega^{jv}, one more FFT, the gradient is
+    4 sum_i psi_{u-i} B_i(u-i): the terms from S and conj(S) are equal
+    because w_{-i,-j} = w_ij."""
+    N = len(psi)
+    S = standard_overlaps(psi)
+    w = np.abs(S) ** 2 - 1.0 / (N + 1)
+    w[0, 0] = 0.0
+    B = N * np.fft.ifft(w * S.conj(), axis=1)
+    down = _shift_index(N, -1)
+    grad = 4.0 * (psi[down] * np.take_along_axis(B, down, axis=1)).sum(axis=0)
+    return float(np.sum(w ** 2)), grad
+
+
 def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
-                    tol: float = 1e-8, max_iter: int = 100_000,
-                    fd_step: float = 1e-7) -> Fiducial | None:
+                    tol: float = 1e-8, max_iter: int = 100_000) -> Fiducial | None:
     """Numerical fiducial search in the order-3 eigenspace E0.
 
     Random unit starts are drawn inside E0 with deterministically derived
-    sub-seeds (one per restart), then refined by a quasi-Newton descent of
-    F(psi) = sum ( |<psi|D_ij|psi>|^2 - 1/(N+1) )^2 with finite-difference
-    gradients. Returns the first restart (lowest index) whose polished vector
-    passes verify_sic at tol, or None if all restarts fail.
+    sub-seeds (one per restart), then refined by two L-BFGS-B passes on
+    F(psi) = sum ( |<psi|D_ij|psi>|^2 - 1/(N+1) )^2 with psi = Bc/|c| for an
+    orthonormal basis B of E0. F and its exact gradient come from the FFT
+    kernel `frame_residual`, chained through the normalisation and B; there
+    are no finite differences and no displacement matrices. Returns the
+    first restart (lowest index) whose polished vector passes verify_sic at
+    tol, or None if all restarts fail.
     """
-    N = dim.N
-    D = all_displacements(dim)
+    from scipy.optimize import minimize  # keeps scipy out of `import whsic.cli`
+
     B = _e0_basis(dim)
     d = B.shape[1]
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         c = x[:d] + 1j * x[d:]
         nrm = np.linalg.norm(c)
         if nrm < 1e-12:
-            return 1.0
+            return 1.0, np.zeros_like(x)
         psi = B @ (c / nrm)
-        return sic_residual(psi, D, N)
+        F, g = frame_residual(psi)
+        # psi = phi/|phi| with phi = Bc: project out the radial part, scale
+        # by 1/|phi| and pull back through B; d/dRe, d/dIm are 2 Re, 2 Im
+        gc = B.conj().T @ (g - np.vdot(psi, g).real * psi) / nrm
+        return F, 2.0 * np.concatenate([gc.real, gc.imag])
 
     seeds = np.random.SeedSequence(rng_seed).spawn(max_restarts)
     for restart, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(2 * d)
-        res = minimize(objective, x0, method="L-BFGS-B",
-                       options={"maxiter": max_iter, "eps": fd_step,
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+                       options={"maxiter": max_iter,
                                 "ftol": 1e-16, "gtol": 1e-12})
-        # polish with a finer difference step once the coarse pass stalls
-        res = minimize(objective, res.x, method="L-BFGS-B",
-                       options={"maxiter": max_iter, "eps": fd_step * 1e-2,
+        # polish at tighter tolerances once the first pass stalls
+        res = minimize(objective, res.x, jac=True, method="L-BFGS-B",
+                       options={"maxiter": max_iter,
                                 "ftol": 1e-18, "gtol": 1e-14})
         c = res.x[:d] + 1j * res.x[d:]
         psi = B @ (c / np.linalg.norm(c))

@@ -96,19 +96,10 @@ def standard_generators(dim: Dimension) -> tuple[np.ndarray, np.ndarray]:
 
 
 def displacement_matrix(dim: Dimension, i: int, j: int) -> np.ndarray:
-    """D_{ij} = tau^{ij} X^i Z^j in the standard basis."""
-    D = np.zeros((dim.N, dim.N), dtype=complex)
-    _fill_displacement(D, i, tau_power(dim, i * j),
-                       tau_powers(dim, 2 * j * np.arange(dim.N)).tolist())
-    return D
-
-
-def _fill_displacement(D: np.ndarray, i: int, ph: complex, col: list) -> None:
-    """Write ph * col[v] at (v + i, v): the products are taken in Python
-    complex arithmetic because the fiducial search consumes this stack and is
-    sensitive to its last bits."""
-    v = np.arange(len(col))
-    D[(v + i) % len(col), v] = [ph * c for c in col]
+    """D_{ij} = tau^{ij} X^i Z^j in the standard basis: tau^{ij + 2jv} at
+    (v + i, v)."""
+    v = np.arange(dim.N)
+    return phase_permutation(dim, (v + i) % dim.N, v, i * j + 2 * j * v)
 
 
 def displacement_matrix_from(X: np.ndarray, Z: np.ndarray, dim: Dimension,
@@ -123,15 +114,12 @@ def all_displacements(dim: Dimension, X: np.ndarray | None = None,
                       Z: np.ndarray | None = None) -> np.ndarray:
     """Stack of all N^2 displacement matrices, index (i*N + j, :, :)."""
     N = dim.N
-    out = np.zeros((N * N, N, N), dtype=complex)
     if X is None or Z is None:
-        ij = np.multiply.outer(np.arange(N), np.arange(N))
-        phs = tau_powers(dim, ij).tolist()        # tau^{ij}
-        cols = tau_powers(dim, 2 * ij).tolist()   # row j: tau^{2jv}
-        for i in range(N):
-            for j in range(N):
-                _fill_displacement(out[i * N + j], i, phs[i][j], cols[j])
-        return out
+        i, j, v = np.ogrid[:N, :N, :N]
+        out = np.zeros((N, N, N, N), dtype=complex)
+        out[i, j, (v + i) % N, v] = tau_powers(dim, i * j + 2 * j * v)
+        return out.reshape(N * N, N, N)
+    out = np.zeros((N * N, N, N), dtype=complex)
     Xp = [np.eye(N, dtype=complex)]
     Zp = [np.eye(N, dtype=complex)]
     for _ in range(N - 1):

@@ -56,6 +56,7 @@ def test_verify_sic_failing_vector_exits_one(tmp_path, capsys):
     code, rep = run(["verify", "sic", "--file", str(path)], capsys)
     assert code == 1
     assert rep["pass"] is False
+    assert rep["metrics"]["worst_displacement"] == [0, 1]
 
 
 def test_verify_sic_corrupt_file_exits_two(tmp_path, capsys):
@@ -79,6 +80,19 @@ def test_verify_monomial(capsys):
                     capsys)
     assert code == 0
     assert rep["metrics"]["all_phase_permutation"] is True
+
+
+@pytest.mark.parametrize("argv,applied", [
+    (["verify", "monomial", "--dim", "4", "--samples", "2"], 1e-9),
+    (["verify", "crt", "--dim", "6"], 1e-9),
+    (["verify", "zauner", "--dim", "7"], 1e-10),
+    (["generate", "sic", "--dim", "16"], 1e-8),
+    (["generate", "sic", "--dim", "4"], 1e-12),
+])
+def test_report_gives_effective_tol(argv, applied, capsys):
+    code, rep = run(argv + ["--tol", "1e-12"], capsys)
+    assert code == 0
+    assert rep["metrics"]["effective_tol"] == applied
 
 
 def test_verify_monomial_dim_one_terminates():
@@ -179,6 +193,8 @@ def test_search_finds_and_saves(tmp_path, capsys):
     assert code == 0
     assert rep["metrics"]["found"] is True
     assert rep["metrics"]["max_abs_deviation"] < 1e-8
+    i, j = rep["metrics"]["worst_displacement"]
+    assert 0 <= i < 5 and 0 <= j < 5 and (i, j) != (0, 0)
     g = fileio.load_fiducial(fpath)
     assert g.dim.N == 5
     # and the saved file verifies through the CLI as well
@@ -188,7 +204,7 @@ def test_search_finds_and_saves(tmp_path, capsys):
 
 
 def test_search_dim_cap_exits_two(capsys):
-    assert main(["search", "--dim", "21"]) == 2
+    assert main(["search", "--dim", "49"]) == 2
     assert main(["search", "--dim", "1"]) == 2
     capsys.readouterr()
 
