@@ -97,12 +97,6 @@ def adapted16_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _generator(_X16_ENTRIES), _generator(_Z16_ENTRIES), T
 
 
-def adapted_to_standard(v: np.ndarray) -> np.ndarray:
-    """Map a vector from the adapted basis to the standard basis."""
-    _, _, T = adapted16_generators()
-    return T.T @ v
-
-
 def _checked_sqrt(x: float, name: str) -> float:
     """sqrt(x) for a radicand that must be non-negative up to roundoff."""
     if x < -1e-12:

@@ -23,41 +23,71 @@ from .errors import WhsicError
 from .monomial import (is_phase_permutation, monomial_clifford,
                        monomial_weyl_generators)
 from .mub import is_unbiased, prime_family
-from .sic import (Fiducial, basis_generators, fiducial_n4, fiducial_n9,
-                  fiducial_n16, search_fiducial, verify_sic)
+from .sic import (Fiducial, basis_change, fiducial_n4, fiducial_n9,
+                  fiducial_n16, search_fiducial, to_standard, verify_sic)
 from .weyl import all_displacements, standard_generators
 
 SEARCH_DIM_CAP = 48
 
+# each builtin fiducial with the construction flags it takes, in call order
+BUILTINS = {"n4": (fiducial_n4, ("slot", "s", "t", "u")),
+            "n9": (fiducial_n9, ("s0", "s1", "s2", "m3", "m4")),
+            "n16": (fiducial_n16, ("t2_branch",))}
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out is None or out == "-":
+# the flags each command reads, besides those of the builtin it constructs
+COMMAND_FLAGS = {
+    "verify sic": ("builtin", "file", "tol"),
+    "verify mub": ("p", "tol"),
+    "verify monomial": ("dim", "samples", "seed", "tol"),
+    "verify crt": ("dim", "seed", "tol"),
+    "verify zauner": ("dim", "tol"),
+    "generate sic": ("dim", "tol"),
+    "generate mub": ("p",),
+    "generate projection": ("dim",),
+    "generate operators": ("dim",),
+    "search": ("dim", "fiducial_out", "restarts", "seed", "tol"),
+}
+
+
+def _emit(args, report: dict) -> None:
+    """Write the report, headed by the command and the flags it read."""
+    command = f"{args.command} {getattr(args, 'target', '')}".rstrip()
+    _, flags = BUILTINS.get(_builtin_name(args), (None, ()))
+    inputs = {k: getattr(args, k) for k in COMMAND_FLAGS[command] + flags
+              if getattr(args, k) is not None}
+    text = json.dumps({"command": command, "inputs": inputs, **report},
+                      indent=2, sort_keys=True) + "\n"
+    if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
 
 
-def _builtin_fiducial(builtin: str, args) -> Fiducial:
-    if builtin == "n4":
-        return fiducial_n4(args.slot, args.s, args.t, args.u)
-    if builtin == "n9":
-        return fiducial_n9(args.s0, args.s1, args.s2, args.m3, args.m4)
-    if builtin == "n16":
-        return fiducial_n16(args.t2_branch)
-    raise ValueError(f"unknown builtin {builtin!r}")
+def _builtin_name(args) -> str | None:
+    """The builtin fiducial the command constructs, if any."""
+    if args.command == "verify" and args.target == "sic" and args.file is None:
+        return args.builtin
+    if args.command == "generate" and args.target in ("sic", "projection"):
+        return f"n{args.dim}"
+    return None
+
+
+def _builtin_fiducial(args) -> Fiducial:
+    name = _builtin_name(args)
+    if name not in BUILTINS:
+        raise ValueError(f"unknown builtin {name!r}")
+    make, flags = BUILTINS[name]
+    return make(*(getattr(args, k) for k in flags))
 
 
 def cmd_verify(args) -> int:
     metrics: dict = {}
-    inputs = {k: v for k, v in vars(args).items()
-              if k not in ("func", "out") and v is not None}
     if args.target == "sic":
         if args.file is not None:
             f = fileio.load_fiducial(args.file)
         else:
-            f = _builtin_fiducial(args.builtin, args)
+            f = _builtin_fiducial(args)
         cert = verify_sic(f, args.tol)
         metrics["max_abs_deviation"] = cert.max_abs_deviation
         metrics["worst_displacement"] = list(cert.worst_displacement)
@@ -106,25 +136,20 @@ def cmd_verify(args) -> int:
         passed = cube_dev <= metrics["effective_tol"] and measured == predicted
     else:
         raise ValueError(f"unknown verify target {args.target!r}")
-    _emit({"command": f"verify {args.target}", "inputs": inputs,
-           "pass": bool(passed), "metrics": metrics}, args.out)
+    _emit(args, {"pass": bool(passed), "metrics": metrics})
     return 0 if passed else 1
 
 
 def cmd_generate(args) -> int:
-    inputs = {k: v for k, v in vars(args).items()
-              if k not in ("func", "out") and v is not None}
     if args.target == "sic":
         if args.dim not in (4, 9, 16):
             raise ValueError(f"no closed form for N={args.dim}; use search")
-        f = _builtin_fiducial(f"n{args.dim}", args)
+        f = _builtin_fiducial(args)
         cert = verify_sic(f, args.tol if args.dim != 16 else max(args.tol, 1e-8))
-        report = {"command": "generate sic", "inputs": inputs,
-                  "pass": bool(cert.passed),
-                  "metrics": {"max_abs_deviation": cert.max_abs_deviation,
-                              "effective_tol": cert.tolerance},
-                  "artifacts": {"fiducial": fileio.fiducial_to_dict(f)}}
-        _emit(report, args.out)
+        _emit(args, {"pass": bool(cert.passed),
+                     "metrics": {"max_abs_deviation": cert.max_abs_deviation,
+                                 "effective_tol": cert.tolerance},
+                     "artifacts": {"fiducial": fileio.fiducial_to_dict(f)}})
         return 0 if cert.passed else 1
     if args.target == "mub":
         bases = prime_family(args.p)
@@ -136,28 +161,22 @@ def cmd_generate(args) -> int:
                 "vectors": [[[float(z.real), float(z.imag)] for z in b.vectors[:, u]]
                             for u in range(b.dim.N)],
             })
-        _emit({"command": "generate mub", "inputs": inputs, "pass": True,
-               "metrics": {"num_bases": len(bases)},
-               "artifacts": {"bases": payload}}, args.out)
+        _emit(args, {"pass": True, "metrics": {"num_bases": len(bases)},
+                     "artifacts": {"bases": payload}})
         return 0
     if args.target == "projection":
         if args.dim not in (4, 9):
             raise ValueError("projection data is available for N = 4 and 9")
-        f = _builtin_fiducial(f"n{args.dim}", args)
+        f = _builtin_fiducial(args)
         dim = f.dim
-        X, Z = basis_generators(dim, f.basis)
-        D = all_displacements(dim, X, Z)
-        points = []
-        for k in range(dim.N * dim.N):
-            v = D[k] @ f.amplitudes
-            points.append([float(p) for p in np.abs(v) ** 2])
+        # |V^dag D_ij V psi|^2: the orbit's probabilities in the fiducial's basis
+        orbit = all_displacements(dim) @ to_standard(f).amplitudes
+        points = (np.abs(orbit @ basis_change(dim, f.basis).conj()) ** 2).tolist()
         distinct = _distinct_points(points)
-        _emit({"command": "generate projection", "inputs": inputs,
-               "pass": bool(distinct == dim.N),
-               "metrics": {"num_points": len(points),
-                           "num_distinct": distinct,
-                           "sum_p_squared": float(np.sum(np.array(points[0]) ** 2))},
-               "artifacts": {"probability_vectors": points}}, args.out)
+        metrics = {"num_points": len(points), "num_distinct": distinct,
+                   "sum_p_squared": float(np.sum(np.array(points[0]) ** 2))}
+        _emit(args, {"pass": bool(distinct == dim.N), "metrics": metrics,
+                     "artifacts": {"probability_vectors": points}})
         return 0 if distinct == dim.N else 1
     if args.target == "operators":
         dim = Dimension(args.dim)
@@ -166,8 +185,7 @@ def cmd_generate(args) -> int:
         if dim.is_square:
             Xm, Zm = monomial_weyl_generators(dim)
             art["monomial"] = _mat_pair(Xm, Zm)
-        _emit({"command": "generate operators", "inputs": inputs, "pass": True,
-               "metrics": {"N": dim.N}, "artifacts": art}, args.out)
+        _emit(args, {"pass": True, "metrics": {"N": dim.N}, "artifacts": art})
         return 0
     raise ValueError(f"unknown generate target {args.target!r}")
 
@@ -187,19 +205,16 @@ def _distinct_points(points: list, tol: float = 1e-8) -> int:
 
 
 def cmd_search(args) -> int:
-    inputs = {k: v for k, v in vars(args).items()
-              if k not in ("func", "out") and v is not None}
     if not (2 <= args.dim <= SEARCH_DIM_CAP):
         sys.stderr.write(f"search dimension must be in 2..{SEARCH_DIM_CAP}\n")
         return 2
     f = search_fiducial(Dimension(args.dim), rng_seed=args.seed,
                         max_restarts=args.restarts, tol=args.tol)
     if f is None:
-        _emit({"command": "search", "inputs": inputs, "pass": False,
-               "metrics": {"found": False}}, args.out)
+        _emit(args, {"pass": False, "metrics": {"found": False}})
         return 1
     cert = verify_sic(f, args.tol)
-    report = {"command": "search", "inputs": inputs, "pass": bool(cert.passed),
+    report = {"pass": bool(cert.passed),
               "metrics": {"found": True,
                           "max_abs_deviation": cert.max_abs_deviation,
                           "worst_displacement": list(cert.worst_displacement),
@@ -208,7 +223,7 @@ def cmd_search(args) -> int:
               "artifacts": {"fiducial": fileio.fiducial_to_dict(f)}}
     if args.fiducial_out:
         fileio.save_fiducial(f, args.fiducial_out)
-    _emit(report, args.out)
+    _emit(args, report)
     return 0 if cert.passed else 1
 
 

@@ -109,13 +109,17 @@ def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension,
         D = all_displacements(dim)
     conj = np.einsum("ab,kbc,cd->kad", U, D, U.conj().T, optimize=True)
     ip, jp = G.apply(*np.divmod(np.arange(N * N), N), N)
-    tgt = D[ip * N + jp]
-    # best phase: project onto the target, snap to the nearest tau power
-    ph = np.einsum("kab,kab->k", tgt.conj(), conj) / N
+    return tau_snapped_deviation(dim, conj, D[ip * N + jp])
+
+
+def tau_snapped_deviation(dim: Dimension, conj: np.ndarray,
+                          tgt: np.ndarray) -> float:
+    """Max over a stack of || conj_k - tau^{e_k} tgt_k ||, where tau^{e_k} is
+    the tau power nearest to the projection of conj_k onto tgt_k."""
+    ph = np.einsum("kab,kab->k", tgt.conj(), conj) / dim.N
     table = tau_table(dim)
     snapped = table[np.argmin(np.abs(table[None, :] - ph[:, None]), axis=1)]
-    dev = np.abs(conj - snapped[:, None, None] * tgt)
-    return float(dev.max())
+    return float(np.abs(conj - snapped[:, None, None] * tgt).max())
 
 
 def predicted_eigenspace_dims(dim: Dimension) -> tuple[int, int, int]:

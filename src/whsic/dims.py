@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NotSquare
+
 # Global default tolerance for floating-point comparisons; every operation
 # that compares matrices accepts an override.
 DEFAULT_TOL = 1e-10
@@ -59,10 +61,15 @@ class Dimension:
     @property
     def half_shift(self) -> int:
         """m = 0 for odd n, n/2 for even n (square dimensions only)."""
-        n = self.n
-        if n is None:
-            raise ValueError(f"N={self.N} is not a square")
+        n = require_square(self)
         return 0 if n % 2 == 1 else n // 2
+
+
+def require_square(dim: Dimension) -> int:
+    """The side n of a square dimension N = n^2; raises NotSquare otherwise."""
+    if dim.n is None:
+        raise NotSquare(f"N={dim.N} is not a square dimension")
+    return dim.n
 
 
 def tau_power(dim: Dimension, k: int) -> complex:
@@ -78,10 +85,7 @@ def omega_power(dim: Dimension, k: int) -> complex:
 
 def sigma_power(dim: Dimension, k: int) -> complex:
     """sigma^k = tau^{2nk} = exp(2 pi i k / n) for square dimensions."""
-    n = dim.n
-    if n is None:
-        raise ValueError(f"N={dim.N} is not a square")
-    return tau_power(dim, 2 * n * k)
+    return tau_power(dim, 2 * require_square(dim) * k)
 
 
 def tau_table(dim: Dimension) -> np.ndarray:

@@ -23,17 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import (DEFAULT_TOL, Dimension, phase_permutation, tau_powers,
-                   tau_table)
-from .errors import NotSquare
+from .dims import (DEFAULT_TOL, Dimension, phase_permutation, require_square,
+                   tau_powers)
 from .weyl import displacement_matrix_from, mod_inverse
-from .clifford import SymplecticMatrix, decompose
-
-
-def _require_square(dim: Dimension) -> int:
-    if dim.n is None:
-        raise NotSquare(f"N={dim.N} is not a square dimension")
-    return dim.n
+from .clifford import SymplecticMatrix, decompose, tau_snapped_deviation
 
 
 def flatten(r: int, s: int, n: int) -> int:
@@ -42,7 +35,7 @@ def flatten(r: int, s: int, n: int) -> int:
 
 def zak_matrix(dim: Dimension) -> np.ndarray:
     """Unitary whose columns are |r,s> = (1/sqrt(n)) sum_t omega^{-ntr} |nt+s>."""
-    n = _require_square(dim)
+    n = require_square(dim)
     r, s, t = np.indices((n, n, n))
     V = np.zeros((dim.N, dim.N), dtype=complex)
     V[n * t + s, flatten(r, s, n)] = tau_powers(dim, -2 * n * t * r) / np.sqrt(n)
@@ -51,7 +44,7 @@ def zak_matrix(dim: Dimension) -> np.ndarray:
 
 def monomial_weyl_generators(dim: Dimension) -> tuple[np.ndarray, np.ndarray]:
     """(X, Z) acting on the |r,s> basis."""
-    n = _require_square(dim)
+    n = require_square(dim)
     r, s = np.divmod(np.arange(dim.N), n)
     col = np.arange(dim.N)
     # the wrap X|r,n-1> = sigma^r |r,0> carries tau^{2nr}
@@ -62,7 +55,7 @@ def monomial_weyl_generators(dim: Dimension) -> tuple[np.ndarray, np.ndarray]:
 
 def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
     """Phase-permutation unitary of a symplectic G on the |r,s> basis."""
-    n = _require_square(dim)
+    n = require_square(dim)
     nbar = dim.nbar
     m = dim.half_shift
     G = G.reduced(nbar)
@@ -80,7 +73,7 @@ def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
 
 def monomial_zauner(dim: Dimension) -> np.ndarray:
     """U|r,s> = e^{i pi (N-1)/12} tau^{r^2+2rs} |-r-s-m, r>, satisfying U^3 = 1."""
-    n = _require_square(dim)
+    n = require_square(dim)
     r, s = np.divmod(np.arange(dim.N), n)
     return np.exp(1j * np.pi * (dim.N - 1) / 12) * phase_permutation(
         dim, flatten(-r - s - dim.half_shift, r, n), np.arange(dim.N),
@@ -89,7 +82,7 @@ def monomial_zauner(dim: Dimension) -> np.ndarray:
 
 def monomial_antiunitary(dim: Dimension, v: np.ndarray) -> np.ndarray:
     """Anti-unitary of J: conjugate amplitudes and send (r,s) -> (-r, s)."""
-    n = _require_square(dim)
+    n = require_square(dim)
     r, s = np.divmod(np.arange(dim.N), n)
     # (r,s) -> (-r,s) is an involution, so gathering through it also scatters
     return np.conj(np.asarray(v, dtype=complex))[flatten(-r, s, n)]
@@ -231,19 +224,15 @@ def stabilized_abelian_check(G: SymplecticMatrix, dim: Dimension) -> float:
     <X^n, Z^n, tau*1> into itself: each conjugated generator must equal
     tau^k X^{an} Z^{bn} for the indices predicted by the symplectic action,
     up to the best tau power."""
-    n = _require_square(dim)
+    n = require_square(dim)
     N = dim.N
     U = monomial_clifford(G, dim)
     Ud = U.conj().T
     X, Z = monomial_weyl_generators(dim)
-    table = tau_table(dim)
-    worst = 0.0
+    conj, tgt = [], []
     for (i, j) in ((n, 0), (0, n)):
-        conj = U @ displacement_matrix_from(X, Z, dim, i, j) @ Ud
+        conj.append(U @ displacement_matrix_from(X, Z, dim, i, j) @ Ud)
         ip, jp = G.apply(i, j, N)
         assert ip % n == 0 and jp % n == 0, "conjugate left the subgroup"
-        tgt = displacement_matrix_from(X, Z, dim, ip, jp)
-        ph = np.trace(tgt.conj().T @ conj) / N
-        k = int(np.argmin(np.abs(table - ph)))
-        worst = max(worst, float(np.max(np.abs(conj - table[k] * tgt))))
-    return worst
+        tgt.append(displacement_matrix_from(X, Z, dim, ip, jp))
+    return tau_snapped_deviation(dim, np.array(conj), np.array(tgt))

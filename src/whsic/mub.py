@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crt import factor_dimension
-from .dims import Dimension, sigma_power, tau_powers
+from .dims import Dimension, require_square, sigma_power, tau_powers
 from .errors import DimensionMismatch, NotLatin, NotOrthonormal, NotPrime
-from .monomial import _require_square, flatten, monomial_weyl_generators
+from .monomial import flatten, monomial_weyl_generators
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def eigenbasis_zero(dim: Dimension) -> Basis:
     by one, so the Fourier phase over r must run with a positive exponent to
     produce omega^{a+nb}).
     """
-    n = _require_square(dim)
+    n = require_square(dim)
     r, _, b = np.indices((n, n, n))
     return latin_basis(dim, cyclic_latin_square(n, 0),
                        tau_powers(dim, 2 * n * b * r), "zero")
@@ -86,7 +86,7 @@ def eigenbasis_zero(dim: Dimension) -> Basis:
 
 def eigenbasis_infinity(dim: Dimension) -> Basis:
     """Eigenbasis of X in monomial coordinates: X|u>_inf = omega^u |u>_inf."""
-    n = _require_square(dim)
+    n = require_square(dim)
     a, b, r = np.indices((n, n, n))
     # sigma^{-br} omega^{-ar} = tau^{-2nbr - 2ar}
     phase = tau_powers(dim, -2 * n * b * r - 2 * a * r)
@@ -104,7 +104,7 @@ def latin_basis(dim: Dimension, lam: LatinSquare, phases: np.ndarray,
     NotOrthonormal names an offending pair. lam need not actually be Latin;
     unbiasedness claims then fail downstream, not here.
     """
-    n = _require_square(dim)
+    n = require_square(dim)
     if lam.n != n:
         raise DimensionMismatch(f"Latin square order {lam.n} != n = {n}")
     phases = np.asarray(phases, dtype=complex)
@@ -200,7 +200,7 @@ def entanglement_check(basis: Basis, tol: float = 1e-8) -> float:
     """Max deviation of the singular values of each vector's n x n coefficient
     matrix from 1/sqrt(n); 0 within tol means every vector is maximally
     entangled across the n (x) n split."""
-    n = _require_square(basis.dim)
+    n = require_square(basis.dim)
     worst = 0.0
     for u in range(basis.dim.N):
         M = basis.vectors[:, u].reshape(n, n)

@@ -4,18 +4,24 @@ A SIC fiducial is a unit vector whose Weyl-Heisenberg orbit is equiangular,
 
     |<psi| D_ij |psi>|^2 = 1/(N+1)   for all (i, j) != (0, 0).
 
-Each fiducial carries a basis tag naming the generator pair its amplitudes
-refer to. Registered tags:
+Each fiducial carries a basis tag. A tag is one change of basis: the unitary
+V = basis_change(dim, tag), whose columns are the tag's basis vectors in
+standard coordinates, so amplitudes a stand for the standard vector V a and
+an operator M acts in the tag's basis as V^dag M V. Registered tags:
 
-    standard   - shift/clock generators
-    monomial   - phase-permutation basis |r,s> (square N)
-    rephased4  - the diagonally rephased monomial basis used for the N = 4
-                 closed form
-    adapted16  - the N = 16 basis in which X^4 and Z^4 are diagonal
+    standard   - V = 1: the shift/clock basis
+    monomial   - V = zak_matrix(dim): the phase-permutation basis |r,s>
+                 (square N)
+    rephased4  - V = zak_matrix(4) diag(tau^-2, tau^-7, tau^-5, 1): the
+                 rephased monomial basis of the N = 4 closed form
+    adapted16  - V = T.T with T from adapted16_generators: the N = 16 basis in
+                 which X^4 and Z^4 are diagonal
 
-The module also evaluates the simplex-projection identities (sum of squared
-probabilities 2/(N+1), shifted autocorrelations 1/(N+1)) and projects vectors
-onto the order-3 symmetry eigenspace where fiducials live.
+Every certificate, in every basis, runs on the one FFT overlap kernel
+`standard_overlaps` applied to V a. The module also evaluates the
+simplex-projection identities (sum of squared probabilities 2/(N+1), shifted
+autocorrelations 1/(N+1)) and projects vectors onto the order-3 symmetry
+eigenspace where fiducials live.
 """
 
 from __future__ import annotations
@@ -30,8 +36,7 @@ from .adapted16 import _checked_sqrt
 from .clifford import zauner_unitary
 from .dims import Dimension, sigma_power, tau_powers
 from .errors import BasisUnavailable, NullProjection
-from .monomial import flatten, monomial_weyl_generators, monomial_zauner
-from .weyl import all_displacements, standard_generators
+from .monomial import flatten, monomial_weyl_generators, zak_matrix
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,11 @@ class SimplexProjection:
             raise ValueError("probabilities must be nonnegative and sum to 1")
 
 
+# tau exponents of the N = 4 rephasing |e_j> -> tau^{e_j} |e_j> of the
+# monomial kets
+REPHASE4 = (-2, -7, -5, 0)
+
+
 def rephased4_generators() -> tuple[np.ndarray, np.ndarray]:
     """N = 4 monomial generators after the diagonal rephasing
     diag(tau^-2, tau^-7, tau^-5, 1); both come out as tau times a signed
@@ -72,44 +82,42 @@ def rephased4_generators() -> tuple[np.ndarray, np.ndarray]:
     X, Z = monomial_weyl_generators(dim)
     # rescaling the kets |e_j> -> ph_j |e_j> conjugates operators by the
     # inverse diagonal: M' = P^{-1} M P
-    ph = tau_powers(dim, [-2, -7, -5, 0])
+    ph = tau_powers(dim, REPHASE4)
     P = np.diag(ph)
     Pinv = np.diag(1.0 / ph)
     return Pinv @ X @ P, Pinv @ Z @ P
 
 
-def basis_generators(dim: Dimension, basis: str) -> tuple[np.ndarray, np.ndarray]:
-    """Generator pair (X, Z) registered for a basis tag."""
+def basis_change(dim: Dimension, basis: str) -> np.ndarray:
+    """Unitary V whose columns are the basis vectors of a tag in standard
+    coordinates; raises BasisUnavailable for an unknown tag or a tag
+    registered at another N."""
     if basis == "standard":
-        return standard_generators(dim)
+        return np.eye(dim.N, dtype=complex)
     if basis == "monomial" and dim.is_square:
-        return monomial_weyl_generators(dim)
+        return zak_matrix(dim)
     if basis == "rephased4" and dim.N == 4:
-        return rephased4_generators()
+        return zak_matrix(dim) * tau_powers(dim, REPHASE4)
     if basis == "adapted16" and dim.N == 16:
-        X, Z, _ = adapted16.adapted16_generators()
-        return X, Z
-    raise BasisUnavailable(f"no generators registered for basis {basis!r} at N={dim.N}")
+        return adapted16.adapted16_generators()[2].T
+    raise BasisUnavailable(f"no basis {basis!r} registered at N={dim.N}")
+
+
+def to_standard(f: Fiducial) -> Fiducial:
+    """The same fiducial with its amplitudes in the standard basis."""
+    return Fiducial(f.dim, "standard",
+                    basis_change(f.dim, f.basis) @ f.amplitudes, f.provenance)
 
 
 def verify_sic(f: Fiducial, tol: float = 1e-8) -> SicCertificate:
     """Max deviation of |<psi|D_ij|psi>|^2 from 1/(N+1) over the N^2 - 1
-    nontrivial displacements, in the fiducial's own basis, with the (i, j)
-    where it occurs.
+    nontrivial displacements, with the (i, j) where it occurs.
 
-    Standard-basis vectors go through the FFT kernel `standard_overlaps`;
-    the other bases contract the dense displacement stack of their
-    generators."""
-    dim = f.dim
-    N = dim.N
-    psi = f.amplitudes
-    if f.basis == "standard":
-        probs = np.abs(standard_overlaps(psi)) ** 2
-    else:
-        X, Z = basis_generators(dim, f.basis)
-        D = all_displacements(dim, X, Z)
-        overlaps = np.einsum("i,kij,j->k", psi.conj(), D, psi)
-        probs = (np.abs(overlaps) ** 2).reshape(N, N)
+    The overlaps come from the FFT kernel `standard_overlaps` on the
+    standard-basis amplitudes; a basis change preserves each D_ij, so the
+    certificate holds in the fiducial's own basis as well."""
+    N = f.dim.N
+    probs = np.abs(standard_overlaps(to_standard(f).amplitudes)) ** 2
     dev = np.abs(probs - 1.0 / (N + 1))
     dev[0, 0] = 0.0  # D_00 = identity carries no condition
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
@@ -231,19 +239,6 @@ def fiducial_n16(t2_branch: int = +1, conjugate_orbit: bool = False) -> Fiducial
                      "orbit": "16b" if conjugate_orbit else "16a"})
 
 
-def fiducial_n16_standard(t2_branch: int = +1,
-                          conjugate_orbit: bool = False) -> Fiducial:
-    """The same fiducial expressed in the standard basis via the basis-change
-    matrix of the adapted construction."""
-    v = adapted16.adapted_to_standard(
-        adapted16.fiducial_vector(t2_branch, conjugate_orbit))
-    v = v / np.linalg.norm(v)
-    return Fiducial(Dimension(16), "standard", v,
-                    {"construction": "n16", "t2_branch": t2_branch,
-                     "conjugate_orbit": conjugate_orbit,
-                     "orbit": "16b" if conjugate_orbit else "16a"})
-
-
 # ---------------------------------------------------------------------------
 # Simplex projection and autocorrelations
 # ---------------------------------------------------------------------------
@@ -291,22 +286,20 @@ def autocorrelation_check(f: Fiducial) -> np.ndarray:
 # Zauner eigenspace projection and numerical search
 # ---------------------------------------------------------------------------
 
-def _order3_unitary(dim: Dimension, basis: str) -> np.ndarray:
-    if basis == "monomial":
-        return monomial_zauner(dim)
-    if basis == "standard":
-        return zauner_unitary(dim)
-    raise BasisUnavailable(f"no order-3 symmetry registered for basis {basis!r}")
+def _order3_projector(dim: Dimension) -> np.ndarray:
+    """(1 + U + U^2)/3 for the standard-basis order-3 unitary U."""
+    U = zauner_unitary(dim)
+    return (np.eye(dim.N) + U + U @ U) / 3.0
 
 
 def zauner_project(dim: Dimension, v: np.ndarray, basis: str = "standard",
                    tol: float = 1e-8) -> np.ndarray:
-    """Project onto the eigenvalue-1 eigenspace of the order-3 symmetry via
-    (1 + U + U^2)/3 and renormalize; raises NullProjection if the component
-    is numerically null."""
-    U = _order3_unitary(dim, basis)
-    P = (np.eye(dim.N) + U + U @ U) / 3.0
-    out = P @ v
+    """Project onto the eigenvalue-1 eigenspace of the order-3 symmetry,
+    V^dag P V with P = (1 + U + U^2)/3 and V the basis change, and
+    renormalize; raises NullProjection if the component is numerically
+    null."""
+    V = basis_change(dim, basis)
+    out = V.conj().T @ (_order3_projector(dim) @ (V @ v))
     nrm = float(np.linalg.norm(out))
     if nrm < tol:
         raise NullProjection(f"projected norm {nrm} below {tol}")
@@ -316,8 +309,7 @@ def zauner_project(dim: Dimension, v: np.ndarray, basis: str = "standard",
 def _e0_basis(dim: Dimension) -> np.ndarray:
     """Orthonormal columns spanning the eigenvalue-1 eigenspace of the
     standard-basis order-3 unitary."""
-    U = zauner_unitary(dim)
-    P = (np.eye(dim.N) + U + U @ U) / 3.0
+    P = _order3_projector(dim)
     w, v = np.linalg.eigh(P @ P.conj().T)
     cols = v[:, w > 0.5]
     # re-orthonormalize the projected columns against roundoff

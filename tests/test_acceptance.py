@@ -17,16 +17,15 @@ from whsic.clifford import (SymplecticMatrix, conjugation_check_batched,
                             eigenspace_dims, lift_sl2, random_symplectic,
                             zauner_unitary)
 from whsic.crt import verify_product_iso
-from whsic.dims import Dimension, tau_power
+from whsic.dims import Dimension
 from whsic.monomial import (flatten, invariant_subgroup, is_phase_permutation,
                             monomial_clifford, monomial_weyl_generators,
-                            sl2_orbit, vector_order, zak_matrix)
+                            sl2_orbit, vector_order)
 from whsic.mub import (cyclic_latin_square, eigenbasis_infinity,
                        eigenbasis_zero, is_unbiased, latin_basis, prime_family)
-from whsic.sic import (Fiducial, autocorrelation_check, basis_generators,
-                       fiducial_n4, fiducial_n9, fiducial_n16,
-                       fiducial_n16_standard, search_fiducial,
-                       simplex_projection, verify_sic)
+from whsic.sic import (autocorrelation_check, fiducial_n4, fiducial_n9,
+                       fiducial_n16, rephased4_generators, search_fiducial,
+                       simplex_projection, to_standard, verify_sic)
 from whsic.weyl import all_displacements
 
 
@@ -47,8 +46,7 @@ def orbit_key(v, D, decimals=8):
 
 def test_acceptance_n4_all_256_and_16_orbits():
     dim = Dimension(4)
-    X, Z = basis_generators(dim, "rephased4")
-    D = all_displacements(dim, X, Z)
+    D = all_displacements(dim, *rephased4_generators())
     orbits = set()
     for slot, s, t, u in itertools.product(range(4), repeat=4):
         f = fiducial_n4(slot, s, t, u)
@@ -83,7 +81,7 @@ def test_acceptance_n16_fiducial_and_structural_gates():
     for branch in (1, -1):
         f = fiducial_n16(branch)
         assert verify_sic(f, 1e-8).passed
-        g = fiducial_n16_standard(branch)
+        g = to_standard(fiducial_n16(branch))
         assert verify_sic(g, 1e-8).passed
     X, Z, T = adapted16_generators()
     eye = np.eye(16)
@@ -166,18 +164,10 @@ def test_acceptance_zauner_eigenspace_table(N):
 # 8. simplex identities in both bases, collapse to N points
 # ---------------------------------------------------------------------------
 
-def _standard_transport_n4(f):
-    dim = f.dim
-    ph = np.array([tau_power(dim, -2), tau_power(dim, -7),
-                   tau_power(dim, -5), 1.0])
-    v = zak_matrix(dim) @ (f.amplitudes / ph)
-    return Fiducial(dim, "standard", v / np.linalg.norm(v))
-
-
 def test_acceptance_simplex_identities():
-    cases = [fiducial_n4(0, 0, 0, 0), _standard_transport_n4(fiducial_n4(0, 0, 0, 0)),
+    cases = [fiducial_n4(0, 0, 0, 0), to_standard(fiducial_n4(0, 0, 0, 0)),
              fiducial_n9(1, 1, 1, 0, 0), fiducial_n9(-1, -1, 1, 1, 2),
-             fiducial_n16_standard(1)]
+             to_standard(fiducial_n16(1))]
     for f in cases:
         N = f.dim.N
         assert verify_sic(f, 1e-8).passed
@@ -187,11 +177,11 @@ def test_acceptance_simplex_identities():
 
 
 def test_acceptance_projection_collapse():
-    cases = [(fiducial_n4(0, 0, 0, 0).amplitudes, Dimension(4), "rephased4"),
-             (fiducial_n9(1, 1, 1, 0, 0).amplitudes, Dimension(9), "monomial"),
-             (fiducial_n16(1).amplitudes, Dimension(16), "adapted16")]
-    for v, dim, basis in cases:
-        X, Z = basis_generators(dim, basis)
+    cases = [(fiducial_n4(0, 0, 0, 0), rephased4_generators()),
+             (fiducial_n9(1, 1, 1, 0, 0), monomial_weyl_generators(Dimension(9))),
+             (fiducial_n16(1), adapted16_generators()[:2])]
+    for f, (X, Z) in cases:
+        v, dim = f.amplitudes, f.dim
         D = all_displacements(dim, X, Z)
         pts = {tuple(np.round(np.abs(D[k] @ v) ** 2, 8))
                for k in range(dim.N ** 2)}

@@ -46,6 +46,8 @@ def test_verify_sic_from_file(tmp_path, capsys):
     code, rep = run(["verify", "sic", "--file", str(path)], capsys)
     assert code == 0
     assert rep["metrics"]["N"] == 4
+    # the n4 construction flags have defaults but are not read for a file
+    assert rep["inputs"] == {"file": str(path), "tol": 1e-10}
 
 
 def test_verify_sic_failing_vector_exits_one(tmp_path, capsys):
@@ -95,16 +97,40 @@ def test_report_gives_effective_tol(argv, applied, capsys):
     assert rep["metrics"]["effective_tol"] == applied
 
 
-def test_verify_monomial_dim_one_terminates():
-    """random_symplectic once looped forever at N = 1, where nbar = 1."""
+def run_python(args):
+    """Run the interpreter in a fresh process with this whsic importable."""
     path = [str(Path(whsic.__file__).resolve().parent.parent),
             os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-m", "whsic.cli", "verify", "monomial",
-                           "--dim", "1"], env=env, capture_output=True, text=True,
-                          timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_verify_monomial_dim_one_terminates():
+    """random_symplectic once looped forever at N = 1, where nbar = 1."""
+    proc = run_python(["-m", "whsic.cli", "verify", "monomial", "--dim", "1"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only the search needs scipy; every other command skips its import."""
+    proc = run_python(["-c", "import sys, whsic.cli; "
+                             "print('scipy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv,inputs", [
+    (["verify", "crt", "--dim", "6"], {"dim": 6, "seed": 0, "tol": 1e-10}),
+    (["verify", "sic", "--builtin", "n9", "--m3", "2"],
+     {"builtin": "n9", "tol": 1e-10, "s0": 1, "s1": 1, "s2": 1, "m3": 2,
+      "m4": 0}),
+])
+def test_report_inputs_are_the_flags_read(argv, inputs, capsys):
+    code, rep = run(argv, capsys)
+    assert code == 0
+    assert rep["inputs"] == inputs
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from whsic.clifford import (ZAUNER, conjugation_check_batched, decompose,
                             random_symplectic)
-from whsic.dims import Dimension
+from whsic.dims import Dimension, sigma_power
 from whsic.errors import NotSquare
 from whsic.monomial import (flatten, is_phase_permutation, invariant_subgroup,
                             monomial_antiunitary, monomial_clifford,
@@ -145,6 +145,10 @@ def test_monomial_antiunitary_respects_norm():
 def test_non_square_rejected():
     with pytest.raises(NotSquare):
         monomial_weyl_generators(Dimension(6))
+    with pytest.raises(NotSquare):
+        Dimension(5).half_shift
+    with pytest.raises(NotSquare):
+        sigma_power(Dimension(5), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whsic import adapted16
+from whsic.clifford import zauner_unitary
 from whsic.dims import Dimension, tau_power, tau_powers
 from whsic.errors import BasisUnavailable, NegativeRadicand, NullProjection
-from whsic.monomial import is_phase_permutation, monomial_zauner, zak_matrix
-from whsic.sic import (Fiducial, autocorrelation_check, basis_generators,
+from whsic.monomial import (is_phase_permutation, monomial_weyl_generators,
+                            monomial_zauner)
+from whsic.sic import (Fiducial, autocorrelation_check, basis_change,
                        fiducial_n4, fiducial_n9, fiducial_n9_amplitudes,
-                       fiducial_n16, fiducial_n16_standard, frame_residual,
-                       rephased4_generators, search_fiducial, sic_residual,
-                       simplex_projection, standard_overlaps, verify_sic,
+                       fiducial_n16, frame_residual, rephased4_generators,
+                       search_fiducial, sic_residual, simplex_projection,
+                       standard_overlaps, to_standard, verify_sic,
                        zauner_project)
 from whsic.weyl import all_displacements, standard_generators
+
+
+def random_unit(N, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    return v / np.linalg.norm(v)
 
 
 def best_phase_distance(u, v):
@@ -38,18 +46,21 @@ def test_verify_sic_negative_control():
     assert abs(cert.max_abs_deviation - 0.8) < 1e-12  # |<0|Z|0>|^2 = 1 vs 1/5
     # D_{0j} = Z^j all give 0.8; the witness is the first of them, (0, 1)
     assert cert.worst_displacement == (0, 1)
-    # the dense branch names the largest deviation of its own contraction
+    # in another basis the witness attains the maximum of a dense contraction
+    # over that basis's own generators; D_ij and D_-i,-j tie, so the witness
+    # may be either of the pair
     rng = np.random.default_rng(3)
     v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     v /= np.linalg.norm(v)
     cert = verify_sic(Fiducial(Dimension(9), "monomial", v), 1e-12)
-    X, Z = basis_generators(Dimension(9), "monomial")
+    X, Z = monomial_weyl_generators(Dimension(9))
     D = all_displacements(Dimension(9), X, Z)
     dev = np.abs(np.abs(np.einsum("i,kij,j->k", v.conj(), D, v)) ** 2 - 0.1)
     dev[0] = 0.0
+    i, j = cert.worst_displacement
     assert not cert.passed
-    assert cert.worst_displacement == divmod(int(np.argmax(dev)), 9)
-    assert cert.max_abs_deviation == dev.max()
+    assert abs(dev[i * 9 + j] - dev.max()) < 1e-14
+    assert abs(cert.max_abs_deviation - dev.max()) < 1e-14
 
 
 def test_unknown_basis_raises():
@@ -73,6 +84,71 @@ def test_rephased4_generators_match_monomial_up_to_diagonal():
     t = tau_power(dim, 1)
     assert abs(X[0, 1] - t * 1j) < 1e-12 and abs(X[1, 0] + t) < 1e-12
     assert abs(Z[0, 2] + t) < 1e-12 and abs(Z[2, 0] - t * 1j) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# basis changes
+# ---------------------------------------------------------------------------
+
+# each registered basis tag with the generator pair its amplitudes refer to
+TAG_GENERATORS = [
+    (Dimension(5), "standard", lambda: standard_generators(Dimension(5))),
+    (Dimension(6), "standard", lambda: standard_generators(Dimension(6))),
+    (Dimension(4), "monomial", lambda: monomial_weyl_generators(Dimension(4))),
+    (Dimension(9), "monomial", lambda: monomial_weyl_generators(Dimension(9))),
+    (Dimension(16), "monomial", lambda: monomial_weyl_generators(Dimension(16))),
+    (Dimension(25), "monomial", lambda: monomial_weyl_generators(Dimension(25))),
+    (Dimension(4), "rephased4", rephased4_generators),
+    (Dimension(16), "adapted16", lambda: adapted16.adapted16_generators()[:2]),
+]
+TAG_IDS = [f"{basis}-{dim.N}" for dim, basis, _ in TAG_GENERATORS]
+
+
+@pytest.mark.parametrize("dim,basis,generators", TAG_GENERATORS, ids=TAG_IDS)
+def test_basis_change_is_unitary_and_intertwines(dim, basis, generators):
+    V = basis_change(dim, basis)
+    Vd = V.conj().T
+    assert np.max(np.abs(Vd @ V - np.eye(dim.N))) < 1e-14
+    Xs, Zs = standard_generators(dim)
+    X, Z = generators()
+    assert np.max(np.abs(Vd @ Xs @ V - X)) < 1e-14
+    assert np.max(np.abs(Vd @ Zs @ V - Z)) < 1e-14
+
+
+@pytest.mark.parametrize("dim,basis,generators", TAG_GENERATORS, ids=TAG_IDS)
+def test_kernel_matches_dense_stack_in_every_basis(dim, basis, generators):
+    """The certificate's overlaps, taken by the FFT kernel after the basis
+    change, against a dense contraction over the basis's own generators."""
+    N = dim.N
+    D = all_displacements(dim, *generators())
+    for seed in range(3):
+        f = Fiducial(dim, basis, random_unit(N, seed))
+        psi = f.amplitudes
+        dense = np.abs(np.einsum("i,kij,j->k", psi.conj(), D, psi)) ** 2
+        kernel = np.abs(standard_overlaps(to_standard(f).amplitudes)) ** 2
+        assert np.max(np.abs(kernel.ravel() - dense)) < 1e-14
+        dense_dev = np.abs(dense - 1.0 / (N + 1))[1:].max()
+        assert abs(verify_sic(f).max_abs_deviation - dense_dev) < 1e-14
+
+
+@pytest.mark.parametrize("N", [4, 9, 16, 25, 36])
+def test_basis_change_carries_zauner_to_monomial(N):
+    dim = Dimension(N)
+    V = basis_change(dim, "monomial")
+    U = V.conj().T @ zauner_unitary(dim) @ V
+    assert np.max(np.abs(U - monomial_zauner(dim))) < 1e-14
+
+
+def test_standard_basis_change_keeps_every_bit():
+    f = search_fiducial(Dimension(5), rng_seed=0)
+    assert np.array_equal(to_standard(f).amplitudes, f.amplitudes)
+
+
+@pytest.mark.parametrize("N,basis", [(5, "monomial"), (9, "rephased4"),
+                                     (4, "adapted16")])
+def test_basis_change_rejects_unregistered_tags(N, basis):
+    with pytest.raises(BasisUnavailable):
+        basis_change(Dimension(N), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +266,7 @@ def test_n16_both_branches_and_orbits():
         for conj in (False, True):
             f = fiducial_n16(branch, conj)
             assert verify_sic(f, 1e-8).max_abs_deviation < 1e-12
-            g = fiducial_n16_standard(branch, conj)
+            g = to_standard(fiducial_n16(branch, conj))
             assert verify_sic(g, 1e-8).max_abs_deviation < 1e-12
 
 
@@ -248,15 +324,12 @@ def test_sum_p_squared(make, N):
 def test_autocorrelation_monomial_and_standard():
     f = fiducial_n4(0, 0, 0, 0)
     assert autocorrelation_check(f).max() < 1e-12
-    # same fiducial transported to the standard basis
-    dim = Dimension(4)
-    ph = np.array([tau_power(dim, -2), tau_power(dim, -7), tau_power(dim, -5), 1.0])
-    v_std = zak_matrix(dim) @ (f.amplitudes / ph)
-    g = Fiducial(dim, "standard", v_std / np.linalg.norm(v_std))
+    # same fiducial in the standard basis
+    g = to_standard(f)
     assert verify_sic(g, 1e-12).passed
     assert autocorrelation_check(g).max() < 1e-12
     assert autocorrelation_check(fiducial_n9(1, 1, 1, 0, 0)).max() < 1e-10
-    assert autocorrelation_check(fiducial_n16_standard(1)).max() < 1e-10
+    assert autocorrelation_check(to_standard(fiducial_n16(1))).max() < 1e-10
 
 
 def test_autocorrelation_negative_control():
@@ -268,10 +341,10 @@ def test_autocorrelation_negative_control():
 
 
 def test_projection_collapses_to_n_points():
-    for f, n_expect in ((fiducial_n4(0, 0, 0, 0), 4),
-                        (fiducial_n9(1, 1, 1, 0, 0), 9)):
+    for f, (X, Z), n_expect in (
+            (fiducial_n4(0, 0, 0, 0), rephased4_generators(), 4),
+            (fiducial_n9(1, 1, 1, 0, 0), monomial_weyl_generators(Dimension(9)), 9)):
         dim = f.dim
-        X, Z = basis_generators(dim, f.basis)
         D = all_displacements(dim, X, Z)
         points = [np.abs(D[k] @ f.amplitudes) ** 2 for k in range(dim.N ** 2)]
         reps = []
@@ -339,12 +412,6 @@ def test_search_small_dimensions(N):
 # the FFT overlap kernel against the dense displacement stack
 # ---------------------------------------------------------------------------
 
-def random_unit(N, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    return v / np.linalg.norm(v)
-
-
 @given(N=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_frame_residual_matches_dense_stack(N, seed):
@@ -379,7 +446,7 @@ def test_frame_residual_gradient_central_difference(N):
 @pytest.mark.parametrize("branch", [1, -1])
 @pytest.mark.parametrize("conj", [False, True])
 def test_verify_sic_standard_and_dense_branches_agree(branch, conj):
-    f = fiducial_n16_standard(branch, conj)
+    f = to_standard(fiducial_n16(branch, conj))
     psi = f.amplitudes
     dense = np.abs(np.einsum("i,kij,j->k", psi.conj(), all_displacements(f.dim),
                              psi)) ** 2
