@@ -6,6 +6,10 @@ All matrix entries are signed powers of tau = -exp(i pi/16), a primitive
 exponent, since tau^16 = -1. The transcriptions are gated by algebraic
 identities (unitarity, the omega commutation relation, diagonality of the 4th
 powers, Zauner-as-permutation) before any SIC arithmetic touches them.
+
+Of the six fiducial coefficients only x0, x1, x4 and x5 are transcribed:
+x3 and x7 are sigma-conjugates, x3 = sigma(x1) and x7 = i sigma(x5), where
+sigma is the field automorphism r2 -> -r2.
 """
 
 from __future__ import annotations
@@ -152,11 +156,14 @@ def fiducial_coefficients(t2_branch: int = +1,
     e["sqrt26"] = e["sqrt2"] * e["sqrt13"]
     e["sqrt34"] = e["sqrt2"] * e["sqrt17"]
     e["sqrt442"] = e["sqrt2"] * e["sqrt13"] * e["sqrt17"]
-    return _coefficients_from(e)
+    x = _coefficients_from(e)
+    sigma = _coefficients_from({**e, "r2": -e["r2"]})
+    return {0: x[0], 1: x[1], 3: sigma[1], 4: x[4], 5: x[5], 7: 1j * sigma[5]}
 
 
 def _coefficients_from(e: dict[str, float]) -> dict[int, complex]:
-    """Coefficient formulas evaluated at a given embedding of the radicals."""
+    """Formulas for x0, x1, x4, x5 evaluated at a given embedding of the
+    radicals."""
     s2, s13, s17, s221 = e["sqrt2"], e["sqrt13"], e["sqrt17"], e["sqrt221"]
     s26 = e["sqrt26"]
     s34 = e["sqrt34"]
@@ -190,24 +197,6 @@ def _coefficients_from(e: dict[str, float]) -> dict[int, complex]:
                 + lin(260, -200, -560, -100, -260, 0, 20, -600)) * t3)
     x1 = x1_re + 1j * x1_im
 
-    x3_im = ((lin(-21, -22, -16, -5, -5, -4, -1, -74) * r2 * r3
-              + lin(77, 26, 18, 33, 19, -2, 7, -42) * r2
-              + lin(-45, 30, -10, 15, 5, 10, 5, -30) * r3
-              + lin(0, 30, 30, 0, 0, 10, 0, -70)) * t1 * t3
-             + (lin(-3, -3, -9, 1, -7, -11, -3, -121) * r2 * r3
-                + lin(82, 88, 24, 74, 2, -24, 2, -264) * r2
-                + lin(175, 80, -20, 75, -25, 0, -5, 380) * r3
-                + lin(200, 220, -300, 160, -160, -20, -40, 180)) * t3)
-    x3_re = ((lin(10, 15, 15, 6, 8, 1, 0, 21) * r2 * r3
-              + lin(-55, -16, -28, -7, -21, -8, -5, -108) * r2
-              + lin(70, 0, 0, 10, 0, 0, 0, 80) * r3
-              + lin(-10, -130, -250, -70, -70, -30, -10, -630)) * t1 * t3
-             + (lin(-10, 51, 33, 24, 22, -1, 0, 29) * r2 * r3
-                + lin(-320, 4, -28, -8, -4, -44, -20, -524) * r2
-                + lin(265, -30, -50, -15, -35, 10, 5, 310) * r3
-                + lin(260, -200, -560, -100, -260, 0, 20, -600)) * t3)
-    x3 = x3_re + 1j * x3_im
-
     x4_im = (lin(0, -11.0 / 26.0, -0.5, 0, 0, -3.0 / 26.0, 0, -0.5) * r2 * r3
              + lin(10, 0, 0, 20.0 / 13.0, 0, 0, 10.0 / 13.0, 0) * r2) * t1 * t2
     x4_re = (lin(0, 11.0 / 26.0, 0.5, 0, 0, 3.0 / 26.0, 0, 0.5) * r2 * r3
@@ -224,7 +213,7 @@ def _coefficients_from(e: dict[str, float]) -> dict[int, complex]:
                 + lin(650, -60, 460, 110, -130, 60, 10, 660)))
     # the sqrt(2) coefficient here reads 1 1/2 in the printed table; that
     # value fails the SIC equations by exactly 4*sqrt(2)*r2*r3*t1 and the
-    # corrected 5 1/2 passes (the mirrored term in x7 is fixed the same way)
+    # corrected 5 1/2 passes (x7 derives from x5, so it carries the fix)
     x5_re = ((lin(5.5, 23, 19, -1.5, -4.5, 3, 0.5, 63) * r2 * r3
               + lin(152, 0, -20, 28, 24, 4, 12, 64) * r2
               + lin(-70, -5, 15, 0, 10, -5, 0, 55) * r3
@@ -235,25 +224,7 @@ def _coefficients_from(e: dict[str, float]) -> dict[int, complex]:
                 + lin(410, -160, -120, 150, 270, 0, -30, 280)))
     x5 = x5_re + 1j * x5_im
 
-    x7_im = ((lin(-5.5, -23, -19, 1.5, 4.5, -3, -0.5, -63) * r2 * r3
-              + lin(-152, 0, 20, -28, -24, -4, -12, -64) * r2
-              + lin(-70, -5, 15, 0, 10, -5, 0, 55) * r3
-              + lin(350, -100, -100, 50, 110, -20, 10, 60)) * t1
-             + (lin(-43, -28, -24, 23, 19, -8, -3, -108) * r2 * r3
-                + lin(-476, 22, 26, -28, -4, -6, -36, -26) * r2
-                + lin(-170, -20, -40, 50, 10, 0, -10, 60) * r3
-                + lin(410, -160, -120, 150, 270, 0, -30, 280)))
-    x7_re = ((lin(-37.5, -4, -2, -12.5, -7.5, 0, -2.5, 10) * r2 * r3
-              + lin(-22, -24, -12, 14, 2, -4, -2, -24) * r2
-              + lin(-15, 5, 5, -25, 5, 5, -5, -35) * r3
-              + lin(-270, -60, -180, -10, -70, -20, -10, -620)) * t1
-             + (lin(-85, -28, -4, -3, 1, 4, -5, -36) * r2 * r3
-                + lin(-190, -86, 22, 34, 22, 22, -10, 122) * r2
-                + lin(-300, 60, -40, -40, 20, 0, 0, 220) * r3
-                + lin(-650, 60, -460, -110, 130, -60, -10, -660)))
-    x7 = x7_re + 1j * x7_im
-
-    return {0: complex(x0), 1: x1, 3: x3, 4: x4, 5: x5, 7: x7}
+    return {0: complex(x0), 1: x1, 4: x4, 5: x5}
 
 
 def fiducial_vector(t2_branch: int = +1, conjugate_orbit: bool = False) -> np.ndarray:

@@ -86,8 +86,10 @@ def cmd_verify(args) -> int:
     if args.target == "sic":
         if args.file is not None:
             f = fileio.load_fiducial(args.file)
-        else:
+        elif args.builtin is not None:
             f = _builtin_fiducial(args)
+        else:
+            raise ValueError("verify sic needs --builtin or --file")
         cert = verify_sic(f, args.tol)
         metrics["max_abs_deviation"] = cert.max_abs_deviation
         metrics["worst_displacement"] = list(cert.worst_displacement)
@@ -130,8 +132,8 @@ def cmd_verify(args) -> int:
         cube_dev = float(np.max(np.abs(U @ U @ U - np.eye(dim.N))))
         measured, predicted = eigenspace_dims(dim)
         metrics["cube_deviation"] = cube_dev
-        metrics["measured_dims"] = [measured.d0, measured.d1, measured.d2]
-        metrics["predicted_dims"] = [predicted.d0, predicted.d1, predicted.d2]
+        metrics["measured_dims"] = list(measured)
+        metrics["predicted_dims"] = list(predicted)
         metrics["effective_tol"] = max(args.tol, 1e-10)
         passed = cube_dev <= metrics["effective_tol"] and measured == predicted
     else:
@@ -244,8 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", parents=[common])
     v.add_argument("target", choices=["sic", "mub", "monomial", "crt", "zauner"])
-    v.add_argument("--builtin", choices=["n4", "n9", "n16"])
-    v.add_argument("--file")
+    fiducial = v.add_mutually_exclusive_group()
+    fiducial.add_argument("--builtin", choices=["n4", "n9", "n16"])
+    fiducial.add_argument("--file")
     v.add_argument("--dim", type=int, default=4)
     v.add_argument("--samples", type=int, default=20)
     v.add_argument("--p", type=int, default=2)

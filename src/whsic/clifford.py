@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import DEFAULT_TOL, Dimension, tau_powers, tau_table
-from .errors import BranchNotFound, ClusterAmbiguity, DetNotMinusOne
+from .dims import Dimension, tau_powers, tau_table
+from .errors import ClusterAmbiguity, DetNotMinusOne
 from .weyl import all_displacements, mod_inverse
 
 
@@ -107,7 +107,7 @@ def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension,
     N = dim.N
     if D is None:
         D = all_displacements(dim)
-    conj = np.einsum("ab,kbc,cd->kad", U, D, U.conj().T, optimize=True)
+    conj = U @ D @ U.conj().T
     ip, jp = G.apply(*np.divmod(np.arange(N * N), N), N)
     return tau_snapped_deviation(dim, conj, D[ip * N + jp])
 
@@ -133,8 +133,7 @@ def predicted_eigenspace_dims(dim: Dimension) -> tuple[int, int, int]:
     return (k + 1, k + 1, k)
 
 
-def _cluster_cube_roots(eigvals: np.ndarray, tol: float = 1e-6,
-                        hard: float = 1e-3) -> tuple[int, int, int]:
+def _cluster_cube_roots(eigvals: np.ndarray, hard: float = 1e-3) -> tuple[int, int, int]:
     roots = np.exp(2j * np.pi * np.arange(3) / 3)
     counts = [0, 0, 0]
     for lam in eigvals:
@@ -146,40 +145,32 @@ def _cluster_cube_roots(eigvals: np.ndarray, tol: float = 1e-6,
     return tuple(counts)
 
 
-def zauner_unitary(dim: Dimension, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Metaplectic unitary of (0,-1;1,-1) with the cube-root phase branch
-    fixed so that U^3 = 1 and the eigenvalue-1 multiplicity matches the
-    Gauss-sum table."""
+def zauner_phase(dim: Dimension) -> complex:
+    """e^{i pi (N-1)/12}, the phase that makes the metaplectic unitary of
+    (0,-1;1,-1) cube to 1 (Appleby, J. Math. Phys. 46, 052107, 2005)."""
+    return np.exp(1j * np.pi * (dim.N - 1) / 12)
+
+
+def zauner_unitary(dim: Dimension) -> np.ndarray:
+    """Metaplectic unitary of (0,-1;1,-1) times zauner_phase, so that U^3 = 1."""
     U0 = metaplectic(ZAUNER, dim)
     cube = U0 @ U0 @ U0
     c = cube[0, 0]
     if np.max(np.abs(cube - c * np.eye(dim.N))) > 1e-8:
         raise AssertionError("U^3 is not scalar; metaplectic construction is broken")
-    want = predicted_eigenspace_dims(dim)
+    # the phase is taken as the cube root of 1/c nearest zauner_phase, not
+    # zauner_phase itself, so U keeps the bits the seeded search was run on
     base = c ** (-1.0 / 3.0)
-    for m in range(3):
-        lam = base * np.exp(2j * np.pi * m / 3)
-        U = lam * U0
-        if np.max(np.abs(U @ U @ U - np.eye(dim.N))) > tol:
-            continue
-        counts = _cluster_cube_roots(np.linalg.eigvals(U))
-        if counts == want:
-            return U
-    raise BranchNotFound(f"no cube-root branch matches the eigenspace table for N={dim.N}")
+    lam = min((base * np.exp(2j * np.pi * m / 3) for m in range(3)),
+              key=lambda z: abs(z - zauner_phase(dim)))
+    return lam * U0
 
 
-@dataclass(frozen=True)
-class EigenspaceDims:
-    d0: int
-    d1: int
-    d2: int
-
-
-def eigenspace_dims(dim: Dimension) -> tuple[EigenspaceDims, EigenspaceDims]:
+def eigenspace_dims(dim: Dimension) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """(measured, predicted) Zauner eigenvalue multiplicities."""
     U = zauner_unitary(dim)
     counts = _cluster_cube_roots(np.linalg.eigvals(U))
-    return EigenspaceDims(*counts), EigenspaceDims(*predicted_eigenspace_dims(dim))
+    return counts, predicted_eigenspace_dims(dim)
 
 
 def order3_trace_check(G: SymplecticMatrix, dim: Dimension) -> tuple[bool, bool]:

@@ -26,7 +26,8 @@ import numpy as np
 from .dims import (DEFAULT_TOL, Dimension, phase_permutation, require_square,
                    tau_powers)
 from .weyl import displacement_matrix_from, mod_inverse
-from .clifford import SymplecticMatrix, decompose, tau_snapped_deviation
+from .clifford import (ZAUNER, SymplecticMatrix, decompose,
+                       tau_snapped_deviation, zauner_phase)
 
 
 def flatten(r: int, s: int, n: int) -> int:
@@ -72,12 +73,8 @@ def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
 
 
 def monomial_zauner(dim: Dimension) -> np.ndarray:
-    """U|r,s> = e^{i pi (N-1)/12} tau^{r^2+2rs} |-r-s-m, r>, satisfying U^3 = 1."""
-    n = require_square(dim)
-    r, s = np.divmod(np.arange(dim.N), n)
-    return np.exp(1j * np.pi * (dim.N - 1) / 12) * phase_permutation(
-        dim, flatten(-r - s - dim.half_shift, r, n), np.arange(dim.N),
-        r * r + 2 * r * s)
+    """The order-3 unitary zauner_phase * U_ZAUNER on the |r,s> basis, U^3 = 1."""
+    return zauner_phase(dim) * monomial_clifford(ZAUNER, dim)
 
 
 def monomial_antiunitary(dim: Dimension, v: np.ndarray) -> np.ndarray:

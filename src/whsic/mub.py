@@ -196,9 +196,9 @@ def mols_check(squares: list[LatinSquare]) -> bool:
     return True
 
 
-def entanglement_check(basis: Basis, tol: float = 1e-8) -> float:
+def entanglement_check(basis: Basis) -> float:
     """Max deviation of the singular values of each vector's n x n coefficient
-    matrix from 1/sqrt(n); 0 within tol means every vector is maximally
+    matrix from 1/sqrt(n); 0 up to roundoff means every vector is maximally
     entangled across the n (x) n split."""
     n = require_square(basis.dim)
     worst = 0.0

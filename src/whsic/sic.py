@@ -360,8 +360,11 @@ def frame_residual(psi: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.sum(w ** 2)), grad
 
 
+SEARCH_MAX_ITER = 100_000  # iteration cap of each L-BFGS-B pass
+
+
 def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
-                    tol: float = 1e-8, max_iter: int = 100_000) -> Fiducial | None:
+                    tol: float = 1e-8) -> Fiducial | None:
     """Numerical fiducial search in the order-3 eigenspace E0.
 
     Random unit starts are drawn inside E0 with deterministically derived
@@ -395,11 +398,11 @@ def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(2 * d)
         res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": max_iter,
+                       options={"maxiter": SEARCH_MAX_ITER,
                                 "ftol": 1e-16, "gtol": 1e-12})
         # polish at tighter tolerances once the first pass stalls
         res = minimize(objective, res.x, jac=True, method="L-BFGS-B",
-                       options={"maxiter": max_iter,
+                       options={"maxiter": SEARCH_MAX_ITER,
                                 "ftol": 1e-18, "gtol": 1e-14})
         c = res.x[:d] + 1j * res.x[d:]
         psi = B @ (c / np.linalg.norm(c))

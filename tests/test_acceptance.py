@@ -148,10 +148,10 @@ def test_acceptance_orbits_with_witnesses(N):
 
 
 # ---------------------------------------------------------------------------
-# 7. order-3 eigenspace multiplicities for every 2 <= N <= 36
+# 7. order-3 eigenspace multiplicities for every 2 <= N <= 48, the search cap
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("N", range(2, 37))
+@pytest.mark.parametrize("N", range(2, 49))
 def test_acceptance_zauner_eigenspace_table(N):
     dim = Dimension(N)
     U = zauner_unitary(dim)

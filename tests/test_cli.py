@@ -61,6 +61,19 @@ def test_verify_sic_failing_vector_exits_one(tmp_path, capsys):
     assert rep["metrics"]["worst_displacement"] == [0, 1]
 
 
+def test_verify_sic_takes_exactly_one_fiducial_source(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    fileio.save_fiducial(fiducial_n4(0, 0, 0, 0), path)
+    assert main(["verify", "sic", "--file", str(path), "--builtin", "n9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with" in captured.err
+    assert main(["verify", "sic"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--builtin" in captured.err and "--file" in captured.err
+
+
 def test_verify_sic_corrupt_file_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

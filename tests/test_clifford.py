@@ -10,7 +10,7 @@ from whsic.clifford import (IDENTITY, PARITY_J, ZAUNER, SymplecticMatrix,
                             decompose, eigenspace_dims, is_symplectic, lift_sl2,
                             metaplectic, order3_trace_check,
                             predicted_eigenspace_dims, random_symplectic,
-                            zauner_unitary)
+                            zauner_phase, zauner_unitary)
 from whsic.dims import Dimension
 from whsic.errors import DetNotMinusOne
 
@@ -65,6 +65,13 @@ def test_zauner_unitary_cube_and_multiplicities(N):
     assert np.max(np.abs(U @ U @ U - np.eye(N))) < 1e-10
     measured, predicted = eigenspace_dims(dim)
     assert measured == predicted
+
+
+def test_zauner_unitary_is_the_closed_form_phase():
+    for N in range(1, 65):
+        dim = Dimension(N)
+        U = zauner_phase(dim) * metaplectic(ZAUNER, dim)
+        assert np.max(np.abs(zauner_unitary(dim) - U)) < 1e-13
 
 
 def test_eigenspace_table_formula():

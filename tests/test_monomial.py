@@ -122,6 +122,19 @@ def test_monomial_zauner_cubes_to_identity(N):
 
 
 @pytest.mark.parametrize("N", SQUARES)
+def test_conjugation_check_rejects_another_symplectic(N):
+    dim = Dimension(N)
+    rng = np.random.default_rng(N)
+    U = monomial_zauner(dim)
+    X, Z = monomial_weyl_generators(dim)
+    D = all_displacements(dim, X, Z)
+    G = random_symplectic(dim, rng)
+    while G.reduced(N) == ZAUNER.reduced(N):
+        G = random_symplectic(dim, rng)
+    assert conjugation_check_batched(G, dim, U, D) > 1
+
+
+@pytest.mark.parametrize("N", SQUARES)
 def test_stabilized_abelian_subgroup(N):
     dim = Dimension(N)
     rng = np.random.default_rng(N + 7)
