@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .dims import Dimension, phase_permutation, tau_powers
+from .dims import Dimension, PhasePermutation, tau_powers
 from .errors import NegativeRadicand
 
 DIM16 = Dimension(16)
@@ -83,12 +83,12 @@ def _tau_exponents(signed) -> np.ndarray:
     return expo + 8 * (1 - signs)
 
 
-def _generator(entries: list) -> np.ndarray:
-    e = np.asarray(entries)
-    return phase_permutation(DIM16, e[:, 0], e[:, 1], _tau_exponents(e[:, 2:]))
+def _generator(entries: list) -> PhasePermutation:
+    e = np.asarray(entries)  # listed by column, 0 to 15
+    return PhasePermutation(DIM16, e[:, 0], _tau_exponents(e[:, 2:]))
 
 
-def adapted16_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def adapted16_generators() -> tuple[PhasePermutation, PhasePermutation, np.ndarray]:
     """(X16, Z16, T): adapted-basis generators and the basis-change matrix.
 
     With U = conj(T) one has X16 = U X U^dag and Z16 = U Z U^dag for the

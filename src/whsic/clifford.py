@@ -64,6 +64,7 @@ class SymplecticMatrix:
 IDENTITY = SymplecticMatrix(1, 0, 0, 1)
 ZAUNER = SymplecticMatrix(0, -1, 1, -1)
 PARITY_J = SymplecticMatrix(1, 0, 0, -1)
+CLUSTER_RADIUS = 1e-3  # a Zauner eigenvalue farther from every cube root is ambiguous
 
 
 def is_symplectic(G: SymplecticMatrix, dim: Dimension, det_sign: int = 1) -> bool:
@@ -99,24 +100,21 @@ def metaplectic(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
     return tau_powers(dim, expo) / np.sqrt(N)
 
 
-def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension,
-                              U: np.ndarray,
+def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension, U,
                               D: np.ndarray | None = None) -> float:
     """Max over (i,j) of || U D_ij U^dag - tau^k D_{G(i,j)} || with the best
-    tau-power chosen per (i,j), vectorized over all displacements."""
+    tau-power chosen per (i,j), vectorized over all displacements: the dense,
+    tolerance-based check for metaplectic unitaries."""
+    U = np.asarray(U)
     N = dim.N
     if D is None:
         D = all_displacements(dim)
     conj = U @ D @ U.conj().T
     ip, jp = G.apply(*np.divmod(np.arange(N * N), N), N)
-    return tau_snapped_deviation(dim, conj, D[ip * N + jp])
-
-
-def tau_snapped_deviation(dim: Dimension, conj: np.ndarray,
-                          tgt: np.ndarray) -> float:
-    """Max over a stack of || conj_k - tau^{e_k} tgt_k ||, where tau^{e_k} is
-    the tau power nearest to the projection of conj_k onto tgt_k."""
-    ph = np.einsum("kab,kab->k", tgt.conj(), conj) / dim.N
+    tgt = D[ip * N + jp]
+    # snap the projection of each conjugate onto its target to the nearest
+    # tau power
+    ph = np.einsum("kab,kab->k", tgt.conj(), conj) / N
     table = tau_table(dim)
     snapped = table[np.argmin(np.abs(table[None, :] - ph[:, None]), axis=1)]
     return float(np.abs(conj - snapped[:, None, None] * tgt).max())
@@ -133,13 +131,13 @@ def predicted_eigenspace_dims(dim: Dimension) -> tuple[int, int, int]:
     return (k + 1, k + 1, k)
 
 
-def _cluster_cube_roots(eigvals: np.ndarray, hard: float = 1e-3) -> tuple[int, int, int]:
+def _cluster_cube_roots(eigvals: np.ndarray) -> tuple[int, int, int]:
     roots = np.exp(2j * np.pi * np.arange(3) / 3)
     counts = [0, 0, 0]
     for lam in eigvals:
         dist = np.abs(roots - lam)
         m = int(np.argmin(dist))
-        if dist[m] >= hard:
+        if dist[m] >= CLUSTER_RADIUS:
             raise ClusterAmbiguity(f"eigenvalue {lam} is {dist[m]:.2e} from every cube root")
         counts[m] += 1
     return tuple(counts)
@@ -166,9 +164,9 @@ def zauner_unitary(dim: Dimension) -> np.ndarray:
     return lam * U0
 
 
-def eigenspace_dims(dim: Dimension) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """(measured, predicted) Zauner eigenvalue multiplicities."""
-    U = zauner_unitary(dim)
+def eigenspace_dims(dim: Dimension, U: np.ndarray) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """(measured, predicted) Zauner eigenvalue multiplicities of
+    U = zauner_unitary(dim)."""
     counts = _cluster_cube_roots(np.linalg.eigvals(U))
     return counts, predicted_eigenspace_dims(dim)
 

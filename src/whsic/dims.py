@@ -6,9 +6,13 @@ evaluation: it reduces the integer exponent first and evaluates
 exp(i pi m/N) once, never by repeated multiplication, so high powers stay
 accurate to machine precision even for N = 16 radical checks. `tau_table`
 lists tau^k for k < 2N from `tau_power`; `tau_powers` is the one array lookup
-into it (the only place an exponent array is reduced mod 2N), and
-`phase_permutation` builds every operator that carries one tau power per
-column from those lookups.
+into it (the only place an exponent array is reduced mod 2N).
+
+Every operator with one tau power per column (Weyl generators and
+displacements, monomial Clifford unitaries) is a `PhasePermutation` with
+integer exponents, composed exactly; checks on them compare integers, while
+checks on the dense metaplectic unitaries stay float. `.dense()` is the one
+way it becomes a matrix.
 
 The scalar evaluation is kept, instead of a vectorised numpy exp, because the
 seeded fiducial search amplifies one-ulp differences: numpy's array exp
@@ -99,9 +103,35 @@ def tau_powers(dim: Dimension, exponents) -> np.ndarray:
     return tau_table(dim)[np.asarray(exponents) % (2 * dim.N)]
 
 
-def phase_permutation(dim: Dimension, rows, cols, tau_exponents) -> np.ndarray:
-    """Dense N x N matrix with tau^e at each (row, col, e) of the given index
-    arrays and zeros elsewhere."""
-    M = np.zeros((dim.N, dim.N), dtype=complex)
-    M[rows, cols] = tau_powers(dim, tau_exponents)
-    return M
+@dataclass(frozen=True, eq=False)
+class PhasePermutation:
+    """|v> -> tau^{expo[v]} |image[v]>, with the exponents reduced mod nbar,
+    the order of tau. Leading axes of image and expo stack operators."""
+
+    dim: Dimension
+    image: np.ndarray
+    expo: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "expo", np.asarray(self.expo) % self.dim.nbar)
+
+    def __matmul__(self, other: "PhasePermutation") -> "PhasePermutation":
+        """Exact product self @ other: other acts first. The stack axes of
+        self come first, then those of other."""
+        if not isinstance(other, PhasePermutation):
+            return NotImplemented
+        return PhasePermutation(
+            self.dim, np.take(self.image, other.image, axis=-1),
+            other.expo + np.take(self.expo, other.image, axis=-1))
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix, one per stacked operator."""
+        N = self.dim.N
+        image = self.image.reshape(-1, N)
+        out = np.zeros((len(image), N, N), dtype=complex)
+        out[np.arange(len(image))[:, None], image, np.arange(N)] = \
+            tau_powers(self.dim, self.expo).reshape(-1, N)
+        return out.reshape(self.image.shape[:-1] + (N, N))
+
+    def __array__(self, dtype=None, copy=None):
+        return self.dense()

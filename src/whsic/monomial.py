@@ -12,8 +12,11 @@ and a symplectic G with beta coprime to nbar acts by
                |delta r - gamma s + m gamma delta, -beta r + alpha s + m alpha beta>
 
 with s' = -beta r + alpha s + m alpha taken in [0, n) and m = 0 (n odd) or
-n/2 (n even). The module also holds the SL(2,N)-orbit machinery used for the
-square/non-square decision procedures.
+n/2 (n even). These operators are exact `PhasePermutation`s, so covariance
+U_G D_ij U_G^dag = tau^c D_{G(i,j)} is an integer check over all N^2
+displacements (`covariance_witness`); `is_phase_permutation` stays the float
+oracle for dense matrices. The module also holds the SL(2,N)-orbit machinery
+used for the square/non-square decision procedures.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import (DEFAULT_TOL, Dimension, phase_permutation, require_square,
+from .dims import (DEFAULT_TOL, Dimension, PhasePermutation, require_square,
                    tau_powers)
-from .weyl import displacement_matrix_from, mod_inverse
-from .clifford import (ZAUNER, SymplecticMatrix, decompose,
-                       tau_snapped_deviation, zauner_phase)
+from .weyl import displacements, mod_inverse
+from .clifford import ZAUNER, SymplecticMatrix, decompose, zauner_phase
 
 
 def flatten(r: int, s: int, n: int) -> int:
@@ -43,18 +45,17 @@ def zak_matrix(dim: Dimension) -> np.ndarray:
     return V
 
 
-def monomial_weyl_generators(dim: Dimension) -> tuple[np.ndarray, np.ndarray]:
+def monomial_weyl_generators(dim: Dimension) -> tuple[PhasePermutation, PhasePermutation]:
     """(X, Z) acting on the |r,s> basis."""
     n = require_square(dim)
     r, s = np.divmod(np.arange(dim.N), n)
-    col = np.arange(dim.N)
     # the wrap X|r,n-1> = sigma^r |r,0> carries tau^{2nr}
-    X = phase_permutation(dim, flatten(r, s + 1, n), col, 2 * n * r * (s == n - 1))
-    Z = phase_permutation(dim, flatten(r - 1, s, n), col, 2 * s)
+    X = PhasePermutation(dim, flatten(r, s + 1, n), 2 * n * r * (s == n - 1))
+    Z = PhasePermutation(dim, flatten(r - 1, s, n), 2 * s)
     return X, Z
 
 
-def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
+def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> PhasePermutation:
     """Phase-permutation unitary of a symplectic G on the |r,s> basis."""
     n = require_square(dim)
     nbar = dim.nbar
@@ -69,12 +70,13 @@ def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
     sp = (-b * r + a * s + m * a) % n
     rp = (d * r - g_ * s + m * g_ * d) % n
     expo = binv * (d * sp * sp - 2 * s * sp + a * s * s)
-    return phase_permutation(dim, flatten(rp, sp, n), np.arange(dim.N), expo)
+    return PhasePermutation(dim, flatten(rp, sp, n), expo)
 
 
 def monomial_zauner(dim: Dimension) -> np.ndarray:
-    """The order-3 unitary zauner_phase * U_ZAUNER on the |r,s> basis, U^3 = 1."""
-    return zauner_phase(dim) * monomial_clifford(ZAUNER, dim)
+    """The order-3 unitary zauner_phase * U_ZAUNER on the |r,s> basis, U^3 = 1.
+    Dense, since the Zauner phase is not a power of tau."""
+    return zauner_phase(dim) * monomial_clifford(ZAUNER, dim).dense()
 
 
 def monomial_antiunitary(dim: Dimension, v: np.ndarray) -> np.ndarray:
@@ -85,10 +87,32 @@ def monomial_antiunitary(dim: Dimension, v: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(v, dtype=complex))[flatten(-r, s, n)]
 
 
-def is_phase_permutation(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def _first_failure(U: PhasePermutation, D: PhasePermutation, k,
+                   kG: np.ndarray) -> int | None:
+    """First m with U D_{k[m]} U^dag != tau^c D_{kG[m]} for every integer c:
+    U D_{k[m]} and D_{kG[m]} U differ in image or in exponent shift."""
+    lhs, rhs = U @ D, D @ U
+    shift = (lhs.expo[k] - rhs.expo[kG]) % U.dim.nbar
+    ok = ((lhs.image[k] == rhs.image[kG]).all(axis=-1)
+          & (shift == shift[:, :1]).all(axis=-1))
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
+
+
+def covariance_witness(G: SymplecticMatrix, U: PhasePermutation,
+                       D: PhasePermutation) -> tuple[int, int] | None:
+    """First (i, j) where U D_ij U^dag is no tau power of D_{G(i,j)}, over the
+    N^2 displacements of `weyl.displacements` in U's basis, or None."""
+    N = U.dim.N
+    ip, jp = G.apply(*np.divmod(np.arange(N * N), N), N)
+    m = _first_failure(U, D, slice(None), ip * N + jp)
+    return None if m is None else divmod(m, N)
+
+
+def is_phase_permutation(M, tol: float = DEFAULT_TOL) -> bool:
     """True iff every row and column carries exactly one unit-modulus entry
-    and everything else is below tol."""
-    absM = np.abs(M)
+    and everything else is below tol: the float oracle for `.dense()`."""
+    absM = np.abs(np.asarray(M))
     big = absM > tol
     if not (big.sum(axis=0) == 1).all() or not (big.sum(axis=1) == 1).all():
         return False
@@ -216,20 +240,16 @@ def _is_subgroup(V: frozenset, N: int) -> bool:
     return all(((a1 + b1) % N, (a2 + b2) % N) in V for a1, a2 in V for b1, b2 in V)
 
 
-def stabilized_abelian_check(G: SymplecticMatrix, dim: Dimension) -> float:
-    """Deviation of U_G-conjugation from mapping the maximal Abelian subgroup
-    <X^n, Z^n, tau*1> into itself: each conjugated generator must equal
-    tau^k X^{an} Z^{bn} for the indices predicted by the symplectic action,
-    up to the best tau power."""
+def stabilized_abelian_check(G: SymplecticMatrix, dim: Dimension) -> tuple[int, int] | None:
+    """U_G-conjugation must map the maximal Abelian subgroup <X^n, Z^n, tau*1>
+    into itself: U_G D_ij U_G^dag = tau^c D_{G(i,j)} for (i, j) = (n, 0) and
+    (0, n), with G(i, j) again in n * Z_N^2. Returns the first generator
+    (i, j) that fails, or None; exact, like `covariance_witness`."""
     n = require_square(dim)
     N = dim.N
-    U = monomial_clifford(G, dim)
-    Ud = U.conj().T
-    X, Z = monomial_weyl_generators(dim)
-    conj, tgt = [], []
-    for (i, j) in ((n, 0), (0, n)):
-        conj.append(U @ displacement_matrix_from(X, Z, dim, i, j) @ Ud)
-        ip, jp = G.apply(i, j, N)
-        assert ip % n == 0 and jp % n == 0, "conjugate left the subgroup"
-        tgt.append(displacement_matrix_from(X, Z, dim, ip, jp))
-    return tau_snapped_deviation(dim, np.array(conj), np.array(tgt))
+    i, j = np.array([n, 0]), np.array([0, n])
+    ip, jp = G.apply(i, j, N)
+    assert (ip % n == 0).all() and (jp % n == 0).all(), "conjugate left the subgroup"
+    D = displacements(dim, *monomial_weyl_generators(dim))
+    m = _first_failure(monomial_clifford(G, dim), D, i * N + j, ip * N + jp)
+    return None if m is None else (int(i[m]), int(j[m]))

@@ -155,7 +155,7 @@ def prime_family(p: int) -> list[Basis]:
         raise NotPrime(f"{p} is not prime")
     dim = Dimension(p * p)
     n = p
-    X, Z = monomial_weyl_generators(dim)
+    X, Z = (P.dense() for P in monomial_weyl_generators(dim))
     bases = [eigenbasis_zero(dim), eigenbasis_infinity(dim)]
     Zinv = Z.conj().T
     for k in range(1, p):

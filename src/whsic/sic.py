@@ -34,7 +34,7 @@ import numpy as np
 from . import adapted16
 from .adapted16 import _checked_sqrt
 from .clifford import zauner_unitary
-from .dims import Dimension, sigma_power, tau_powers
+from .dims import Dimension, PhasePermutation, sigma_power, tau_powers
 from .errors import BasisUnavailable, NullProjection
 from .monomial import flatten, monomial_weyl_generators, zak_matrix
 
@@ -74,18 +74,17 @@ class SimplexProjection:
 REPHASE4 = (-2, -7, -5, 0)
 
 
-def rephased4_generators() -> tuple[np.ndarray, np.ndarray]:
+def rephased4_generators() -> tuple[PhasePermutation, PhasePermutation]:
     """N = 4 monomial generators after the diagonal rephasing
     diag(tau^-2, tau^-7, tau^-5, 1); both come out as tau times a signed
     permutation with entries in {1, i, -1}."""
     dim = Dimension(4)
-    X, Z = monomial_weyl_generators(dim)
     # rescaling the kets |e_j> -> ph_j |e_j> conjugates operators by the
-    # inverse diagonal: M' = P^{-1} M P
-    ph = tau_powers(dim, REPHASE4)
-    P = np.diag(ph)
-    Pinv = np.diag(1.0 / ph)
-    return Pinv @ X @ P, Pinv @ Z @ P
+    # inverse diagonal, M' = P^{-1} M P: a shift of the tau exponents
+    e = np.arange(4)
+    P = PhasePermutation(dim, e, REPHASE4)
+    Pinv = PhasePermutation(dim, e, np.negative(REPHASE4))
+    return tuple(Pinv @ M @ P for M in monomial_weyl_generators(dim))
 
 
 def basis_change(dim: Dimension, basis: str) -> np.ndarray:
@@ -259,27 +258,18 @@ def autocorrelation_check(f: Fiducial) -> np.ndarray:
     absolute residuals, indexed by shift.
     """
     dim = f.dim
-    N = dim.N
-    p = np.abs(f.amplitudes) ** 2
     if f.basis == "standard":
-        res = np.empty(N)
-        for x in range(N):
-            s = float(np.dot(p, np.roll(p, -x)))
-            target = 2.0 / (N + 1) if x == 0 else 1.0 / (N + 1)
-            res[x] = abs(s - target)
-        return res
-    if f.basis in ("monomial", "rephased4") and dim.is_square:
-        n = dim.n
-        P = p.reshape(n, n)
-        res = np.empty((n, n))
-        for x in range(n):
-            for y in range(n):
-                s = float(np.sum(P * np.roll(np.roll(P, -x, axis=0), -y, axis=1)))
-                target = 2.0 / (N + 1) if (x, y) == (0, 0) else 1.0 / (N + 1)
-                res[x, y] = abs(s - target)
-        return res
-    raise BasisUnavailable(
-        f"autocorrelation shifts are not defined for basis {f.basis!r}")
+        shape = (dim.N,)
+    elif f.basis in ("monomial", "rephased4") and dim.is_square:
+        shape = (dim.n, dim.n)
+    else:
+        raise BasisUnavailable(
+            f"autocorrelation shifts are not defined for basis {f.basis!r}")
+    P = np.fft.fftn((np.abs(f.amplitudes) ** 2).reshape(shape))
+    sums = np.fft.ifftn(np.abs(P) ** 2).real
+    target = np.full(shape, 1.0 / (dim.N + 1))
+    target.flat[0] = 2.0 / (dim.N + 1)
+    return np.abs(sums - target)
 
 
 # ---------------------------------------------------------------------------

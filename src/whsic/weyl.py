@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import Dimension, phase_permutation, tau_power, tau_powers
+from .dims import Dimension, PhasePermutation
 from .errors import NotCoprime
 
 
@@ -88,49 +88,45 @@ def element_order(g: GroupElement, dim: Dimension) -> int:
     raise AssertionError("element order exceeded group-size bound")
 
 
-def standard_generators(dim: Dimension) -> tuple[np.ndarray, np.ndarray]:
+def standard_generators(dim: Dimension) -> tuple[PhasePermutation, PhasePermutation]:
     """The cyclic shift X|u> = |u+1> and clock Z|u> = omega^u |u>."""
     u = np.arange(dim.N)
-    return (phase_permutation(dim, (u + 1) % dim.N, u, 0),
-            phase_permutation(dim, u, u, 2 * u))
+    return (PhasePermutation(dim, (u + 1) % dim.N, 0 * u),
+            PhasePermutation(dim, u, 2 * u))
 
 
-def displacement_matrix(dim: Dimension, i: int, j: int) -> np.ndarray:
-    """D_{ij} = tau^{ij} X^i Z^j in the standard basis: tau^{ij + 2jv} at
-    (v + i, v)."""
-    v = np.arange(dim.N)
-    return phase_permutation(dim, (v + i) % dim.N, v, i * j + 2 * j * v)
-
-
-def displacement_matrix_from(X: np.ndarray, Z: np.ndarray, dim: Dimension,
-                             i: int, j: int) -> np.ndarray:
-    """D_{ij} built from arbitrary generator matrices for the same dimension."""
-    return tau_power(dim, i * j) * (
-        np.linalg.matrix_power(X, i % dim.N) @ np.linalg.matrix_power(Z, j % dim.N)
-    )
-
-
-def all_displacements(dim: Dimension, X: np.ndarray | None = None,
-                      Z: np.ndarray | None = None) -> np.ndarray:
-    """Stack of all N^2 displacement matrices, index (i*N + j, :, :)."""
-    N = dim.N
-    if X is None or Z is None:
-        i, j, v = np.ogrid[:N, :N, :N]
-        out = np.zeros((N, N, N, N), dtype=complex)
-        out[i, j, (v + i) % N, v] = tau_powers(dim, i * j + 2 * j * v)
-        return out.reshape(N * N, N, N)
-    out = np.zeros((N * N, N, N), dtype=complex)
-    Xp = [np.eye(N, dtype=complex)]
-    Zp = [np.eye(N, dtype=complex)]
+def _powers(P: PhasePermutation) -> PhasePermutation:
+    """P^0, ..., P^{N-1}, stacked along a leading axis."""
+    N = P.dim.N
+    powers = [PhasePermutation(P.dim, np.arange(N), np.zeros(N, dtype=int))]
     for _ in range(N - 1):
-        Xp.append(Xp[-1] @ X)
-        Zp.append(Zp[-1] @ Z)
-    for i in range(N):
-        for j in range(N):
-            out[i * N + j] = tau_power(dim, i * j) * (Xp[i] @ Zp[j])
-    return out
+        powers.append(powers[-1] @ P)
+    return PhasePermutation(P.dim, np.stack([Q.image for Q in powers]),
+                            np.stack([Q.expo for Q in powers]))
+
+
+def displacements(dim: Dimension, X: PhasePermutation | None = None,
+                  Z: PhasePermutation | None = None) -> PhasePermutation:
+    """Every D_ij = tau^{ij} X^i Z^j, exactly, stacked at index i*N + j. X and
+    Z default to the standard generators."""
+    if X is None or Z is None:
+        X, Z = standard_generators(dim)
+    N = dim.N
+    XZ = _powers(X) @ _powers(Z)
+    ij = np.multiply.outer(np.arange(N), np.arange(N))[..., None]
+    return PhasePermutation(dim, XZ.image.reshape(N * N, N),
+                            (XZ.expo + ij).reshape(N * N, N))
+
+
+def all_displacements(dim: Dimension, X: PhasePermutation | None = None,
+                      Z: PhasePermutation | None = None) -> np.ndarray:
+    """Stack of all N^2 displacement matrices, index (i*N + j, :, :)."""
+    return displacements(dim, X, Z).dense()
 
 
 def element_matrix(g: GroupElement, dim: Dimension) -> np.ndarray:
-    """Dense matrix of tau^k D_{ij} in the standard basis."""
-    return tau_power(dim, g.k) * displacement_matrix(dim, g.i, g.j)
+    """Dense matrix of tau^k D_{ij} in the standard basis, with
+    D_{ij} = tau^{ij} X^i Z^j: tau^{k + ij + 2jv} at (v + i, v)."""
+    v = np.arange(dim.N)
+    return PhasePermutation(dim, (v + g.i) % dim.N,
+                            g.k + g.i * g.j + 2 * g.j * v).dense()

@@ -13,20 +13,19 @@ import numpy as np
 import pytest
 
 from whsic.adapted16 import adapted16_generators
-from whsic.clifford import (SymplecticMatrix, conjugation_check_batched,
-                            eigenspace_dims, lift_sl2, random_symplectic,
-                            zauner_unitary)
+from whsic.clifford import (SymplecticMatrix, eigenspace_dims, lift_sl2,
+                            random_symplectic, zauner_unitary)
 from whsic.crt import verify_product_iso
 from whsic.dims import Dimension
-from whsic.monomial import (flatten, invariant_subgroup, is_phase_permutation,
-                            monomial_clifford, monomial_weyl_generators,
-                            sl2_orbit, vector_order)
+from whsic.monomial import (covariance_witness, flatten, invariant_subgroup,
+                            is_phase_permutation, monomial_clifford,
+                            monomial_weyl_generators, sl2_orbit, vector_order)
 from whsic.mub import (cyclic_latin_square, eigenbasis_infinity,
                        eigenbasis_zero, is_unbiased, latin_basis, prime_family)
 from whsic.sic import (autocorrelation_check, fiducial_n4, fiducial_n9,
                        fiducial_n16, rephased4_generators, search_fiducial,
                        simplex_projection, to_standard, verify_sic)
-from whsic.weyl import all_displacements
+from whsic.weyl import all_displacements, displacements
 
 
 def orbit_key(v, D, decimals=8):
@@ -85,7 +84,7 @@ def test_acceptance_n16_fiducial_and_structural_gates():
         assert verify_sic(g, 1e-8).passed
     X, Z, T = adapted16_generators()
     eye = np.eye(16)
-    for M in (X, Z, T):
+    for M in (X.dense(), Z.dense(), T):
         assert np.max(np.abs(M @ M.conj().T - eye)) < 1e-12
     omega = np.exp(2j * np.pi / 16)
     assert np.max(np.abs(Z @ X - omega * X @ Z)) < 1e-10
@@ -106,13 +105,12 @@ def test_acceptance_n16_fiducial_and_structural_gates():
 def test_acceptance_monomial_clifford_100_random(N):
     dim = Dimension(N)
     rng = np.random.default_rng(N)
-    X, Z = monomial_weyl_generators(dim)
-    D = all_displacements(dim, X, Z)
+    D = displacements(dim, *monomial_weyl_generators(dim))
     for _ in range(100):
         G = random_symplectic(dim, rng)
         U = monomial_clifford(G, dim)
         assert is_phase_permutation(U, 1e-10)
-        assert conjugation_check_batched(G, dim, U, D) < 1e-9
+        assert covariance_witness(G, U, D) is None
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +154,7 @@ def test_acceptance_zauner_eigenspace_table(N):
     dim = Dimension(N)
     U = zauner_unitary(dim)
     assert np.max(np.abs(U @ U @ U - np.eye(N))) < 1e-10
-    measured, predicted = eigenspace_dims(dim)
+    measured, predicted = eigenspace_dims(dim, U)
     assert measured == predicted
 
 

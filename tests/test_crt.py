@@ -1,14 +1,17 @@
 """Chinese-remainder factorization of the group and its representations."""
 
+import dataclasses
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whsic.clifford import SymplecticMatrix, is_symplectic
-from whsic.crt import (crt_permutation, eta_prime, f_prime, factor_dimension,
-                       verify_product_iso)
-from whsic.dims import Dimension
+from whsic.crt import (Factorization, crt_permutation, displacement_witness,
+                       eta_prime, f_prime, factor_dimension, verify_product_iso)
+from whsic.dims import Dimension, tau_power
 from whsic.weyl import (GroupElement, all_displacements, compose,
                         standard_generators)
 
@@ -128,3 +131,36 @@ def test_crt_permutation_carries_generators(N):
 @pytest.mark.parametrize("N", [4, 6, 9, 12])
 def test_product_isomorphism_dense(N):
     assert verify_product_iso(N, n_symplectic=10) < 1e-9
+
+
+def dense_factor_side(fact, a, b):
+    """(x)_j tau_j^{kappa_j ab} X_j^a Z_j^{kappa_j b}, built densely."""
+    mats = []
+    for f in fact.factors:
+        dj = Dimension(f.n)
+        X, Z = (np.asarray(M) for M in standard_generators(dj))
+        mats.append(tau_power(dj, f.kappa * a * b)
+                    * np.linalg.matrix_power(X, a)
+                    @ np.linalg.matrix_power(Z, f.kappa * b))
+    return reduce(np.kron, mats)
+
+
+@pytest.mark.parametrize("N", range(2, 41))
+def test_displacement_half_is_exact(N):
+    assert displacement_witness(factor_dimension(N)) is None
+
+
+@pytest.mark.parametrize("N", [6, 10, 12, 15])
+def test_naive_kappa_map_is_rejected_with_a_witness(N):
+    """kappa_j = 1, copying the exponents, fails on the central phases; the
+    witness is a displacement where the dense matrices differ."""
+    fact = factor_dimension(N)
+    naive = Factorization(N, tuple(dataclasses.replace(f, kappa=1)
+                                   for f in fact.factors))
+    ab = displacement_witness(naive)
+    assert ab is not None
+    a, b = ab
+    P = crt_permutation(fact)
+    lhs = P @ all_displacements(Dimension(N))[a * N + b] @ P.T
+    assert np.max(np.abs(lhs - dense_factor_side(naive, a, b))) > 0.1
+    assert np.max(np.abs(lhs - dense_factor_side(fact, a, b))) < 1e-12

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from whsic.clifford import (ZAUNER, conjugation_check_batched, decompose,
                             random_symplectic)
-from whsic.dims import Dimension, sigma_power
+from whsic.dims import Dimension, PhasePermutation, sigma_power, tau_table
 from whsic.errors import NotSquare
-from whsic.monomial import (flatten, is_phase_permutation, invariant_subgroup,
-                            monomial_antiunitary, monomial_clifford,
-                            monomial_weyl_generators, monomial_zauner,
-                            sl2_orbit, stabilized_abelian_check, vector_order,
-                            zak_matrix)
-from whsic.weyl import all_displacements
+from whsic.monomial import (covariance_witness, flatten, is_phase_permutation,
+                            invariant_subgroup, monomial_antiunitary,
+                            monomial_clifford, monomial_weyl_generators,
+                            monomial_zauner, sl2_orbit,
+                            stabilized_abelian_check, vector_order, zak_matrix)
+from whsic.weyl import all_displacements, displacements
 
 SQUARES = [4, 9, 16, 25]
 
@@ -55,6 +55,22 @@ def ref_clifford(G, dim):
             U[flatten(rp, sp, n), flatten(r, s, n)] = tau_pow(
                 dim, binv * (d * sp * sp - 2 * s * sp + a * s * s))
     return U
+
+
+def first_dense_failure(G, dim, U, D):
+    """Dense oracle of covariance_witness: the first (i, j) where
+    U D_ij U^dag is not a tau power times D_{G(i,j)}, to 1e-9."""
+    N, U = dim.N, np.asarray(U)
+    for k in range(N * N):
+        i, j = divmod(k, N)
+        conj = U @ D[k] @ U.conj().T
+        ip, jp = G.apply(i, j, N)
+        tgt = D[ip * N + jp]
+        ph = np.vdot(tgt, conj) / N
+        if (np.abs(conj - ph * tgt).max() > 1e-9
+                or np.abs(tau_table(dim) - ph).min() > 1e-9):
+            return i, j
+    return None
 
 
 def ref_zauner(dim):
@@ -105,6 +121,7 @@ def test_monomial_clifford_phase_permutation_and_covariance(N):
         U = monomial_clifford(G, dim)
         assert is_phase_permutation(U, 1e-10)
         assert conjugation_check_batched(G, dim, U, D) < 1e-9
+        assert covariance_witness(G, U, displacements(dim, X, Z)) is None
         assert np.max(np.abs(U - ref_clifford(G, dim))) < 1e-12
 
 
@@ -132,7 +149,28 @@ def test_conjugation_check_rejects_another_symplectic(N):
     while G.reduced(N) == ZAUNER.reduced(N):
         G = random_symplectic(dim, rng)
     assert conjugation_check_batched(G, dim, U, D) > 1
+    # the exact check rejects it too, at the first failure the dense oracle
+    # finds
+    ij = covariance_witness(G, monomial_clifford(ZAUNER, dim),
+                            displacements(dim, X, Z))
+    assert ij is not None
+    assert ij == first_dense_failure(G, dim, U, D)
 
+
+@pytest.mark.parametrize("N", SQUARES)
+def test_covariance_witness_catches_one_flipped_exponent(N):
+    dim = Dimension(N)
+    rng = np.random.default_rng(N + 3)
+    X, Z = monomial_weyl_generators(dim)
+    D = displacements(dim, X, Z)
+    for _ in range(5):
+        G = random_symplectic(dim, rng)
+        U = monomial_clifford(G, dim)
+        v = int(rng.integers(N))
+        flipped = PhasePermutation(dim, U.image, U.expo + (np.arange(N) == v))
+        ij = covariance_witness(G, flipped, D)
+        assert ij is not None
+        assert ij == first_dense_failure(G, dim, flipped, D.dense())
 
 @pytest.mark.parametrize("N", SQUARES)
 def test_stabilized_abelian_subgroup(N):
@@ -140,7 +178,7 @@ def test_stabilized_abelian_subgroup(N):
     rng = np.random.default_rng(N + 7)
     for _ in range(5):
         G = random_symplectic(dim, rng)
-        assert stabilized_abelian_check(G, dim) < 1e-9
+        assert stabilized_abelian_check(G, dim) is None
 
 
 def test_monomial_antiunitary_respects_norm():

@@ -191,7 +191,7 @@ def test_prime_family_complete(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_prime_family_latin_bases_diagonalize_cyclic_groups(p):
     dim = Dimension(p * p)
-    X, Z = monomial_weyl_generators(dim)
+    X, Z = (P.dense() for P in monomial_weyl_generators(dim))
     bases = prime_family(p)
     for k in range(1, p):
         A = np.linalg.matrix_power(X, k) @ Z.conj().T

@@ -76,7 +76,7 @@ def test_fiducial_rejects_non_unit_norm():
 
 def test_rephased4_generators_match_monomial_up_to_diagonal():
     dim = Dimension(4)
-    X, Z = rephased4_generators()
+    X, Z = (P.dense() for P in rephased4_generators())
     omega = np.exp(2j * np.pi / 4)
     assert np.max(np.abs(Z @ X - omega * X @ Z)) < 1e-12
     assert np.max(np.abs(X @ X.conj().T - np.eye(4))) < 1e-12
@@ -332,12 +332,27 @@ def test_autocorrelation_monomial_and_standard():
     assert autocorrelation_check(to_standard(fiducial_n16(1))).max() < 1e-10
 
 
+def shifted_sums(P):
+    """sum_u P[u] P[u + x] for every shift x of a 1D or 2D array, by loops."""
+    out = np.empty(P.shape)
+    for x in np.ndindex(P.shape):
+        out[x] = np.sum(P * np.roll(P, [-t for t in x], axis=range(P.ndim)))
+    return out
+
+
 def test_autocorrelation_negative_control():
     rng = np.random.default_rng(5)
     v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     v /= np.linalg.norm(v)
     res = autocorrelation_check(Fiducial(Dimension(9), "monomial", v))
     assert res.max() > 1e-2
+    # the FFT correlation against the shift loops, in both shapes
+    p = np.abs(v) ** 2
+    for basis, P in (("monomial", p.reshape(3, 3)), ("standard", p)):
+        target = np.full(P.shape, 0.1)
+        target.flat[0] = 0.2
+        res = autocorrelation_check(Fiducial(Dimension(9), basis, v))
+        assert np.max(np.abs(res - np.abs(shifted_sums(P) - target))) < 1e-15
 
 
 def test_projection_collapses_to_n_points():

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whsic.dims import Dimension, omega_power, tau_power, tau_powers, tau_table
+from whsic.dims import (Dimension, PhasePermutation, omega_power, tau_power,
+                        tau_powers, tau_table)
 from whsic.errors import NotCoprime
-from whsic.monomial import is_phase_permutation
+from whsic.monomial import is_phase_permutation, monomial_weyl_generators
 from whsic.weyl import (GroupElement, all_displacements, canonicalize, compose,
-                        displacement_matrix, element_matrix, element_order,
+                        displacements, element_matrix, element_order,
                         identity_element, inverse, mod_inverse,
                         standard_generators)
 
 DIMS = st.integers(min_value=1, max_value=12)
+EPS = np.finfo(float).eps
 
 
 def random_element(rng, dim):
@@ -39,7 +41,7 @@ def test_fold_phases_exhaustive(N):
     dim = Dimension(N)
     for i in range(N):
         for j in range(N):
-            D = displacement_matrix(dim, i, j)
+            D = element_matrix(GroupElement(0, i, j), dim)
             g1 = canonicalize(GroupElement(0, i + N, j), dim)
             g2 = canonicalize(GroupElement(0, i, j + N), dim)
             assert np.max(np.abs(element_matrix(g1, dim)
@@ -100,7 +102,8 @@ def test_displacement_phase_convention():
             for j in range(N):
                 expect = tau_power(dim, i * j) * (
                     np.linalg.matrix_power(X, i) @ np.linalg.matrix_power(Z, j))
-                assert np.max(np.abs(displacement_matrix(dim, i, j) - expect)) < 1e-12
+                D = element_matrix(GroupElement(0, i, j), dim)
+                assert np.max(np.abs(D - expect)) < 1e-12
 
 
 @given(N=st.integers(1, 30), k=st.integers(-200, 200))
@@ -115,7 +118,53 @@ def test_one_phase_path_is_exact(N, k):
 def test_standard_stack_matches_generator_stack(N):
     dim = Dimension(N)
     D = all_displacements(dim)
-    assert np.max(np.abs(D - all_displacements(dim, *standard_generators(dim)))) < 1e-12
+    assert np.array_equal(D, all_displacements(dim, *standard_generators(dim)))
+    # and every bit of the closed form tau^{ij + 2jv} at (v + i, v)
+    closed = [element_matrix(GroupElement(0, i, j), dim)
+              for i in range(N) for j in range(N)]
+    assert np.array_equal(D, np.array(closed))
+
+
+@st.composite
+def phase_permutations(draw, N):
+    dim = Dimension(N)
+    image = np.array(draw(st.permutations(range(N))))
+    expo = np.array(draw(st.lists(st.integers(-100, 100), min_size=N,
+                                  max_size=N)))
+    return PhasePermutation(dim, image, expo)
+
+
+@given(data=st.data(), N=st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_phase_permutation_composes_like_its_matrices(data, N):
+    A = data.draw(phase_permutations(N))
+    B = data.draw(phase_permutations(N))
+    assert np.all((0 <= A.expo) & (A.expo < Dimension(N).nbar))
+    # each of tau^a, tau^b and tau^{a+b} carries the rounding of its
+    # argument pi m/N < 2 pi, up to 2 pi eps, and the product a few eps more
+    assert np.max(np.abs((A @ B).dense() - A.dense() @ B.dense())) <= 16 * EPS
+    assert np.array_equal(np.asarray(A), A.dense())
+    assert is_phase_permutation(A)
+
+
+@given(N=st.integers(1, 30), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_displacement_stack_obeys_composition_law_exactly(N, data):
+    """D_ij D_lm = tau^{lj - im} D_{i+l, j+m} on the exact stacks, standard
+    and (square N) monomial, with the phase from weyl.compose."""
+    dim = Dimension(N)
+    ints = st.integers(0, N - 1)
+    i, j, l, m = (data.draw(ints) for _ in range(4))
+    g = compose(GroupElement(0, i, j), GroupElement(0, l, m), dim)
+    stacks = [displacements(dim)]
+    if dim.is_square:
+        stacks.append(displacements(dim, *monomial_weyl_generators(dim)))
+    for D in stacks:
+        row = lambda k, e=0: PhasePermutation(dim, D.image[k], D.expo[k] + e)
+        prod = row(i * N + j) @ row(l * N + m)
+        want = row(g.i * N + g.j, g.k)
+        assert np.array_equal(prod.image, want.image)
+        assert np.array_equal(prod.expo, want.expo)
 
 
 @given(a=st.integers(-30, 30), m=st.integers(2, 40))
