@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import Dimension, tau_powers, tau_table
+from .dims import Dimension, PhasePermutation, tau_powers, tau_table
 from .errors import ClusterAmbiguity, DetNotMinusOne
 from .weyl import all_displacements, mod_inverse
 
@@ -65,6 +65,7 @@ IDENTITY = SymplecticMatrix(1, 0, 0, 1)
 ZAUNER = SymplecticMatrix(0, -1, 1, -1)
 PARITY_J = SymplecticMatrix(1, 0, 0, -1)
 CLUSTER_RADIUS = 1e-3  # a Zauner eigenvalue farther from every cube root is ambiguous
+CHECK_CHUNK_ENTRIES = 2 ** 14  # matrix entries per chunk of conjugation_check_batched
 
 
 def is_symplectic(G: SymplecticMatrix, dim: Dimension, det_sign: int = 1) -> bool:
@@ -102,22 +103,40 @@ def metaplectic(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
 
 def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension, U,
                               D: np.ndarray | None = None) -> float:
-    """Max over (i,j) of || U D_ij U^dag - tau^k D_{G(i,j)} || with the best
-    tau-power chosen per (i,j), vectorized over all displacements: the dense,
-    tolerance-based check for metaplectic unitaries."""
-    U = np.asarray(U)
+    """Max over (i,j) of || U D_ij U^dag - tau^k D_{G(i,j)} ||_max, with k
+    the tau power nearest the projection <D_{G(i,j)}, U D_ij U^dag> / N: the
+    dense, tolerance-based covariance check for any unitary U and any dense
+    displacement stack D (standard by default). A `PhasePermutation` U is
+    applied by `PhasePermutation.conjugate`, a gather in O(N^4) over the
+    stack; any other U by dense products in O(N^5). The stack is walked in
+    chunks of about CHECK_CHUNK_ENTRIES matrix entries, so no temporary is
+    the size of the stack."""
     N = dim.N
     if D is None:
         D = all_displacements(dim)
-    conj = U @ D @ U.conj().T
+    if isinstance(U, PhasePermutation):
+        conjugate = U.conjugate
+    else:
+        U = np.asarray(U)
+        Uh = U.conj().T
+
+        def conjugate(M):
+            return U @ M @ Uh
     ip, jp = G.apply(*np.divmod(np.arange(N * N), N), N)
-    tgt = D[ip * N + jp]
-    # snap the projection of each conjugate onto its target to the nearest
-    # tau power
-    ph = np.einsum("kab,kab->k", tgt.conj(), conj) / N
+    target = ip * N + jp
     table = tau_table(dim)
-    snapped = table[np.argmin(np.abs(table[None, :] - ph[:, None]), axis=1)]
-    return float(np.abs(conj - snapped[:, None, None] * tgt).max())
+    step = max(1, CHECK_CHUNK_ENTRIES // (N * N))
+    worst = 0.0
+    for lo in range(0, N * N, step):
+        conj = conjugate(D[lo:lo + step]).reshape(-1, N * N)
+        tgt = D[target[lo:lo + step]].reshape(-1, N * N)
+        # snap the projection of each conjugate onto its target to the
+        # nearest tau power
+        ph = np.vecdot(tgt, conj) / N
+        tgt *= table[np.argmin(np.abs(table - ph[:, None]), axis=1)][:, None]
+        conj -= tgt
+        worst = max(worst, float(np.abs(conj).max()))
+    return worst
 
 
 def predicted_eigenspace_dims(dim: Dimension) -> tuple[int, int, int]:
@@ -228,11 +247,51 @@ def antiunitary_action(E: SymplecticMatrix, dim: Dimension, v: np.ndarray) -> np
     return metaplectic(G, dim) @ np.conj(v)
 
 
+def _bezout(p: int, q: int) -> tuple[int, int]:
+    """Smallest pair (a, b) from the extended gcd with a*p + b*q = gcd(p, q)."""
+    old_r, r = p, q
+    old_a, a = 1, 0
+    old_b, b = 0, 1
+    while r != 0:
+        quot = old_r // r
+        old_r, r = r, old_r - quot * r
+        old_a, a = a, old_a - quot * a
+        old_b, b = b, old_b - quot * b
+    return old_a, old_b
+
+
+def _column_completion(vp: tuple[int, int], N: int) -> SymplecticMatrix:
+    """A matrix in SL(2, N) whose first column is vp, which must have order
+    N, i.e. gcd(vp_1, vp_2, N) = 1."""
+    v1, v2 = vp[0] % N, vp[1] % N
+    g = math.gcd(v1, v2)
+    if math.gcd(g, N) != 1:
+        raise ValueError(f"{vp} does not have order {N}")
+    a, b = _bezout(v1, v2)
+    ginv = mod_inverse(g % N, N)
+    y = (ginv * a) % N
+    x = (-ginv * b) % N
+    S = SymplecticMatrix(v1, x, v2, y)
+    assert S.det() % N == 1 % N
+    return S
+
+
 def random_symplectic(dim: Dimension, rng: np.random.Generator) -> SymplecticMatrix:
-    """Uniform-ish random element of SL(2, nbar) by rejection sampling."""
+    """Exactly uniform element of SL(2, nbar).
+
+    The matrices with first column v are S_v (1, t; 0, 1) for t mod nbar, with
+    S_v = `_column_completion(v)`: the stabiliser of (1, 0) is the upper
+    unitriangular group. So a uniform v of order nbar (rejection on
+    gcd(alpha, gamma, nbar) = 1, accepted with probability
+    prod_{p | nbar} (1 - 1/p^2) >= 6/pi^2) and a uniform t give a uniform
+    element. Each attempt is one draw of (alpha, gamma, t); at nbar = 1 the
+    first is accepted.
+    """
     nbar = dim.nbar
     while True:
-        a, b, g_, d = (int(x) for x in rng.integers(0, nbar, size=4))
-        G = SymplecticMatrix(a, b, g_, d)
-        if is_symplectic(G, dim):
-            return G
+        alpha, gamma, t = (int(x) for x in rng.integers(0, nbar, size=3))
+        if math.gcd(alpha, gamma, nbar) == 1:
+            break
+    S = _column_completion((alpha, gamma), nbar)
+    return SymplecticMatrix(alpha, (S.beta + t * alpha) % nbar,
+                            gamma, (S.delta + t * gamma) % nbar)

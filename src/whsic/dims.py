@@ -5,14 +5,16 @@ for square N = n^2, sigma = tau^{2n}. `tau_power` is the one scalar
 evaluation: it reduces the integer exponent first and evaluates
 exp(i pi m/N) once, never by repeated multiplication, so high powers stay
 accurate to machine precision even for N = 16 radical checks. `tau_table`
-lists tau^k for k < 2N from `tau_power`; `tau_powers` is the one array lookup
-into it (the only place an exponent array is reduced mod 2N).
+lists tau^k for k < 2N from `tau_power`, built once per dimension and
+shared read-only; `tau_powers` is the one array lookup into it (the only
+place an exponent array is reduced mod 2N).
 
 Every operator with one tau power per column (Weyl generators and
 displacements, monomial Clifford unitaries) is a `PhasePermutation` with
 integer exponents, composed exactly; checks on them compare integers, while
 checks on the dense metaplectic unitaries stay float. `.dense()` is the one
-way it becomes a matrix.
+way it becomes a matrix; `.conjugate(M)` applies U M U^dag to a dense stack
+by a gather, without one.
 
 The scalar evaluation is kept, instead of a vectorised numpy exp, because the
 seeded fiducial search amplifies one-ulp differences: numpy's array exp
@@ -23,6 +25,7 @@ L-BFGS-B trajectory and its restart and evaluation counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,10 +95,15 @@ def sigma_power(dim: Dimension, k: int) -> complex:
     return tau_power(dim, 2 * require_square(dim) * k)
 
 
+@functools.lru_cache(maxsize=256)
 def tau_table(dim: Dimension) -> np.ndarray:
-    """tau^k for 0 <= k < 2N; index it with any exponent reduced mod 2N."""
-    return np.fromiter((tau_power(dim, k) for k in range(2 * dim.N)),
-                       dtype=complex, count=2 * dim.N)
+    """tau^k for 0 <= k < 2N; index it with any exponent reduced mod 2N.
+    Built once per dimension from `tau_power` and returned read-only, so
+    every caller shares the same bits."""
+    table = np.fromiter((tau_power(dim, k) for k in range(2 * dim.N)),
+                        dtype=complex, count=2 * dim.N)
+    table.flags.writeable = False
+    return table
 
 
 def tau_powers(dim: Dimension, exponents) -> np.ndarray:
@@ -115,14 +123,48 @@ class PhasePermutation:
     def __post_init__(self):
         object.__setattr__(self, "expo", np.asarray(self.expo) % self.dim.nbar)
 
+    @classmethod
+    def _reduced(cls, dim: Dimension, image: np.ndarray,
+                 expo: np.ndarray) -> "PhasePermutation":
+        """Build from exponents already in [0, nbar), skipping the `%`."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "image", image)
+        object.__setattr__(out, "expo", expo)
+        return out
+
     def __matmul__(self, other: "PhasePermutation") -> "PhasePermutation":
         """Exact product self @ other: other acts first. The stack axes of
         self come first, then those of other."""
         if not isinstance(other, PhasePermutation):
             return NotImplemented
-        return PhasePermutation(
-            self.dim, np.take(self.image, other.image, axis=-1),
-            other.expo + np.take(self.expo, other.image, axis=-1))
+        # both exponents lie in [0, nbar), so one subtraction reduces the sum
+        nbar = self.dim.nbar
+        expo = other.expo + np.take(self.expo, other.image, axis=-1)
+        expo -= nbar * (expo >= nbar)
+        return PhasePermutation._reduced(
+            self.dim, np.take(self.image, other.image, axis=-1), expo)
+
+    @functools.cached_property
+    def _conjugation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat index, phase) with (U M U^dag).flat = M.flat[index] * phase.
+        U|v> = tau^{expo[v]} |image[v]>, so entry (image[c], image[d]) is
+        tau^{expo[c] - expo[d]} M[c, d]."""
+        inv = np.empty_like(self.image)
+        inv[self.image] = np.arange(self.dim.N)
+        t = tau_powers(self.dim, self.expo)[inv]
+        return ((inv[:, None] * self.dim.N + inv).ravel(),
+                (t[:, None] * t.conj()).ravel())
+
+    def conjugate(self, M: np.ndarray) -> np.ndarray:
+        """U M U^dag for one operator U and a dense stack M (..., N, N): one
+        gather over the flattened matrix axes and a phase product, O(N^2)
+        per matrix."""
+        index, phase = self._conjugation
+        M = np.asarray(M)
+        out = np.take(M.reshape(M.shape[:-2] + (-1,)), index, axis=-1)
+        out *= phase
+        return out.reshape(M.shape)
 
     def dense(self) -> np.ndarray:
         """The N x N matrix, one per stacked operator."""

@@ -14,9 +14,14 @@ and a symplectic G with beta coprime to nbar acts by
 with s' = -beta r + alpha s + m alpha taken in [0, n) and m = 0 (n odd) or
 n/2 (n even). These operators are exact `PhasePermutation`s, so covariance
 U_G D_ij U_G^dag = tau^c D_{G(i,j)} is an integer check over all N^2
-displacements (`covariance_witness`); `is_phase_permutation` stays the float
-oracle for dense matrices. The module also holds the SL(2,N)-orbit machinery
-used for the square/non-square decision procedures.
+displacements (`covariance_witness`). The float checks stay as oracles:
+`is_phase_permutation` for dense matrices, and
+`clifford.conjugation_check_batched`, which conjugates a dense displacement
+stack by a gather (`PhasePermutation.conjugate`), O(N^4) in place of the
+O(N^5) matrix products. The module also holds the SL(2,N)-orbit machinery
+used for the square/non-square decision procedures; its orbit witnesses use
+the column completion `clifford._column_completion`, as random_symplectic
+does.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ import numpy as np
 from .dims import (DEFAULT_TOL, Dimension, PhasePermutation, require_square,
                    tau_powers)
 from .weyl import displacements, mod_inverse
-from .clifford import ZAUNER, SymplecticMatrix, decompose, zauner_phase
+from .clifford import (ZAUNER, SymplecticMatrix, _column_completion, decompose,
+                       zauner_phase)
 
 
 def flatten(r: int, s: int, n: int) -> int:
@@ -92,7 +98,9 @@ def _first_failure(U: PhasePermutation, D: PhasePermutation, k,
     """First m with U D_{k[m]} U^dag != tau^c D_{kG[m]} for every integer c:
     U D_{k[m]} and D_{kG[m]} U differ in image or in exponent shift."""
     lhs, rhs = U @ D, D @ U
-    shift = (lhs.expo[k] - rhs.expo[kG]) % U.dim.nbar
+    # both exponents lie in [0, nbar), so one addition reduces the difference
+    shift = lhs.expo[k] - rhs.expo[kG]
+    shift += U.dim.nbar * (shift < 0)
     ok = ((lhs.image[k] == rhs.image[kG]).all(axis=-1)
           & (shift == shift[:, :1]).all(axis=-1))
     bad = np.flatnonzero(~ok)
@@ -126,34 +134,6 @@ def is_phase_permutation(M, tol: float = DEFAULT_TOL) -> bool:
 def vector_order(v: tuple[int, int], N: int) -> int:
     """Least k >= 1 with k*v == 0 mod N."""
     return N // math.gcd(v[0] % N, v[1] % N, N)
-
-
-def _column_completion(vp: tuple[int, int], N: int) -> SymplecticMatrix:
-    """A matrix in SL(2, N) whose first column is vp (which has order N)."""
-    v1, v2 = vp[0] % N, vp[1] % N
-    g = math.gcd(v1, v2)
-    if g == 0:
-        raise ValueError("zero vector cannot have order N")
-    a, b = _bezout(v1, v2)
-    ginv = mod_inverse(g % N, N)
-    y = (ginv * a) % N
-    x = (-ginv * b) % N
-    S = SymplecticMatrix(v1, x, v2, y)
-    assert S.det() % N == 1
-    return S
-
-
-def _bezout(p: int, q: int) -> tuple[int, int]:
-    """Smallest pair (a, b) from the extended gcd with a*p + b*q = gcd(p, q)."""
-    old_r, r = p, q
-    old_a, a = 1, 0
-    old_b, b = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_a, a = a, old_a - quot * a
-        old_b, b = b, old_b - quot * b
-    return old_a, old_b
 
 
 def _primitive_lift(w: tuple[int, int], k: int, N: int) -> tuple[int, int]:

@@ -1,5 +1,8 @@
 """Metaplectic representation, order-3 symmetry, and the even-dimension lift."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,3 +131,23 @@ def test_random_symplectic_is_symplectic(N, seed):
     G = random_symplectic(dim, np.random.default_rng(seed))
     assert is_symplectic(G, dim)
     assert G.mul(G.inv(dim.nbar), dim.nbar) == IDENTITY.reduced(dim.nbar)
+
+
+@pytest.mark.parametrize("nbar, order", [(3, 24), (4, 48), (8, 384)])
+def test_random_symplectic_is_exactly_uniform(nbar, order):
+    """200 seeded draws per element of SL(2, Z_nbar) hit every element, each
+    with det 1, and their chi^2 statistic against the uniform law stays below
+    its upper 1e-6 quantile."""
+    from scipy.stats import chi2
+    dim = Dimension(nbar if nbar % 2 else nbar // 2)
+    assert dim.nbar == nbar
+    group = {G for G in itertools.starmap(
+        SymplecticMatrix, itertools.product(range(nbar), repeat=4))
+        if is_symplectic(G, dim)}
+    assert len(group) == order
+    rng = np.random.default_rng(nbar)
+    counts = Counter(random_symplectic(dim, rng) for _ in range(200 * order))
+    assert all(G.det() % nbar == 1 for G in counts)
+    assert set(counts) == group
+    stat = sum((c - 200) ** 2 / 200 for c in counts.values())
+    assert stat < chi2.isf(1e-6, order - 1)

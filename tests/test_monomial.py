@@ -172,6 +172,59 @@ def test_covariance_witness_catches_one_flipped_exponent(N):
         assert ij is not None
         assert ij == first_dense_failure(G, dim, flipped, D.dense())
 
+def reference_check(G, dim, U, D):
+    """conjugation_check_batched one displacement at a time, by dense
+    products and without chunks."""
+    N, U = dim.N, np.asarray(U)
+    table, worst = tau_table(dim), 0.0
+    for k in range(N * N):
+        conj = U @ D[k] @ U.conj().T
+        ip, jp = G.apply(*divmod(k, N), N)
+        tgt = D[ip * N + jp]
+        ph = np.vdot(tgt, conj) / N
+        snapped = table[np.argmin(np.abs(table - ph))]
+        worst = max(worst, float(np.abs(conj - snapped * tgt).max()))
+    return worst
+
+
+@pytest.mark.parametrize("N", SQUARES)
+def test_phase_permutation_conjugate_matches_dense_products(N):
+    dim = Dimension(N)
+    rng = np.random.default_rng(N + 11)
+    D = all_displacements(dim, *monomial_weyl_generators(dim))
+    M = rng.standard_normal((3, N, N)) + 1j * rng.standard_normal((3, N, N))
+    for _ in range(5):
+        U = monomial_clifford(random_symplectic(dim, rng), dim)
+        Ud = U.dense()
+        for stack in (D, M, M[0]):
+            assert np.abs(U.conjugate(stack) - Ud @ stack @ Ud.conj().T).max() < 1e-14
+
+
+@pytest.mark.parametrize("N", SQUARES)
+def test_conjugation_check_gather_agrees_with_dense_path(N):
+    """The gather path for a PhasePermutation, the dense path for its
+    matrix and an unchunked loop give one residual, on the true stack, on a
+    noisy one (so every displacement has its own residual) and for a U with
+    one flipped exponent."""
+    dim = Dimension(N)
+    rng = np.random.default_rng(N + 13)
+    D = all_displacements(dim, *monomial_weyl_generators(dim))
+    noisy = D + 1e-3 * (rng.standard_normal(D.shape)
+                        + 1j * rng.standard_normal(D.shape))
+    for _ in range(3):
+        G = random_symplectic(dim, rng)
+        U = monomial_clifford(G, dim)
+        v = int(rng.integers(N))
+        flipped = PhasePermutation(dim, U.image, U.expo + (np.arange(N) == v))
+        for op, stack in ((U, D), (U, noisy), (flipped, D)):
+            fast = conjugation_check_batched(G, dim, op, stack)
+            assert abs(fast - conjugation_check_batched(
+                G, dim, np.asarray(op), stack)) < 1e-14
+            assert abs(fast - reference_check(G, dim, op, stack)) < 1e-14
+        assert conjugation_check_batched(G, dim, U, D) < 1e-9
+        assert conjugation_check_batched(G, dim, flipped, D) > 1
+
+
 @pytest.mark.parametrize("N", SQUARES)
 def test_stabilized_abelian_subgroup(N):
     dim = Dimension(N)

@@ -114,6 +114,21 @@ def test_one_phase_path_is_exact(N, k):
     assert omega_power(dim, k) == tau_power(dim, 2 * k)
 
 
+def test_tau_table_is_shared_read_only_and_bit_identical():
+    """The cached table is the uncached scalar build, bit for bit, and no
+    caller can write into it."""
+    for N in range(1, 65):
+        dim = Dimension(N)
+        table = tau_table(dim)
+        assert table is tau_table(Dimension(N))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+        rebuilt = np.fromiter((tau_power(dim, k) for k in range(2 * N)),
+                              dtype=complex, count=2 * N)
+        assert np.array_equal(table, rebuilt)
+
+
 @pytest.mark.parametrize("N", range(1, 13))
 def test_standard_stack_matches_generator_stack(N):
     dim = Dimension(N)
