@@ -113,7 +113,8 @@ def displacement_witness(fact: Factorization) -> tuple[int, int] | None:
     # factor j sends |w> to tau_j^{kappa_j (ab + 2bw)} |w + a>, w = v mod n_j
     rhs = sum((f.n + 1) * (N // f.n) * f.kappa * (a * b + 2 * b * (v % f.n))
               for f in fact.factors)
-    ok = ((_crt_rows(fact, D.image) == _crt_rows(fact, v + a))
+    rows = _crt_rows(fact, v)  # one N-entry table, gathered per image
+    ok = ((rows[D.image] == rows[(v + a) % N])
           & (((N + 1) * D.expo - rhs) % (2 * N) == 0)).all(axis=-1)
     bad = np.flatnonzero(~ok)
     return None if bad.size == 0 else divmod(int(bad[0]), N)

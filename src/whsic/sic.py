@@ -22,10 +22,14 @@ Every certificate, in every basis, runs on the one FFT overlap kernel
 simplex-projection identities (sum of squared probabilities 2/(N+1), shifted
 autocorrelations 1/(N+1)) and projects vectors onto the order-3 symmetry
 eigenspace where fiducials live.
+
+What depends on N alone is built once per dimension and shared read-only:
+each tag's V, the E0 basis of the search and the kernel's shift gathers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -87,19 +91,24 @@ def rephased4_generators() -> tuple[PhasePermutation, PhasePermutation]:
     return tuple(Pinv @ M @ P for M in monomial_weyl_generators(dim))
 
 
+@functools.lru_cache(maxsize=256)
 def basis_change(dim: Dimension, basis: str) -> np.ndarray:
     """Unitary V whose columns are the basis vectors of a tag in standard
     coordinates; raises BasisUnavailable for an unknown tag or a tag
-    registered at another N."""
+    registered at another N. Built once per (dim, tag) and returned
+    read-only: copy it before writing into it."""
     if basis == "standard":
-        return np.eye(dim.N, dtype=complex)
-    if basis == "monomial" and dim.is_square:
-        return zak_matrix(dim)
-    if basis == "rephased4" and dim.N == 4:
-        return zak_matrix(dim) * tau_powers(dim, REPHASE4)
-    if basis == "adapted16" and dim.N == 16:
-        return adapted16.adapted16_generators()[2].T
-    raise BasisUnavailable(f"no basis {basis!r} registered at N={dim.N}")
+        V = np.eye(dim.N, dtype=complex)
+    elif basis == "monomial" and dim.is_square:
+        V = zak_matrix(dim)
+    elif basis == "rephased4" and dim.N == 4:
+        V = zak_matrix(dim) * tau_powers(dim, REPHASE4)
+    elif basis == "adapted16" and dim.N == 16:
+        V = adapted16.adapted16_generators()[2].T
+    else:
+        raise BasisUnavailable(f"no basis {basis!r} registered at N={dim.N}")
+    V.flags.writeable = False
+    return V
 
 
 def to_standard(f: Fiducial) -> Fiducial:
@@ -296,14 +305,16 @@ def zauner_project(dim: Dimension, v: np.ndarray, basis: str = "standard",
     return out / nrm
 
 
+@functools.lru_cache(maxsize=256)
 def _e0_basis(dim: Dimension) -> np.ndarray:
     """Orthonormal columns spanning the eigenvalue-1 eigenspace of the
-    standard-basis order-3 unitary."""
+    standard-basis order-3 unitary; built once per dimension, read-only."""
     P = _order3_projector(dim)
     w, v = np.linalg.eigh(P @ P.conj().T)
     cols = v[:, w > 0.5]
     # re-orthonormalize the projected columns against roundoff
     q, _ = np.linalg.qr(P @ cols)
+    q.flags.writeable = False
     return q
 
 
@@ -316,10 +327,24 @@ def sic_residual(psi: np.ndarray, D: np.ndarray, N: int) -> float:
     return float(np.sum((probs - 1.0 / (N + 1)) ** 2))
 
 
+@functools.lru_cache(maxsize=256)
 def _shift_index(N: int, sign: int) -> np.ndarray:
-    """(v + sign*i) mod N at row i, column v."""
+    """(v + sign*i) mod N at row i, column v; built once per (N, sign),
+    read-only."""
     u = np.arange(N)
-    return (u[None, :] + sign * u[:, None]) % N
+    index = (u[None, :] + sign * u[:, None]) % N
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=256)
+def _row_shift_gather(N: int) -> np.ndarray:
+    """Flat indices of entry (i, (v - i) mod N) of a C-ordered N x N array,
+    at row i, column v: M.ravel()[index] is
+    np.take_along_axis(M, _shift_index(N, -1), axis=1). Read-only."""
+    index = _shift_index(N, -1) + N * np.arange(N)[:, None]
+    index.flags.writeable = False
+    return index
 
 
 def standard_overlaps(psi: np.ndarray) -> np.ndarray:
@@ -345,8 +370,8 @@ def frame_residual(psi: np.ndarray) -> tuple[float, np.ndarray]:
     w = np.abs(S) ** 2 - 1.0 / (N + 1)
     w[0, 0] = 0.0
     B = N * np.fft.ifft(w * S.conj(), axis=1)
-    down = _shift_index(N, -1)
-    grad = 4.0 * (psi[down] * np.take_along_axis(B, down, axis=1)).sum(axis=0)
+    grad = 4.0 * (psi[_shift_index(N, -1)]
+                  * B.ravel()[_row_shift_gather(N)]).sum(axis=0)
     return float(np.sum(w ** 2)), grad
 
 
@@ -365,10 +390,15 @@ def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
     are no finite differences and no displacement matrices. Returns the
     first restart (lowest index) whose polished vector passes verify_sic at
     tol, or None if all restarts fail.
+
+    B and the kernel's shift gathers are built once per dimension and
+    shared; B^dag is formed once per call, and each restart's sub-seed only
+    when that restart is reached.
     """
     from scipy.optimize import minimize  # keeps scipy out of `import whsic.cli`
 
     B = _e0_basis(dim)
+    Bh = B.conj().T
     d = B.shape[1]
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -380,11 +410,13 @@ def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
         F, g = frame_residual(psi)
         # psi = phi/|phi| with phi = Bc: project out the radial part, scale
         # by 1/|phi| and pull back through B; d/dRe, d/dIm are 2 Re, 2 Im
-        gc = B.conj().T @ (g - np.vdot(psi, g).real * psi) / nrm
+        gc = Bh @ (g - np.vdot(psi, g).real * psi) / nrm
         return F, 2.0 * np.concatenate([gc.real, gc.imag])
 
-    seeds = np.random.SeedSequence(rng_seed).spawn(max_restarts)
-    for restart, seed in enumerate(seeds):
+    for restart in range(max_restarts):
+        # child `restart` of SeedSequence(rng_seed).spawn(max_restarts),
+        # made only when the restart is reached
+        seed = np.random.SeedSequence(rng_seed, spawn_key=(restart,))
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(2 * d)
         res = minimize(objective, x0, jac=True, method="L-BFGS-B",
