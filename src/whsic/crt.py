@@ -110,9 +110,12 @@ def displacement_witness(fact: Factorization) -> tuple[int, int] | None:
     D = displacements(Dimension(N))
     a, b = (x[:, None] for x in np.divmod(np.arange(N * N), N))
     v = np.arange(N)
-    # factor j sends |w> to tau_j^{kappa_j (ab + 2bw)} |w + a>, w = v mod n_j
-    rhs = sum((f.n + 1) * (N // f.n) * f.kappa * (a * b + 2 * b * (v % f.n))
-              for f in fact.factors)
+    # factor j sends |u> to tau_j^{kappa_j (ab + 2bu)} |u + a>, u = v mod n_j;
+    # with c_j = (n_j+1)(N/n_j) kappa_j the sum over j is ab sum_j c_j + 2b w
+    # for the one N-vector w = sum_j c_j (v mod n_j)
+    c = [(f.n + 1) * (N // f.n) * f.kappa for f in fact.factors]
+    w = sum(cj * (v % f.n) for cj, f in zip(c, fact.factors))
+    rhs = sum(c) * a * b + 2 * b * w
     rows = _crt_rows(fact, v)  # one N-entry table, gathered per image
     ok = ((rows[D.image] == rows[(v + a) % N])
           & (((N + 1) * D.expo - rhs) % (2 * N) == 0)).all(axis=-1)

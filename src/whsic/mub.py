@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crt import factor_dimension
-from .dims import Dimension, require_square, sigma_power, tau_powers
+from .dims import Dimension, PhasePermutation, require_square, tau_powers
 from .errors import DimensionMismatch, NotLatin, NotOrthonormal, NotPrime
 from .monomial import flatten, monomial_weyl_generators
 
@@ -154,26 +154,25 @@ def prime_family(p: int) -> list[Basis]:
     if p < 2 or factor_dimension(p).factors[0].p != p:
         raise NotPrime(f"{p} is not prime")
     dim = Dimension(p * p)
-    n = p
-    X, Z = (P.dense() for P in monomial_weyl_generators(dim))
+    N, n = dim.N, p
+    X, Z = monomial_weyl_generators(dim)
+    inv = np.argsort(Z.image)
+    A = PhasePermutation(dim, inv, -Z.expo[inv])  # Z^{-1}, exactly
+    r, a = np.indices((n, n))
+    b = np.arange(n)
     bases = [eigenbasis_zero(dim), eigenbasis_infinity(dim)]
-    Zinv = Z.conj().T
     for k in range(1, p):
-        A = np.linalg.matrix_power(X, k) @ Zinv
-        phases = np.empty((n, n, n), dtype=complex)
-        for a in range(n):
-            idx = [flatten(r, a + k * r, n) for r in range(n)]
-            # phase picked up moving from orbit point r to r+1 (cyclically)
-            c = [A[idx[(r + 1) % n], idx[r]] for r in range(n)]
-            prefix = [1.0 + 0j]
-            for r in range(n - 1):
-                prefix.append(prefix[-1] * c[r])
-            loop = prefix[-1] * c[n - 1]
-            root = complex(loop) ** (1.0 / n)
-            for b in range(n):
-                mu = root * sigma_power(dim, b)
-                for r in range(n):
-                    phases[r, a, b] = prefix[r] * mu ** (-r)
+        A = X @ A  # X^k Z^{-1}
+        # A carries orbit point r to r + 1 (cyclically) with phase tau^step
+        step = A.expo[flatten(r, a + k * r, n)]
+        prefix = np.cumsum(step, axis=0) - step
+        # the loop phase is tau^loop = e^{i pi m/N}, m taken in (-N, N] so
+        # that its principal n-th root e^{i pi m/(N n)} is the eigenvalue
+        m = (step.sum(axis=0) * (N + 1)) % (2 * N)
+        m -= 2 * N * (m > N)
+        # tau^prefix mu^{-r} at (r, a, b); mu = root sigma^b, sigma = tau^{2n}
+        phases = (tau_powers(dim, prefix[..., None] - 2 * n * r[..., None] * b)
+                  * np.exp(-1j * np.pi * m * r / (N * n))[..., None])
         bases.append(latin_basis(dim, cyclic_latin_square(n, k), phases,
                                  f"latin({k})"))
     return bases

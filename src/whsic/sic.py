@@ -418,15 +418,14 @@ def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
         # made only when the restart is reached
         seed = np.random.SeedSequence(rng_seed, spawn_key=(restart,))
         rng = np.random.default_rng(seed)
-        x0 = rng.standard_normal(2 * d)
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": SEARCH_MAX_ITER,
-                                "ftol": 1e-16, "gtol": 1e-12})
-        # polish at tighter tolerances once the first pass stalls
-        res = minimize(objective, res.x, jac=True, method="L-BFGS-B",
-                       options={"maxiter": SEARCH_MAX_ITER,
-                                "ftol": 1e-18, "gtol": 1e-14})
-        c = res.x[:d] + 1j * res.x[d:]
+        x = rng.standard_normal(2 * d)
+        # the second pass polishes at tighter tolerances once the first stalls
+        for ftol, gtol in ((1e-16, 1e-12), (1e-18, 1e-14)):
+            res = minimize(objective, x, jac=True, method="L-BFGS-B",
+                           options={"maxiter": SEARCH_MAX_ITER,
+                                    "ftol": ftol, "gtol": gtol})
+            x = res.x
+        c = x[:d] + 1j * x[d:]
         psi = B @ (c / np.linalg.norm(c))
         psi = psi / np.linalg.norm(psi)
         f = Fiducial(dim, "standard", psi,

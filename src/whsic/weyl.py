@@ -68,11 +68,8 @@ def compose(g1: GroupElement, g2: GroupElement, dim: Dimension) -> GroupElement:
 
 def inverse(g: GroupElement, dim: Dimension) -> GroupElement:
     """The exact group inverse of a canonical element."""
-    # D_{ij} D_{-i,-j} = tau^{(-i)j - i(-j)} D_00 = D_00
-    inv = canonicalize(GroupElement(-g.k, -g.i, -g.j), dim)
-    # fix any residual phase picked up by canonicalization
-    res = compose(g, inv, dim)
-    return canonicalize(GroupElement(inv.k - res.k, inv.i, inv.j), dim)
+    # D_{ij} D_{-i,-j} = tau^{(-i)j - i(-j)} D_00 = D_00 exactly
+    return canonicalize(GroupElement(-g.k, -g.i, -g.j), dim)
 
 
 def element_order(g: GroupElement, dim: Dimension) -> int:

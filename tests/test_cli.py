@@ -138,11 +138,24 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# one case per command: the builtin chooses which construction flags count
 @pytest.mark.parametrize("argv,inputs", [
     (["verify", "crt", "--dim", "6"], {"dim": 6, "seed": 0, "tol": 1e-10}),
     (["verify", "sic", "--builtin", "n9", "--m3", "2"],
      {"builtin": "n9", "tol": 1e-10, "s0": 1, "s1": 1, "s2": 1, "m3": 2,
       "m4": 0}),
+    (["verify", "mub", "--p", "3"], {"p": 3, "tol": 1e-10}),
+    (["verify", "monomial", "--dim", "4", "--samples", "2"],
+     {"dim": 4, "samples": 2, "seed": 0}),
+    (["verify", "zauner", "--dim", "7"], {"dim": 7, "tol": 1e-10}),
+    (["generate", "sic", "--dim", "4", "--slot", "2"],
+     {"dim": 4, "tol": 1e-10, "slot": 2, "s": 0, "t": 0, "u": 0}),
+    (["generate", "mub", "--p", "2"], {"p": 2}),
+    (["generate", "projection", "--dim", "9", "--s1", "-1"],
+     {"dim": 9, "s0": 1, "s1": -1, "s2": 1, "m3": 0, "m4": 0}),
+    (["generate", "operators", "--dim", "5"], {"dim": 5}),
+    (["search", "--dim", "5", "--seed", "1", "--restarts", "3"],
+     {"dim": 5, "restarts": 3, "seed": 1, "tol": 1e-10}),
 ])
 def test_report_inputs_are_the_flags_read(argv, inputs, capsys):
     code, rep = run(argv, capsys)
@@ -159,6 +172,11 @@ def test_report_inputs_are_the_flags_read(argv, inputs, capsys):
     ["verify", "sic", "--builtin", "n4", "--tol", "inf"],
     ["verify", "sic", "--builtin", "n4", "--tol", "-1"],
     ["--tol", "nan", "search", "--dim", "5"],
+    # flags the command does not read
+    ["verify", "mub", "--dim", "9"],
+    ["verify", "zauner", "--dim", "7", "--samples", "100"],
+    ["generate", "mub", "--p", "2", "--slot", "3"],
+    ["generate", "operators", "--dim", "4", "--p", "3"],
 ])
 def test_vacuous_or_invalid_inputs_exit_two(argv, capsys):
     assert main(argv) == 2

@@ -201,6 +201,30 @@ def test_prime_family_latin_bases_diagonalize_cyclic_groups(p):
         assert np.max(np.abs(off)) < 1e-10
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_prime_family_matches_dense_orbit_products(p):
+    """Reference: float products of the dense entries of A = X^k Z^dag
+    along each orbit, and the principal n-th root of their loop product.
+    prime_family reads the same phases as exact tau exponents, so the
+    vectors, their order included, agree to rounding."""
+    dim = Dimension(p * p)
+    X, Z = (P.dense() for P in monomial_weyl_generators(dim))
+    bases = prime_family(p)
+    r = np.arange(p)
+    for k in range(1, p):
+        A = np.linalg.matrix_power(X, k) @ Z.conj().T
+        phases = np.empty((p, p, p), dtype=complex)
+        for a in range(p):
+            idx = flatten(r, a + k * r, p)
+            steps = A[np.roll(idx, -1), idx]
+            root = complex(np.prod(steps)) ** (1.0 / p)
+            for b in range(p):
+                mu = root * sigma_power(dim, b)
+                phases[:, a, b] = np.cumprod(np.r_[1, steps[:-1]]) * mu ** -r
+        ref = latin_basis(dim, cyclic_latin_square(p, k), phases)
+        assert np.max(np.abs(bases[1 + k].vectors - ref.vectors)) < 1e-12
+
+
 def test_prime_family_rejects_composite():
     with pytest.raises(NotPrime):
         prime_family(4)
