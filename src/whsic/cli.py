@@ -1,25 +1,25 @@
 """Command-line interface: construct, verify, and search, with JSON reports.
 
-    whsic verify sic (--builtin n4|n9|n16 | --file F) [construction flags]
-    whsic verify mub [--p P]
-    whsic verify monomial [--dim N] [--samples S]
-    whsic verify crt [--dim N]
-    whsic verify zauner [--dim N]
-    whsic generate sic [--dim 4|9|16] [construction flags]
+    whsic verify sic (--builtin n4|n9|n16 | --file F) [construction] [--tol T]
+    whsic verify mub [--p P] [--tol T]
+    whsic verify monomial [--dim N] [--samples S] [--seed K]
+    whsic verify crt [--dim N] [--seed K] [--tol T]
+    whsic verify zauner [--dim N] [--tol T]
+    whsic generate sic [--dim 4|9|16] [construction] [--tol T]
     whsic generate mub [--p P]
-    whsic generate projection [--dim 4|9] [construction flags]
+    whsic generate projection [--dim 4|9] [construction]
     whsic generate operators [--dim N]
-    whsic search --dim N [--restarts R] [--fiducial-out F]
+    whsic search --dim N [--restarts R] [--seed K] [--tol T] [--fiducial-out F]
 
-The construction flags are those of the builtin fiducials: --slot, --s, --t,
---u (n4), --s0, --s1, --s2, --m3, --m4 (n9) and --t2-branch (n16); the
-builtin, given by --builtin or --dim, chooses which ones it reads. The global
-flags --tol, --seed and --out go before or after the command. Any other flag
-a command does not read is a usage error, as is an out-of-range value.
+Every command also takes --out, and flags follow the command. The
+construction flags --slot, --s, --t, --u (n4), --s0, --s1, --s2, --m3, --m4
+(n9) and --t2-branch (n16) belong to the builtin that --builtin or --dim
+chooses; --file takes none. Any other flag, an abbreviated flag or a value
+out of range is a usage error. --tol is the tolerance compared against.
 
-Exit codes: 0 when the requested check passes, 1 when it runs but fails,
-2 on usage or parse errors. Each report names the command and the flags it
-read, and is deterministic for fixed arguments and seed.
+Exit codes: 0 when the check passes, 1 when it runs but fails, 2 on usage
+or parse errors. Each report names the command and the flags it read, and
+is deterministic for fixed arguments and seed.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def _count(text: str) -> int:
     return count
 
 
-# every flag once, by destination; the first three are global
+# every flag once, by destination
 FLAGS = {
     "tol": dict(type=_tolerance, default=1e-10, help="tolerance (default 1e-10)"),
     "seed": dict(type=int, default=0),
@@ -85,17 +85,11 @@ FLAGS = {
        for k in ("s0", "s1", "s2", "t2_branch")},
     **{k: dict(type=int, choices=range(3), default=0) for k in ("m3", "m4")},
 }
-GLOBAL = ("tol", "seed", "out")
-
-
-def _builtin_name(args) -> str | None:
-    """The builtin a command constructs: --builtin (None with --file), else
-    n<dim>."""
-    return args.builtin if "builtin" in vars(args) else f"n{args.dim}"
+CONSTRUCTION = tuple(k for _, flags in BUILTINS.values() for k in flags)
 
 
 def _builtin_fiducial(args) -> Fiducial:
-    make, flags = BUILTINS[_builtin_name(args)]
+    make, flags = BUILTINS[args.builtin]
     return make(*(getattr(args, k) for k in flags))
 
 
@@ -134,12 +128,10 @@ def _verify_monomial(args) -> dict:
 
 def _verify_crt(args) -> dict:
     worst = verify_product_iso(args.dim, rng_seed=args.seed)
-    tol = max(args.tol, 1e-9)
-    return {"pass": bool(worst <= tol),
+    return {"pass": bool(worst <= args.tol),
             "metrics": {"max_abs_deviation": worst,
                         "checked_displacements": args.dim ** 2,
-                        "symplectic_samples": SYMPLECTIC_SAMPLES,
-                        "effective_tol": tol}}
+                        "symplectic_samples": SYMPLECTIC_SAMPLES}}
 
 
 def _verify_zauner(args) -> dict:
@@ -147,22 +139,17 @@ def _verify_zauner(args) -> dict:
     U = zauner_unitary(dim)
     cube_dev = float(np.max(np.abs(U @ U @ U - np.eye(dim.N))))
     measured, predicted = eigenspace_dims(dim, U)
-    tol = max(args.tol, 1e-10)
-    return {"pass": bool(cube_dev <= tol and measured == predicted),
+    return {"pass": bool(cube_dev <= args.tol and measured == predicted),
             "metrics": {"cube_deviation": cube_dev,
                         "measured_dims": list(measured),
-                        "predicted_dims": list(predicted),
-                        "effective_tol": tol}}
+                        "predicted_dims": list(predicted)}}
 
 
 def _generate_sic(args) -> dict:
-    if args.dim not in (4, 9, 16):
-        raise ValueError(f"no closed form for N={args.dim}; use search")
     f = _builtin_fiducial(args)
-    cert = verify_sic(f, args.tol if args.dim != 16 else max(args.tol, 1e-8))
+    cert = verify_sic(f, args.tol)
     return {"pass": bool(cert.passed),
-            "metrics": {"max_abs_deviation": cert.max_abs_deviation,
-                        "effective_tol": cert.tolerance},
+            "metrics": {"max_abs_deviation": cert.max_abs_deviation},
             "artifacts": {"fiducial": fileio.fiducial_to_dict(f)}}
 
 
@@ -176,18 +163,16 @@ def _generate_mub(args) -> dict:
 
 
 def _generate_projection(args) -> dict:
-    if args.dim not in (4, 9):
-        raise ValueError("projection data is available for N = 4 and 9")
     f = _builtin_fiducial(args)
     dim = f.dim
     # |V^dag D_ij V psi|^2: the orbit's probabilities in the fiducial's basis
     orbit = all_displacements(dim) @ to_standard(f).amplitudes
-    points = (np.abs(orbit @ basis_change(dim, f.basis).conj()) ** 2).tolist()
+    points = np.abs(orbit @ basis_change(dim, f.basis).conj()) ** 2
     distinct = _distinct_points(points)
     return {"pass": distinct == dim.N,
             "metrics": {"num_points": len(points), "num_distinct": distinct,
-                        "sum_p_squared": float(np.sum(np.array(points[0]) ** 2))},
-            "artifacts": {"probability_vectors": points}}
+                        "sum_p_squared": float(np.sum(points[0] ** 2))},
+            "artifacts": {"probability_vectors": points.tolist()}}
 
 
 def _generate_operators(args) -> dict:
@@ -204,10 +189,9 @@ def _encode(M) -> list:
     return np.stack([np.real(M), np.imag(M)], axis=-1).tolist()
 
 
-def _distinct_points(points: list, tol: float = 1e-8) -> int:
+def _distinct_points(points: np.ndarray, tol: float = 1e-8) -> int:
     reps: list[np.ndarray] = []
-    for p in points:
-        v = np.array(p)
+    for v in points:
         if not any(np.max(np.abs(v - r)) < tol for r in reps):
             reps.append(v)
     return len(reps)
@@ -236,7 +220,7 @@ class Command(NamedTuple):
     """A command's handler, which returns its report, and its flags."""
 
     run: Callable[[argparse.Namespace], dict]
-    reads: tuple[str, ...]          # the flags it reads, global ones included
+    reads: tuple[str, ...]          # the flags it reads, besides --out
     builtins: tuple[str, ...] = ()  # whose construction flags it also takes
     required: tuple[str, ...] = ()  # flags that must be given
     one_of: tuple[str, ...] = ()    # flags of which exactly one must be given
@@ -265,40 +249,54 @@ def _add_flag(parser, name: str, **overrides) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="whsic",
+    ap = argparse.ArgumentParser(prog="whsic", allow_abbrev=False,
                                  description="Weyl-Heisenberg SIC toolkit")
-    # the global flags are accepted after the command too; SUPPRESS keeps
-    # the command's parser from clobbering a value given before it
-    common = argparse.ArgumentParser(add_help=False)
-    for name in GLOBAL:
-        _add_flag(ap, name)
-        _add_flag(common, name, default=argparse.SUPPRESS)
     # "verify" and "generate" get a subparser of their own per target
     sub = {"": ap.add_subparsers(dest="command", required=True)}
     for command, cmd in COMMANDS.items():
         head, _, leaf = command.rpartition(" ")
         if head not in sub:
-            sub[head] = sub[""].add_parser(head).add_subparsers(dest="target",
-                                                                required=True)
-        p = sub[head].add_parser(leaf, parents=[common])
+            parent = sub[""].add_parser(head, allow_abbrev=False)
+            sub[head] = parent.add_subparsers(dest="target", required=True)
+        p = sub[head].add_parser(leaf, allow_abbrev=False)
         p.set_defaults(command=command)
+        _add_flag(p, "out")
         group = (p.add_mutually_exclusive_group(required=True) if cmd.one_of
                  else None)
-        construction = tuple(k for b in cmd.builtins for k in BUILTINS[b][1])
-        for name in cmd.reads + construction:
-            if name not in GLOBAL:
-                _add_flag(group if name in cmd.one_of else p, name,
-                          required=name in cmd.required)
+        for name in cmd.reads:
+            _add_flag(group if name in cmd.one_of else p, name,
+                      required=name in cmd.required)
+        # a construction flag is set only when given: see parse_args
+        for name in (k for b in cmd.builtins for k in BUILTINS[b][1]):
+            _add_flag(p, name, default=argparse.SUPPRESS)
     return ap
+
+
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse, then let only the chosen builtin's construction flags through,
+    with the defaults of those not given."""
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    cmd = COMMANDS[args.command]
+    if cmd.builtins and "builtin" not in vars(args):
+        args.builtin = f"n{args.dim}"  # generate: --dim chooses the builtin
+        if args.builtin not in cmd.builtins:
+            ap.error(f"{args.command}: no closed form for N = {args.dim}")
+    takes = BUILTINS[args.builtin][1] if vars(args).get("builtin") else ()
+    stray = [k for k in CONSTRUCTION if k in vars(args) and k not in takes]
+    if stray:
+        ap.error(f"{args.command}: the chosen fiducial takes no "
+                 + ", ".join("--" + k.replace("_", "-") for k in stray))
+    for k in takes:
+        vars(args).setdefault(k, FLAGS[k]["default"])
+    return args
 
 
 def _emit(args, report: dict) -> None:
     """Write the report, headed by the command and the flags it read."""
-    cmd = COMMANDS[args.command]
-    read = cmd.reads
-    if cmd.builtins:
-        read += BUILTINS.get(_builtin_name(args), (None, ()))[1]
-    inputs = {k: getattr(args, k) for k in read if getattr(args, k) is not None}
+    inputs = {k: getattr(args, k)
+              for k in COMMANDS[args.command].reads + CONSTRUCTION
+              if getattr(args, k, None) is not None}
     text = json.dumps({"command": args.command, "inputs": inputs, **report},
                       indent=2, sort_keys=True) + "\n"
     if args.out is None or args.out == "-":
@@ -310,7 +308,7 @@ def _emit(args, report: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

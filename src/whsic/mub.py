@@ -20,11 +20,11 @@ mutually unbiased bases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .crt import factor_dimension
 from .dims import Dimension, PhasePermutation, require_square, tau_powers
 from .errors import DimensionMismatch, NotLatin, NotOrthonormal, NotPrime
 from .monomial import flatten, monomial_weyl_generators
@@ -151,7 +151,7 @@ def prime_family(p: int) -> list[Basis]:
     eigenvalue branch is the principal n-th root of the loop phase, so the
     output is deterministic.
     """
-    if p < 2 or factor_dimension(p).factors[0].p != p:
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise NotPrime(f"{p} is not prime")
     dim = Dimension(p * p)
     N, n = dim.N, p
@@ -200,9 +200,5 @@ def entanglement_check(basis: Basis) -> float:
     matrix from 1/sqrt(n); 0 up to roundoff means every vector is maximally
     entangled across the n (x) n split."""
     n = require_square(basis.dim)
-    worst = 0.0
-    for u in range(basis.dim.N):
-        M = basis.vectors[:, u].reshape(n, n)
-        sv = np.linalg.svd(M, compute_uv=False)
-        worst = max(worst, float(np.max(np.abs(sv - 1.0 / np.sqrt(n)))))
-    return worst
+    sv = np.linalg.svd(basis.vectors.T.reshape(-1, n, n), compute_uv=False)
+    return float(np.max(np.abs(sv - 1.0 / np.sqrt(n))))

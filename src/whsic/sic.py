@@ -285,31 +285,31 @@ def autocorrelation_check(f: Fiducial) -> np.ndarray:
 # Zauner eigenspace projection and numerical search
 # ---------------------------------------------------------------------------
 
-def _order3_projector(dim: Dimension) -> np.ndarray:
-    """(1 + U + U^2)/3 for the standard-basis order-3 unitary U."""
-    U = zauner_unitary(dim)
-    return (np.eye(dim.N) + U + U @ U) / 3.0
+NULL_NORM = 1e-8  # a projected norm below this is numerically null
 
 
-def zauner_project(dim: Dimension, v: np.ndarray, basis: str = "standard",
-                   tol: float = 1e-8) -> np.ndarray:
+def zauner_project(dim: Dimension, v: np.ndarray,
+                   basis: str = "standard") -> np.ndarray:
     """Project onto the eigenvalue-1 eigenspace of the order-3 symmetry,
-    V^dag P V with P = (1 + U + U^2)/3 and V the basis change, and
+    V^dag B B^dag V with B the cached E0 basis and V the basis change, and
     renormalize; raises NullProjection if the component is numerically
     null."""
     V = basis_change(dim, basis)
-    out = V.conj().T @ (_order3_projector(dim) @ (V @ v))
+    B = _e0_basis(dim)
+    out = V.conj().T @ (B @ (B.conj().T @ (V @ v)))
     nrm = float(np.linalg.norm(out))
-    if nrm < tol:
-        raise NullProjection(f"projected norm {nrm} below {tol}")
+    if nrm < NULL_NORM:
+        raise NullProjection(f"projected norm {nrm} below {NULL_NORM}")
     return out / nrm
 
 
 @functools.lru_cache(maxsize=256)
 def _e0_basis(dim: Dimension) -> np.ndarray:
     """Orthonormal columns spanning the eigenvalue-1 eigenspace of the
-    standard-basis order-3 unitary; built once per dimension, read-only."""
-    P = _order3_projector(dim)
+    standard-basis order-3 unitary U, from P = (1 + U + U^2)/3; built once
+    per dimension, read-only."""
+    U = zauner_unitary(dim)
+    P = (np.eye(dim.N) + U + U @ U) / 3.0
     w, v = np.linalg.eigh(P @ P.conj().T)
     cols = v[:, w > 0.5]
     # re-orthonormalize the projected columns against roundoff

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, determinism, round trips."""
 
+import functools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import whsic
-from whsic import fileio
+from whsic import cli, fileio
 from whsic.cli import main
 from whsic.dims import Dimension
 from whsic.sic import Fiducial, fiducial_n4
@@ -34,10 +35,12 @@ def test_verify_sic_builtins_pass(capsys):
         assert rep["metrics"]["max_abs_deviation"] < 1e-10
 
 
-def test_verify_sic_n16_needs_loose_tol(capsys):
-    code, rep = run(["verify", "sic", "--builtin", "n16", "--tol", "1e-8"],
-                    capsys)
-    assert code == 0 and rep["pass"] is True
+def test_verify_sic_n16_passes_at_default_tol(capsys):
+    for branch in ("1", "-1"):
+        code, rep = run(["verify", "sic", "--builtin", "n16",
+                         "--t2-branch", branch], capsys)
+        assert code == 0 and rep["pass"] is True
+        assert rep["inputs"]["tol"] == 1e-10
 
 
 def test_verify_sic_from_file(tmp_path, capsys):
@@ -100,18 +103,19 @@ def test_verify_monomial(capsys):
     assert rep["metrics"]["checked_displacements"] == 5 * 81
 
 
-# verify monomial compares integers only, so it applies no tolerance
-@pytest.mark.parametrize("argv,applied", [
-    (["verify", "monomial", "--dim", "4", "--samples", "2"], None),
-    (["verify", "crt", "--dim", "6"], 1e-9),
-    (["verify", "zauner", "--dim", "7"], 1e-10),
-    (["generate", "sic", "--dim", "16"], 1e-8),
-    (["generate", "sic", "--dim", "4"], 1e-12),
+# no command raises --tol: these checks deviate by about 1e-16 in float64
+@pytest.mark.parametrize("argv", [
+    ["verify", "crt", "--dim", "6"],
+    ["verify", "zauner", "--dim", "7"],
+    ["generate", "sic", "--dim", "16"],
 ])
-def test_report_gives_effective_tol(argv, applied, capsys):
+def test_tol_is_the_tolerance_compared_against(argv, capsys):
+    code, rep = run(argv + ["--tol", "1e-20"], capsys)
+    assert code == 1 and rep["pass"] is False
+    assert rep["inputs"]["tol"] == 1e-20
     code, rep = run(argv + ["--tol", "1e-12"], capsys)
-    assert code == 0
-    assert rep["metrics"].get("effective_tol") == applied
+    assert code == 0 and rep["pass"] is True
+    assert "effective_tol" not in rep["metrics"]
 
 
 def run_python(args):
@@ -177,10 +181,59 @@ def test_report_inputs_are_the_flags_read(argv, inputs, capsys):
     ["verify", "zauner", "--dim", "7", "--samples", "100"],
     ["generate", "mub", "--p", "2", "--slot", "3"],
     ["generate", "operators", "--dim", "4", "--p", "3"],
+    ["verify", "mub", "--seed", "5"],
+    ["verify", "monomial", "--dim", "4", "--tol", "1e-3"],
+    ["generate", "operators", "--dim", "3", "--tol", "1e-3"],
+    # construction flags the chosen fiducial does not take
+    ["verify", "sic", "--builtin", "n4", "--m3", "2"],
+    ["verify", "sic", "--file", "F", "--slot", "1"],
+    ["generate", "sic", "--dim", "4", "--t2-branch", "-1"],
+    ["generate", "projection", "--dim", "9", "--slot", "1"],
+    # no abbreviations: --s is n4's flag, not --seed
+    ["verify", "crt", "--dim", "6", "--s", "5"],
+    # flags follow the command
+    ["--seed", "9", "generate", "operators", "--dim", "3"],
 ])
-def test_vacuous_or_invalid_inputs_exit_two(argv, capsys):
-    assert main(argv) == 2
+def test_vacuous_or_invalid_inputs_exit_two(argv, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    fileio.save_fiducial(fiducial_n4(0, 0, 0, 0), path)
+    assert main([str(path) if a == "F" else a for a in argv]) == 2
     assert capsys.readouterr().out == ""
+
+
+# a valid value for each flag, with the selectors of a builtin fiducial
+SWEEP_VALUES = {"tol": 1e-9, "seed": 1, "builtin": "n4", "file": "F",
+                "dim": 4, "p": 3, "samples": 2, "restarts": 1,
+                "fiducial_out": "G", "slot": 1, "s": 1, "t": 1, "u": 1,
+                "s0": -1, "s1": -1, "s2": -1, "t2_branch": -1, "m3": 1,
+                "m4": 1}
+SWEEP_SELECTORS = [[], ["--builtin", "n4"], ["--builtin", "n9"],
+                   ["--builtin", "n16"], ["--file", "F"], ["--dim", "4"],
+                   ["--dim", "9"], ["--dim", "16"]]
+
+
+def test_every_flag_is_read_or_refused(tmp_path, capsys, monkeypatch):
+    """Each flag given to a command either exits 2 with nothing on stdout
+    or shows up, with its value, in the report's inputs."""
+    assert set(SWEEP_VALUES) == set(cli.FLAGS) - {"out"}
+    # parsing leaves the parser as it was, so one serves the whole sweep
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    paths = {"F": str(tmp_path / "f.json"), "G": str(tmp_path / "g.json")}
+    fileio.save_fiducial(fiducial_n4(0, 0, 0, 0), paths["F"])
+    for command in cli.COMMANDS:
+        base = command.split() + (["--restarts", "1"]
+                                  if command == "search" else [])
+        for selector in SWEEP_SELECTORS:
+            for name, value in SWEEP_VALUES.items():
+                value = paths.get(value, value)
+                argv = [paths.get(a, a) for a in base + selector] + [
+                    "--" + name.replace("_", "-"), str(value)]
+                code = main(argv)
+                out = capsys.readouterr().out
+                if code == 2:
+                    assert out == "", argv
+                else:
+                    assert json.loads(out)["inputs"][name] == value, argv
 
 
 def test_verify_out_of_range_flag_exits_two(capsys):
@@ -270,13 +323,12 @@ def test_search_dim_cap_exits_two(capsys):
     capsys.readouterr()
 
 
-def test_global_flags_accepted_both_sides(capsys):
-    code, rep = run(["--tol", "1e-8", "verify", "sic", "--builtin", "n16"],
+def test_flags_follow_the_command(capsys):
+    assert main(["--tol", "1e-8", "verify", "zauner", "--dim", "7"]) == 2
+    assert capsys.readouterr().out == ""
+    code, rep = run(["verify", "zauner", "--dim", "7", "--tol", "1e-8"],
                     capsys)
-    assert code == 0
-    code, rep = run(["verify", "sic", "--builtin", "n16", "--tol", "1e-8"],
-                    capsys)
-    assert code == 0
+    assert code == 0 and rep["inputs"]["tol"] == 1e-8
 
 
 def test_unknown_arguments_exit_two(capsys):
