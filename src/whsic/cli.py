@@ -272,10 +272,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _flag_before_command(argv: list[str]) -> str | None:
+    """The first flag given before the command's words are complete, which
+    argparse would misreport as an invalid command."""
+    words: list[str] = []
+    for token in argv:
+        if " ".join(words) in COMMANDS or token in ("-h", "--help"):
+            return None
+        if token.startswith("-"):
+            return token
+        words.append(token)
+    return None
+
+
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     """Parse, then let only the chosen builtin's construction flags through,
     with the defaults of those not given."""
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    flag = _flag_before_command(argv)
+    if flag is not None:
+        ap.error(f"{flag} comes before the command: flags go after the "
+                 "command")
     args = ap.parse_args(argv)
     cmd = COMMANDS[args.command]
     if cmd.builtins and "builtin" not in vars(args):

@@ -21,7 +21,7 @@ The scalar evaluation is kept, instead of a vectorised numpy exp, because the
 seeded fiducial search amplifies one-ulp differences: numpy's array exp
 rounds differently from the scalar path, and a changed last bit in the
 Zauner unitary, and so in the E0 basis the search reads, changes the
-L-BFGS-B trajectory and its restart and evaluation counts.
+optimizer's trajectory (`sic._lbfgs`) and its restart and evaluation counts.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ an operator M acts in the tag's basis as V^dag M V. Registered tags:
 Every certificate, in every basis, runs on the one FFT overlap kernel
 `standard_overlaps` applied to V a. The module also evaluates the
 simplex-projection identities (sum of squared probabilities 2/(N+1), shifted
-autocorrelations 1/(N+1)) and projects vectors onto the order-3 symmetry
-eigenspace where fiducials live.
+autocorrelations 1/(N+1)), projects vectors onto the order-3 symmetry
+eigenspace where fiducials live, and searches that eigenspace for fiducials
+with a numpy L-BFGS (`_lbfgs`) on the kernel's exact gradient.
 
 What depends on N alone is built once per dimension and shared read-only:
 each tag's V, the E0 basis of the search and the kernel's shift gathers.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -375,29 +377,126 @@ def frame_residual(psi: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.sum(w ** 2)), grad
 
 
-SEARCH_MAX_ITER = 100_000  # iteration cap of each L-BFGS-B pass
+SEARCH_MAX_ITER = 100_000  # iteration cap of each L-BFGS pass
+LBFGS_MEMORY = 10  # curvature pairs kept
+LINE_SEARCH_EVALS = 20  # evaluations allowed per line search
+ARMIJO, CURVATURE = 1e-3, 0.9  # weak-Wolfe constants of the line search
 
 
-def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
-                    tol: float = 1e-8) -> Fiducial | None:
-    """Numerical fiducial search in the order-3 eigenspace E0.
+class LbfgsResult(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nit: int   # iterations, one accepted line search each
+    nfev: int  # objective evaluations, the start included
+    stop: str  # "gtol", "ftol", "line search" or "maxiter"
 
-    Random unit starts are drawn inside E0 with deterministically derived
-    sub-seeds (one per restart), then refined by two L-BFGS-B passes on
-    F(psi) = sum ( |<psi|D_ij|psi>|^2 - 1/(N+1) )^2 with psi = Bc/|c| for an
-    orthonormal basis B of E0. F and its exact gradient come from the FFT
-    kernel `frame_residual`, chained through the normalisation and B; there
-    are no finite differences and no displacement matrices. Returns the
-    first restart (lowest index) whose polished vector passes verify_sic at
-    tol, or None if all restarts fail.
 
-    B and the kernel's shift gathers are built once per dimension and
-    shared; B^dag is formed once per call, and each restart's sub-seed only
-    when that restart is reached.
+def _lbfgs(fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
+           x: np.ndarray, ftol: float, gtol: float,
+           maxiter: int) -> LbfgsResult:
+    """Minimise f from x by L-BFGS (Liu & Nocedal, Math. Prog. 45, 503
+    (1989)); fg returns f and its gradient.
+
+    The direction is -H g for the inverse-Hessian estimate H of the last
+    LBFGS_MEMORY curvature pairs (s, y); a pair with s.y <= 0 is skipped.
+    The first trial step is min(1, 1/|g|) times -g, later ones start at
+    the full step, and `_line_search` picks each step. The pass stops when
+    max|g| <= gtol, when the relative reduction
+    (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ftol, when the line search
+    fails, or after maxiter iterations. These rules and the constants above
+    follow the L-BFGS-B code of Zhu, Byrd, Lu & Nocedal, ACM Trans. Math.
+    Softw. 23, 550 (1997).
     """
-    from scipy.optimize import minimize  # keeps scipy out of `import whsic.cli`
+    f, g = fg(x)
+    nfev, nit, reduction = 1, 0, math.inf
+    S = Y = np.empty((0, x.size))  # rows s and y, oldest first
+    while True:
+        if np.abs(g).max() <= gtol:
+            return LbfgsResult(x, f, nit, nfev, "gtol")
+        if reduction <= ftol:
+            return LbfgsResult(x, f, nit, nfev, "ftol")
+        if nit == maxiter:
+            return LbfgsResult(x, f, nit, nfev, "maxiter")
+        d = _direction(g, S, Y)
+        step = min(1.0, 1.0 / np.linalg.norm(g)) if nit == 0 else 1.0
+        x1, f1, g1, evals = _line_search(fg, x, f, g, d, step)
+        nfev += evals
+        if x1 is None:
+            return LbfgsResult(x, f, nit, nfev, "line search")
+        s, y = x1 - x, g1 - g
+        if s @ y > 0:
+            S = np.concatenate((S, s[None]))[-LBFGS_MEMORY:]
+            Y = np.concatenate((Y, y[None]))[-LBFGS_MEMORY:]
+        reduction = (f - f1) / max(abs(f), abs(f1), 1.0)
+        x, f, g, nit = x1, f1, g1, nit + 1
 
-    B = _e0_basis(dim)
+
+def _direction(g: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """-H g by the two-loop recursion over the pairs in the rows of S and Y
+    (oldest first), with H_0 = s.y / y.y of the newest pair.
+
+    Each loop's inner products come from one m x m table s_i.y_j, so the
+    recursions run on m scalars and not on m vector updates."""
+    m = len(S)
+    if m == 0:
+        return -g
+    SY = (S @ Y.T).tolist()
+    # newest to oldest: alpha_i = rho_i s_i.(g - sum_{j>i} alpha_j y_j)
+    alpha = (S @ g).tolist()
+    for i in reversed(range(m)):
+        for j in range(i + 1, m):
+            alpha[i] -= alpha[j] * SY[i][j]
+        alpha[i] /= SY[i][i]
+    r = (g - np.array(alpha) @ Y) * (SY[-1][-1] / (Y[-1] @ Y[-1]))
+    # oldest to newest: r += (alpha_i - rho_i y_i.r) s_i
+    coef = (Y @ r).tolist()
+    for i in range(m):
+        for j in range(i):
+            coef[i] += coef[j] * SY[j][i]
+        coef[i] = alpha[i] - coef[i] / SY[i][i]
+    return -(r + np.array(coef) @ S)
+
+
+def _line_search(fg, x: np.ndarray, f: float, g: np.ndarray, d: np.ndarray,
+                 step: float) -> tuple:
+    """A weak-Wolfe step along d from x: (x1, f1, g1, evals), or
+    (None, f, g, evals) when it fails.
+
+    A trial step is accepted when its decrease is at least ARMIJO times the
+    predicted one and its slope has risen to CURVATURE times the initial
+    one. A step whose slope is still too steep doubles until some step
+    fails the decrease test; from then on each trial is the safeguarded
+    quadratic interpolation inside the bracket. The search gives up after
+    LINE_SEARCH_EVALS evaluations, or at once if d is not downhill."""
+    slope = g @ d
+    if not slope < 0:
+        return None, f, g, 0
+    lo, f_lo, slope_lo, hi, f_hi = 0.0, f, slope, math.inf, math.inf
+    for evals in range(1, LINE_SEARCH_EVALS + 1):
+        x1 = x + step * d
+        f1, g1 = fg(x1)
+        if not f1 <= f + ARMIJO * step * slope:
+            hi, f_hi = step, f1
+        else:
+            slope1 = g1 @ d
+            if slope1 >= CURVATURE * slope:
+                return x1, f1, g1, evals
+            lo, f_lo, slope_lo = step, f1, slope1
+        if hi == math.inf:
+            step *= 2.0
+        else:
+            # minimiser of the quadratic through f_lo, slope_lo and f_hi,
+            # kept off the ends of [lo, hi]
+            width = hi - lo
+            t = -slope_lo * width / (2.0 * (f_hi - f_lo - slope_lo * width))
+            step = lo + width * min(max(t, 0.1), 0.9)
+    return None, f, g, LINE_SEARCH_EVALS
+
+
+def _e0_objective(B: np.ndarray) -> Callable[[np.ndarray],
+                                             tuple[float, np.ndarray]]:
+    """x -> (F, dF/dx) for psi = Bc/|c| with c = x[:d] + i x[d:], over the
+    orthonormal columns of B."""
     Bh = B.conj().T
     d = B.shape[1]
 
@@ -413,24 +512,51 @@ def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
         gc = Bh @ (g - np.vdot(psi, g).real * psi) / nrm
         return F, 2.0 * np.concatenate([gc.real, gc.imag])
 
+    return objective
+
+
+def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
+                    tol: float = 1e-8) -> Fiducial | None:
+    """Numerical fiducial search in the order-3 eigenspace E0.
+
+    Random unit starts are drawn inside E0 with deterministically derived
+    sub-seeds (one per restart), then refined by two L-BFGS passes (`_lbfgs`)
+    on F(psi) = sum ( |<psi|D_ij|psi>|^2 - 1/(N+1) )^2 with psi = Bc/|c| for
+    an orthonormal basis B of E0: the multi-start scheme of Renes,
+    Blume-Kohout, Scott & Caves, J. Math. Phys. 45, 2171 (2004). F and its
+    exact gradient come from the FFT kernel `frame_residual`, chained through
+    the normalisation and B; there are no finite differences and no
+    displacement matrices. Returns the first restart (lowest index) whose
+    polished vector passes verify_sic at tol, or None if all restarts fail.
+    Its provenance lists each pass's iterations, evaluations and stop
+    reason.
+
+    B and the kernel's shift gathers are built once per dimension and
+    shared; B^dag is formed once per call, and each restart's sub-seed only
+    when that restart is reached.
+    """
+    B = _e0_basis(dim)
+    d = B.shape[1]
+    objective = _e0_objective(B)
     for restart in range(max_restarts):
         # child `restart` of SeedSequence(rng_seed).spawn(max_restarts),
         # made only when the restart is reached
         seed = np.random.SeedSequence(rng_seed, spawn_key=(restart,))
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(2 * d)
+        passes = []
         # the second pass polishes at tighter tolerances once the first stalls
         for ftol, gtol in ((1e-16, 1e-12), (1e-18, 1e-14)):
-            res = minimize(objective, x, jac=True, method="L-BFGS-B",
-                           options={"maxiter": SEARCH_MAX_ITER,
-                                    "ftol": ftol, "gtol": gtol})
+            res = _lbfgs(objective, x, ftol, gtol, SEARCH_MAX_ITER)
             x = res.x
+            passes.append({"nit": res.nit, "nfev": res.nfev, "stop": res.stop})
         c = x[:d] + 1j * x[d:]
         psi = B @ (c / np.linalg.norm(c))
         psi = psi / np.linalg.norm(psi)
         f = Fiducial(dim, "standard", psi,
                      {"construction": "search", "rng_seed": rng_seed,
-                      "restart": restart, "residual": float(res.fun)})
+                      "restart": restart, "residual": float(res.fun),
+                      "passes": passes})
         if verify_sic(f, tol).passed:
             return f
     return None

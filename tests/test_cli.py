@@ -135,11 +135,14 @@ def test_verify_monomial_dim_one_terminates():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Only the search needs scipy; every other command skips its import."""
-    proc = run_python(["-c", "import sys, whsic.cli; "
-                             "print('scipy' in sys.modules)"])
+    """No command needs scipy: not even the search, whose optimizer is
+    numpy alone."""
+    proc = run_python(["-c", "import os, sys, whsic.cli; "
+                             "code = whsic.cli.main(['search', '--dim', '5', "
+                             "'--seed', '0', '--out', os.devnull]); "
+                             "print(code, 'scipy' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "0 False"
 
 
 # one case per command: the builtin chooses which construction flags count
@@ -311,6 +314,15 @@ def test_search_finds_and_saves(tmp_path, capsys):
     assert 0 <= i < 5 and 0 <= j < 5 and (i, j) != (0, 0)
     g = fileio.load_fiducial(fpath)
     assert g.dim.N == 5
+    # each of the two optimizer passes of the winning restart, in the report
+    # and in the saved file
+    passes = rep["artifacts"]["fiducial"]["provenance"]["passes"]
+    assert g.provenance["passes"] == passes
+    assert len(passes) == 2
+    for p in passes:
+        assert set(p) == {"nit", "nfev", "stop"}
+        assert 0 <= p["nit"] < p["nfev"]
+        assert p["stop"] in ("gtol", "ftol", "line search", "maxiter")
     # and the saved file verifies through the CLI as well
     code2, rep2 = run(["verify", "sic", "--file", str(fpath),
                        "--tol", "1e-8"], capsys)
@@ -324,8 +336,16 @@ def test_search_dim_cap_exits_two(capsys):
 
 
 def test_flags_follow_the_command(capsys):
-    assert main(["--tol", "1e-8", "verify", "zauner", "--dim", "7"]) == 2
-    assert capsys.readouterr().out == ""
+    # the error names the flag: argparse alone would take the flag's value
+    # for the command and call it an invalid choice
+    for argv in (["--tol", "1e-8", "verify", "zauner", "--dim", "7"],
+                 ["--seed", "9", "generate", "operators"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{argv[0]} comes before the command: flags go after the "
+                "command") in captured.err
+        assert "invalid choice" not in captured.err
     code, rep = run(["verify", "zauner", "--dim", "7", "--tol", "1e-8"],
                     capsys)
     assert code == 0 and rep["inputs"]["tol"] == 1e-8

@@ -11,7 +11,8 @@ from whsic.dims import Dimension, tau_power, tau_powers
 from whsic.errors import BasisUnavailable, NegativeRadicand, NullProjection
 from whsic.monomial import (is_phase_permutation, monomial_weyl_generators,
                             monomial_zauner)
-from whsic.sic import (Fiducial, _e0_basis, _row_shift_gather, _shift_index,
+from whsic.sic import (LINE_SEARCH_EVALS, Fiducial, _direction, _e0_basis,
+                       _e0_objective, _lbfgs, _row_shift_gather, _shift_index,
                        autocorrelation_check, basis_change,
                        fiducial_n4, fiducial_n9, fiducial_n9_amplitudes,
                        fiducial_n16, frame_residual, rephased4_generators,
@@ -433,8 +434,8 @@ def test_search_small_dimensions(N):
     f = search_fiducial(Dimension(N), rng_seed=SEARCH_SEEDS[N])
     assert f is not None
     assert verify_sic(f, 1e-8).passed
-    # the restart index pins the L-BFGS-B trajectory: a changed bit in the
-    # kernel, the E0 basis or the start draws moves it
+    # the restart index pins the L-BFGS trajectory: a changed bit in the
+    # kernel, the E0 basis, the start draws or the optimizer moves it
     assert f.provenance["restart"] == 0
 
 
@@ -457,6 +458,101 @@ def test_restart_seeds_match_spawned_children(rng_seed):
         assert np.array_equal(
             np.random.default_rng(on_demand).standard_normal(64),
             np.random.default_rng(children[k]).standard_normal(64))
+
+
+# ---------------------------------------------------------------------------
+# the L-BFGS optimizer of the search
+# ---------------------------------------------------------------------------
+
+def test_lbfgs_quadratic_reaches_gtol():
+    rng = np.random.default_rng(3)
+    n = 30
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Q @ np.diag(np.logspace(0, 2, n)) @ Q.T
+    x_min = rng.standard_normal(n)
+
+    def quadratic(x):
+        e = x - x_min
+        return 0.5 * e @ A @ e, A @ e
+
+    res = _lbfgs(quadratic, np.zeros(n), 0.0, 1e-10, 1000)
+    assert res.stop == "gtol"
+    assert np.abs(quadratic(res.x)[1]).max() <= 1e-10
+    assert np.abs(res.x - x_min).max() < 1e-10
+    assert 0 < res.nit < res.nfev
+
+
+def test_lbfgs_rosenbrock_reaches_gtol():
+    def rosenbrock(x):
+        a, b = x
+        return ((1 - a) ** 2 + 100 * (b - a * a) ** 2,
+                np.array([-2 * (1 - a) - 400 * a * (b - a * a),
+                          200 * (b - a * a)]))
+
+    res = _lbfgs(rosenbrock, np.array([-1.2, 1.0]), 0.0, 1e-10, 1000)
+    assert res.stop == "gtol"
+    assert np.abs(res.x - 1.0).max() < 1e-9
+    # the same start under the other two stop rules
+    capped = _lbfgs(rosenbrock, np.array([-1.2, 1.0]), 0.0, 1e-10, 5)
+    assert capped.stop == "maxiter" and capped.nit == 5
+    assert capped.fun > res.fun
+    stalled = _lbfgs(rosenbrock, np.array([-1.2, 1.0]), 1e-3, 0.0, 1000)
+    assert stalled.stop == "ftol" and stalled.nit < res.nit
+
+
+def test_lbfgs_converged_pass_ends_in_line_search_failure():
+    """Polished past F ~ 1e-20, roundoff defeats the sufficient-decrease
+    test: the pass must end as a failed line search of LINE_SEARCH_EVALS
+    evaluations, not loop to the iteration cap."""
+    dim = Dimension(7)
+    B = _e0_basis(dim)
+    objective = _e0_objective(B)
+    seed = np.random.SeedSequence(0, spawn_key=(0,))
+    x0 = np.random.default_rng(seed).standard_normal(2 * B.shape[1])
+    x = _lbfgs(objective, x0, 1e-16, 1e-12, 1000).x
+    F0 = objective(x)[0]
+    assert F0 < 1e-20
+    points = []
+
+    def counted(x):
+        points.append(x)
+        return objective(x)
+
+    # no tolerance can stop this pass: only the line search or the cap
+    res = _lbfgs(counted, x, 0.0, 0.0, 10 ** 6)
+    assert res.stop == "line search"
+    assert res.nfev == len(points) < 100
+    assert res.fun <= F0
+    # the last LINE_SEARCH_EVALS evaluations are the failed line search
+    # from the returned point
+    assert np.array_equal(points[-LINE_SEARCH_EVALS - 1], res.x)
+
+
+def two_loop(g, S, Y):
+    """The textbook two-loop recursion, one vector update per pair."""
+    q = g.copy()
+    alphas = []
+    for s, y in zip(S[::-1], Y[::-1]):
+        alphas.append((s @ q) / (s @ y))
+        q = q - alphas[-1] * y
+    r = q * (S[-1] @ Y[-1]) / (Y[-1] @ Y[-1])
+    for s, y, alpha in zip(S, Y, alphas[::-1]):
+        r = r + (alpha - (y @ r) / (s @ y)) * s
+    return -r
+
+
+@pytest.mark.parametrize("m", [1, 2, 10])
+def test_direction_matches_two_loop_recursion(m):
+    rng = np.random.default_rng(m)
+    n = 34
+    S = rng.standard_normal((m, n))
+    Y = S + 0.3 * rng.standard_normal((m, n))  # s.y > 0
+    g = rng.standard_normal(n)
+    d = _direction(g, S, Y)
+    ref = two_loop(g, S, Y)
+    assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert g @ d < 0
+    assert np.array_equal(_direction(g, S[:0], Y[:0]), -g)
 
 
 def test_e0_basis_is_shared_read_only_and_bit_identical():
