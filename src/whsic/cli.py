@@ -3,7 +3,7 @@
     whsic verify sic (--builtin n4|n9|n16 | --file F) [construction] [--tol T]
     whsic verify mub [--p P] [--tol T]
     whsic verify monomial [--dim N] [--samples S] [--seed K]
-    whsic verify crt [--dim N] [--seed K] [--tol T]
+    whsic verify crt [--dim N] [--seed K]
     whsic verify zauner [--dim N] [--tol T]
     whsic generate sic [--dim 4|9|16] [construction] [--tol T]
     whsic generate mub [--p P]
@@ -15,7 +15,8 @@ Every command also takes --out, and flags follow the command. The
 construction flags --slot, --s, --t, --u (n4), --s0, --s1, --s2, --m3, --m4
 (n9) and --t2-branch (n16) belong to the builtin that --builtin or --dim
 chooses; --file takes none. Any other flag, an abbreviated flag or a value
-out of range is a usage error. --tol is the tolerance compared against.
+out of range is a usage error. --tol is the tolerance compared against;
+`verify crt` and `verify monomial` compare integers and take none.
 
 Exit codes: 0 when the check passes, 1 when it runs but fails, 2 on usage
 or parse errors. Each report names the command and the flags it read, and
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import fileio
 from .clifford import eigenspace_dims, random_symplectic, zauner_unitary
-from .crt import SYMPLECTIC_SAMPLES, verify_product_iso
+from .crt import SYMPLECTIC_SAMPLES, product_iso_witness
 from .dims import Dimension
 from .errors import WhsicError
 from .monomial import (covariance_witness, monomial_clifford,
@@ -67,10 +68,17 @@ def _count(text: str) -> int:
     return count
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be non-negative")
+    return seed
+
+
 # every flag once, by destination
 FLAGS = {
     "tol": dict(type=_tolerance, default=1e-10, help="tolerance (default 1e-10)"),
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=_seed, default=0),
     "out": dict(help="report destination (default stdout)"),
     "builtin": dict(choices=list(BUILTINS)),
     "file": dict(),
@@ -127,11 +135,12 @@ def _verify_monomial(args) -> dict:
 
 
 def _verify_crt(args) -> dict:
-    worst = verify_product_iso(args.dim, rng_seed=args.seed)
-    return {"pass": bool(worst <= args.tol),
-            "metrics": {"max_abs_deviation": worst,
+    witness, chirps = product_iso_witness(args.dim, rng_seed=args.seed)
+    return {"pass": witness is None,
+            "metrics": {"witness": witness,
                         "checked_displacements": args.dim ** 2,
-                        "symplectic_samples": SYMPLECTIC_SAMPLES}}
+                        "symplectic_samples": SYMPLECTIC_SAMPLES,
+                        "checked_chirps": chirps}}
 
 
 def _verify_zauner(args) -> dict:
@@ -231,7 +240,7 @@ COMMANDS = {
                           tuple(BUILTINS), one_of=("builtin", "file")),
     "verify mub": Command(_verify_mub, ("p", "tol")),
     "verify monomial": Command(_verify_monomial, ("dim", "samples", "seed")),
-    "verify crt": Command(_verify_crt, ("dim", "seed", "tol")),
+    "verify crt": Command(_verify_crt, ("dim", "seed")),
     "verify zauner": Command(_verify_zauner, ("dim", "tol")),
     "generate sic": Command(_generate_sic, ("dim", "tol"), tuple(BUILTINS)),
     "generate mub": Command(_generate_mub, ("p",)),
@@ -248,12 +257,15 @@ def _add_flag(parser, name: str, **overrides) -> None:
                         **{**FLAGS[name], **overrides})
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the command only, or of every command when only is
+    None."""
     ap = argparse.ArgumentParser(prog="whsic", allow_abbrev=False,
                                  description="Weyl-Heisenberg SIC toolkit")
     # "verify" and "generate" get a subparser of their own per target
     sub = {"": ap.add_subparsers(dest="command", required=True)}
-    for command, cmd in COMMANDS.items():
+    chosen = COMMANDS if only is None else {only: COMMANDS[only]}
+    for command, cmd in chosen.items():
         head, _, leaf = command.rpartition(" ")
         if head not in sub:
             parent = sub[""].add_parser(head, allow_abbrev=False)
@@ -272,25 +284,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _flag_before_command(argv: list[str]) -> str | None:
-    """The first flag given before the command's words are complete, which
-    argparse would misreport as an invalid command."""
+def _split_command(argv: list[str]) -> tuple[str | None, str | None]:
+    """The command that argv's leading words name, or None, and the first
+    flag given before those words are complete, which argparse would
+    misreport as an invalid command."""
     words: list[str] = []
     for token in argv:
-        if " ".join(words) in COMMANDS or token in ("-h", "--help"):
-            return None
+        if " ".join(words) in COMMANDS:
+            break
+        if token in ("-h", "--help"):
+            return None, None
         if token.startswith("-"):
-            return token
+            return None, token
         words.append(token)
-    return None
+    command = " ".join(words)
+    return (command if command in COMMANDS else None), None
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """Parse, then let only the chosen builtin's construction flags through,
-    with the defaults of those not given."""
-    ap = build_parser()
+    """Parse with the parser of the command argv names (of every command if
+    it names none, for argparse's usage error), then let only the chosen
+    builtin's construction flags through, with the defaults of those not
+    given."""
     argv = sys.argv[1:] if argv is None else argv
-    flag = _flag_before_command(argv)
+    command, flag = _split_command(argv)
+    ap = build_parser(command)
     if flag is not None:
         ap.error(f"{flag} comes before the command: flags go after the "
                  "command")

@@ -4,10 +4,11 @@ The metaplectic formula used throughout is
 
     U_G = (1/sqrt(N)) sum_{u,v} tau^{beta^{-1}(delta u^2 - 2uv + alpha v^2)} |u><v|
 
-valid when beta is invertible mod nbar; otherwise G is split as
-G = (0,-1;1,x) * (gamma+x*alpha, delta+x*beta; -alpha, -beta) with x chosen
-minimal so that delta + x*beta is coprime to nbar, and the two factors are
-multiplied.
+valid when beta is invertible mod nbar: U_G is then a chirp, tau to the
+power of an integer table (`chirp_exponents`) over sqrt(N). Otherwise G is
+split as G = (0,-1;1,x) * (gamma+x*alpha, delta+x*beta; -alpha, -beta) with x
+chosen minimal so that delta + x*beta is coprime to nbar, and the two chirps
+are multiplied (`chirp_factors`).
 """
 
 from __future__ import annotations
@@ -86,19 +87,36 @@ def decompose(G: SymplecticMatrix, dim: Dimension) -> tuple[SymplecticMatrix, Sy
     raise AssertionError("no valid x found; existence is guaranteed for symplectic G")
 
 
-def metaplectic(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
-    """Unitary representative of a symplectic G in the standard basis."""
+def chirp_factors(G: SymplecticMatrix, dim: Dimension) -> tuple[SymplecticMatrix, ...]:
+    """G reduced mod nbar if its beta is a unit, else the two factors of
+    `decompose`: matrices whose metaplectic unitaries are chirps and multiply
+    to U_G."""
+    G = G.reduced(dim.nbar)
+    return (G,) if math.gcd(G.beta, dim.nbar) == 1 else decompose(G, dim)
+
+
+def chirp_exponents(Gs, dim: Dimension) -> np.ndarray:
+    """The exponent tables E[k, u, v] = beta^{-1}(delta u^2 - 2uv + alpha v^2)
+    mod nbar of a sequence of symplectic matrices whose beta is a unit mod
+    nbar, so that U_{G_k} = tau^{E[k]} / sqrt(N)."""
     nbar = dim.nbar
-    G = G.reduced(nbar)
-    if math.gcd(G.beta, nbar) != 1:
-        G1, G2 = decompose(G, dim)
-        return metaplectic(G1, dim) @ metaplectic(G2, dim)
-    N = dim.N
-    binv = mod_inverse(G.beta, nbar)
-    u = np.arange(N).reshape(-1, 1)
-    v = np.arange(N).reshape(1, -1)
-    expo = binv * (G.delta * u * u - 2 * u * v + G.alpha * v * v)
-    return tau_powers(dim, expo) / np.sqrt(N)
+    coeffs = []
+    for G in Gs:
+        b = mod_inverse(G.beta % nbar, nbar)
+        coeffs.append((b * G.delta % nbar, -2 * b % nbar, b * G.alpha % nbar))
+    # the coefficients are reduced first, so one reduction ends the table
+    c = np.array(coeffs, dtype=np.int64).reshape(-1, 3, 1, 1)
+    u = np.arange(dim.N).reshape(-1, 1)
+    uu = u * u
+    return (c[:, 0] * uu + c[:, 1] * (u * u.T) + c[:, 2] * uu.T) % nbar
+
+
+def metaplectic(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
+    """Unitary representative of a symplectic G in the standard basis: the
+    chirp of G, or the product of the chirps of its `chirp_factors`."""
+    U = tau_powers(dim, chirp_exponents(chirp_factors(G, dim), dim)) \
+        / np.sqrt(dim.N)
+    return U[0] if len(U) == 1 else U[0] @ U[1]
 
 
 def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension, U,

@@ -2,7 +2,8 @@
 
 For N = n_1 ... n_r with n_j = p_j^{q_j} coprime prime powers, H(N) is the
 direct product of the H(n_j) and the standard representation factors through
-the index bijection u <-> (u mod n_1, ..., u mod n_r). At the unitary level
+the index bijection u <-> (u mod n_1, ..., u mod n_r), the permutation P with
+P|u> = |u mod n_1> (x) ... (x) |u mod n_r>. At the unitary level
 the naive exponent-copying map fails on the central phases; the corrected map
 uses kappa_j = (N/n_j)^{-1} mod nbar_j:
 
@@ -12,19 +13,22 @@ and a symplectic F factors through the twisted matrices
 
     F'_j = ( alpha_j, kappa_j^{-1} beta_j ; kappa_j gamma_j, delta_j )
 
-mod nbar_j. verify_product_iso witnesses both statements: the displacement
-half exactly, as images and integer phases (`displacement_witness`), the
-metaplectic half densely, up to one float phase per sample.
+mod nbar_j. `product_iso_witness` checks both statements exactly and names
+the first failure. The displacement half compares row images and integer
+phases (`displacement_witness`). The symplectic half compares the chirp
+exponent tables of U_C and of (x)_j U_{F'_j(C)} for every chirp factor C of
+random symplectic samples, up to one constant per C (`symplectic_witness`).
+Both compare integers mod 2N and read no tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .clifford import SymplecticMatrix, metaplectic, random_symplectic
+from .clifford import (SymplecticMatrix, chirp_exponents, chirp_factors,
+                       random_symplectic)
 from .dims import Dimension
 from .weyl import displacements, mod_inverse
 
@@ -96,11 +100,6 @@ def _crt_rows(fact: Factorization, u: np.ndarray) -> np.ndarray:
     return row
 
 
-def crt_permutation(fact: Factorization) -> np.ndarray:
-    """Permutation matrix P with P|u>_N = |u mod n_1> (x) ... (x) |u mod n_r>."""
-    return np.eye(fact.N)[:, _crt_rows(fact, np.arange(fact.N))]
-
-
 def displacement_witness(fact: Factorization) -> tuple[int, int] | None:
     """First (a, b) with P D^{(N)}_{ab} P^T != (x)_j tau_j^{kappa_j ab}
     X_j^a Z_j^{kappa_j b}, or None. Exact: both sides are phase permutations,
@@ -123,29 +122,66 @@ def displacement_witness(fact: Factorization) -> tuple[int, int] | None:
     return None if bad.size == 0 else divmod(int(bad[0]), N)
 
 
-def verify_product_iso(N: int, n_symplectic: int = SYMPLECTIC_SAMPLES,
-                       rng_seed: int = 0) -> float:
-    """Max deviation of the CRT factorization.
+def symplectic_witness(fact: Factorization, Gs
+                       ) -> tuple[SymplecticMatrix, tuple[int, int]] | None:
+    """First G of Gs and entry (u, v) with P U_C P^T != c (x)_j U_{F'_j(C)}
+    for a constant c, where C is G or the failing one of its two
+    `chirp_factors`, or None. Exact: every U_C and U_{F'_j(C)} is a chirp
+    tau^E / sqrt(n) and 1/sqrt(N) = prod_j 1/sqrt(n_j), so entry (u, v)
+    compares (N+1) E_N[u, v] with sum_j (n_j+1)(N/n_j) E_j[u mod n_j,
+    v mod n_j] mod 2N, in the unit e^{i pi/N}, and their difference must be
+    the same for every entry of one C."""
+    N = fact.N
+    dim = Dimension(N)
+    chirps, owner = [], []
+    for i, G in enumerate(Gs):
+        for C in chirp_factors(G, dim):
+            chirps.append(C)
+            owner.append(i)
+    diff = (N + 1) * chirp_exponents(chirps, dim)
+    u = np.arange(N)
+    for j, f in enumerate(fact.factors):
+        E = chirp_exponents([f_prime(C, j, fact) for C in chirps],
+                            Dimension(f.n))
+        diff -= (f.n + 1) * (N // f.n) * E[:, (u % f.n)[:, None], u % f.n]
+    diff %= 2 * N
+    bad = np.flatnonzero(diff != diff[:, :1, :1])
+    if bad.size == 0:
+        return None
+    k, uv = divmod(int(bad[0]), N * N)
+    return Gs[owner[k]], divmod(uv, N)
 
-    Checks that P D^{(N)}_{ab} P^T = (x)_j tau_j^{kappa_j ab} X_j^a
-    Z_j^{kappa_j b} for every (a, b), exactly (`displacement_witness`), and
-    for n_symplectic random symplectic G mod Nbar that P U_G P^T matches
-    (x)_j U_{F'_j} up to one global phase per G. Returns the worst entrywise
-    deviation of the symplectic half, or 1.0 if the displacement half fails.
+
+def product_iso_witness(N: int, n_symplectic: int = SYMPLECTIC_SAMPLES,
+                        rng_seed: int = 0) -> tuple[dict | None, int]:
+    """The first failure of the CRT factorization of H(N) and its Clifford
+    group, and the number of chirps checked.
+
+    The witness is None when both halves hold, {"displacement": [a, b]} from
+    `displacement_witness`, or {"symplectic": [alpha, beta, gamma, delta],
+    "entry": [u, v]} from `symplectic_witness` over n_symplectic random
+    symplectic G mod Nbar. The symplectic half runs only when the
+    displacement half holds, and checks every chirp factor of every G.
     """
     dim = Dimension(N)
     fact = factor_dimension(N)
-    if displacement_witness(fact) is not None:
-        return 1.0
-    P = crt_permutation(fact)
-    worst = 0.0
+    ab = displacement_witness(fact)
+    if ab is not None:
+        return {"displacement": list(ab)}, 0
     rng = np.random.default_rng(rng_seed)
-    for _ in range(n_symplectic):
-        G = random_symplectic(dim, rng)
-        lhs = P @ metaplectic(G, dim) @ P.T
-        rhs = reduce(np.kron, [metaplectic(f_prime(G, j, fact), Dimension(f.n))
-                               for j, f in enumerate(fact.factors)])
-        ph = np.trace(rhs.conj().T @ lhs) / N
-        ph = ph / abs(ph)
-        worst = max(worst, float(np.max(np.abs(lhs - ph * rhs))))
-    return worst
+    Gs = [random_symplectic(dim, rng) for _ in range(n_symplectic)]
+    checked = sum(len(chirp_factors(G, dim)) for G in Gs)
+    bad = symplectic_witness(fact, Gs)
+    if bad is None:
+        return None, checked
+    G, uv = bad
+    return ({"symplectic": [G.alpha, G.beta, G.gamma, G.delta],
+             "entry": list(uv)}, checked)
+
+
+def verify_product_iso(N: int, n_symplectic: int = SYMPLECTIC_SAMPLES,
+                       rng_seed: int = 0) -> float:
+    """The CRT factorization certificate of `product_iso_witness` as a
+    number: 0.0 when both halves hold exactly, 1.0 when either fails."""
+    witness, _ = product_iso_witness(N, n_symplectic, rng_seed)
+    return 0.0 if witness is None else 1.0

@@ -12,10 +12,12 @@ table (the only place an exponent array is reduced mod 2N).
 
 Every operator with one tau power per column (Weyl generators and
 displacements, monomial Clifford unitaries) is a `PhasePermutation` with
-integer exponents, composed exactly; checks on them compare integers, while
-checks on the dense metaplectic unitaries stay float. `.dense()` is the one
-way it becomes a matrix; `.conjugate(M)` applies U M U^dag to a dense stack
-by a gather, without one.
+integer exponents, composed exactly; checks on them compare integers. A
+metaplectic unitary is a chirp, tau to an integer table over sqrt(N), or a
+product of two (`clifford.chirp_exponents`), so the CRT certificate
+compares integers too; only the dense conjugation check stays float.
+`.dense()` is the one way a `PhasePermutation` becomes a matrix;
+`.conjugate(M)` applies U M U^dag to a dense stack by a gather, without one.
 
 The scalar evaluation is kept, instead of a vectorised numpy exp, because the
 seeded fiducial search amplifies one-ulp differences: numpy's array exp

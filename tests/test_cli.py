@@ -87,10 +87,13 @@ def test_verify_sic_corrupt_file_exits_two(tmp_path, capsys):
 def test_verify_mub_and_crt_and_zauner(capsys):
     code, rep = run(["verify", "mub", "--p", "3"], capsys)
     assert code == 0 and rep["metrics"]["num_bases"] == 4
-    code, rep = run(["verify", "crt", "--dim", "6", "--tol", "1e-9"], capsys)
+    code, rep = run(["verify", "crt", "--dim", "6"], capsys)
     assert code == 0
+    assert rep["metrics"]["witness"] is None
     assert rep["metrics"]["checked_displacements"] == 36
     assert rep["metrics"]["symplectic_samples"] == 20
+    assert 20 <= rep["metrics"]["checked_chirps"] <= 40
+    assert "max_abs_deviation" not in rep["metrics"]
     code, rep = run(["verify", "zauner", "--dim", "11"], capsys)
     assert code == 0 and rep["metrics"]["measured_dims"] == [4, 4, 3]
 
@@ -105,7 +108,7 @@ def test_verify_monomial(capsys):
 
 # no command raises --tol: these checks deviate by about 1e-16 in float64
 @pytest.mark.parametrize("argv", [
-    ["verify", "crt", "--dim", "6"],
+    ["verify", "mub", "--p", "3"],
     ["verify", "zauner", "--dim", "7"],
     ["generate", "sic", "--dim", "16"],
 ])
@@ -147,7 +150,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 # one case per command: the builtin chooses which construction flags count
 @pytest.mark.parametrize("argv,inputs", [
-    (["verify", "crt", "--dim", "6"], {"dim": 6, "seed": 0, "tol": 1e-10}),
+    (["verify", "crt", "--dim", "6"], {"dim": 6, "seed": 0}),
     (["verify", "sic", "--builtin", "n9", "--m3", "2"],
      {"builtin": "n9", "tol": 1e-10, "s0": 1, "s1": 1, "s2": 1, "m3": 2,
       "m4": 0}),
@@ -196,12 +199,27 @@ def test_report_inputs_are_the_flags_read(argv, inputs, capsys):
     ["verify", "crt", "--dim", "6", "--s", "5"],
     # flags follow the command
     ["--seed", "9", "generate", "operators", "--dim", "3"],
+    # the exact CRT certificate compares integers: there is no tolerance
+    ["verify", "crt", "--dim", "6", "--tol", "1e-9"],
 ])
 def test_vacuous_or_invalid_inputs_exit_two(argv, tmp_path, capsys):
     path = tmp_path / "f.json"
     fileio.save_fiducial(fiducial_n4(0, 0, 0, 0), path)
     assert main([str(path) if a == "F" else a for a in argv]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "crt", "--dim", "6"],
+    ["verify", "monomial", "--dim", "4"],
+    ["search", "--dim", "5"],
+])
+def test_negative_seed_is_a_usage_error_naming_the_flag(argv, capsys):
+    """numpy's own refusal of a negative seed names no flag."""
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be non-negative" in captured.err
 
 
 # a valid value for each flag, with the selectors of a builtin fiducial
@@ -219,7 +237,8 @@ def test_every_flag_is_read_or_refused(tmp_path, capsys, monkeypatch):
     """Each flag given to a command either exits 2 with nothing on stdout
     or shows up, with its value, in the report's inputs."""
     assert set(SWEEP_VALUES) == set(cli.FLAGS) - {"out"}
-    # parsing leaves the parser as it was, so one serves the whole sweep
+    # parsing leaves a parser as it was, so one per command serves the
+    # whole sweep
     monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     paths = {"F": str(tmp_path / "f.json"), "G": str(tmp_path / "g.json")}
     fileio.save_fiducial(fiducial_n4(0, 0, 0, 0), paths["F"])

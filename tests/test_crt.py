@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whsic.clifford import SymplecticMatrix, is_symplectic
-from whsic.crt import (Factorization, crt_permutation, displacement_witness,
-                       eta_prime, f_prime, factor_dimension, verify_product_iso)
+from whsic import crt
+from whsic.clifford import (SymplecticMatrix, is_symplectic, metaplectic,
+                            random_symplectic)
+from whsic.crt import (Factorization, displacement_witness, eta_prime, f_prime,
+                       factor_dimension, symplectic_witness,
+                       verify_product_iso)
 from whsic.dims import Dimension, tau_power
 from whsic.weyl import (GroupElement, all_displacements, compose,
                         standard_generators)
@@ -112,6 +115,32 @@ def test_f_prime_trivial_twist_is_reduction():
 # the permutation and the dense isomorphism
 # ---------------------------------------------------------------------------
 
+def crt_permutation(fact):
+    """Permutation matrix P with P|u>_N = |u mod n_1> (x) ... (x) |u mod n_r>,
+    built from the basis kets."""
+    return np.stack([reduce(np.kron, [np.eye(f.n)[u % f.n]
+                                      for f in fact.factors])
+                     for u in range(fact.N)], axis=1)
+
+
+def dense_symplectic_sides(fact, G, twist=f_prime):
+    """P U_G P^T and (x)_j U_{F'_j}, densely: the oracle of the exact
+    `symplectic_witness`. twist builds F'_j, so a test can break it."""
+    P = crt_permutation(fact)
+    lhs = P @ metaplectic(G, Dimension(fact.N)) @ P.T
+    rhs = reduce(np.kron, [metaplectic(twist(G, j, fact), Dimension(f.n))
+                           for j, f in enumerate(fact.factors)])
+    return lhs, rhs
+
+
+def dense_symplectic_deviation(fact, G, twist=f_prime):
+    """max |P U_G P^T - c (x)_j U_{F'_j}| for the one phase c fitted by the
+    trace inner product."""
+    lhs, rhs = dense_symplectic_sides(fact, G, twist)
+    ph = np.trace(rhs.conj().T @ lhs) / fact.N
+    return float(np.max(np.abs(lhs - ph / abs(ph) * rhs)))
+
+
 @pytest.mark.parametrize("N", [6, 12, 15])
 def test_crt_permutation_carries_generators(N):
     fact = factor_dimension(N)
@@ -164,3 +193,92 @@ def test_naive_kappa_map_is_rejected_with_a_witness(N):
     lhs = P @ all_displacements(Dimension(N))[a * N + b] @ P.T
     assert np.max(np.abs(lhs - dense_factor_side(naive, a, b))) > 0.1
     assert np.max(np.abs(lhs - dense_factor_side(fact, a, b))) < 1e-12
+
+
+def chirp_samples(N, count, seed=0):
+    """count random symplectic G mod Nbar whose beta is a unit, so that U_G
+    is itself a chirp and a witness entry is an entry of U_G."""
+    dim = Dimension(N)
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        G = random_symplectic(dim, rng)
+        if np.gcd(G.beta, dim.nbar) == 1:
+            out.append(G)
+    return out
+
+
+def assert_dense_witness(fact, G, uv, twist=f_prime):
+    """The dense sides differ at entry uv by another phase than at (0, 0)."""
+    lhs, rhs = dense_symplectic_sides(fact, G, twist)
+    rows = np.argmax(crt_permutation(fact), axis=0)  # row of |u>
+    ratio = [lhs[rows[u], rows[v]] / rhs[rows[u], rows[v]]
+             for u, v in ((0, 0), uv)]
+    assert abs(ratio[1] - ratio[0]) > 1e-3
+    assert dense_symplectic_deviation(fact, G, twist) > 1e-3
+
+
+@pytest.mark.parametrize("N", [6, 10, 12, 15, 30])
+def test_exact_symplectic_half_agrees_with_dense_oracle(N):
+    """Random G, chirps or not: the exact check and the dense products
+    both hold."""
+    dim = Dimension(N)
+    fact = factor_dimension(N)
+    rng = np.random.default_rng(N)
+    Gs = [random_symplectic(dim, rng) for _ in range(10)]
+    assert any(np.gcd(G.beta, dim.nbar) != 1 for G in Gs)
+    assert symplectic_witness(fact, Gs) is None
+    for G in Gs:
+        assert symplectic_witness(fact, [G]) is None
+        assert dense_symplectic_deviation(fact, G) < 1e-9
+
+
+@pytest.mark.parametrize("N", [6, 10, 12, 15, 30])
+def test_naive_kappa_twist_is_rejected_with_a_symplectic_witness(N):
+    fact = factor_dimension(N)
+    naive = Factorization(N, tuple(dataclasses.replace(f, kappa=1)
+                                   for f in fact.factors))
+    Gs = chirp_samples(N, 5)
+    witness = symplectic_witness(naive, Gs)
+    assert witness is not None
+    G, uv = witness
+    assert any(G is H for H in Gs)
+    assert_dense_witness(naive, G, uv)
+
+
+@pytest.mark.parametrize("N", [6, 10, 12, 15, 30])
+def test_twist_of_another_sample_is_rejected_with_a_witness(N, monkeypatch):
+    """The first factor's F'_j of each sample taken from the next sample."""
+    fact = factor_dimension(N)
+    nbar = Dimension(N).nbar
+    Gs = chirp_samples(N, 5)
+    swap = {G.reduced(nbar): H for G, H in zip(Gs, Gs[1:] + Gs[:1])}
+
+    def twist(G, j, fact):
+        return f_prime(swap.get(G.reduced(nbar), G) if j == 0 else G, j,
+                       fact)
+
+    monkeypatch.setattr(crt, "f_prime", twist)
+    witness = symplectic_witness(fact, Gs)
+    assert witness is not None
+    G, uv = witness
+    assert G is Gs[0]
+    assert_dense_witness(fact, G, uv, twist)
+
+
+@pytest.mark.parametrize("N", [6, 10, 12, 15, 30])
+def test_one_changed_exponent_is_the_witness(N, monkeypatch):
+    """One entry of the N-table of the third sample's chirp, raised by 1."""
+    Gs = chirp_samples(N, 5)
+    u, v = N - 1, N // 2
+    chirp_exponents = crt.chirp_exponents
+
+    def corrupted(chirps, dim):
+        E = chirp_exponents(chirps, dim)
+        if dim.N == N:
+            E[2, u, v] += 1
+        return E
+
+    monkeypatch.setattr(crt, "chirp_exponents", corrupted)
+    G, uv = symplectic_witness(factor_dimension(N), Gs)
+    assert G is Gs[2] and uv == (u, v)
