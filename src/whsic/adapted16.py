@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from .dims import Dimension, PhasePermutation, tau_powers
-from .errors import NegativeRadicand
+from .dims import Dimension, PhasePermutation, _checked_sqrt, tau_powers
 
 DIM16 = Dimension(16)
 
@@ -99,13 +98,6 @@ def adapted16_generators() -> tuple[PhasePermutation, PhasePermutation, np.ndarr
     for row, (cols, vals) in enumerate(_T_ROWS):
         T[row, cols] = 0.5 * tau_powers(DIM16, _tau_exponents(vals))
     return _generator(_X16_ENTRIES), _generator(_Z16_ENTRIES), T
-
-
-def _checked_sqrt(x: float, name: str) -> float:
-    """sqrt(x) for a radicand that must be non-negative up to roundoff."""
-    if x < -1e-12:
-        raise NegativeRadicand(f"{name}: radicand {x} is negative")
-    return math.sqrt(max(x, 0.0))
 
 
 def field_elements(t2_branch: int = +1, conjugate_orbit: bool = False) -> dict[str, float]:

@@ -2,25 +2,30 @@
 
     whsic verify sic (--builtin n4|n9|n16 | --file F) [construction] [--tol T]
     whsic verify mub [--p P] [--tol T]
-    whsic verify monomial [--dim N] [--samples S] [--seed K]
-    whsic verify crt [--dim N] [--seed K]
+    whsic verify monomial [--dim 1..100] [--samples S] [--seed K]
+    whsic verify crt [--dim 1..120] [--seed K]
     whsic verify zauner [--dim N] [--tol T]
     whsic generate sic [--dim 4|9|16] [construction] [--tol T]
     whsic generate mub [--p P]
     whsic generate projection [--dim 4|9] [construction]
     whsic generate operators [--dim N]
-    whsic search --dim N [--restarts R] [--seed K] [--tol T] [--fiducial-out F]
+    whsic search --dim 2..48 [--restarts R] [--seed K] [--tol T] [--fiducial-out F]
 
 Every command also takes --out, and flags follow the command. The
 construction flags --slot, --s, --t, --u (n4), --s0, --s1, --s2, --m3, --m4
-(n9) and --t2-branch (n16) belong to the builtin that --builtin or --dim
-chooses; --file takes none. Any other flag, an abbreviated flag or a value
-out of range is a usage error. --tol is the tolerance compared against;
-`verify crt` and `verify monomial` compare integers and take none.
+(n9) and --t2-branch, --conjugate-orbit (n16) belong to the builtin that
+--builtin or --dim chooses; --file takes none. Any other flag, an
+abbreviated flag or a value out of range is a usage error. --tol is the
+tolerance compared against; `verify crt` and `verify monomial` compare
+integers and take none.
 
 Exit codes: 0 when the check passes, 1 when it runs but fails, 2 on usage
-or parse errors. Each report names the command and the flags it read, and
-is deterministic for fixed arguments and seed.
+or parse errors. Each report is one line of JSON that names the command and
+the flags it read, and is deterministic for fixed arguments and seed.
+
+At module level this file imports no package module beyond dims and
+errors, which parsing and reporting need; each handler imports the modules
+it runs, so a command loads only those.
 """
 
 from __future__ import annotations
@@ -30,28 +35,27 @@ import itertools
 import json
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from . import fileio
-from .clifford import eigenspace_dims, random_symplectic, zauner_unitary
-from .crt import SYMPLECTIC_SAMPLES, product_iso_witness
 from .dims import Dimension
 from .errors import WhsicError
-from .monomial import (covariance_witness, monomial_clifford,
-                       monomial_weyl_generators)
-from .mub import is_unbiased, prime_family
-from .sic import (Fiducial, basis_change, fiducial_n4, fiducial_n9,
-                  fiducial_n16, search_fiducial, to_standard, verify_sic)
-from .weyl import all_displacements, displacements, standard_generators
 
+if TYPE_CHECKING:
+    from .sic import Fiducial
+
+# the largest --dim each command accepts; the crt and monomial caps keep the
+# peak RSS of their O(N^3) integer stacks near 110 MB (N = 120 and N = 100)
 SEARCH_DIM_CAP = 48
+CRT_DIM_CAP = 120
+MONOMIAL_DIM_CAP = 100
 
-# each builtin fiducial with the construction flags it takes, in call order
-BUILTINS = {"n4": (fiducial_n4, ("slot", "s", "t", "u")),
-            "n9": (fiducial_n9, ("s0", "s1", "s2", "m3", "m4")),
-            "n16": (fiducial_n16, ("t2_branch",))}
+# each builtin fiducial: the name of its constructor in whsic.sic, and the
+# construction flags it takes, in call order
+BUILTINS = {"n4": ("fiducial_n4", ("slot", "s", "t", "u")),
+            "n9": ("fiducial_n9", ("s0", "s1", "s2", "m3", "m4")),
+            "n16": ("fiducial_n16", ("t2_branch", "conjugate_orbit"))}
 
 
 def _tolerance(text: str) -> float:
@@ -92,18 +96,24 @@ FLAGS = {
     **{k: dict(type=int, choices=(1, -1), default=1)
        for k in ("s0", "s1", "s2", "t2_branch")},
     **{k: dict(type=int, choices=range(3), default=0) for k in ("m3", "m4")},
+    "conjugate_orbit": dict(type=int, choices=(0, 1), default=0),
 }
 CONSTRUCTION = tuple(k for _, flags in BUILTINS.values() for k in flags)
 
 
 def _builtin_fiducial(args) -> Fiducial:
-    make, flags = BUILTINS[args.builtin]
-    return make(*(getattr(args, k) for k in flags))
+    from . import sic
+    name, flags = BUILTINS[args.builtin]
+    return getattr(sic, name)(*(getattr(args, k) for k in flags))
 
 
 def _verify_sic(args) -> dict:
-    f = (fileio.load_fiducial(args.file) if args.file is not None
-         else _builtin_fiducial(args))
+    from .sic import verify_sic
+    if args.file is not None:
+        from .fileio import load_fiducial
+        f = load_fiducial(args.file)
+    else:
+        f = _builtin_fiducial(args)
     cert = verify_sic(f, args.tol)
     return {"pass": bool(cert.passed),
             "metrics": {"max_abs_deviation": cert.max_abs_deviation,
@@ -112,6 +122,7 @@ def _verify_sic(args) -> dict:
 
 
 def _verify_mub(args) -> dict:
+    from .mub import is_unbiased, prime_family
     bases = prime_family(args.p)
     worst = max(is_unbiased(A, B, args.tol).max_abs_deviation
                 for A, B in itertools.combinations(bases, 2))
@@ -120,6 +131,10 @@ def _verify_mub(args) -> dict:
 
 
 def _verify_monomial(args) -> dict:
+    from .clifford import random_symplectic
+    from .monomial import (covariance_witness, monomial_clifford,
+                           monomial_weyl_generators)
+    from .weyl import displacements
     dim = Dimension(args.dim)
     rng = np.random.default_rng(args.seed)
     D = displacements(dim, *monomial_weyl_generators(dim))
@@ -135,6 +150,7 @@ def _verify_monomial(args) -> dict:
 
 
 def _verify_crt(args) -> dict:
+    from .crt import SYMPLECTIC_SAMPLES, product_iso_witness
     witness, chirps = product_iso_witness(args.dim, rng_seed=args.seed)
     return {"pass": witness is None,
             "metrics": {"witness": witness,
@@ -144,6 +160,7 @@ def _verify_crt(args) -> dict:
 
 
 def _verify_zauner(args) -> dict:
+    from .clifford import eigenspace_dims, zauner_unitary
     dim = Dimension(args.dim)
     U = zauner_unitary(dim)
     cube_dev = float(np.max(np.abs(U @ U @ U - np.eye(dim.N))))
@@ -155,14 +172,17 @@ def _verify_zauner(args) -> dict:
 
 
 def _generate_sic(args) -> dict:
+    from .fileio import fiducial_to_dict
+    from .sic import verify_sic
     f = _builtin_fiducial(args)
     cert = verify_sic(f, args.tol)
     return {"pass": bool(cert.passed),
             "metrics": {"max_abs_deviation": cert.max_abs_deviation},
-            "artifacts": {"fiducial": fileio.fiducial_to_dict(f)}}
+            "artifacts": {"fiducial": fiducial_to_dict(f)}}
 
 
 def _generate_mub(args) -> dict:
+    from .mub import prime_family
     bases = prime_family(args.p)
     # each vector, a column of b.vectors, as a list of [re, im] pairs
     payload = [{"label": b.label, "N": b.dim.N, "vectors": _encode(b.vectors.T)}
@@ -172,6 +192,8 @@ def _generate_mub(args) -> dict:
 
 
 def _generate_projection(args) -> dict:
+    from .sic import basis_change, to_standard
+    from .weyl import all_displacements
     f = _builtin_fiducial(args)
     dim = f.dim
     # |V^dag D_ij V psi|^2: the orbit's probabilities in the fiducial's basis
@@ -185,6 +207,8 @@ def _generate_projection(args) -> dict:
 
 
 def _generate_operators(args) -> dict:
+    from .monomial import monomial_weyl_generators
+    from .weyl import standard_generators
     dim = Dimension(args.dim)
     pairs = {"standard": standard_generators(dim)}
     if dim.is_square:
@@ -207,22 +231,22 @@ def _distinct_points(points: np.ndarray, tol: float = 1e-8) -> int:
 
 
 def _search(args) -> dict:
-    if not (2 <= args.dim <= SEARCH_DIM_CAP):
-        raise ValueError(f"search dimension must be in 2..{SEARCH_DIM_CAP}")
+    from .fileio import fiducial_to_dict, save_fiducial
+    from .sic import search_fiducial, verify_sic
     f = search_fiducial(Dimension(args.dim), rng_seed=args.seed,
                         max_restarts=args.restarts, tol=args.tol)
     if f is None:
         return {"pass": False, "metrics": {"found": False}}
     cert = verify_sic(f, args.tol)
     if args.fiducial_out:
-        fileio.save_fiducial(f, args.fiducial_out)
+        save_fiducial(f, args.fiducial_out)
     return {"pass": bool(cert.passed),
             "metrics": {"found": True,
                         "max_abs_deviation": cert.max_abs_deviation,
                         "worst_displacement": list(cert.worst_displacement),
                         "restart": f.provenance["restart"],
                         "residual": f.provenance["residual"]},
-            "artifacts": {"fiducial": fileio.fiducial_to_dict(f)}}
+            "artifacts": {"fiducial": fiducial_to_dict(f)}}
 
 
 class Command(NamedTuple):
@@ -233,14 +257,17 @@ class Command(NamedTuple):
     builtins: tuple[str, ...] = ()  # whose construction flags it also takes
     required: tuple[str, ...] = ()  # flags that must be given
     one_of: tuple[str, ...] = ()    # flags of which exactly one must be given
+    dims: range | None = None       # the --dim values it accepts
 
 
 COMMANDS = {
     "verify sic": Command(_verify_sic, ("builtin", "file", "tol"),
                           tuple(BUILTINS), one_of=("builtin", "file")),
     "verify mub": Command(_verify_mub, ("p", "tol")),
-    "verify monomial": Command(_verify_monomial, ("dim", "samples", "seed")),
-    "verify crt": Command(_verify_crt, ("dim", "seed")),
+    "verify monomial": Command(_verify_monomial, ("dim", "samples", "seed"),
+                               dims=range(1, MONOMIAL_DIM_CAP + 1)),
+    "verify crt": Command(_verify_crt, ("dim", "seed"),
+                          dims=range(1, CRT_DIM_CAP + 1)),
     "verify zauner": Command(_verify_zauner, ("dim", "tol")),
     "generate sic": Command(_generate_sic, ("dim", "tol"), tuple(BUILTINS)),
     "generate mub": Command(_generate_mub, ("p",)),
@@ -248,7 +275,8 @@ COMMANDS = {
                                    ("n4", "n9")),
     "generate operators": Command(_generate_operators, ("dim",)),
     "search": Command(_search, ("dim", "fiducial_out", "restarts", "seed",
-                                "tol"), required=("dim",)),
+                                "tol"), required=("dim",),
+                      dims=range(2, SEARCH_DIM_CAP + 1)),
 }
 
 
@@ -303,9 +331,9 @@ def _split_command(argv: list[str]) -> tuple[str | None, str | None]:
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     """Parse with the parser of the command argv names (of every command if
-    it names none, for argparse's usage error), then let only the chosen
-    builtin's construction flags through, with the defaults of those not
-    given."""
+    it names none, for argparse's usage error), refuse a --dim outside the
+    command's range, then let only the chosen builtin's construction flags
+    through, with the defaults of those not given."""
     argv = sys.argv[1:] if argv is None else argv
     command, flag = _split_command(argv)
     ap = build_parser(command)
@@ -314,6 +342,9 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
                  "command")
     args = ap.parse_args(argv)
     cmd = COMMANDS[args.command]
+    if cmd.dims is not None and args.dim not in cmd.dims:
+        ap.error(f"argument --dim: must be in {cmd.dims.start}.."
+                 f"{cmd.dims.stop - 1}")
     if cmd.builtins and "builtin" not in vars(args):
         args.builtin = f"n{args.dim}"  # generate: --dim chooses the builtin
         if args.builtin not in cmd.builtins:
@@ -334,7 +365,7 @@ def _emit(args, report: dict) -> None:
               for k in COMMANDS[args.command].reads + CONSTRUCTION
               if getattr(args, k, None) is not None}
     text = json.dumps({"command": args.command, "inputs": inputs, **report},
-                      indent=2, sort_keys=True) + "\n"
+                      sort_keys=True) + "\n"
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:

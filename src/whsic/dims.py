@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSquare
+from .errors import NegativeRadicand, NotSquare
 
 # Global default tolerance for floating-point comparisons; every operation
 # that compares matrices accepts an override.
@@ -80,6 +80,15 @@ def require_square(dim: Dimension) -> int:
     if dim.n is None:
         raise NotSquare(f"N={dim.N} is not a square dimension")
     return dim.n
+
+
+def _checked_sqrt(x: float, name: str) -> float:
+    """sqrt(x) for a radicand that must be non-negative up to roundoff.
+    The N = 9 and N = 16 closed forms share it; it lives here so that `sic`
+    can use it without importing `adapted16`."""
+    if x < -1e-12:
+        raise NegativeRadicand(f"{name}: radicand {x} is negative")
+    return math.sqrt(max(x, 0.0))
 
 
 def tau_power(dim: Dimension, k: int) -> complex:

@@ -3,7 +3,8 @@
 Fiducial files carry {format_version, N, basis, amplitudes, provenance} with
 amplitudes stored as [re, im] pairs. Parsers reject vectors whose norm
 deviates from 1 by more than 1e-6; writers always emit the renormalized
-amplitudes so files round-trip bit-for-bit.
+amplitudes so files round-trip bit-for-bit. A file is written as one line
+of JSON, by json's C encoder; files written with indentation load the same.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def fiducial_to_dict(f: Fiducial) -> dict:
 
 
 def dumps_fiducial(f: Fiducial) -> str:
-    return json.dumps(fiducial_to_dict(f), indent=2, sort_keys=True) + "\n"
+    return json.dumps(fiducial_to_dict(f), sort_keys=True) + "\n"
 
 
 def save_fiducial(f: Fiducial, path: str) -> None:

@@ -37,10 +37,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import adapted16
-from .adapted16 import _checked_sqrt
 from .clifford import zauner_unitary
-from .dims import Dimension, PhasePermutation, sigma_power, tau_powers
+from .dims import (Dimension, PhasePermutation, _checked_sqrt, sigma_power,
+                   tau_powers)
 from .errors import BasisUnavailable, NullProjection
 from .monomial import flatten, monomial_weyl_generators, zak_matrix
 
@@ -106,7 +105,8 @@ def basis_change(dim: Dimension, basis: str) -> np.ndarray:
     elif basis == "rephased4" and dim.N == 4:
         V = zak_matrix(dim) * tau_powers(dim, REPHASE4)
     elif basis == "adapted16" and dim.N == 16:
-        V = adapted16.adapted16_generators()[2].T
+        from .adapted16 import adapted16_generators
+        V = adapted16_generators()[2].T
     else:
         raise BasisUnavailable(f"no basis {basis!r} registered at N={dim.N}")
     V.flags.writeable = False
@@ -242,10 +242,11 @@ def fiducial_n16(t2_branch: int = +1, conjugate_orbit: bool = False) -> Fiducial
     """Closed-form N = 16 fiducial in the adapted basis. Both t2 branches
     give valid fiducials; conjugate_orbit flips the signs of sqrt(13) and
     sqrt(17) in the coefficient field, landing on the second orbit."""
-    v = adapted16.fiducial_vector(t2_branch, conjugate_orbit)
+    from .adapted16 import fiducial_vector
+    v = fiducial_vector(t2_branch, conjugate_orbit)
     return Fiducial(Dimension(16), "adapted16", v,
                     {"construction": "n16", "t2_branch": t2_branch,
-                     "conjugate_orbit": conjugate_orbit,
+                     "conjugate_orbit": bool(conjugate_orbit),
                      "orbit": "16b" if conjugate_orbit else "16a"})
 
 

@@ -43,6 +43,28 @@ def test_verify_sic_n16_passes_at_default_tol(capsys):
         assert rep["inputs"]["tol"] == 1e-10
 
 
+def test_verify_sic_n16_conjugate_orbit(capsys):
+    """--conjugate-orbit reaches the second N = 16 orbit, 16b."""
+    vectors = {}
+    for orbit in ("0", "1"):
+        code, rep = run(["generate", "sic", "--dim", "16",
+                         "--conjugate-orbit", orbit], capsys)
+        assert code == 0 and rep["inputs"]["conjugate_orbit"] == int(orbit)
+        prov = rep["artifacts"]["fiducial"]["provenance"]
+        assert prov["conjugate_orbit"] is (orbit == "1")
+        assert prov["orbit"] == ("16b" if orbit == "1" else "16a")
+        vectors[orbit] = rep["artifacts"]["fiducial"]["amplitudes"]
+        code, rep = run(["verify", "sic", "--builtin", "n16",
+                         "--conjugate-orbit", orbit], capsys)
+        assert code == 0 and rep["pass"] is True
+    assert vectors["0"] != vectors["1"]
+    assert main(["verify", "sic", "--builtin", "n16",
+                 "--conjugate-orbit", "2"]) == 2
+    assert main(["verify", "sic", "--builtin", "n4",
+                 "--conjugate-orbit", "1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_sic_from_file(tmp_path, capsys):
     path = tmp_path / "f.json"
     fileio.save_fiducial(fiducial_n4(1, 2, 3, 0), path)
@@ -148,6 +170,53 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "0 False"
 
 
+# each handler imports the modules it runs: a command leaves the others
+# unloaded, and parsing alone loads none beyond dims and errors
+@pytest.mark.parametrize("argv,unloaded", [
+    ([], {"adapted16", "clifford", "crt", "fileio", "monomial", "mub", "sic",
+          "weyl"}),
+    (["verify", "zauner", "--dim", "7"],
+     {"sic", "monomial", "mub", "crt", "adapted16", "fileio"}),
+    (["verify", "mub", "--p", "3"], {"sic", "crt", "adapted16", "fileio"}),
+    (["verify", "sic", "--builtin", "n4"], {"adapted16", "crt", "mub"}),
+])
+def test_command_loads_only_the_modules_it_runs(argv, unloaded):
+    proc = run_python(["-c", "import os, sys, whsic.cli; "
+                             f"argv = {argv!r}; "
+                             "code = whsic.cli.main(argv + ['--out', "
+                             "os.devnull]) if argv else 0; "
+                             "print(code, *sorted(m for m in sys.modules "
+                             "if m.startswith('whsic.')))"])
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert {"whsic.cli", "whsic.dims", "whsic.errors"} <= set(loaded)
+    assert not {"whsic." + m for m in unloaded} & set(loaded), loaded
+    if not argv:
+        assert len(loaded) == 3, loaded
+
+
+# each --dim cap is refused by the parser, before the command's module is
+# imported or anything is allocated; the cap itself parses
+@pytest.mark.parametrize("command,cap,low", [
+    ("verify crt", cli.CRT_DIM_CAP, 1),
+    ("verify monomial", cli.MONOMIAL_DIM_CAP, 1),
+    ("search", cli.SEARCH_DIM_CAP, 2),
+])
+def test_dim_cap_plus_one_exits_two_at_once(command, cap, low):
+    assert cli.parse_args(command.split() + ["--dim", str(cap)]).dim == cap
+    # 121 = 11^2: above the monomial cap, and square
+    for dim in sorted({cap + 1, 121, low - 1}):
+        proc = run_python(["-c", "import sys, whsic.cli; "
+                                 f"code = whsic.cli.main({command.split()!r}"
+                                 f" + ['--dim', '{dim}']); "
+                                 "print(code, 'whsic.sic' in sys.modules "
+                                 "or 'whsic.crt' in sys.modules "
+                                 "or 'whsic.monomial' in sys.modules)"])
+        assert proc.stdout.strip() == "2 False", (dim, proc.stderr)
+        assert f"argument --dim: must be in {low}..{cap}" in proc.stderr
+
+
 # one case per command: the builtin chooses which construction flags count
 @pytest.mark.parametrize("argv,inputs", [
     (["verify", "crt", "--dim", "6"], {"dim": 6, "seed": 0}),
@@ -227,7 +296,7 @@ SWEEP_VALUES = {"tol": 1e-9, "seed": 1, "builtin": "n4", "file": "F",
                 "dim": 4, "p": 3, "samples": 2, "restarts": 1,
                 "fiducial_out": "G", "slot": 1, "s": 1, "t": 1, "u": 1,
                 "s0": -1, "s1": -1, "s2": -1, "t2_branch": -1, "m3": 1,
-                "m4": 1}
+                "m4": 1, "conjugate_orbit": 1}
 SWEEP_SELECTORS = [[], ["--builtin", "n4"], ["--builtin", "n9"],
                    ["--builtin", "n16"], ["--file", "F"], ["--dim", "4"],
                    ["--dim", "9"], ["--dim", "16"]]
@@ -284,6 +353,31 @@ def test_generate_sic_report_round_trips(tmp_path, capsys):
     assert np.max(np.abs(
         f.amplitudes - fileio.fiducial_from_dict(rep["artifacts"]["fiducial"])
         .amplitudes)) == 0.0
+
+
+def test_reports_and_fiducial_files_are_one_line(tmp_path, capsys):
+    code = main(["search", "--dim", "5", "--seed", "0",
+                 "--fiducial-out", str(tmp_path / "f.json")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert (tmp_path / "f.json").read_text().count("\n") == 1
+
+
+def test_indented_fiducial_file_still_loads(tmp_path, capsys):
+    """Files written with indentation, as earlier versions did, load and
+    verify the same as one-line files."""
+    f = fiducial_n4(1, 2, 3, 0)
+    path, one_line = tmp_path / "indented.json", tmp_path / "one_line.json"
+    path.write_text(json.dumps(fileio.fiducial_to_dict(f), indent=2,
+                               sort_keys=True) + "\n")
+    fileio.save_fiducial(f, one_line)
+    g, h = fileio.load_fiducial(path), fileio.load_fiducial(one_line)
+    assert np.array_equal(g.amplitudes, h.amplitudes)
+    assert (g.basis, g.provenance) == (h.basis, h.provenance) == (
+        f.basis, f.provenance)
+    code, rep = run(["verify", "sic", "--file", str(path)], capsys)
+    assert code == 0 and rep["metrics"]["N"] == 4
 
 
 def test_generate_is_deterministic(tmp_path):
