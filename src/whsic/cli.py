@@ -1,15 +1,15 @@
 """Command-line interface: construct, verify, and search, with JSON reports.
 
     whsic verify sic (--builtin n4|n9|n16 | --file F) [construction] [--tol T]
-    whsic verify mub [--p P] [--tol T]
-    whsic verify monomial [--dim 1..100] [--samples S] [--seed K]
+    whsic verify mub [--p 2..19] [--tol T]
+    whsic verify monomial [--dim 1..100] [--samples 1..1000] [--seed K]
     whsic verify crt [--dim 1..120] [--seed K]
-    whsic verify zauner [--dim N] [--tol T]
+    whsic verify zauner [--dim 1..1000] [--tol T]
     whsic generate sic [--dim 4|9|16] [construction] [--tol T]
-    whsic generate mub [--p P]
+    whsic generate mub [--p 2..13]
     whsic generate projection [--dim 4|9] [construction]
-    whsic generate operators [--dim N]
-    whsic search --dim 2..48 [--restarts R] [--seed K] [--tol T] [--fiducial-out F]
+    whsic generate operators [--dim 1..360]
+    whsic search --dim 2..48 [--restarts 1..2500] [--seed K] [--tol T] [--fiducial-out F]
 
 Every command also takes --out, and flags follow the command. The
 construction flags --slot, --s, --t, --u (n4), --s0, --s1, --s2, --m3, --m4
@@ -45,12 +45,6 @@ from .errors import WhsicError
 if TYPE_CHECKING:
     from .sic import Fiducial
 
-# the largest --dim each command accepts; the crt and monomial caps keep the
-# peak RSS of their O(N^3) integer stacks near 110 MB (N = 120 and N = 100)
-SEARCH_DIM_CAP = 48
-CRT_DIM_CAP = 120
-MONOMIAL_DIM_CAP = 100
-
 # each builtin fiducial: the name of its constructor in whsic.sic, and the
 # construction flags it takes, in call order
 BUILTINS = {"n4": ("fiducial_n4", ("slot", "s", "t", "u")),
@@ -63,13 +57,6 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(tol) and tol >= 0):
         raise argparse.ArgumentTypeError("must be a finite non-negative number")
     return tol
-
-
-def _count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return count
 
 
 def _seed(text: str) -> int:
@@ -88,8 +75,8 @@ FLAGS = {
     "file": dict(),
     "dim": dict(type=int, default=4),
     "p": dict(type=int, default=2),
-    "samples": dict(type=_count, default=20),
-    "restarts": dict(type=_count, default=50),
+    "samples": dict(type=int, default=20),
+    "restarts": dict(type=int, default=50),
     "fiducial_out": dict(help="also write the found fiducial to this file"),
     **{k: dict(type=int, choices=range(4), default=0)
        for k in ("slot", "s", "t", "u")},
@@ -257,26 +244,38 @@ class Command(NamedTuple):
     builtins: tuple[str, ...] = ()  # whose construction flags it also takes
     required: tuple[str, ...] = ()  # flags that must be given
     one_of: tuple[str, ...] = ()    # flags of which exactly one must be given
-    dims: range | None = None       # the --dim values it accepts
+    bounds: dict[str, range] = {}   # the values each bounded flag accepts
 
 
+# each size cap keeps the peak RSS of `python -m whsic.cli` near 110 MB
+# (2 vCPUs, numpy 2.4.6): crt 110 MB at N = 120, monomial 105 at N = 100,
+# zauner 102 at N = 1000, verify mub 78 at p = 19 (148 at 23), generate mub
+# 102 at p = 13 (295 at 17), operators 104 at N = 324 (121 at 361); each
+# count cap keeps the largest dimension under a minute: 2500 failing search
+# restarts take 49 s at N = 48, 1000 monomial samples 51 s at N = 100
 COMMANDS = {
     "verify sic": Command(_verify_sic, ("builtin", "file", "tol"),
                           tuple(BUILTINS), one_of=("builtin", "file")),
-    "verify mub": Command(_verify_mub, ("p", "tol")),
+    "verify mub": Command(_verify_mub, ("p", "tol"),
+                          bounds={"p": range(2, 20)}),
     "verify monomial": Command(_verify_monomial, ("dim", "samples", "seed"),
-                               dims=range(1, MONOMIAL_DIM_CAP + 1)),
+                               bounds={"dim": range(1, 101),
+                                       "samples": range(1, 1001)}),
     "verify crt": Command(_verify_crt, ("dim", "seed"),
-                          dims=range(1, CRT_DIM_CAP + 1)),
-    "verify zauner": Command(_verify_zauner, ("dim", "tol")),
+                          bounds={"dim": range(1, 121)}),
+    "verify zauner": Command(_verify_zauner, ("dim", "tol"),
+                             bounds={"dim": range(1, 1001)}),
     "generate sic": Command(_generate_sic, ("dim", "tol"), tuple(BUILTINS)),
-    "generate mub": Command(_generate_mub, ("p",)),
+    "generate mub": Command(_generate_mub, ("p",),
+                            bounds={"p": range(2, 14)}),
     "generate projection": Command(_generate_projection, ("dim",),
                                    ("n4", "n9")),
-    "generate operators": Command(_generate_operators, ("dim",)),
+    "generate operators": Command(_generate_operators, ("dim",),
+                                  bounds={"dim": range(1, 361)}),
     "search": Command(_search, ("dim", "fiducial_out", "restarts", "seed",
                                 "tol"), required=("dim",),
-                      dims=range(2, SEARCH_DIM_CAP + 1)),
+                      bounds={"dim": range(2, 49),
+                              "restarts": range(1, 2501)}),
 }
 
 
@@ -331,8 +330,8 @@ def _split_command(argv: list[str]) -> tuple[str | None, str | None]:
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     """Parse with the parser of the command argv names (of every command if
-    it names none, for argparse's usage error), refuse a --dim outside the
-    command's range, then let only the chosen builtin's construction flags
+    it names none, for argparse's usage error), refuse a value outside the
+    command's bounds, then let only the chosen builtin's construction flags
     through, with the defaults of those not given."""
     argv = sys.argv[1:] if argv is None else argv
     command, flag = _split_command(argv)
@@ -342,9 +341,9 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
                  "command")
     args = ap.parse_args(argv)
     cmd = COMMANDS[args.command]
-    if cmd.dims is not None and args.dim not in cmd.dims:
-        ap.error(f"argument --dim: must be in {cmd.dims.start}.."
-                 f"{cmd.dims.stop - 1}")
+    for name, bound in cmd.bounds.items():
+        if getattr(args, name) not in bound:
+            ap.error(f"argument --{name}: must be in {bound[0]}..{bound[-1]}")
     if cmd.builtins and "builtin" not in vars(args):
         args.builtin = f"n{args.dim}"  # generate: --dim chooses the builtin
         if args.builtin not in cmd.builtins:

@@ -34,8 +34,8 @@ import numpy as np
 from .dims import (DEFAULT_TOL, Dimension, PhasePermutation, require_square,
                    tau_powers)
 from .weyl import displacements, mod_inverse
-from .clifford import (ZAUNER, SymplecticMatrix, _column_completion, decompose,
-                       zauner_phase)
+from .clifford import (ZAUNER, SymplecticMatrix, _column_completion,
+                       chirp_factors, zauner_phase)
 
 
 def flatten(r: int, s: int, n: int) -> int:
@@ -62,21 +62,20 @@ def monomial_weyl_generators(dim: Dimension) -> tuple[PhasePermutation, PhasePer
 
 
 def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> PhasePermutation:
-    """Phase-permutation unitary of a symplectic G on the |r,s> basis."""
+    """Phase-permutation unitary of a symplectic G on the |r,s> basis: the
+    product of one monomial chirp per factor of `chirp_factors`."""
     n = require_square(dim)
-    nbar = dim.nbar
     m = dim.half_shift
-    G = G.reduced(nbar)
-    if math.gcd(G.beta, nbar) != 1:
-        G1, G2 = decompose(G, dim)
-        return monomial_clifford(G1, dim) @ monomial_clifford(G2, dim)
-    a, b, g_, d = G.alpha, G.beta, G.gamma, G.delta
-    binv = mod_inverse(b, nbar)
     r, s = np.divmod(np.arange(dim.N), n)
-    sp = (-b * r + a * s + m * a) % n
-    rp = (d * r - g_ * s + m * g_ * d) % n
-    expo = binv * (d * sp * sp - 2 * s * sp + a * s * s)
-    return PhasePermutation(dim, flatten(rp, sp, n), expo)
+    chirps = []
+    for F in chirp_factors(G, dim):
+        a, b, g_, d = F.alpha, F.beta, F.gamma, F.delta
+        binv = mod_inverse(b, dim.nbar)
+        sp = (-b * r + a * s + m * a) % n
+        rp = (d * r - g_ * s + m * g_ * d) % n
+        expo = binv * (d * sp * sp - 2 * s * sp + a * s * s)
+        chirps.append(PhasePermutation(dim, flatten(rp, sp, n), expo))
+    return chirps[0] if len(chirps) == 1 else chirps[0] @ chirps[1]
 
 
 def monomial_zauner(dim: Dimension) -> np.ndarray:

@@ -22,7 +22,7 @@ Every certificate, in every basis, runs on the one FFT overlap kernel
 simplex-projection identities (sum of squared probabilities 2/(N+1), shifted
 autocorrelations 1/(N+1)), projects vectors onto the order-3 symmetry
 eigenspace where fiducials live, and searches that eigenspace for fiducials
-with a numpy L-BFGS (`_lbfgs`) on the kernel's exact gradient.
+with one numpy L-BFGS pass per restart (`_lbfgs`) on the exact gradient.
 
 What depends on N alone is built once per dimension and shared read-only:
 each tag's V, the E0 basis of the search and the kernel's shift gathers.
@@ -378,7 +378,7 @@ def frame_residual(psi: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.sum(w ** 2)), grad
 
 
-SEARCH_MAX_ITER = 100_000  # iteration cap of each L-BFGS pass
+SEARCH_MAX_ITER = 100_000  # iteration cap of the one L-BFGS pass per restart
 LBFGS_MEMORY = 10  # curvature pairs kept
 LINE_SEARCH_EVALS = 20  # evaluations allowed per line search
 ARMIJO, CURVATURE = 1e-3, 0.9  # weak-Wolfe constants of the line search
@@ -521,16 +521,15 @@ def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
     """Numerical fiducial search in the order-3 eigenspace E0.
 
     Random unit starts are drawn inside E0 with deterministically derived
-    sub-seeds (one per restart), then refined by two L-BFGS passes (`_lbfgs`)
+    sub-seeds (one per restart), then refined by one L-BFGS pass (`_lbfgs`)
     on F(psi) = sum ( |<psi|D_ij|psi>|^2 - 1/(N+1) )^2 with psi = Bc/|c| for
     an orthonormal basis B of E0: the multi-start scheme of Renes,
     Blume-Kohout, Scott & Caves, J. Math. Phys. 45, 2171 (2004). F and its
     exact gradient come from the FFT kernel `frame_residual`, chained through
     the normalisation and B; there are no finite differences and no
     displacement matrices. Returns the first restart (lowest index) whose
-    polished vector passes verify_sic at tol, or None if all restarts fail.
-    Its provenance lists each pass's iterations, evaluations and stop
-    reason.
+    refined vector passes verify_sic at tol, or None if all restarts fail.
+    Its provenance records that pass's `nit`, `nfev` and `stop`.
 
     B and the kernel's shift gathers are built once per dimension and
     shared; B^dag is formed once per call, and each restart's sub-seed only
@@ -544,20 +543,15 @@ def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
         # made only when the restart is reached
         seed = np.random.SeedSequence(rng_seed, spawn_key=(restart,))
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal(2 * d)
-        passes = []
-        # the second pass polishes at tighter tolerances once the first stalls
-        for ftol, gtol in ((1e-16, 1e-12), (1e-18, 1e-14)):
-            res = _lbfgs(objective, x, ftol, gtol, SEARCH_MAX_ITER)
-            x = res.x
-            passes.append({"nit": res.nit, "nfev": res.nfev, "stop": res.stop})
-        c = x[:d] + 1j * x[d:]
+        res = _lbfgs(objective, rng.standard_normal(2 * d), ftol=1e-18,
+                     gtol=1e-14, maxiter=SEARCH_MAX_ITER)
+        c = res.x[:d] + 1j * res.x[d:]
         psi = B @ (c / np.linalg.norm(c))
         psi = psi / np.linalg.norm(psi)
         f = Fiducial(dim, "standard", psi,
                      {"construction": "search", "rng_seed": rng_seed,
                       "restart": restart, "residual": float(res.fun),
-                      "passes": passes})
+                      "nit": res.nit, "nfev": res.nfev, "stop": res.stop})
         if verify_sic(f, tol).passed:
             return f
     return None

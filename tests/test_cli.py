@@ -196,25 +196,29 @@ def test_command_loads_only_the_modules_it_runs(argv, unloaded):
         assert len(loaded) == 3, loaded
 
 
-# each --dim cap is refused by the parser, before the command's module is
-# imported or anything is allocated; the cap itself parses
-@pytest.mark.parametrize("command,cap,low", [
-    ("verify crt", cli.CRT_DIM_CAP, 1),
-    ("verify monomial", cli.MONOMIAL_DIM_CAP, 1),
-    ("search", cli.SEARCH_DIM_CAP, 2),
-])
-def test_dim_cap_plus_one_exits_two_at_once(command, cap, low):
-    assert cli.parse_args(command.split() + ["--dim", str(cap)]).dim == cap
+# each bounded flag's cap + 1 is refused by the parser, before any command
+# module is imported or anything is allocated; the cap itself parses
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, cmd in cli.COMMANDS.items()
+    for flag in cmd.bounds])
+def test_dim_cap_plus_one_exits_two_at_once(command, flag):
+    bound = cli.COMMANDS[command].bounds[flag]
+    cap, low = bound[-1], bound[0]
+    # the search requires --dim
+    base = command.split() + (["--dim", "5"] if command == "search"
+                              and flag != "dim" else [])
+    assert getattr(cli.parse_args(base + [f"--{flag}", str(cap)]), flag) == cap
     # 121 = 11^2: above the monomial cap, and square
-    for dim in sorted({cap + 1, 121, low - 1}):
+    for value in (v for v in sorted({cap + 1, 121, low - 1}) if v not in bound):
         proc = run_python(["-c", "import sys, whsic.cli; "
-                                 f"code = whsic.cli.main({command.split()!r}"
-                                 f" + ['--dim', '{dim}']); "
-                                 "print(code, 'whsic.sic' in sys.modules "
-                                 "or 'whsic.crt' in sys.modules "
-                                 "or 'whsic.monomial' in sys.modules)"])
-        assert proc.stdout.strip() == "2 False", (dim, proc.stderr)
-        assert f"argument --dim: must be in {low}..{cap}" in proc.stderr
+                                 f"code = whsic.cli.main({base!r} + "
+                                 f"['--{flag}', '{value}']); "
+                                 "print(code, sorted(m for m in sys.modules "
+                                 "if m.startswith('whsic.')))"])
+        assert proc.stdout.strip() == (
+            "2 ['whsic.cli', 'whsic.dims', 'whsic.errors']"), (
+                value, proc.stdout, proc.stderr)
+        assert f"argument --{flag}: must be in {low}..{cap}" in proc.stderr
 
 
 # one case per command: the builtin chooses which construction flags count
@@ -427,15 +431,15 @@ def test_search_finds_and_saves(tmp_path, capsys):
     assert 0 <= i < 5 and 0 <= j < 5 and (i, j) != (0, 0)
     g = fileio.load_fiducial(fpath)
     assert g.dim.N == 5
-    # each of the two optimizer passes of the winning restart, in the report
-    # and in the saved file
-    passes = rep["artifacts"]["fiducial"]["provenance"]["passes"]
-    assert g.provenance["passes"] == passes
-    assert len(passes) == 2
-    for p in passes:
-        assert set(p) == {"nit", "nfev", "stop"}
-        assert 0 <= p["nit"] < p["nfev"]
-        assert p["stop"] in ("gtol", "ftol", "line search", "maxiter")
+    # the one optimizer pass of the winning restart, in the report and in
+    # the saved file
+    prov = rep["artifacts"]["fiducial"]["provenance"]
+    assert g.provenance == prov
+    assert prov["restart"] == rep["metrics"]["restart"]
+    assert 0 <= prov["nit"] < prov["nfev"]
+    assert prov["stop"] in ("gtol", "ftol", "line search", "maxiter")
+    assert set(prov) == {"construction", "rng_seed", "restart", "residual",
+                         "nit", "nfev", "stop"}
     # and the saved file verifies through the CLI as well
     code2, rep2 = run(["verify", "sic", "--file", str(fpath),
                        "--tol", "1e-8"], capsys)

@@ -448,6 +448,15 @@ def test_search_restart_index_is_pinned():
     assert f.provenance["restart"] == 4
 
 
+def test_search_one_pass_certifies_far_below_tol():
+    """One L-BFGS pass per restart, at ftol = 1e-18 and gtol = 1e-14, keeps
+    its curvature memory to the end: N = 5 from seed 0 certifies at about
+    1.5e-14, where a second pass from empty memory stopped at 2.9e-12."""
+    f = search_fiducial(Dimension(5), rng_seed=0)
+    assert f is not None and f.provenance["restart"] == 0
+    assert verify_sic(f).max_abs_deviation < 1e-13
+
+
 @pytest.mark.parametrize("rng_seed", [0, 1, 13, 2**40 + 7])
 def test_restart_seeds_match_spawned_children(rng_seed):
     """Restart k of search_fiducial draws from SeedSequence(rng_seed,
