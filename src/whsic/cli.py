@@ -1,4 +1,4 @@
-"""Command-line interface: construct, verify, and search, with JSON reports.
+"""whsic: construct, verify and search, with JSON reports.
 
     whsic verify sic (--builtin n4|n9|n16 | --file F) [construction] [--tol T]
     whsic verify mub [--p 2..19] [--tol T]
@@ -11,22 +11,22 @@
     whsic generate operators [--dim 1..360]
     whsic search --dim 2..48 [--restarts 1..2500] [--seed K] [--tol T] [--fiducial-out F]
 
-Every command also takes --out, and flags follow the command. The
-construction flags --slot, --s, --t, --u (n4), --s0, --s1, --s2, --m3, --m4
-(n9) and --t2-branch, --conjugate-orbit (n16) belong to the builtin that
---builtin or --dim chooses; --file takes none. Any other flag, an
-abbreviated flag or a value out of range is a usage error. --tol is the
-tolerance compared against; `verify crt` and `verify monomial` compare
-integers and take none.
+Every command also takes --out, and flags follow the command; `whsic
+COMMAND -h` lists them. The construction flags --slot, --s, --t, --u (n4),
+--s0, --s1, --s2, --m3, --m4 (n9) and --t2-branch, --conjugate-orbit (n16)
+belong to the builtin that --builtin or --dim chooses; --file takes none.
+Any other flag, an abbreviated flag or a value out of range is a usage
+error. --tol is the tolerance compared against; `verify crt` and `verify
+monomial` compare integers and take none.
 
 Exit codes: 0 when the check passes, 1 when it runs but fails, 2 on usage
 or parse errors. Each report is one line of JSON that names the command and
 the flags it read, and is deterministic for fixed arguments and seed.
-
-At module level this file imports no package module beyond dims and
-errors, which parsing and reporting need; each handler imports the modules
-it runs, so a command loads only those.
 """
+
+# At module level this file imports no package module beyond dims and
+# errors, which parsing and reporting need; each handler imports the modules
+# it runs, so a command loads only those.
 
 from __future__ import annotations
 
@@ -248,11 +248,13 @@ class Command(NamedTuple):
 
 
 # each size cap keeps the peak RSS of `python -m whsic.cli` near 110 MB
-# (2 vCPUs, numpy 2.4.6): crt 110 MB at N = 120, monomial 105 at N = 100,
-# zauner 102 at N = 1000, verify mub 78 at p = 19 (148 at 23), generate mub
-# 102 at p = 13 (295 at 17), operators 104 at N = 324 (121 at 361); each
-# count cap keeps the largest dimension under a minute: 2500 failing search
-# restarts take 49 s at N = 48, 1000 monomial samples 51 s at N = 100
+# (2 vCPUs, numpy 2.4.6): crt 70 MB at N = 120 (the cap was kept when the
+# displacement half stopped building the N^2 x N stack, not derived again),
+# monomial 105 at N = 100, zauner 102 at N = 1000, verify mub 78 at p = 19
+# (148 at 23), generate mub 102 at p = 13 (295 at 17), operators 104 at
+# N = 324 (121 at 361); each count cap keeps the largest dimension under a
+# minute: 2500 failing search restarts take 49 s at N = 48, 1000 monomial
+# samples 51 s at N = 100
 COMMANDS = {
     "verify sic": Command(_verify_sic, ("builtin", "file", "tol"),
                           tuple(BUILTINS), one_of=("builtin", "file")),
@@ -284,63 +286,56 @@ def _add_flag(parser, name: str, **overrides) -> None:
                         **{**FLAGS[name], **overrides})
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of the command only, or of every command when only is
-    None."""
-    ap = argparse.ArgumentParser(prog="whsic", allow_abbrev=False,
-                                 description="Weyl-Heisenberg SIC toolkit")
-    # "verify" and "generate" get a subparser of their own per target
-    sub = {"": ap.add_subparsers(dest="command", required=True)}
-    chosen = COMMANDS if only is None else {only: COMMANDS[only]}
-    for command, cmd in chosen.items():
-        head, _, leaf = command.rpartition(" ")
-        if head not in sub:
-            parent = sub[""].add_parser(head, allow_abbrev=False)
-            sub[head] = parent.add_subparsers(dest="target", required=True)
-        p = sub[head].add_parser(leaf, allow_abbrev=False)
-        p.set_defaults(command=command)
-        _add_flag(p, "out")
-        group = (p.add_mutually_exclusive_group(required=True) if cmd.one_of
-                 else None)
-        for name in cmd.reads:
-            _add_flag(group if name in cmd.one_of else p, name,
-                      required=name in cmd.required)
-        # a construction flag is set only when given: see parse_args
-        for name in (k for b in cmd.builtins for k in BUILTINS[b][1]):
-            _add_flag(p, name, default=argparse.SUPPRESS)
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command's flags."""
+    cmd = COMMANDS[command]
+    ap = argparse.ArgumentParser(prog="whsic " + command, allow_abbrev=False)
+    _add_flag(ap, "out")
+    group = (ap.add_mutually_exclusive_group(required=True) if cmd.one_of
+             else None)
+    for name in cmd.reads:
+        _add_flag(group if name in cmd.one_of else ap, name,
+                  required=name in cmd.required)
+    # a construction flag is set only when given: see parse_args
+    for name in (k for b in cmd.builtins for k in BUILTINS[b][1]):
+        _add_flag(ap, name, default=argparse.SUPPRESS)
     return ap
 
 
-def _split_command(argv: list[str]) -> tuple[str | None, str | None]:
-    """The command that argv's leading words name, or None, and the first
-    flag given before those words are complete, which argparse would
-    misreport as an invalid command."""
-    words: list[str] = []
-    for token in argv:
-        if " ".join(words) in COMMANDS:
+def _split_command(argv: list[str]) -> tuple[str, list[str]]:
+    """The command that argv's leading words name, and the argv after those
+    words. When they name none, a top-level parser prints this module's
+    docstring for -h and exits 0, or exits 2 on a flag before the command
+    or on words that are no command."""
+    for k in range(len(argv) + 1):
+        if " ".join(argv[:k]) in COMMANDS:
+            return " ".join(argv[:k]), argv[k:]
+        if k == len(argv) or argv[k].startswith("-"):
             break
-        if token in ("-h", "--help"):
-            return None, None
-        if token.startswith("-"):
-            return None, token
-        words.append(token)
-    command = " ".join(words)
-    return (command if command in COMMANDS else None), None
+    top = argparse.ArgumentParser(
+        prog="whsic", usage="whsic COMMAND [flags]", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    flag = argv[k] if k < len(argv) else None
+    if flag in ("-h", "--help"):
+        top.print_help()
+        top.exit()
+    if flag is not None:
+        top.error(f"{flag} comes before the command: flags go after the "
+                  "command")
+    top.error(f"no command in {argv}: the commands are "
+              + ", ".join(COMMANDS))
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """Parse with the parser of the command argv names (of every command if
-    it names none, for argparse's usage error), refuse a value outside the
-    command's bounds, then let only the chosen builtin's construction flags
-    through, with the defaults of those not given."""
+    """Parse with the parser of the command argv names, refuse a value
+    outside the command's bounds, then let only the chosen builtin's
+    construction flags through, with the defaults of those not given."""
     argv = sys.argv[1:] if argv is None else argv
-    command, flag = _split_command(argv)
+    command, rest = _split_command(argv)
     ap = build_parser(command)
-    if flag is not None:
-        ap.error(f"{flag} comes before the command: flags go after the "
-                 "command")
-    args = ap.parse_args(argv)
-    cmd = COMMANDS[args.command]
+    args = ap.parse_args(rest)
+    args.command = command
+    cmd = COMMANDS[command]
     for name, bound in cmd.bounds.items():
         if getattr(args, name) not in bound:
             ap.error(f"argument --{name}: must be in {bound[0]}..{bound[-1]}")

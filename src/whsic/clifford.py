@@ -69,8 +69,8 @@ CLUSTER_RADIUS = 1e-3  # a Zauner eigenvalue farther from every cube root is amb
 CHECK_CHUNK_ENTRIES = 2 ** 14  # matrix entries per chunk of conjugation_check_batched
 
 
-def is_symplectic(G: SymplecticMatrix, dim: Dimension, det_sign: int = 1) -> bool:
-    return G.det() % dim.nbar == det_sign % dim.nbar
+def is_symplectic(G: SymplecticMatrix, dim: Dimension) -> bool:
+    return (G.det() - 1) % dim.nbar == 0
 
 
 def decompose(G: SymplecticMatrix, dim: Dimension) -> tuple[SymplecticMatrix, SymplecticMatrix]:

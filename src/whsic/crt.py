@@ -14,10 +14,12 @@ and a symplectic F factors through the twisted matrices
     F'_j = ( alpha_j, kappa_j^{-1} beta_j ; kappa_j gamma_j, delta_j )
 
 mod nbar_j. `product_iso_witness` checks both statements exactly and names
-the first failure. The displacement half compares row images and integer
-phases (`displacement_witness`). The symplectic half compares the chirp
-exponent tables of U_C and of (x)_j U_{F'_j(C)} for every chirp factor C of
-random symplectic samples, up to one constant per C (`symplectic_witness`).
+the first failure. The displacement half compares the integer phases of
+both sides, from `eta_prime`, over all N^2 displacements; their images
+agree by the CRT (`displacement_witness`). The symplectic half compares
+the chirp exponent tables of U_C and of (x)_j U_{F'_j(C)} for every chirp
+factor C of random symplectic samples, up to one constant per C
+(`symplectic_witness`).
 Both compare integers mod 2N and read no tolerance.
 """
 
@@ -30,7 +32,7 @@ import numpy as np
 from .clifford import (SymplecticMatrix, chirp_exponents, chirp_factors,
                        random_symplectic)
 from .dims import Dimension
-from .weyl import displacements, mod_inverse
+from .weyl import mod_inverse
 
 SYMPLECTIC_SAMPLES = 20  # random symplectic G per verify_product_iso
 
@@ -75,11 +77,16 @@ def factor_dimension(N: int) -> Factorization:
     return Factorization(N, tuple(factors))
 
 
-def eta_prime(a: int, b: int, c: int, N: int) -> list[tuple[int, int, int]]:
-    """Factor exponents of x^a z^b t^c under the corrected product map."""
-    fact = factor_dimension(N)
+def _eta(fact: Factorization, a, b, c) -> list[tuple]:
+    """Factor exponents of x^a z^b t^c under the product map of fact, for
+    integers or integer arrays a, b, c."""
     return [(a % f.n, (f.kappa * b) % f.n, (f.kappa * c) % f.nbar)
             for f in fact.factors]
+
+
+def eta_prime(a: int, b: int, c: int, N: int) -> list[tuple[int, int, int]]:
+    """Factor exponents of x^a z^b t^c under the corrected product map."""
+    return _eta(factor_dimension(N), a, b, c)
 
 
 def f_prime(G: SymplecticMatrix, j: int, fact: Factorization) -> SymplecticMatrix:
@@ -92,32 +99,20 @@ def f_prime(G: SymplecticMatrix, j: int, fact: Factorization) -> SymplecticMatri
                             G.delta % f.nbar)
 
 
-def _crt_rows(fact: Factorization, u: np.ndarray) -> np.ndarray:
-    """Row of |u mod n_1> (x) ... (x) |u mod n_r> in the Kronecker basis."""
-    row = 0
-    for f in fact.factors:
-        row = row * f.n + u % f.n
-    return row
-
-
 def displacement_witness(fact: Factorization) -> tuple[int, int] | None:
     """First (a, b) with P D^{(N)}_{ab} P^T != (x)_j tau_j^{kappa_j ab}
-    X_j^a Z_j^{kappa_j b}, or None. Exact: both sides are phase permutations,
-    compared as row images and as phases mod 2N in the unit e^{i pi/N}, in
-    which tau_N^k is (N+1) k and tau_{n_j}^e is (n_j+1)(N/n_j) e."""
+    X_j^a Z_j^{kappa_j b}, or None. Both sides send the image of |v> to that
+    of |v + a> by the CRT, so they can differ only in phase: D_ab|v> =
+    tau^{ab + 2bv}|v + a>, and factor j, with (a_j, b_j, c_j) the exponents
+    of `eta_prime` for (a, b, ab), gives tau_j^{c_j + 2 b_j (v mod n_j)}.
+    Exact: the phases are compared mod 2N in the unit e^{i pi/N}, in which
+    tau_N^k is (N+1) k and tau_{n_j}^e is (n_j+1)(N/n_j) e."""
     N = fact.N
-    D = displacements(Dimension(N))
     a, b = (x[:, None] for x in np.divmod(np.arange(N * N), N))
     v = np.arange(N)
-    # factor j sends |u> to tau_j^{kappa_j (ab + 2bu)} |u + a>, u = v mod n_j;
-    # with c_j = (n_j+1)(N/n_j) kappa_j the sum over j is ab sum_j c_j + 2b w
-    # for the one N-vector w = sum_j c_j (v mod n_j)
-    c = [(f.n + 1) * (N // f.n) * f.kappa for f in fact.factors]
-    w = sum(cj * (v % f.n) for cj, f in zip(c, fact.factors))
-    rhs = sum(c) * a * b + 2 * b * w
-    rows = _crt_rows(fact, v)  # one N-entry table, gathered per image
-    ok = ((rows[D.image] == rows[(v + a) % N])
-          & (((N + 1) * D.expo - rhs) % (2 * N) == 0)).all(axis=-1)
+    rhs = sum((f.n + 1) * (N // f.n) * (c + 2 * bj * (v % f.n))
+              for f, (_, bj, c) in zip(fact.factors, _eta(fact, a, b, a * b)))
+    ok = (((N + 1) * (a * b + 2 * b * v) - rhs) % (2 * N) == 0).all(axis=-1)
     bad = np.flatnonzero(~ok)
     return None if bad.size == 0 else divmod(int(bad[0]), N)
 

@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import NegativeRadicand, NotSquare
 
-# Global default tolerance for floating-point comparisons; every operation
-# that compares matrices accepts an override.
+# Default tolerance for floating-point comparisons; only
+# `monomial.is_phase_permutation` reads it, and it takes an override.
 DEFAULT_TOL = 1e-10
 
 
@@ -95,11 +95,6 @@ def tau_power(dim: Dimension, k: int) -> complex:
     """tau^k with tau = -e^{i pi/N}, i.e. exp(i pi (N+1) k / N) reduced mod 2N."""
     m = (k * (dim.N + 1)) % (2 * dim.N)
     return complex(np.exp(1j * np.pi * m / dim.N))
-
-
-def omega_power(dim: Dimension, k: int) -> complex:
-    """omega^k = tau^{2k} = exp(2 pi i k / N)."""
-    return tau_power(dim, 2 * k)
 
 
 def sigma_power(dim: Dimension, k: int) -> complex:

@@ -60,7 +60,6 @@ class Fiducial:
 @dataclass(frozen=True)
 class SicCertificate:
     max_abs_deviation: float
-    tolerance: float
     passed: bool
     worst_displacement: tuple[int, int]  # (i, j) of the largest deviation
 
@@ -132,8 +131,7 @@ def verify_sic(f: Fiducial, tol: float = 1e-8) -> SicCertificate:
     dev[0, 0] = 0.0  # D_00 = identity carries no condition
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     worst = float(dev[i, j])
-    return SicCertificate(max_abs_deviation=worst, tolerance=tol,
-                          passed=worst <= tol,
+    return SicCertificate(max_abs_deviation=worst, passed=worst <= tol,
                           worst_displacement=(int(i), int(j)))
 
 

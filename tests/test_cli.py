@@ -469,6 +469,19 @@ def test_flags_follow_the_command(capsys):
 
 
 def test_unknown_arguments_exit_two(capsys):
-    assert main(["verify", "sic", "--nope"]) == 2
-    assert main(["frobnicate"]) == 2
-    capsys.readouterr()
+    for argv in (["verify", "sic", "--nope"], ["frobnicate"], [], ["verify"],
+                 ["generate"], ["verify", "frob"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"]])
+def test_help_lists_every_command_and_bound(argv, capsys):
+    """The help text is the module docstring: its line for each command
+    gives every bound of the table as LO..HI."""
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for command, cmd in cli.COMMANDS.items():
+        line = next(l for l in lines if f"whsic {command} " in l)
+        for flag, bound in cmd.bounds.items():
+            assert f"--{flag} {bound[0]}..{bound[-1]}" in line, (command, flag)

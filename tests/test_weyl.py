@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whsic.dims import (Dimension, PhasePermutation, omega_power, tau_power,
-                        tau_powers, tau_table)
+from whsic.dims import (Dimension, PhasePermutation, tau_power, tau_powers,
+                        tau_table)
 from whsic.errors import NotCoprime
 from whsic.monomial import is_phase_permutation, monomial_weyl_generators
 from whsic.weyl import (GroupElement, all_displacements, canonicalize, compose,
@@ -111,7 +111,6 @@ def test_one_phase_path_is_exact(N, k):
     dim = Dimension(N)
     assert tau_table(dim)[k % (2 * N)] == tau_power(dim, k)
     assert tau_powers(dim, [k])[0] == tau_power(dim, k)
-    assert omega_power(dim, k) == tau_power(dim, 2 * k)
 
 
 def test_tau_table_is_shared_read_only_and_bit_identical():
@@ -138,6 +137,18 @@ def test_standard_stack_matches_generator_stack(N):
     closed = [element_matrix(GroupElement(0, i, j), dim)
               for i in range(N) for j in range(N)]
     assert np.array_equal(D, np.array(closed))
+
+
+@pytest.mark.parametrize("N", [30, 60, 120])
+def test_generator_stack_is_the_closed_form(N):
+    """D_ij|v> = tau^{ij + 2jv}|v + i>, exactly, up to the largest `verify
+    crt` dimension, whose displacement half reads the closed form only."""
+    dim = Dimension(N)
+    D = displacements(dim)
+    i, j = (x[:, None] for x in np.divmod(np.arange(N * N), N))
+    v = np.arange(N)
+    assert np.array_equal(D.image, (v + i) % N)
+    assert np.array_equal(D.expo, (i * j + 2 * j * v) % dim.nbar)
 
 
 @st.composite
