@@ -15,7 +15,7 @@ Submodules:
 
 __version__ = "0.1.0"
 
-from .dims import DEFAULT_TOL, Dimension
+from .dims import Dimension
 from .errors import WhsicError
 
-__all__ = ["DEFAULT_TOL", "Dimension", "WhsicError", "__version__"]
+__all__ = ["Dimension", "WhsicError", "__version__"]

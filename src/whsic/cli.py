@@ -4,7 +4,7 @@
     whsic verify mub [--p 2..19] [--tol T]
     whsic verify monomial [--dim 1..100] [--samples 1..1000] [--seed K]
     whsic verify crt [--dim 1..120] [--seed K]
-    whsic verify zauner [--dim 1..1000] [--tol T]
+    whsic verify zauner [--dim 1..800000]
     whsic generate sic [--dim 4|9|16] [construction] [--tol T]
     whsic generate mub [--p 2..13]
     whsic generate projection [--dim 4|9] [construction]
@@ -16,8 +16,8 @@ COMMAND -h` lists them. The construction flags --slot, --s, --t, --u (n4),
 --s0, --s1, --s2, --m3, --m4 (n9) and --t2-branch, --conjugate-orbit (n16)
 belong to the builtin that --builtin or --dim chooses; --file takes none.
 Any other flag, an abbreviated flag or a value out of range is a usage
-error. --tol is the tolerance compared against; `verify crt` and `verify
-monomial` compare integers and take none.
+error. --tol is the tolerance compared against; `verify crt`, `verify
+monomial` and `verify zauner` compare integers and take none.
 
 Exit codes: 0 when the check passes, 1 when it runs but fails, 2 on usage
 or parse errors. Each report is one line of JSON that names the command and
@@ -147,15 +147,17 @@ def _verify_crt(args) -> dict:
 
 
 def _verify_zauner(args) -> dict:
-    from .clifford import eigenspace_dims, zauner_unitary
+    from .clifford import (ROUNDING_BOUND, predicted_eigenspace_dims,
+                           zauner_counts)
     dim = Dimension(args.dim)
-    U = zauner_unitary(dim)
-    cube_dev = float(np.max(np.abs(U @ U @ U - np.eye(dim.N))))
-    measured, predicted = eigenspace_dims(dim, U)
-    return {"pass": bool(cube_dev <= args.tol and measured == predicted),
-            "metrics": {"cube_deviation": cube_dev,
-                        "measured_dims": list(measured),
-                        "predicted_dims": list(predicted)}}
+    dims, dims_margin, root, cube_margin = zauner_counts(dim)
+    predicted = predicted_eigenspace_dims(dim)
+    # U_0^3 must be zauner_phase^-3 = e^{-i pi (N-1)/4}
+    return {"pass": dims == predicted and root == (1 - dim.N) % 8
+            and max(dims_margin, cube_margin) <= ROUNDING_BOUND,
+            "metrics": {"measured_dims": list(dims), "cube_root": root,
+                        "predicted_dims": list(predicted),
+                        "dims_margin": dims_margin, "cube_margin": cube_margin}}
 
 
 def _generate_sic(args) -> dict:
@@ -248,13 +250,13 @@ class Command(NamedTuple):
 
 
 # each size cap keeps the peak RSS of `python -m whsic.cli` near 110 MB
-# (2 vCPUs, numpy 2.4.6): crt 70 MB at N = 120 (the cap was kept when the
-# displacement half stopped building the N^2 x N stack, not derived again),
-# monomial 105 at N = 100, zauner 102 at N = 1000, verify mub 78 at p = 19
-# (148 at 23), generate mub 102 at p = 13 (295 at 17), operators 104 at
-# N = 324 (121 at 361); each count cap keeps the largest dimension under a
-# minute: 2500 failing search restarts take 49 s at N = 48, 1000 monomial
-# samples 51 s at N = 100
+# (2 vCPUs, numpy 2.4.6): crt 45 MB at N = 120 (the cap was kept when the
+# displacement half became O(N^2), not derived again), monomial 105 at
+# N = 100, zauner 109 at N = 800000 in 2.7 s (129 at 10^6), verify mub 78
+# at p = 19 (148 at 23), generate mub 102 at p = 13 (295 at 17), operators
+# 104 at N = 324 (121 at 361); each count cap keeps the largest dimension
+# under a minute: 2500 failing search restarts take 49 s at N = 48, 1000
+# monomial samples 51 s at N = 100
 COMMANDS = {
     "verify sic": Command(_verify_sic, ("builtin", "file", "tol"),
                           tuple(BUILTINS), one_of=("builtin", "file")),
@@ -265,8 +267,8 @@ COMMANDS = {
                                        "samples": range(1, 1001)}),
     "verify crt": Command(_verify_crt, ("dim", "seed"),
                           bounds={"dim": range(1, 121)}),
-    "verify zauner": Command(_verify_zauner, ("dim", "tol"),
-                             bounds={"dim": range(1, 1001)}),
+    "verify zauner": Command(_verify_zauner, ("dim",),
+                             bounds={"dim": range(1, 800001)}),
     "generate sic": Command(_generate_sic, ("dim", "tol"), tuple(BUILTINS)),
     "generate mub": Command(_generate_mub, ("p",),
                             bounds={"p": range(2, 14)}),
@@ -305,8 +307,8 @@ def build_parser(command: str) -> argparse.ArgumentParser:
 def _split_command(argv: list[str]) -> tuple[str, list[str]]:
     """The command that argv's leading words name, and the argv after those
     words. When they name none, a top-level parser prints this module's
-    docstring for -h and exits 0, or exits 2 on a flag before the command
-    or on words that are no command."""
+    docstring for -h and exits 0, or exits 2: on a flag that follows the
+    start of a command, or on words that are no command."""
     for k in range(len(argv) + 1):
         if " ".join(argv[:k]) in COMMANDS:
             return " ".join(argv[:k]), argv[k:]
@@ -319,7 +321,7 @@ def _split_command(argv: list[str]) -> tuple[str, list[str]]:
     if flag in ("-h", "--help"):
         top.print_help()
         top.exit()
-    if flag is not None:
+    if flag is not None and any(c.split()[:k] == argv[:k] for c in COMMANDS):
         top.error(f"{flag} comes before the command: flags go after the "
                   "command")
     top.error(f"no command in {argv}: the commands are "

@@ -8,7 +8,8 @@ valid when beta is invertible mod nbar: U_G is then a chirp, tau to the
 power of an integer table (`chirp_exponents`) over sqrt(N). Otherwise G is
 split as G = (0,-1;1,x) * (gamma+x*alpha, delta+x*beta; -alpha, -beta) with x
 chosen minimal so that delta + x*beta is coprime to nbar, and the two chirps
-are multiplied (`chirp_factors`).
+are multiplied (`chirp_factors`). The order-3 Zauner unitary is certified
+with no dense matrix, from two counts of tau exponents (`zauner_counts`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dims import Dimension, PhasePermutation, tau_powers, tau_table
-from .errors import ClusterAmbiguity, DetNotMinusOne
+from .errors import DetNotMinusOne
 from .weyl import all_displacements, mod_inverse
 
 
@@ -65,8 +66,10 @@ class SymplecticMatrix:
 IDENTITY = SymplecticMatrix(1, 0, 0, 1)
 ZAUNER = SymplecticMatrix(0, -1, 1, -1)
 PARITY_J = SymplecticMatrix(1, 0, 0, -1)
-CLUSTER_RADIUS = 1e-3  # a Zauner eigenvalue farther from every cube root is ambiguous
 CHECK_CHUNK_ENTRIES = 2 ** 14  # matrix entries per chunk of conjugation_check_batched
+# each `zauner_counts` sum errs by at most about 2 N^{3/2} eps, 4e-7 at N =
+# 10^6: far below the 1/3 between multiplicities and 0.76 between 8th roots
+ROUNDING_BOUND = 1e-6
 
 
 def is_symplectic(G: SymplecticMatrix, dim: Dimension) -> bool:
@@ -159,25 +162,8 @@ def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension, U,
 
 def predicted_eigenspace_dims(dim: Dimension) -> tuple[int, int, int]:
     """Zauner eigenvalue multiplicities (for 1, e^{2pi i/3}, e^{4pi i/3})."""
-    N = dim.N
-    k, r = divmod(N, 3)
-    if r == 0:
-        return (k + 1, k, k - 1)
-    if r == 1:
-        return (k + 1, k, k)
-    return (k + 1, k + 1, k)
-
-
-def _cluster_cube_roots(eigvals: np.ndarray) -> tuple[int, int, int]:
-    roots = np.exp(2j * np.pi * np.arange(3) / 3)
-    counts = [0, 0, 0]
-    for lam in eigvals:
-        dist = np.abs(roots - lam)
-        m = int(np.argmin(dist))
-        if dist[m] >= CLUSTER_RADIUS:
-            raise ClusterAmbiguity(f"eigenvalue {lam} is {dist[m]:.2e} from every cube root")
-        counts[m] += 1
-    return tuple(counts)
+    k, r = divmod(dim.N, 3)
+    return (k + 1, k + (r == 2), k - (r == 0))
 
 
 def zauner_phase(dim: Dimension) -> complex:
@@ -201,11 +187,27 @@ def zauner_unitary(dim: Dimension) -> np.ndarray:
     return lam * U0
 
 
-def eigenspace_dims(dim: Dimension, U: np.ndarray) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """(measured, predicted) Zauner eigenvalue multiplicities of
-    U = zauner_unitary(dim)."""
-    counts = _cluster_cube_roots(np.linalg.eigvals(U))
-    return counts, predicted_eigenspace_dims(dim)
+def zauner_counts(dim: Dimension) -> tuple:
+    """(d, d_margin, m, c_margin) in O(N): U_0 = metaplectic(ZAUNER) cubes
+    to c nearest e^{i pi m/4}, and d_k is the multiplicity of omega^k =
+    e^{2 pi i k/3} in `zauner_unitary`; the margins are the distances of the
+    float sums from d and from that root. U_0 is the chirp tau^E / sqrt(N),
+    E[u, v] = u^2 + 2uv mod nbar (`chirp_exponents`), and ZAUNER^3 = 1, so
+    c = (U_0^3)[0, 0] = N^{-1/2} sum_s tau^{s^2}, as (v+w)^2 mod nbar
+    depends on v+w mod N only. If m = -(N-1) mod 8, c = z^{-3} for z =
+    `zauner_phase`, U = z U_0 cubes to 1 and d_k = (N + 2 Re(omega^{-k} z
+    tr U_0))/3, with tr U_0 = N^{-1/2} sum_u tau^{3u^2}."""
+    N, nbar = dim.N, dim.nbar
+    s2 = np.arange(N, dtype=np.int64) ** 2
+    # N^{-1/2} sum_s tau^{k s^2}: N exponents counted mod nbar, then weighed
+    c, tr = (np.bincount(k * s2 % nbar, minlength=nbar) @ tau_table(dim)[:nbar]
+             / math.sqrt(N) for k in (1, 3))
+    d = (N + 2 * np.real(zauner_phase(dim) * tr
+                         * np.exp(-2j * np.pi * np.arange(3) / 3))) / 3
+    dims = np.rint(d)
+    m = round(float(np.angle(c)) * 4 / np.pi) % 8
+    return (tuple(int(x) for x in dims), float(np.max(np.abs(d - dims))),
+            m, float(abs(c - np.exp(1j * np.pi * m / 4))))
 
 
 def order3_trace_check(G: SymplecticMatrix, dim: Dimension) -> tuple[bool, bool]:

@@ -106,13 +106,18 @@ def displacement_witness(fact: Factorization) -> tuple[int, int] | None:
     tau^{ab + 2bv}|v + a>, and factor j, with (a_j, b_j, c_j) the exponents
     of `eta_prime` for (a, b, ab), gives tau_j^{c_j + 2 b_j (v mod n_j)}.
     Exact: the phases are compared mod 2N in the unit e^{i pi/N}, in which
-    tau_N^k is (N+1) k and tau_{n_j}^e is (n_j+1)(N/n_j) e."""
+    tau_N^k is (N+1) k and tau_{n_j}^e is (n_j+1)(N/n_j) e. In O(N^2): the
+    difference is its value at v = 0, per (a, b), plus a part per (b, v)."""
     N = fact.N
-    a, b = (x[:, None] for x in np.divmod(np.arange(N * N), N))
+    a, b = np.indices((N, N))
     v = np.arange(N)
-    rhs = sum((f.n + 1) * (N // f.n) * (c + 2 * bj * (v % f.n))
-              for f, (_, bj, c) in zip(fact.factors, _eta(fact, a, b, a * b)))
-    ok = (((N + 1) * (a * b + 2 * b * v) - rhs) % (2 * N) == 0).all(axis=-1)
+    # in_v has rows b and columns v; b_j depends on b alone, so bj[0] holds it
+    at_v0, in_v = (N + 1) * a * b, 2 * (N + 1) * v[:, None] * v
+    for f, (_, bj, c) in zip(fact.factors, _eta(fact, a, b, a * b)):
+        w = (f.n + 1) * (N // f.n)
+        at_v0 -= w * c
+        in_v -= 2 * w * bj[0, :, None] * (v % f.n)
+    ok = (at_v0 % (2 * N) == 0) & (in_v % (2 * N) == 0).all(axis=1)
     bad = np.flatnonzero(~ok)
     return None if bad.size == 0 else divmod(int(bad[0]), N)
 

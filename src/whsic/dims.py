@@ -36,11 +36,6 @@ import numpy as np
 
 from .errors import NegativeRadicand, NotSquare
 
-# Default tolerance for floating-point comparisons; only
-# `monomial.is_phase_permutation` reads it, and it takes an override.
-DEFAULT_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class Dimension:
     """A Hilbert-space dimension N with its phase modulus nbar.

@@ -17,10 +17,6 @@ class NotSquare(WhsicError):
     pass
 
 
-class ClusterAmbiguity(WhsicError):
-    pass
-
-
 class DetNotMinusOne(WhsicError):
     pass
 

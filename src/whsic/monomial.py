@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import (DEFAULT_TOL, Dimension, PhasePermutation, require_square,
-                   tau_powers)
+from .dims import Dimension, PhasePermutation, require_square, tau_powers
 from .weyl import displacements, mod_inverse
 from .clifford import (ZAUNER, SymplecticMatrix, _column_completion,
                        chirp_factors, zauner_phase)
@@ -116,7 +115,7 @@ def covariance_witness(G: SymplecticMatrix, U: PhasePermutation,
     return None if m is None else divmod(m, N)
 
 
-def is_phase_permutation(M, tol: float = DEFAULT_TOL) -> bool:
+def is_phase_permutation(M, tol: float = 1e-10) -> bool:
     """True iff every row and column carries exactly one unit-modulus entry
     and everything else is below tol: the float oracle for `.dense()`."""
     absM = np.abs(np.asarray(M))

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from whsic.adapted16 import adapted16_generators
-from whsic.clifford import (SymplecticMatrix, eigenspace_dims, lift_sl2,
-                            random_symplectic, zauner_unitary)
+from whsic.cli import COMMANDS
+from whsic.clifford import (ROUNDING_BOUND, SymplecticMatrix, lift_sl2,
+                            predicted_eigenspace_dims, random_symplectic,
+                            zauner_counts, zauner_unitary)
 from whsic.crt import verify_product_iso
 from whsic.dims import Dimension
 from whsic.monomial import (covariance_witness, flatten, invariant_subgroup,
@@ -146,16 +148,42 @@ def test_acceptance_orbits_with_witnesses(N):
 
 
 # ---------------------------------------------------------------------------
-# 7. order-3 eigenspace multiplicities for every 2 <= N <= 48, the search cap
+# 7. order-3 eigenspace multiplicities: the exact counts against the dense
+#    eigenvalues for every 1 <= N <= 60, and against Zauner's table up to
+#    the `verify zauner` cap
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("N", range(2, 49))
+def dense_eigenspace_dims(U):
+    """Multiplicities of 1, omega, omega^2 among the eigenvalues of U, each
+    within 1e-3 of its cube root of unity."""
+    roots = np.exp(2j * np.pi * np.arange(3) / 3)
+    dist = np.abs(np.linalg.eigvals(U)[:, None] - roots)
+    assert (dist.min(axis=1) < 1e-3).all()
+    return tuple(np.bincount(dist.argmin(axis=1), minlength=3).tolist())
+
+
+def certified_counts(dim):
+    """The exact multiplicities, once their cube root and margins hold."""
+    dims, dims_margin, root, cube_margin = zauner_counts(dim)
+    assert root == (1 - dim.N) % 8
+    assert max(dims_margin, cube_margin) <= ROUNDING_BOUND
+    return dims
+
+
+@pytest.mark.parametrize("N", range(1, 61))
 def test_acceptance_zauner_eigenspace_table(N):
     dim = Dimension(N)
     U = zauner_unitary(dim)
     assert np.max(np.abs(U @ U @ U - np.eye(N))) < 1e-10
-    measured, predicted = eigenspace_dims(dim, U)
-    assert measured == predicted
+    assert (certified_counts(dim) == dense_eigenspace_dims(U)
+            == predicted_eigenspace_dims(dim))
+
+
+@pytest.mark.parametrize("N", [97, 120, 1000,
+                               COMMANDS["verify zauner"].bounds["dim"][-1]])
+def test_acceptance_zauner_counts_match_the_table(N):
+    dim = Dimension(N)
+    assert certified_counts(dim) == predicted_eigenspace_dims(dim)
 
 
 # ---------------------------------------------------------------------------

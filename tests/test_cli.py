@@ -118,6 +118,30 @@ def test_verify_mub_and_crt_and_zauner(capsys):
     assert "max_abs_deviation" not in rep["metrics"]
     code, rep = run(["verify", "zauner", "--dim", "11"], capsys)
     assert code == 0 and rep["metrics"]["measured_dims"] == [4, 4, 3]
+    assert rep["metrics"]["cube_root"] == (1 - 11) % 8
+    assert "cube_deviation" not in rep["metrics"]
+
+
+# the monkeypatched function is looked up in whsic.clifford at each call;
+# each control fails on the table or on the margin, not on both
+@pytest.mark.parametrize("name,wrong,table_differs", [
+    # z omega has the same cube, so only the multiplicities rotate
+    ("zauner_phase", lambda f: lambda dim: f(dim) * np.exp(2j * np.pi / 3),
+     True),
+    # z e^{i pi/7} makes U no order-3 unitary: its counts are no integers
+    ("zauner_phase", lambda f: lambda dim: f(dim) * np.exp(1j * np.pi / 7),
+     False),
+    ("predicted_eigenspace_dims", lambda f: lambda dim: f(dim)[::-1], True),
+])
+def test_verify_zauner_negative_controls_exit_one(name, wrong, table_differs,
+                                                  monkeypatch, capsys):
+    from whsic import clifford
+    monkeypatch.setattr(clifford, name, wrong(getattr(clifford, name)))
+    code, rep = run(["verify", "zauner", "--dim", "7"], capsys)
+    assert code == 1 and rep["pass"] is False
+    m = rep["metrics"]
+    assert (m["measured_dims"] != m["predicted_dims"]) == table_differs
+    assert (m["dims_margin"] > clifford.ROUNDING_BOUND) != table_differs
 
 
 def test_verify_monomial(capsys):
@@ -131,7 +155,7 @@ def test_verify_monomial(capsys):
 # no command raises --tol: these checks deviate by about 1e-16 in float64
 @pytest.mark.parametrize("argv", [
     ["verify", "mub", "--p", "3"],
-    ["verify", "zauner", "--dim", "7"],
+    ["verify", "sic", "--builtin", "n4"],
     ["generate", "sic", "--dim", "16"],
 ])
 def test_tol_is_the_tolerance_compared_against(argv, capsys):
@@ -230,7 +254,7 @@ def test_dim_cap_plus_one_exits_two_at_once(command, flag):
     (["verify", "mub", "--p", "3"], {"p": 3, "tol": 1e-10}),
     (["verify", "monomial", "--dim", "4", "--samples", "2"],
      {"dim": 4, "samples": 2, "seed": 0}),
-    (["verify", "zauner", "--dim", "7"], {"dim": 7, "tol": 1e-10}),
+    (["verify", "zauner", "--dim", "7"], {"dim": 7}),
     (["generate", "sic", "--dim", "4", "--slot", "2"],
      {"dim": 4, "tol": 1e-10, "slot": 2, "s": 0, "t": 0, "u": 0}),
     (["generate", "mub", "--p", "2"], {"p": 2}),
@@ -274,6 +298,8 @@ def test_report_inputs_are_the_flags_read(argv, inputs, capsys):
     ["--seed", "9", "generate", "operators", "--dim", "3"],
     # the exact CRT certificate compares integers: there is no tolerance
     ["verify", "crt", "--dim", "6", "--tol", "1e-9"],
+    # nor has the exact Zauner certificate
+    ["verify", "zauner", "--dim", "7", "--tol", "1e-9"],
 ])
 def test_vacuous_or_invalid_inputs_exit_two(argv, tmp_path, capsys):
     path = tmp_path / "f.json"
@@ -455,24 +481,33 @@ def test_search_dim_cap_exits_two(capsys):
 def test_flags_follow_the_command(capsys):
     # the error names the flag: argparse alone would take the flag's value
     # for the command and call it an invalid choice
-    for argv in (["--tol", "1e-8", "verify", "zauner", "--dim", "7"],
-                 ["--seed", "9", "generate", "operators"]):
+    for argv in (["--tol", "1e-8", "verify", "sic", "--builtin", "n4"],
+                 ["--seed", "9", "generate", "operators"],
+                 ["verify", "--dim", "7"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert (f"{argv[0]} comes before the command: flags go after the "
+        flag = next(a for a in argv if a.startswith("-"))
+        assert (f"{flag} comes before the command: flags go after the "
                 "command") in captured.err
         assert "invalid choice" not in captured.err
-    code, rep = run(["verify", "zauner", "--dim", "7", "--tol", "1e-8"],
+    code, rep = run(["verify", "sic", "--builtin", "n4", "--tol", "1e-8"],
                     capsys)
     assert code == 0 and rep["inputs"]["tol"] == 1e-8
 
 
 def test_unknown_arguments_exit_two(capsys):
-    for argv in (["verify", "sic", "--nope"], ["frobnicate"], [], ["verify"],
-                 ["generate"], ["verify", "frob"]):
+    assert main(["verify", "sic", "--nope"]) == 2
+    assert capsys.readouterr().out == ""
+    # words that start no command are no command, with a flag after them
+    # or not
+    for argv in (["frobnicate"], [], ["verify"], ["generate"],
+                 ["verify", "frob"], ["verify", "frob", "--dim", "3"],
+                 ["frobnicate", "--dim", "3"]):
         assert main(argv) == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"no command in {argv}: the commands are" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"]])

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whsic.clifford import (IDENTITY, PARITY_J, ZAUNER, SymplecticMatrix,
-                            antiunitary_action, conjugation_check_batched,
+                            antiunitary_action, chirp_exponents,
+                            conjugation_check_batched,
                             decompose, is_symplectic, lift_sl2,
                             metaplectic, order3_trace_check,
                             predicted_eigenspace_dims, random_symplectic,
@@ -66,6 +67,16 @@ def test_zauner_unitary_is_the_closed_form_phase():
         dim = Dimension(N)
         U = zauner_phase(dim) * metaplectic(ZAUNER, dim)
         assert np.max(np.abs(zauner_unitary(dim) - U)) < 1e-13
+
+
+def test_zauner_chirp_is_the_counted_table():
+    """`zauner_counts` sums tau^{s^2} and tau^{3u^2}: the entries of this
+    table along row 0 (folded over v + w) and along the diagonal."""
+    for N in range(1, 65):
+        dim = Dimension(N)
+        u = np.arange(N)[:, None]
+        assert np.array_equal(chirp_exponents([ZAUNER], dim)[0],
+                              (u * u + 2 * u * u.T) % dim.nbar)
 
 
 def test_eigenspace_table_formula():
