@@ -3,7 +3,7 @@
     whsic verify sic (--builtin n4|n9|n16 | --file F) [construction] [--tol T]
     whsic verify mub [--p 2..19] [--tol T]
     whsic verify monomial [--dim 1..100] [--samples 1..1000] [--seed K]
-    whsic verify crt [--dim 1..120] [--seed K]
+    whsic verify crt [--dim 1..240] [--seed K]
     whsic verify zauner [--dim 1..800000]
     whsic generate sic [--dim 4|9|16] [construction] [--tol T]
     whsic generate mub [--p 2..13]
@@ -250,11 +250,12 @@ class Command(NamedTuple):
 
 
 # each size cap keeps the peak RSS of `python -m whsic.cli` near 110 MB
-# (2 vCPUs, numpy 2.4.6): crt 45 MB at N = 120 (the cap was kept when the
-# displacement half became O(N^2), not derived again), monomial 105 at
-# N = 100, zauner 109 at N = 800000 in 2.7 s (129 at 10^6), verify mub 78
-# at p = 19 (148 at 23), generate mub 102 at p = 13 (295 at 17), operators
-# 104 at N = 324 (121 at 361); each count cap keeps the largest dimension
+# (2 vCPUs, numpy 2.4.6): crt 100 MB at N = 240 in 0.5 s (seed 296, whose
+# 37 chirps are the most of seeds 0..299; its (chirps, N, N) int64 tables
+# set the cap, 120 MB at N = 270), monomial 105 at N = 100, zauner 109 at
+# N = 800000 in 2.7 s (129 at 10^6), verify mub 78 at p = 19 (148 at 23),
+# generate mub 102 at p = 13 (295 at 17), operators 104 at N = 324 (121
+# at 361); each count cap keeps the largest dimension
 # under a minute: 2500 failing search restarts take 49 s at N = 48, 1000
 # monomial samples 51 s at N = 100
 COMMANDS = {
@@ -266,7 +267,7 @@ COMMANDS = {
                                bounds={"dim": range(1, 101),
                                        "samples": range(1, 1001)}),
     "verify crt": Command(_verify_crt, ("dim", "seed"),
-                          bounds={"dim": range(1, 121)}),
+                          bounds={"dim": range(1, 241)}),
     "verify zauner": Command(_verify_zauner, ("dim",),
                              bounds={"dim": range(1, 800001)}),
     "generate sic": Command(_generate_sic, ("dim", "tol"), tuple(BUILTINS)),

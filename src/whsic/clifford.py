@@ -10,6 +10,8 @@ split as G = (0,-1;1,x) * (gamma+x*alpha, delta+x*beta; -alpha, -beta) with x
 chosen minimal so that delta + x*beta is coprime to nbar, and the two chirps
 are multiplied (`chirp_factors`). The order-3 Zauner unitary is certified
 with no dense matrix, from two counts of tau exponents (`zauner_counts`).
+The one float covariance check, `conjugation_check_batched`, takes a phase
+permutation and a dense displacement stack, and reads the stack once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .dims import Dimension, PhasePermutation, tau_powers, tau_table
 from .errors import DetNotMinusOne
-from .weyl import all_displacements, mod_inverse
+from .weyl import mod_inverse
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class SymplecticMatrix:
 IDENTITY = SymplecticMatrix(1, 0, 0, 1)
 ZAUNER = SymplecticMatrix(0, -1, 1, -1)
 PARITY_J = SymplecticMatrix(1, 0, 0, -1)
-CHECK_CHUNK_ENTRIES = 2 ** 14  # matrix entries per chunk of conjugation_check_batched
+CHECK_CHUNK_ENTRIES = 2 ** 16  # stack entries per block of conjugation_check_batched
 # each `zauner_counts` sum errs by at most about 2 N^{3/2} eps, 4e-7 at N =
 # 10^6: far below the 1/3 between multiplicities and 0.76 between 8th roots
 ROUNDING_BOUND = 1e-6
@@ -122,42 +124,51 @@ def metaplectic(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
     return U[0] if len(U) == 1 else U[0] @ U[1]
 
 
-def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension, U,
-                              D: np.ndarray | None = None) -> float:
-    """Max over (i,j) of || U D_ij U^dag - tau^k D_{G(i,j)} ||_max, with k
-    the tau power nearest the projection <D_{G(i,j)}, U D_ij U^dag> / N: the
-    dense, tolerance-based covariance check for any unitary U and any dense
-    displacement stack D (standard by default). A `PhasePermutation` U is
-    applied by `PhasePermutation.conjugate`, a gather in O(N^4) over the
-    stack; any other U by dense products in O(N^5). The stack is walked in
-    chunks of about CHECK_CHUNK_ENTRIES matrix entries, so no temporary is
-    the size of the stack."""
+def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension,
+                              U: PhasePermutation, D: np.ndarray) -> float:
+    """Max over k = (i,j) of || U D_k U^dag - tau^c D_{G(k)} ||_max, with c
+    the tau power nearest <D_{G(k)}, U D_k U^dag> / N: the float covariance
+    check of a phase permutation U against any dense (N^2, N, N) stack D.
+    D is read once, in blocks of about CHECK_CHUNK_ENTRIES entries, from its
+    support: a nonzero D_k[c, d] is entry (image[c], image[d]) of
+    U D_k U^dag times tau^{expo[c] - expo[d]}, and D_{G(k)} is read at those
+    entries only. A k whose D_{G(k)} has nonzeros outside them (fewer hits
+    than nonzeros) is compared again densely. A non-finite entry makes the
+    result NaN or inf."""
     N = dim.N
-    if D is None:
-        D = all_displacements(dim)
-    if isinstance(U, PhasePermutation):
-        conjugate = U.conjugate
-    else:
-        U = np.asarray(U)
-        Uh = U.conj().T
-
-        def conjugate(M):
-            return U @ M @ Uh
     ip, jp = G.apply(*np.divmod(np.arange(N * N), N), N)
     target = ip * N + jp
+    t = tau_powers(dim, U.expo)
+    phase = (t[:, None] * t.conj()).ravel()
+    mapped = (U.image[:, None] * N + U.image).ravel()
+    rows = D.reshape(N * N, N * N)
     table = tau_table(dim)
+    lam = np.empty(N * N, dtype=complex)
+    nnz, hits = np.empty(N * N, dtype=np.int64), np.empty(N * N, dtype=np.int64)
     step = max(1, CHECK_CHUNK_ENTRIES // (N * N))
-    worst = 0.0
+    worst = np.float64(0.0)
     for lo in range(0, N * N, step):
-        conj = conjugate(D[lo:lo + step]).reshape(-1, N * N)
-        tgt = D[target[lo:lo + step]].reshape(-1, N * N)
+        blk = rows[lo:lo + step]
+        B = len(blk)
+        nz = np.flatnonzero(blk != 0)
+        k, s = np.divmod(nz, N * N)
+        conj = blk.ravel()[nz] * phase[s]
+        tgt = rows.ravel()[target[lo + k] * (N * N) + mapped[s]]
+        dot = tgt.conj() * conj
         # snap the projection of each conjugate onto its target to the
         # nearest tau power
-        ph = np.vecdot(tgt, conj) / N
-        tgt *= table[np.argmin(np.abs(table - ph[:, None]), axis=1)][:, None]
-        conj -= tgt
-        worst = max(worst, float(np.abs(conj).max()))
-    return worst
+        ph = (np.bincount(k, dot.real, B) + 1j * np.bincount(k, dot.imag, B)) / N
+        lam[lo:lo + B] = table[np.argmin(np.abs(table - ph[:, None]), axis=1)]
+        worst = np.maximum(worst, np.max(np.abs(conj - lam[lo + k] * tgt),
+                                         initial=0.0))
+        nnz[lo:lo + B] = np.bincount(k, minlength=B)
+        hits[lo:lo + B] = np.bincount(k[tgt != 0], minlength=B)
+    for k in np.flatnonzero(nnz[target] > hits):
+        conj = np.zeros(N * N, dtype=complex)
+        s = np.flatnonzero(rows[k])
+        conj[mapped[s]] = rows[k, s] * phase[s]
+        worst = np.maximum(worst, np.abs(conj - lam[k] * rows[target[k]]).max())
+    return float(worst)
 
 
 def predicted_eigenspace_dims(dim: Dimension) -> tuple[int, int, int]:

@@ -15,9 +15,9 @@ displacements, monomial Clifford unitaries) is a `PhasePermutation` with
 integer exponents, composed exactly; checks on them compare integers. A
 metaplectic unitary is a chirp, tau to an integer table over sqrt(N), or a
 product of two (`clifford.chirp_exponents`), so the CRT certificate
-compares integers too; only the dense conjugation check stays float.
-`.dense()` is the one way a `PhasePermutation` becomes a matrix;
-`.conjugate(M)` applies U M U^dag to a dense stack by a gather, without one.
+compares integers too; only `clifford.conjugation_check_batched`, which
+reads a dense displacement stack, stays float. `.dense()` is the one way a
+`PhasePermutation` becomes a matrix.
 
 The scalar evaluation is kept, instead of a vectorised numpy exp, because the
 seeded fiducial search amplifies one-ulp differences: numpy's array exp
@@ -146,27 +146,6 @@ class PhasePermutation:
         expo -= nbar * (expo >= nbar)
         return PhasePermutation._reduced(
             self.dim, np.take(self.image, other.image, axis=-1), expo)
-
-    @functools.cached_property
-    def _conjugation(self) -> tuple[np.ndarray, np.ndarray]:
-        """(flat index, phase) with (U M U^dag).flat = M.flat[index] * phase.
-        U|v> = tau^{expo[v]} |image[v]>, so entry (image[c], image[d]) is
-        tau^{expo[c] - expo[d]} M[c, d]."""
-        inv = np.empty_like(self.image)
-        inv[self.image] = np.arange(self.dim.N)
-        t = tau_powers(self.dim, self.expo)[inv]
-        return ((inv[:, None] * self.dim.N + inv).ravel(),
-                (t[:, None] * t.conj()).ravel())
-
-    def conjugate(self, M: np.ndarray) -> np.ndarray:
-        """U M U^dag for one operator U and a dense stack M (..., N, N): one
-        gather over the flattened matrix axes and a phase product, O(N^2)
-        per matrix."""
-        index, phase = self._conjugation
-        M = np.asarray(M)
-        out = np.take(M.reshape(M.shape[:-2] + (-1,)), index, axis=-1)
-        out *= phase
-        return out.reshape(M.shape)
 
     def dense(self) -> np.ndarray:
         """The N x N matrix, one per stacked operator."""

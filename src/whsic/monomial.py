@@ -16,12 +16,12 @@ n/2 (n even). These operators are exact `PhasePermutation`s, so covariance
 U_G D_ij U_G^dag = tau^c D_{G(i,j)} is an integer check over all N^2
 displacements (`covariance_witness`). The float checks stay as oracles:
 `is_phase_permutation` for dense matrices, and
-`clifford.conjugation_check_batched`, which conjugates a dense displacement
-stack by a gather (`PhasePermutation.conjugate`), O(N^4) in place of the
-O(N^5) matrix products. The module also holds the SL(2,N)-orbit machinery
-used for the square/non-square decision procedures; its orbit witnesses use
-the column completion `clifford._column_completion`, as random_symplectic
-does.
+`clifford.conjugation_check_batched`, which checks a phase permutation
+against a dense displacement stack from the stack's support: one read of
+the stack and O(N^3) gathers. The module also holds the SL(2,N)-orbit
+machinery used for the square/non-square decision procedures; its orbit
+witnesses use the column completion `clifford._column_completion`, as
+random_symplectic does.
 """
 
 from __future__ import annotations

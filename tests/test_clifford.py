@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from whsic.clifford import (IDENTITY, PARITY_J, ZAUNER, SymplecticMatrix,
                             antiunitary_action, chirp_exponents,
-                            conjugation_check_batched,
                             decompose, is_symplectic, lift_sl2,
                             metaplectic, order3_trace_check,
                             predicted_eigenspace_dims, random_symplectic,
                             zauner_phase, zauner_unitary)
 from whsic.dims import Dimension
 from whsic.errors import DetNotMinusOne
+from whsic.weyl import all_displacements
+
+from oracles import reference_check
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8, 9])
@@ -27,7 +29,7 @@ def test_metaplectic_is_unitary_and_covariant(N):
         G = random_symplectic(dim, rng)
         U = metaplectic(G, dim)
         assert np.max(np.abs(U @ U.conj().T - np.eye(N))) < 1e-10
-        assert conjugation_check_batched(G, dim, U) < 1e-9
+        assert reference_check(G, dim, U, all_displacements(dim)) < 1e-9
 
 
 @pytest.mark.parametrize("N", [3, 4, 6, 8])

@@ -16,6 +16,8 @@ from whsic.monomial import (covariance_witness, flatten, is_phase_permutation,
                             stabilized_abelian_check, vector_order, zak_matrix)
 from whsic.weyl import all_displacements, displacements
 
+from oracles import reference_check
+
 SQUARES = [4, 9, 16, 25]
 
 
@@ -135,7 +137,7 @@ def test_monomial_zauner_cubes_to_identity(N):
     # it represents the Zauner symplectic up to phase
     X, Z = monomial_weyl_generators(dim)
     D = all_displacements(dim, X, Z)
-    assert conjugation_check_batched(ZAUNER, dim, U, D) < 1e-9
+    assert reference_check(ZAUNER, dim, U, D) < 1e-9
 
 
 @pytest.mark.parametrize("N", SQUARES)
@@ -148,11 +150,15 @@ def test_conjugation_check_rejects_another_symplectic(N):
     G = random_symplectic(dim, rng)
     while G.reduced(N) == ZAUNER.reduced(N):
         G = random_symplectic(dim, rng)
-    assert conjugation_check_batched(G, dim, U, D) > 1
+    assert reference_check(G, dim, U, D) > 1
+    # so does the support check of the same unitary without its phase; a
+    # projection that ties between tau powers may snap to another power in
+    # each check, so only the verdicts are compared
+    U0 = monomial_clifford(ZAUNER, dim)
+    assert conjugation_check_batched(G, dim, U0, D) > 1
     # the exact check rejects it too, at the first failure the dense oracle
     # finds
-    ij = covariance_witness(G, monomial_clifford(ZAUNER, dim),
-                            displacements(dim, X, Z))
+    ij = covariance_witness(G, U0, displacements(dim, X, Z))
     assert ij is not None
     assert ij == first_dense_failure(G, dim, U, D)
 
@@ -172,40 +178,76 @@ def test_covariance_witness_catches_one_flipped_exponent(N):
         assert ij is not None
         assert ij == first_dense_failure(G, dim, flipped, D.dense())
 
-def reference_check(G, dim, U, D):
-    """conjugation_check_batched one displacement at a time, by dense
-    products and without chunks."""
-    N, U = dim.N, np.asarray(U)
-    table, worst = tau_table(dim), 0.0
-    for k in range(N * N):
-        conj = U @ D[k] @ U.conj().T
-        ip, jp = G.apply(*divmod(k, N), N)
-        tgt = D[ip * N + jp]
-        ph = np.vdot(tgt, conj) / N
-        snapped = table[np.argmin(np.abs(table - ph))]
-        worst = max(worst, float(np.abs(conj - snapped * tgt).max()))
-    return worst
+def stray_stack(G, dim, D, k, stray):
+    """The true stack D with `stray` added to D_{G(k)} at a zero, which is
+    where U_G D_k U_G^dag is zero: its residual is at least |stray|."""
+    N = dim.N
+    ip, jp = G.apply(*divmod(k, N), N)
+    out = D.copy()
+    out[ip * N + jp][tuple(np.argwhere(D[ip * N + jp] == 0)[0])] += stray
+    return out
 
 
-@pytest.mark.parametrize("N", SQUARES)
-def test_phase_permutation_conjugate_matches_dense_products(N):
+def graded_stack(G, dim, U, D):
+    """The true stack D edited along one orbit p_0 -> p_1 -> ... -> p_L = p_0
+    of (k, r, c) -> (G(k), image[r], image[c]), L >= 3: p_{L-1} is set to 0
+    and p_{L-2} halved. Every mapped entry is then off by at most 0.5, but
+    D at p_0 keeps modulus 1 where U D_k U^dag is zero: only the dense pass
+    over such k finds the residual 1. None if every orbit is shorter."""
+    N = dim.N
+    ip, jp = G.apply(*np.divmod(np.arange(N * N), N), N)
+
+    def step(p):
+        k, r, c = p
+        return ip[k] * N + jp[k], U.image[r], U.image[c]
+
+    for start in map(tuple, np.argwhere(D != 0)):
+        orbit = [start]
+        while (p := step(orbit[-1])) != start:
+            orbit.append(p)
+        if len(orbit) >= 3:
+            break
+    else:
+        return None
+    out = D.copy()
+    out[orbit[-1]] = 0
+    out[orbit[-2]] *= 0.5
+    return out
+
+
+@pytest.mark.parametrize("N", SQUARES + [36])
+def test_support_check_matches_reference_check(N):
+    """The support check equals the dense oracle on a fully dense random
+    stack, where every entry is in the support, and on the true stack with
+    one stray entry (`stray_stack`) or one graded orbit (`graded_stack`),
+    with the residual each edit implies."""
     dim = Dimension(N)
     rng = np.random.default_rng(N + 11)
     D = all_displacements(dim, *monomial_weyl_generators(dim))
-    M = rng.standard_normal((3, N, N)) + 1j * rng.standard_normal((3, N, N))
-    for _ in range(5):
-        U = monomial_clifford(random_symplectic(dim, rng), dim)
-        Ud = U.dense()
-        for stack in (D, M, M[0]):
-            assert np.abs(U.conjugate(stack) - Ud @ stack @ Ud.conj().T).max() < 1e-14
+    M = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
+    graded = 0
+    while graded < 2:
+        G = random_symplectic(dim, rng)
+        U = monomial_clifford(G, dim)
+        stray = 0.3 * np.exp(2j * np.pi * rng.random())
+        cases = [(M, 0), (stray_stack(G, dim, D, int(rng.integers(N * N)),
+                                      stray), abs(stray))]
+        S = graded_stack(G, dim, U, D)
+        if S is not None:
+            cases.append((S, 1))
+            graded += 1
+        for stack, floor in cases:
+            fast = conjugation_check_batched(G, dim, U, stack)
+            assert abs(fast - reference_check(G, dim, U, stack)) < 1e-14
+            assert fast >= floor - 1e-12
 
 
-@pytest.mark.parametrize("N", SQUARES)
+@pytest.mark.parametrize("N", SQUARES + [36])
 def test_conjugation_check_gather_agrees_with_dense_path(N):
-    """The gather path for a PhasePermutation, the dense path for its
-    matrix and an unchunked loop give one residual, on the true stack, on a
-    noisy one (so every displacement has its own residual) and for a U with
-    one flipped exponent."""
+    """The support check for a PhasePermutation and the dense oracle for
+    its matrix give one residual, on the true stack, on a noisy one (so
+    every displacement has its own residual) and for a U with one flipped
+    exponent."""
     dim = Dimension(N)
     rng = np.random.default_rng(N + 13)
     D = all_displacements(dim, *monomial_weyl_generators(dim))
@@ -218,11 +260,27 @@ def test_conjugation_check_gather_agrees_with_dense_path(N):
         flipped = PhasePermutation(dim, U.image, U.expo + (np.arange(N) == v))
         for op, stack in ((U, D), (U, noisy), (flipped, D)):
             fast = conjugation_check_batched(G, dim, op, stack)
-            assert abs(fast - conjugation_check_batched(
-                G, dim, np.asarray(op), stack)) < 1e-14
-            assert abs(fast - reference_check(G, dim, op, stack)) < 1e-14
+            assert abs(fast - reference_check(G, dim, op.dense(), stack)) < 1e-14
         assert conjugation_check_batched(G, dim, U, D) < 1e-9
         assert conjugation_check_batched(G, dim, flipped, D) > 1
+
+
+@pytest.mark.parametrize("where", ["one", "all"])
+def test_conjugation_check_fails_on_nan(where):
+    """A NaN in the stack makes the residual NaN, so `res < tol` is false:
+    it neither passes vacuously nor hides behind an earlier block's max."""
+    dim = Dimension(16)
+    G = random_symplectic(dim, np.random.default_rng(5))
+    U = monomial_clifford(G, dim)
+    D = all_displacements(dim, *monomial_weyl_generators(dim))
+    if where == "one":
+        D[200, 3, 7] = np.nan
+    else:
+        D[:] = np.nan
+    for res in (conjugation_check_batched(G, dim, U, D),
+                reference_check(G, dim, U, D)):
+        assert not res < 1e-9
+        assert np.isnan(res)
 
 
 @pytest.mark.parametrize("N", SQUARES)
