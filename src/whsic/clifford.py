@@ -11,7 +11,8 @@ chosen minimal so that delta + x*beta is coprime to nbar, and the two chirps
 are multiplied (`chirp_factors`). The order-3 Zauner unitary is certified
 with no dense matrix, from two counts of tau exponents (`zauner_counts`).
 The one float covariance check, `conjugation_check_batched`, takes a phase
-permutation and a dense displacement stack, and reads the stack once.
+permutation and a dense displacement stack, and reads the stack once, in
+blocks, finding each block's support from the float halves of its entries.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension,
     t = tau_powers(dim, U.expo)
     phase = (t[:, None] * t.conj()).ravel()
     mapped = (U.image[:, None] * N + U.image).ravel()
-    rows = D.reshape(N * N, N * N)
+    rows = np.ascontiguousarray(D, dtype=complex).reshape(N * N, N * N)
     table = tau_table(dim)
+    table_xy = np.stack([table.real, table.imag])
     lam = np.empty(N * N, dtype=complex)
     nnz, hits = np.empty(N * N, dtype=np.int64), np.empty(N * N, dtype=np.int64)
     step = max(1, CHECK_CHUNK_ENTRIES // (N * N))
@@ -150,15 +152,19 @@ def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension,
     for lo in range(0, N * N, step):
         blk = rows[lo:lo + step]
         B = len(blk)
-        nz = np.flatnonzero(blk != 0)
+        # blk != 0 from the float halves, which is cheaper: each (re, im)
+        # pair of flags is folded by one uint16 test, so -0.0 is zero and
+        # NaN is nonzero, as in the complex test
+        nz = np.flatnonzero((blk.view(np.float64) != 0).view(np.uint16) != 0)
         k, s = np.divmod(nz, N * N)
         conj = blk.ravel()[nz] * phase[s]
         tgt = rows.ravel()[target[lo + k] * (N * N) + mapped[s]]
         dot = tgt.conj() * conj
         # snap the projection of each conjugate onto its target to the
-        # nearest tau power
-        ph = (np.bincount(k, dot.real, B) + 1j * np.bincount(k, dot.imag, B)) / N
-        lam[lo:lo + B] = table[np.argmin(np.abs(table - ph[:, None]), axis=1)]
+        # nearest tau power t, the one of largest Re(conj(t) ph)
+        ph = np.stack([np.bincount(k, dot.real, B), np.bincount(k, dot.imag, B)],
+                      axis=1)
+        lam[lo:lo + B] = table[np.argmax(ph @ table_xy, axis=1)]
         worst = np.maximum(worst, np.max(np.abs(conj - lam[lo + k] * tgt),
                                          initial=0.0))
         nnz[lo:lo + B] = np.bincount(k, minlength=B)

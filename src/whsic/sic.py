@@ -126,7 +126,8 @@ def verify_sic(f: Fiducial, tol: float = 1e-8) -> SicCertificate:
     standard-basis amplitudes; a basis change preserves each D_ij, so the
     certificate holds in the fiducial's own basis as well."""
     N = f.dim.N
-    probs = np.abs(standard_overlaps(to_standard(f).amplitudes)) ** 2
+    psi = basis_change(f.dim, f.basis) @ f.amplitudes
+    probs = np.abs(standard_overlaps(psi)) ** 2
     dev = np.abs(probs - 1.0 / (N + 1))
     dev[0, 0] = 0.0  # D_00 = identity carries no condition
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)

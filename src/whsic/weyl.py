@@ -93,13 +93,18 @@ def standard_generators(dim: Dimension) -> tuple[PhasePermutation, PhasePermutat
 
 
 def _powers(P: PhasePermutation) -> PhasePermutation:
-    """P^0, ..., P^{N-1}, stacked along a leading axis."""
-    N = P.dim.N
-    powers = [PhasePermutation(P.dim, np.arange(N), np.zeros(N, dtype=int))]
-    for _ in range(N - 1):
-        powers.append(powers[-1] @ P)
-    return PhasePermutation(P.dim, np.stack([Q.image for Q in powers]),
-                            np.stack([Q.expo for Q in powers]))
+    """P^0, ..., P^{N-1}, stacked along a leading axis. The stack is built by
+    doubling, P^{m+j} = P^j P^m for j < m: about log2(N) stacked products."""
+    dim, N = P.dim, P.dim.N
+    image, expo = np.empty((2, N, N), dtype=np.int64)
+    image[0], expo[0] = np.arange(N), 0
+    m, Pm = 1, P
+    while m < N:
+        n = min(m, N - m)
+        Q = PhasePermutation._reduced(dim, image[:n], expo[:n]) @ Pm
+        image[m:2 * m], expo[m:2 * m] = Q.image, Q.expo
+        m, Pm = 2 * m, Pm @ Pm
+    return PhasePermutation._reduced(dim, image, expo)
 
 
 def displacements(dim: Dimension, X: PhasePermutation | None = None,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from whsic.dims import tau_table
+from whsic.dims import PhasePermutation, tau_table
 
 
 def reference_check(G, dim, U, D):
@@ -21,3 +21,15 @@ def reference_check(G, dim, U, D):
         snapped = table[np.argmin(np.abs(table - ph))]
         worst = np.maximum(worst, np.abs(conj - snapped * tgt).max())
     return float(worst)
+
+
+def iterated_powers(P):
+    """P^0, ..., P^{N-1} of a `PhasePermutation`, stacked along a leading
+    axis, by N - 1 single products: the plain recursion P^{m+1} = P^m P
+    that `weyl._powers` shortcuts by doubling."""
+    N = P.dim.N
+    powers = [PhasePermutation(P.dim, np.arange(N), np.zeros(N, dtype=int))]
+    for _ in range(N - 1):
+        powers.append(powers[-1] @ P)
+    return PhasePermutation(P.dim, np.stack([Q.image for Q in powers]),
+                            np.stack([Q.expo for Q in powers]))

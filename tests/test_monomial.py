@@ -265,16 +265,21 @@ def test_conjugation_check_gather_agrees_with_dense_path(N):
         assert conjugation_check_batched(G, dim, flipped, D) > 1
 
 
-@pytest.mark.parametrize("where", ["one", "all"])
+@pytest.mark.parametrize("where", ["one", "all", "imag"])
 def test_conjugation_check_fails_on_nan(where):
     """A NaN in the stack makes the residual NaN, so `res < tol` is false:
-    it neither passes vacuously nor hides behind an earlier block's max."""
+    it neither passes vacuously nor hides behind an earlier block's max.
+    The support is found from the float halves of the stack, so a NaN in
+    the imaginary half of an entry off the support counts too."""
     dim = Dimension(16)
     G = random_symplectic(dim, np.random.default_rng(5))
     U = monomial_clifford(G, dim)
     D = all_displacements(dim, *monomial_weyl_generators(dim))
     if where == "one":
         D[200, 3, 7] = np.nan
+    elif where == "imag":
+        assert D[200, 3, 7] == 0
+        D[200, 3, 7] = complex(0, np.nan)
     else:
         D[:] = np.nan
     for res in (conjugation_check_batched(G, dim, U, D),

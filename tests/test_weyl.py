@@ -14,6 +14,8 @@ from whsic.weyl import (GroupElement, all_displacements, canonicalize, compose,
                         identity_element, inverse, mod_inverse,
                         standard_generators)
 
+from oracles import iterated_powers
+
 DIMS = st.integers(min_value=1, max_value=12)
 EPS = np.finfo(float).eps
 
@@ -126,6 +128,33 @@ def test_tau_table_is_shared_read_only_and_bit_identical():
         rebuilt = np.fromiter((tau_power(dim, k) for k in range(2 * N)),
                               dtype=complex, count=2 * N)
         assert np.array_equal(table, rebuilt)
+
+
+def test_tau_power_matches_numpy_scalar_exp():
+    """`tau_power` evaluates exp with `cmath`; its table keeps the bits of
+    numpy's scalar exp, which the seeded searches were run on."""
+    for N in range(1, 301):
+        m = np.arange(2 * N) * (N + 1) % (2 * N)
+        expect = [complex(np.exp(1j * np.pi * int(x) / N)) for x in m]
+        assert np.array_equal(tau_table(Dimension(N)).view(np.uint64),
+                              np.array(expect).view(np.uint64)), N
+
+
+@pytest.mark.parametrize("N, generators",
+                         [(N, "standard") for N in range(1, 41)]
+                         + [(n * n, "monomial") for n in range(1, 8)])
+def test_doubled_powers_match_iterated_powers(N, generators):
+    """`displacements` builds the powers of X and Z by doubling; its stack
+    equals the one from N - 1 single products in every integer."""
+    dim = Dimension(N)
+    X, Z = (standard_generators(dim) if generators == "standard"
+            else monomial_weyl_generators(dim))
+    D = displacements(dim, X, Z)
+    XZ = iterated_powers(X) @ iterated_powers(Z)
+    ij = np.multiply.outer(np.arange(N), np.arange(N))[..., None]
+    expect = PhasePermutation(dim, XZ.image, XZ.expo + ij)
+    assert np.array_equal(D.image, expect.image.reshape(N * N, N))
+    assert np.array_equal(D.expo, expect.expo.reshape(N * N, N))
 
 
 @pytest.mark.parametrize("N", range(1, 13))
