@@ -15,12 +15,12 @@ and a symplectic F factors through the twisted matrices
 
 mod nbar_j. `product_iso_witness` checks both statements exactly and names
 the first failure. The displacement half compares the integer phases of
-both sides, from `eta_prime`, over all N^2 displacements; their images
-agree by the CRT (`displacement_witness`). The symplectic half compares
-the chirp exponent tables of U_C and of (x)_j U_{F'_j(C)} for every chirp
-factor C of random symplectic samples, up to one constant per C
-(`symplectic_witness`).
-Both compare integers mod 2N and read no tolerance.
+both sides of D_01, D_10 and D_11, which decide all N^2 displacements
+(`displacement_witness`): `verify crt` counts N^2 `checked_displacements`
+certified through them. The symplectic half compares the chirp exponent
+tables of U_C and of (x)_j U_{F'_j(C)} for every chirp factor C of random
+symplectic samples, up to one constant per C (`symplectic_witness`). Both
+compare integers mod 2N and read no tolerance.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .clifford import (SymplecticMatrix, chirp_exponents, chirp_factors,
                        random_symplectic)
 from .dims import Dimension
-from .weyl import mod_inverse
+from .weyl import displacement, mod_inverse, standard_generators
 
 SYMPLECTIC_SAMPLES = 20  # random symplectic G per verify_product_iso
 
@@ -50,10 +50,6 @@ class Factor:
 class Factorization:
     N: int
     factors: tuple
-
-    @property
-    def kappas(self) -> tuple:
-        return tuple(f.kappa for f in self.factors)
 
 
 def factor_dimension(N: int) -> Factorization:
@@ -77,16 +73,10 @@ def factor_dimension(N: int) -> Factorization:
     return Factorization(N, tuple(factors))
 
 
-def _eta(fact: Factorization, a, b, c) -> list[tuple]:
-    """Factor exponents of x^a z^b t^c under the product map of fact, for
-    integers or integer arrays a, b, c."""
-    return [(a % f.n, (f.kappa * b) % f.n, (f.kappa * c) % f.nbar)
-            for f in fact.factors]
-
-
 def eta_prime(a: int, b: int, c: int, N: int) -> list[tuple[int, int, int]]:
     """Factor exponents of x^a z^b t^c under the corrected product map."""
-    return _eta(factor_dimension(N), a, b, c)
+    return [(a % f.n, (f.kappa * b) % f.n, (f.kappa * c) % f.nbar)
+            for f in factor_dimension(N).factors]
 
 
 def f_prime(G: SymplecticMatrix, j: int, fact: Factorization) -> SymplecticMatrix:
@@ -100,26 +90,24 @@ def f_prime(G: SymplecticMatrix, j: int, fact: Factorization) -> SymplecticMatri
 
 
 def displacement_witness(fact: Factorization) -> tuple[int, int] | None:
-    """First (a, b) with P D^{(N)}_{ab} P^T != (x)_j tau_j^{kappa_j ab}
-    X_j^a Z_j^{kappa_j b}, or None. Both sides send the image of |v> to that
-    of |v + a> by the CRT, so they can differ only in phase: D_ab|v> =
-    tau^{ab + 2bv}|v + a>, and factor j, with (a_j, b_j, c_j) the exponents
-    of `eta_prime` for (a, b, ab), gives tau_j^{c_j + 2 b_j (v mod n_j)}.
-    Exact: the phases are compared mod 2N in the unit e^{i pi/N}, in which
-    tau_N^k is (N+1) k and tau_{n_j}^e is (n_j+1)(N/n_j) e. In O(N^2): the
-    difference is its value at v = 0, per (a, b), plus a part per (b, v)."""
+    """First (a, b) in the order a*N + b with P D^{(N)}_{ab} P^T !=
+    (x)_j D^{(n_j)}_{a, kappa_j b}, or None. Both sides map |v> to |v + a>
+    by the CRT, so only phases are compared, exactly, mod 2N in the unit
+    e^{i pi/N}: tau_N^k is (N+1) k and tau_{n_j}^e is (n_j+1)(N/n_j) e.
+    Both sides are s^{ab} X'^a Z'^b with a central scalar s, so D_01 and
+    D_10, then D_11, decide all N^2, and the first of them that fails is
+    the first failure in that order."""
     N = fact.N
-    a, b = np.indices((N, N))
-    v = np.arange(N)
-    # in_v has rows b and columns v; b_j depends on b alone, so bj[0] holds it
-    at_v0, in_v = (N + 1) * a * b, 2 * (N + 1) * v[:, None] * v
-    for f, (_, bj, c) in zip(fact.factors, _eta(fact, a, b, a * b)):
-        w = (f.n + 1) * (N // f.n)
-        at_v0 -= w * c
-        in_v -= 2 * w * bj[0, :, None] * (v % f.n)
-    ok = (at_v0 % (2 * N) == 0) & (in_v % (2 * N) == 0).all(axis=1)
-    bad = np.flatnonzero(~ok)
-    return None if bad.size == 0 else divmod(int(bad[0]), N)
+    v, ab = np.arange(N), ((0, 1), (1, 0), (1, 1))
+    diff = np.zeros((len(ab), N), dtype=np.int64)
+    # the N side enters as a factor with n = N, kappa = 1 and weight -(N+1)
+    for n, kappa, w in [(N, 1, -(N + 1))] + [
+            (f.n, f.kappa, (f.n + 1) * (N // f.n)) for f in fact.factors]:
+        X, Z = standard_generators(Dimension(n))
+        for k, (a, b) in enumerate(ab):
+            diff[k] += w * displacement(X, Z, a, kappa * b).expo[v % n]
+    bad = np.flatnonzero((diff % (2 * N)).any(axis=1))
+    return ab[bad[0]] if bad.size else None
 
 
 def symplectic_witness(fact: Factorization, Gs

@@ -13,9 +13,11 @@ and a symplectic G with beta coprime to nbar acts by
 
 with s' = -beta r + alpha s + m alpha taken in [0, n) and m = 0 (n odd) or
 n/2 (n even). These operators are exact `PhasePermutation`s, so covariance
-U_G D_ij U_G^dag = tau^c D_{G(i,j)} is an integer check over all N^2
-displacements (`covariance_witness`). The float checks stay as oracles:
-`is_phase_permutation` for dense matrices, and
+U_G D_ij U_G^dag = tau^c D_{G(i,j)} is an integer check, and it holds for
+all N^2 displacements once it holds for the generators D_01 and D_10
+(`covariance_witness`): the `checked_displacements` of `verify monomial`,
+samples * N^2, counts the displacements certified through them. The float
+checks stay as oracles: `is_phase_permutation` for dense matrices, and
 `clifford.conjugation_check_batched`, which checks a phase permutation
 against a dense displacement stack from the stack's support: one read of
 the stack and O(N^3) gathers. The module also holds the SL(2,N)-orbit
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dims import Dimension, PhasePermutation, require_square, tau_powers
-from .weyl import displacements, mod_inverse
+from .weyl import displacement, mod_inverse
 from .clifford import (ZAUNER, SymplecticMatrix, _column_completion,
                        chirp_factors, zauner_phase)
 
@@ -91,28 +93,24 @@ def monomial_antiunitary(dim: Dimension, v: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(v, dtype=complex))[flatten(-r, s, n)]
 
 
-def _first_failure(U: PhasePermutation, D: PhasePermutation, k,
-                   kG: np.ndarray) -> int | None:
-    """First m with U D_{k[m]} U^dag != tau^c D_{kG[m]} for every integer c:
-    U D_{k[m]} and D_{kG[m]} U differ in image or in exponent shift."""
-    lhs, rhs = U @ D, D @ U
-    # both exponents lie in [0, nbar), so one addition reduces the difference
-    shift = lhs.expo[k] - rhs.expo[kG]
-    shift += U.dim.nbar * (shift < 0)
-    ok = ((lhs.image[k] == rhs.image[kG]).all(axis=-1)
-          & (shift == shift[:, :1]).all(axis=-1))
-    bad = np.flatnonzero(~ok)
-    return int(bad[0]) if bad.size else None
-
-
 def covariance_witness(G: SymplecticMatrix, U: PhasePermutation,
-                       D: PhasePermutation) -> tuple[int, int] | None:
-    """First (i, j) where U D_ij U^dag is no tau power of D_{G(i,j)}, over the
-    N^2 displacements of `weyl.displacements` in U's basis, or None."""
-    N = U.dim.N
-    ip, jp = G.apply(*np.divmod(np.arange(N * N), N), N)
-    m = _first_failure(U, D, slice(None), ip * N + jp)
-    return None if m is None else divmod(m, N)
+                       ijs=((0, 1), (1, 0))) -> tuple[int, int] | None:
+    """First (i, j) of ijs where U D_ij U^dag is no tau power of D_{G(i,j)}
+    in U's basis, or None: U D_ij and D_{G(i,j)} U differ in image or in
+    exponent shift. Conjugation is a homomorphism and D_ij = tau^{ij} X^i
+    Z^j, so the default Z = D_01, then X = D_10, decide all N^2: if D_01
+    holds, so does every D_0j, so the first failure of the two is the first
+    in the order i*N + j."""
+    dim = U.dim
+    X, Z = monomial_weyl_generators(dim)
+    for i, j in ijs:
+        lhs = U @ displacement(X, Z, i, j)
+        rhs = displacement(X, Z, *G.apply(i, j, dim.N)) @ U
+        shift = (lhs.expo - rhs.expo) % dim.nbar
+        if not (np.array_equal(lhs.image, rhs.image)
+                and (shift == shift[0]).all()):
+            return i, j
+    return None
 
 
 def is_phase_permutation(M, tol: float = 1e-10) -> bool:
@@ -220,14 +218,12 @@ def _is_subgroup(V: frozenset, N: int) -> bool:
 
 def stabilized_abelian_check(G: SymplecticMatrix, dim: Dimension) -> tuple[int, int] | None:
     """U_G-conjugation must map the maximal Abelian subgroup <X^n, Z^n, tau*1>
-    into itself: U_G D_ij U_G^dag = tau^c D_{G(i,j)} for (i, j) = (n, 0) and
-    (0, n), with G(i, j) again in n * Z_N^2. Returns the first generator
-    (i, j) that fails, or None; exact, like `covariance_witness`."""
+    into itself: U_G D_ij U_G^dag = tau^c D_{G(i,j)} for its generators
+    (i, j) = (n, 0) and (0, n), which decide all of its displacements as in
+    `covariance_witness`, with G(i, j) again in n * Z_N^2. Returns the first
+    generator that fails, or None; exact."""
     n = require_square(dim)
-    N = dim.N
-    i, j = np.array([n, 0]), np.array([0, n])
-    ip, jp = G.apply(i, j, N)
-    assert (ip % n == 0).all() and (jp % n == 0).all(), "conjugate left the subgroup"
-    D = displacements(dim, *monomial_weyl_generators(dim))
-    m = _first_failure(monomial_clifford(G, dim), D, i * N + j, ip * N + jp)
-    return None if m is None else (int(i[m]), int(j[m]))
+    ijs = ((n, 0), (0, n))
+    assert all(x % n == 0 for ij in ijs for x in G.apply(*ij, dim.N)), \
+        "conjugate left the subgroup"
+    return covariance_witness(G, monomial_clifford(G, dim), ijs)

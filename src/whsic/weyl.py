@@ -107,6 +107,23 @@ def _powers(P: PhasePermutation) -> PhasePermutation:
     return PhasePermutation._reduced(dim, image, expo)
 
 
+def displacement(X: PhasePermutation, Z: PhasePermutation, i: int,
+                 j: int) -> PhasePermutation:
+    """D_ij = tau^{ij} X^i Z^j, exactly, for integers i, j >= 0, from powers
+    by squaring: O(N log N), and row i*N + j of `displacements(dim, X, Z)`
+    for i, j < N."""
+    XZ = None  # the identity
+    for P, m in ((Z, j), (X, i)):
+        while m:
+            if m & 1:
+                XZ = P if XZ is None else P @ XZ
+            m >>= 1
+            P = P @ P if m else P
+    if XZ is None:
+        return PhasePermutation(Z.dim, np.arange(Z.dim.N), 0 * Z.expo)
+    return PhasePermutation(Z.dim, XZ.image, XZ.expo + i * j)
+
+
 def displacements(dim: Dimension, X: PhasePermutation | None = None,
                   Z: PhasePermutation | None = None) -> PhasePermutation:
     """Every D_ij = tau^{ij} X^i Z^j, exactly, stacked at index i*N + j. X and

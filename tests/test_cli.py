@@ -232,8 +232,9 @@ def test_dim_cap_plus_one_exits_two_at_once(command, flag):
     base = command.split() + (["--dim", "5"] if command == "search"
                               and flag != "dim" else [])
     assert getattr(cli.parse_args(base + [f"--{flag}", str(cap)]), flag) == cap
-    # 121 = 11^2: above the monomial cap, and square
-    for value in (v for v in sorted({cap + 1, 121, low - 1}) if v not in bound):
+    # 40401 = 201^2: above the monomial cap, and square
+    for value in (v for v in sorted({cap + 1, 40401, low - 1})
+                  if v not in bound):
         proc = run_python(["-c", "import sys, whsic.cli; "
                                  f"code = whsic.cli.main({base!r} + "
                                  f"['--{flag}', '{value}']); "

@@ -28,7 +28,7 @@ def test_factor_dimension_six():
     assert [(f.p, f.q, f.n, f.nbar) for f in fact.factors] == \
         [(2, 1, 2, 4), (3, 1, 3, 3)]
     # kappa_1 = 3^{-1} mod 4 = 3, kappa_2 = 2^{-1} mod 3 = 2
-    assert fact.kappas == (3, 2)
+    assert [f.kappa for f in fact.factors] == [3, 2]
 
 
 def test_factor_dimension_prime_power():
@@ -179,20 +179,46 @@ def test_displacement_half_is_exact(N):
     assert displacement_witness(factor_dimension(N)) is None
 
 
+def dense_first_failure(fact):
+    """First (a, b) in the order a*N + b where P D_ab P^T and
+    `dense_factor_side` differ, from dense matrices, or None."""
+    N = fact.N
+    P = crt_permutation(fact)
+    D = all_displacements(Dimension(N))
+    for k in range(N * N):
+        a, b = divmod(k, N)
+        lhs = P @ D[k] @ P.T
+        if np.max(np.abs(lhs - dense_factor_side(fact, a, b))) > 1e-9:
+            return a, b
+    return None
+
+
 @pytest.mark.parametrize("N", [6, 10, 12, 15])
 def test_naive_kappa_map_is_rejected_with_a_witness(N):
     """kappa_j = 1, copying the exponents, fails on the central phases; the
-    witness is a displacement where the dense matrices differ."""
+    witness is Z = D_01, the first displacement where the dense matrices
+    differ."""
     fact = factor_dimension(N)
     naive = Factorization(N, tuple(dataclasses.replace(f, kappa=1)
                                    for f in fact.factors))
-    ab = displacement_witness(naive)
-    assert ab is not None
-    a, b = ab
-    P = crt_permutation(fact)
-    lhs = P @ all_displacements(Dimension(N))[a * N + b] @ P.T
-    assert np.max(np.abs(lhs - dense_factor_side(naive, a, b))) > 0.1
-    assert np.max(np.abs(lhs - dense_factor_side(fact, a, b))) < 1e-12
+    assert displacement_witness(naive) == (0, 1)
+    assert dense_first_failure(naive) == (0, 1)
+    assert dense_first_failure(fact) is None
+
+
+@pytest.mark.parametrize("N", [6, 10, 12, 20])
+def test_central_scalar_alone_is_caught_at_d11(N):
+    """kappa_j + n_j for the even factor leaves Z_j^{kappa_j} as it is but
+    negates tau_j^{kappa_j}, since tau_j^{n_j} = -1 for even n_j: only the
+    central scalar changes, so every D_0b and D_10 still hold and D_11 is
+    the first failure, by the exact check and by the dense one."""
+    fact = factor_dimension(N)
+    even, *odd = fact.factors  # primes ascend
+    assert even.p == 2
+    shifted = Factorization(N, (dataclasses.replace(
+        even, kappa=even.kappa + even.n), *odd))
+    assert displacement_witness(shifted) == (1, 1)
+    assert dense_first_failure(shifted) == (1, 1)
 
 
 def chirp_samples(N, count, seed=0):

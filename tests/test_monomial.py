@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whsic.clifford import (ZAUNER, conjugation_check_batched, decompose,
+from whsic.clifford import (ZAUNER, SymplecticMatrix,
+                            conjugation_check_batched, decompose,
                             random_symplectic)
 from whsic.dims import Dimension, PhasePermutation, sigma_power, tau_table
 from whsic.errors import NotSquare
@@ -14,7 +15,7 @@ from whsic.monomial import (covariance_witness, flatten, is_phase_permutation,
                             monomial_clifford, monomial_weyl_generators,
                             monomial_zauner, sl2_orbit,
                             stabilized_abelian_check, vector_order, zak_matrix)
-from whsic.weyl import all_displacements, displacements
+from whsic.weyl import all_displacements
 
 from oracles import reference_check
 
@@ -123,7 +124,7 @@ def test_monomial_clifford_phase_permutation_and_covariance(N):
         U = monomial_clifford(G, dim)
         assert is_phase_permutation(U, 1e-10)
         assert conjugation_check_batched(G, dim, U, D) < 1e-9
-        assert covariance_witness(G, U, displacements(dim, X, Z)) is None
+        assert covariance_witness(G, U) is None
         assert np.max(np.abs(U - ref_clifford(G, dim))) < 1e-12
 
 
@@ -158,7 +159,7 @@ def test_conjugation_check_rejects_another_symplectic(N):
     assert conjugation_check_batched(G, dim, U0, D) > 1
     # the exact check rejects it too, at the first failure the dense oracle
     # finds
-    ij = covariance_witness(G, U0, displacements(dim, X, Z))
+    ij = covariance_witness(G, U0)
     assert ij is not None
     assert ij == first_dense_failure(G, dim, U, D)
 
@@ -167,16 +168,32 @@ def test_conjugation_check_rejects_another_symplectic(N):
 def test_covariance_witness_catches_one_flipped_exponent(N):
     dim = Dimension(N)
     rng = np.random.default_rng(N + 3)
-    X, Z = monomial_weyl_generators(dim)
-    D = displacements(dim, X, Z)
+    D = all_displacements(dim, *monomial_weyl_generators(dim))
     for _ in range(5):
         G = random_symplectic(dim, rng)
         U = monomial_clifford(G, dim)
         v = int(rng.integers(N))
         flipped = PhasePermutation(dim, U.image, U.expo + (np.arange(N) == v))
-        ij = covariance_witness(G, flipped, D)
+        ij = covariance_witness(G, flipped)
         assert ij is not None
-        assert ij == first_dense_failure(G, dim, flipped, D.dense())
+        assert ij == first_dense_failure(G, dim, flipped, D)
+
+
+@pytest.mark.parametrize("N", SQUARES)
+def test_witness_is_x_when_only_z_is_covariant(N):
+    """T = (1,0;1,1) fixes (0, 1) and moves (1, 0) to (1, 1), so U_{GT}
+    checked against G keeps Z = D_01 covariant but not X = D_10: the
+    witness is (1, 0), after every D_0j, and the dense oracle finds it
+    first too."""
+    dim = Dimension(N)
+    rng = np.random.default_rng(N + 5)
+    D = all_displacements(dim, *monomial_weyl_generators(dim))
+    T = SymplecticMatrix(1, 0, 1, 1)
+    for _ in range(3):
+        G = random_symplectic(dim, rng)
+        U = monomial_clifford(G.mul(T, dim.nbar), dim)
+        assert covariance_witness(G, U) == (1, 0)
+        assert first_dense_failure(G, dim, U, D) == (1, 0)
 
 def stray_stack(G, dim, D, k, stray):
     """The true stack D with `stray` added to D_{G(k)} at a zero, which is
@@ -288,7 +305,7 @@ def test_conjugation_check_fails_on_nan(where):
         assert np.isnan(res)
 
 
-@pytest.mark.parametrize("N", SQUARES)
+@pytest.mark.parametrize("N", [1] + SQUARES)
 def test_stabilized_abelian_subgroup(N):
     dim = Dimension(N)
     rng = np.random.default_rng(N + 7)

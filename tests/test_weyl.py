@@ -10,9 +10,9 @@ from whsic.dims import (Dimension, PhasePermutation, tau_power, tau_powers,
 from whsic.errors import NotCoprime
 from whsic.monomial import is_phase_permutation, monomial_weyl_generators
 from whsic.weyl import (GroupElement, all_displacements, canonicalize, compose,
-                        displacements, element_matrix, element_order,
-                        identity_element, inverse, mod_inverse,
-                        standard_generators)
+                        displacement, displacements, element_matrix,
+                        element_order, identity_element, inverse,
+                        mod_inverse, standard_generators)
 
 from oracles import iterated_powers
 
@@ -157,6 +157,22 @@ def test_doubled_powers_match_iterated_powers(N, generators):
     assert np.array_equal(D.expo, expect.expo.reshape(N * N, N))
 
 
+@pytest.mark.parametrize("N, generators",
+                         [(N, "standard") for N in range(1, 41)]
+                         + [(n * n, "monomial") for n in range(1, 8)])
+def test_single_displacement_is_its_stack_row(N, generators):
+    """`displacement` by squaring equals row i*N + j of `displacements`,
+    image and exponent, for every (i, j)."""
+    dim = Dimension(N)
+    X, Z = (standard_generators(dim) if generators == "standard"
+            else monomial_weyl_generators(dim))
+    D = displacements(dim, X, Z)
+    for k in range(N * N):
+        Dk = displacement(X, Z, *divmod(k, N))
+        assert np.array_equal(Dk.image, D.image[k]), k
+        assert np.array_equal(Dk.expo, D.expo[k]), k
+
+
 @pytest.mark.parametrize("N", range(1, 13))
 def test_standard_stack_matches_generator_stack(N):
     dim = Dimension(N)
@@ -170,8 +186,8 @@ def test_standard_stack_matches_generator_stack(N):
 
 @pytest.mark.parametrize("N", [30, 60, 120])
 def test_generator_stack_is_the_closed_form(N):
-    """D_ij|v> = tau^{ij + 2jv}|v + i>, exactly, up to the largest `verify
-    crt` dimension, whose displacement half reads the closed form only."""
+    """D_ij|v> = tau^{ij + 2jv}|v + i>, exactly, in dimensions past the
+    dense comparison above."""
     dim = Dimension(N)
     D = displacements(dim)
     i, j = (x[:, None] for x in np.divmod(np.arange(N * N), N))
