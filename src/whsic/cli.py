@@ -3,7 +3,7 @@
     whsic verify sic (--builtin n4|n9|n16 | --file F) [construction] [--tol T]
     whsic verify mub [--p 2..19] [--tol T]
     whsic verify monomial [--dim 1..40000] [--samples 1..1000] [--seed K]
-    whsic verify crt [--dim 2..240] [--seed K]
+    whsic verify crt [--dim 2..800000] [--seed K]
     whsic verify zauner [--dim 1..800000]
     whsic generate sic [--dim 4|9|16] [construction] [--tol T]
     whsic generate mub [--p 2..13]
@@ -247,14 +247,14 @@ class Command(NamedTuple):
 
 
 # each size cap keeps the peak RSS of `python -m whsic.cli` near 110 MB
-# (2 vCPUs, numpy 2.4.6): crt 100 MB at N = 240 in 0.5 s (seed 296, whose
-# 37 chirps are the most of seeds 0..299; its (chirps, N, N) int64 tables
-# set the cap, 120 MB at N = 270), zauner 109 at N = 800000 in 2.7 s (129
-# at 10^6), verify mub 78 at p = 19 (148 at 23), generate mub 102 at
-# p = 13 (295 at 17), operators 104 at N = 324 (121 at 361); each count
-# cap keeps the largest dimension under a minute: 2500 failing search
-# restarts take 49 s at N = 48, 1000 monomial samples 41 s at N = 40000,
-# where monomial peaks at 41 MB: time, not memory, sets its --dim cap
+# (2 vCPUs, numpy 2.4.6): crt 109 MB at the prime N = 799999 in 0.5 s (the
+# O(N) displacement half sets it; a prime N, one factor as large as N,
+# peaks highest: 98 at N = 800000, 129 at 999983), zauner 109 at N =
+# 800000 in 2.7 s (129 at 10^6), verify mub 78 at p = 19 (148 at 23),
+# generate mub 102 at p = 13 (295 at 17), operators 104 at N = 324 (121 at
+# 361); each count cap keeps the largest dimension under a minute: 2500
+# failing search restarts take 49 s at N = 48, 1000 monomial samples 41 s
+# at N = 40000, where monomial peaks at 41 MB: time sets its --dim cap
 COMMANDS = {
     "verify sic": Command(_verify_sic, ("builtin", "file", "tol"),
                           tuple(BUILTINS), one_of=("builtin", "file")),
@@ -264,7 +264,7 @@ COMMANDS = {
                                bounds={"dim": range(1, 40001),
                                        "samples": range(1, 1001)}),
     "verify crt": Command(_verify_crt, ("dim", "seed"),
-                          bounds={"dim": range(2, 241)}),
+                          bounds={"dim": range(2, 800001)}),
     "verify zauner": Command(_verify_zauner, ("dim",),
                              bounds={"dim": range(1, 800001)}),
     "generate sic": Command(_generate_sic, ("dim", "tol"), tuple(BUILTINS)),

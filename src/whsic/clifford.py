@@ -4,8 +4,9 @@ The metaplectic formula used throughout is
 
     U_G = (1/sqrt(N)) sum_{u,v} tau^{beta^{-1}(delta u^2 - 2uv + alpha v^2)} |u><v|
 
-valid when beta is invertible mod nbar: U_G is then a chirp, tau to the
-power of an integer table (`chirp_exponents`) over sqrt(N). Otherwise G is
+valid when beta is invertible mod nbar: U_G is then a chirp, tau to a
+quadratic form over sqrt(N) with three coefficients (`chirp_coefficients`)
+that the CRT check compares and `chirp_exponents` tabulates. Otherwise G is
 split as G = (0,-1;1,x) * (gamma+x*alpha, delta+x*beta; -alpha, -beta) with x
 chosen minimal so that delta + x*beta is coprime to nbar, and the two chirps
 are multiplied (`chirp_factors`). The order-3 Zauner unitary is certified
@@ -101,20 +102,26 @@ def chirp_factors(G: SymplecticMatrix, dim: Dimension) -> tuple[SymplecticMatrix
     return (G,) if math.gcd(G.beta, dim.nbar) == 1 else decompose(G, dim)
 
 
-def chirp_exponents(Gs, dim: Dimension) -> np.ndarray:
-    """The exponent tables E[k, u, v] = beta^{-1}(delta u^2 - 2uv + alpha v^2)
-    mod nbar of a sequence of symplectic matrices whose beta is a unit mod
-    nbar, so that U_{G_k} = tau^{E[k]} / sqrt(N)."""
+def chirp_coefficients(Gs, dim: Dimension) -> list[tuple[int, int, int]]:
+    """(c_uu, c_uv, c_vv) = beta^{-1}(delta, -2, alpha) mod nbar for each of
+    a sequence of G with beta a unit mod nbar: U_G = tau^E / sqrt(N) for the
+    quadratic form E[u, v] = c_uu u^2 + c_uv uv + c_vv v^2 mod nbar."""
     nbar = dim.nbar
     coeffs = []
     for G in Gs:
         b = mod_inverse(G.beta % nbar, nbar)
         coeffs.append((b * G.delta % nbar, -2 * b % nbar, b * G.alpha % nbar))
+    return coeffs
+
+
+def chirp_exponents(Gs, dim: Dimension) -> np.ndarray:
+    """The exponent tables E[k] of the `chirp_coefficients` of a sequence of
+    symplectic matrices, so that U_{G_k} = tau^{E[k]} / sqrt(N)."""
     # the coefficients are reduced first, so one reduction ends the table
-    c = np.array(coeffs, dtype=np.int64).reshape(-1, 3, 1, 1)
+    c = np.array(chirp_coefficients(Gs, dim), dtype=np.int64)[..., None, None]
     u = np.arange(dim.N).reshape(-1, 1)
     uu = u * u
-    return (c[:, 0] * uu + c[:, 1] * (u * u.T) + c[:, 2] * uu.T) % nbar
+    return (c[:, 0] * uu + c[:, 1] * (u * u.T) + c[:, 2] * uu.T) % dim.nbar
 
 
 def metaplectic(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:

@@ -17,10 +17,12 @@ mod nbar_j. `product_iso_witness` checks both statements exactly and names
 the first failure. The displacement half compares the integer phases of
 both sides of D_01, D_10 and D_11, which decide all N^2 displacements
 (`displacement_witness`): `verify crt` counts N^2 `checked_displacements`
-certified through them. The symplectic half compares the chirp exponent
-tables of U_C and of (x)_j U_{F'_j(C)} for every chirp factor C of random
-symplectic samples, up to one constant per C (`symplectic_witness`). Both
-compare integers mod 2N and read no tolerance.
+certified through them. The symplectic half compares U_K and
+(x)_j U_{F'_j(K)} up to one constant for every chirp factor K of random
+symplectic samples (`symplectic_witness`): they differ by one quadratic
+form A u^2 + B uv + C v^2 mod 2N, so three coefficients per chirp decide,
+and the witness entry is (0, 1) if C != 0, else (1, 0) if A != 0, else
+(1, 1). Both halves compare integers mod 2N and read no tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import (SymplecticMatrix, chirp_exponents, chirp_factors,
+from .clifford import (SymplecticMatrix, chirp_coefficients, chirp_factors,
                        random_symplectic)
 from .dims import Dimension
 from .weyl import displacement, mod_inverse, standard_generators
@@ -56,15 +58,13 @@ def factor_dimension(N: int) -> Factorization:
     """Prime-power factorization with the CRT twist constants, primes ascending."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    rem = N
-    factors = []
-    p = 2
+    rem, factors, p = N, [], 2
     while rem > 1:
-        if rem % p == 0:
-            q = 0
-            while rem % p == 0:
-                rem //= p
-                q += 1
+        p = p if p * p <= rem else rem  # no factor up to sqrt: rem is prime
+        q = 0
+        while rem % p == 0:
+            rem, q = rem // p, q + 1
+        if q:
             n = p ** q
             nbar = n if n % 2 else 2 * n
             kappa = mod_inverse((N // n) % nbar, nbar)
@@ -112,32 +112,32 @@ def displacement_witness(fact: Factorization) -> tuple[int, int] | None:
 
 def symplectic_witness(fact: Factorization, Gs
                        ) -> tuple[SymplecticMatrix, tuple[int, int]] | None:
-    """First G of Gs and entry (u, v) with P U_C P^T != c (x)_j U_{F'_j(C)}
-    for a constant c, where C is G or the failing one of its two
-    `chirp_factors`, or None. Exact: every U_C and U_{F'_j(C)} is a chirp
-    tau^E / sqrt(n) and 1/sqrt(N) = prod_j 1/sqrt(n_j), so entry (u, v)
-    compares (N+1) E_N[u, v] with sum_j (n_j+1)(N/n_j) E_j[u mod n_j,
-    v mod n_j] mod 2N, in the unit e^{i pi/N}, and their difference must be
-    the same for every entry of one C."""
-    N = fact.N
-    dim = Dimension(N)
-    chirps, owner = [], []
-    for i, G in enumerate(Gs):
-        for C in chirp_factors(G, dim):
-            chirps.append(C)
-            owner.append(i)
-    diff = (N + 1) * chirp_exponents(chirps, dim)
-    u = np.arange(N)
-    for j, f in enumerate(fact.factors):
-        E = chirp_exponents([f_prime(C, j, fact) for C in chirps],
-                            Dimension(f.n))
-        diff -= (f.n + 1) * (N // f.n) * E[:, (u % f.n)[:, None], u % f.n]
-    diff %= 2 * N
-    bad = np.flatnonzero(diff != diff[:, :1, :1])
-    if bad.size == 0:
-        return None
-    k, uv = divmod(int(bad[0]), N * N)
-    return Gs[owner[k]], divmod(uv, N)
+    """First G of Gs and entry (u, v) with P U_K P^T != c (x)_j U_{F'_j(K)}
+    for a constant c, where K is G or the failing one of its two
+    `chirp_factors`, or None."""
+    return _chirp_witness(fact, [(G, K) for G in Gs for K in
+                                 chirp_factors(G, Dimension(fact.N))])
+
+
+def _chirp_witness(fact: Factorization, chirps
+                   ) -> tuple[SymplecticMatrix, tuple[int, int]] | None:
+    """`symplectic_witness` over pairs (G, K), K a chirp factor of G. U_K
+    and each U_{F'_j(K)} are chirps tau^E / sqrt(n); in the unit
+    e^{i pi/N} the weights N+1 and (n_j+1)(N/n_j) make each term of each
+    form E well defined mod 2N on Z^2, so the sides differ by P(u, v) =
+    A u^2 + B uv + C v^2 mod 2N, A, B and C the weighted sums of their
+    `chirp_coefficients`. The witness is the first nonzero P(u, v) in
+    row-major order: P(0, 1) = C, then P(1, 0) = A, then P(1, 1) = A+B+C."""
+    N, Ks = fact.N, [K for _, K in chirps]
+    weights = [N + 1] + [-(f.n + 1) * (N // f.n) for f in fact.factors]
+    sides = [chirp_coefficients(Ks, Dimension(N))] + [
+        chirp_coefficients([f_prime(K, j, fact) for K in Ks], Dimension(f.n))
+        for j, f in enumerate(fact.factors)]
+    for (G, _), (A, B, C) in zip(chirps,
+                                 np.tensordot(weights, sides, 1) % (2 * N)):
+        if A or B or C:
+            return G, (0, 1) if C else (1, 0) if A else (1, 1)
+    return None
 
 
 def product_iso_witness(N: int, n_symplectic: int = SYMPLECTIC_SAMPLES,
@@ -158,13 +158,13 @@ def product_iso_witness(N: int, n_symplectic: int = SYMPLECTIC_SAMPLES,
         return {"displacement": list(ab)}, 0
     rng = np.random.default_rng(rng_seed)
     Gs = [random_symplectic(dim, rng) for _ in range(n_symplectic)]
-    checked = sum(len(chirp_factors(G, dim)) for G in Gs)
-    bad = symplectic_witness(fact, Gs)
+    chirps = [(G, K) for G in Gs for K in chirp_factors(G, dim)]
+    bad = _chirp_witness(fact, chirps)
     if bad is None:
-        return None, checked
+        return None, len(chirps)
     G, uv = bad
     return ({"symplectic": [G.alpha, G.beta, G.gamma, G.delta],
-             "entry": list(uv)}, checked)
+             "entry": list(uv)}, len(chirps))
 
 
 def verify_product_iso(N: int, n_symplectic: int = SYMPLECTIC_SAMPLES,

@@ -13,11 +13,11 @@ table (the only place an exponent array is reduced mod 2N).
 Every operator with one tau power per column (Weyl generators and
 displacements, monomial Clifford unitaries) is a `PhasePermutation` with
 integer exponents, composed exactly; checks on them compare integers. A
-metaplectic unitary is a chirp, tau to an integer table over sqrt(N), or a
-product of two (`clifford.chirp_exponents`), so the CRT certificate
-compares integers too; only `clifford.conjugation_check_batched`, which
-reads a dense displacement stack, stays float. `.dense()` is the one way a
-`PhasePermutation` becomes a matrix.
+metaplectic unitary is a chirp, tau to a quadratic form over sqrt(N), or a
+product of two, so the CRT certificate compares integers too, three form
+coefficients per chirp (`clifford.chirp_coefficients`); only
+`clifford.conjugation_check_batched`, which reads a dense displacement stack,
+stays float. `.dense()` is the one way a `PhasePermutation` becomes a matrix.
 
 The scalar evaluation, `cmath.exp`, is kept instead of a vectorised numpy exp
 because the seeded fiducial search amplifies one-ulp differences: numpy's

@@ -37,11 +37,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .clifford import zauner_unitary
 from .dims import (Dimension, PhasePermutation, _checked_sqrt, sigma_power,
                    tau_powers)
 from .errors import BasisUnavailable, NullProjection
-from .monomial import flatten, monomial_weyl_generators, zak_matrix
 
 
 @dataclass(frozen=True)
@@ -82,6 +80,7 @@ def rephased4_generators() -> tuple[PhasePermutation, PhasePermutation]:
     """N = 4 monomial generators after the diagonal rephasing
     diag(tau^-2, tau^-7, tau^-5, 1); both come out as tau times a signed
     permutation with entries in {1, i, -1}."""
+    from .monomial import monomial_weyl_generators
     dim = Dimension(4)
     # rescaling the kets |e_j> -> ph_j |e_j> conjugates operators by the
     # inverse diagonal, M' = P^{-1} M P: a shift of the tau exponents
@@ -100,9 +99,10 @@ def basis_change(dim: Dimension, basis: str) -> np.ndarray:
     if basis == "standard":
         V = np.eye(dim.N, dtype=complex)
     elif basis == "monomial" and dim.is_square:
+        from .monomial import zak_matrix
         V = zak_matrix(dim)
     elif basis == "rephased4" and dim.N == 4:
-        V = zak_matrix(dim) * tau_powers(dim, REPHASE4)
+        V = basis_change(dim, "monomial") * tau_powers(dim, REPHASE4)
     elif basis == "adapted16" and dim.N == 16:
         from .adapted16 import adapted16_generators
         V = adapted16_generators()[2].T
@@ -217,16 +217,16 @@ def fiducial_n9(s0: int, s1: int, s2: int, m3: int, m4: int) -> Fiducial:
     z4 = math.sqrt(p4) * e_mu4
 
     w = tau_powers(dim, 2 * np.arange(9))  # omega^k
-    v = np.zeros(9, dtype=complex)
-    v[flatten(1, 1, 3)] = -z1 * w[7]
-    v[flatten(2, 2, 3)] = -z2 * w[1]
-    v[flatten(0, 2, 3)] = z3 * w[6]
-    v[flatten(1, 0, 3)] = z3
-    v[flatten(2, 1, 3)] = z3 * w[8]
-    v[flatten(0, 1, 3)] = z4 * w[6]
-    v[flatten(2, 0, 3)] = z4
-    v[flatten(1, 2, 3)] = z4 * w[5]
-    v = v / np.linalg.norm(v)
+    v = np.zeros((3, 3), dtype=complex)  # v[r, s] is the amplitude of |r,s>
+    v[1, 1] = -z1 * w[7]
+    v[2, 2] = -z2 * w[1]
+    v[0, 2] = z3 * w[6]
+    v[1, 0] = z3
+    v[2, 1] = z3 * w[8]
+    v[0, 1] = z4 * w[6]
+    v[2, 0] = z4
+    v[1, 2] = z4 * w[5]
+    v = v.ravel() / np.linalg.norm(v)
     return Fiducial(dim, "monomial", v,
                     {"construction": "n9", "s0": s0, "s1": s1, "s2": s2,
                      "m3": m3 % 3, "m4": m4 % 3,
@@ -310,6 +310,7 @@ def _e0_basis(dim: Dimension) -> np.ndarray:
     """Orthonormal columns spanning the eigenvalue-1 eigenspace of the
     standard-basis order-3 unitary U, from P = (1 + U + U^2)/3; built once
     per dimension, read-only."""
+    from .clifford import zauner_unitary
     U = zauner_unitary(dim)
     P = (np.eye(dim.N) + U + U @ U) / 3.0
     w, v = np.linalg.eigh(P @ P.conj().T)

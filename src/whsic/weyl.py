@@ -141,11 +141,3 @@ def all_displacements(dim: Dimension, X: PhasePermutation | None = None,
                       Z: PhasePermutation | None = None) -> np.ndarray:
     """Stack of all N^2 displacement matrices, index (i*N + j, :, :)."""
     return displacements(dim, X, Z).dense()
-
-
-def element_matrix(g: GroupElement, dim: Dimension) -> np.ndarray:
-    """Dense matrix of tau^k D_{ij} in the standard basis, with
-    D_{ij} = tau^{ij} X^i Z^j: tau^{k + ij + 2jv} at (v + i, v)."""
-    v = np.arange(dim.N)
-    return PhasePermutation(dim, (v + g.i) % dim.N,
-                            g.k + g.i * g.j + 2 * g.j * v).dense()

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from whsic.dims import PhasePermutation, tau_table
+from whsic import crt
+from whsic.clifford import chirp_exponents, chirp_factors
+from whsic.dims import Dimension, PhasePermutation, tau_table
 
 
 def reference_check(G, dim, U, D):
@@ -23,6 +25,14 @@ def reference_check(G, dim, U, D):
     return float(worst)
 
 
+def element_matrix(g, dim):
+    """Dense matrix of tau^k D_{ij} in the standard basis, with
+    D_{ij} = tau^{ij} X^i Z^j: tau^{k + ij + 2jv} at (v + i, v)."""
+    v = np.arange(dim.N)
+    return PhasePermutation(dim, (v + g.i) % dim.N,
+                            g.k + g.i * g.j + 2 * g.j * v).dense()
+
+
 def iterated_powers(P):
     """P^0, ..., P^{N-1} of a `PhasePermutation`, stacked along a leading
     axis, by N - 1 single products: the plain recursion P^{m+1} = P^m P
@@ -33,3 +43,32 @@ def iterated_powers(P):
         powers.append(powers[-1] @ P)
     return PhasePermutation(P.dim, np.stack([Q.image for Q in powers]),
                             np.stack([Q.expo for Q in powers]))
+
+
+def chirp_table_witness(fact, Gs):
+    """`crt.symplectic_witness` by a scan of whole exponent tables: for
+    every chirp factor C of every G, the (N, N) table of (N+1) E_N[u, v] -
+    sum_j (n_j+1)(N/n_j) E_j[u mod n_j, v mod n_j] mod 2N, in the unit
+    e^{i pi/N}, from `chirp_exponents` on each side, must be constant. The
+    first entry in the order (chirp, u, v) that differs from the chirp's
+    entry (0, 0) is the witness, returned with its G; None if there is
+    none. F'_j is read through `crt.f_prime`, so a test can break it."""
+    N = fact.N
+    dim = Dimension(N)
+    chirps, owner = [], []
+    for i, G in enumerate(Gs):
+        for C in chirp_factors(G, dim):
+            chirps.append(C)
+            owner.append(i)
+    diff = (N + 1) * chirp_exponents(chirps, dim)
+    u = np.arange(N)
+    for j, f in enumerate(fact.factors):
+        E = chirp_exponents([crt.f_prime(C, j, fact) for C in chirps],
+                            Dimension(f.n))
+        diff -= (f.n + 1) * (N // f.n) * E[:, (u % f.n)[:, None], u % f.n]
+    diff %= 2 * N
+    bad = np.flatnonzero(diff != diff[:, :1, :1])
+    if bad.size == 0:
+        return None
+    k, uv = divmod(int(bad[0]), N * N)
+    return Gs[owner[k]], divmod(uv, N)

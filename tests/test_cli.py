@@ -220,6 +220,24 @@ def test_command_loads_only_the_modules_it_runs(argv, unloaded):
         assert len(loaded) == 3, loaded
 
 
+def test_sic_certificate_in_the_standard_basis_loads_no_clifford():
+    """`whsic.sic` imports `clifford` and `monomial` only inside the
+    functions that use them: importing it, and certifying a standard-basis
+    vector, loads neither."""
+    proc = run_python(["-c", "import sys, numpy as np, whsic.sic as s; "
+                             "from whsic.dims import Dimension; "
+                             "print(*sorted(m for m in sys.modules "
+                             "if m.startswith('whsic.'))); "
+                             "s.verify_sic(s.Fiducial(Dimension(3), "
+                             "'standard', np.ones(3) / np.sqrt(3))); "
+                             "print(*sorted(m for m in sys.modules "
+                             "if m.startswith('whsic.')))"])
+    assert proc.returncode == 0, proc.stderr
+    for line in proc.stdout.splitlines():
+        assert "whsic.sic" in line.split()
+        assert not {"whsic.clifford", "whsic.monomial"} & set(line.split())
+
+
 # each bounded flag's cap + 1 is refused by the parser, before any command
 # module is imported or anything is allocated; the cap itself parses
 @pytest.mark.parametrize("command,flag", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whsic import crt
+from whsic import clifford, crt
 from whsic.clifford import (SymplecticMatrix, is_symplectic, metaplectic,
                             random_symplectic)
 from whsic.crt import (Factorization, displacement_witness, eta_prime, f_prime,
@@ -17,6 +17,8 @@ from whsic.crt import (Factorization, displacement_witness, eta_prime, f_prime,
 from whsic.dims import Dimension, tau_power
 from whsic.weyl import (GroupElement, all_displacements, compose,
                         standard_generators)
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +296,12 @@ def test_twist_of_another_sample_is_rejected_with_a_witness(N, monkeypatch):
 
 @pytest.mark.parametrize("N", [6, 10, 12, 15, 30])
 def test_one_changed_exponent_is_the_witness(N, monkeypatch):
-    """One entry of the N-table of the third sample's chirp, raised by 1."""
+    """One entry of the N-table of the third sample's chirp, raised by 1: no
+    quadratic form does that, so the table scan is checked, and it names
+    that entry."""
     Gs = chirp_samples(N, 5)
     u, v = N - 1, N // 2
-    chirp_exponents = crt.chirp_exponents
+    chirp_exponents = oracles.chirp_exponents
 
     def corrupted(chirps, dim):
         E = chirp_exponents(chirps, dim)
@@ -305,6 +309,63 @@ def test_one_changed_exponent_is_the_witness(N, monkeypatch):
             E[2, u, v] += 1
         return E
 
-    monkeypatch.setattr(crt, "chirp_exponents", corrupted)
-    G, uv = symplectic_witness(factor_dimension(N), Gs)
+    monkeypatch.setattr(oracles, "chirp_exponents", corrupted)
+    G, uv = oracles.chirp_table_witness(factor_dimension(N), Gs)
     assert G is Gs[2] and uv == (u, v)
+
+
+def random_unit_kappas(fact, rng):
+    """fact with one factor's kappa_j replaced by another unit mod nbar_j."""
+    j = int(rng.integers(len(fact.factors)))
+    f = fact.factors[j]
+    units = [k for k in range(1, f.nbar)
+             if np.gcd(k, f.nbar) == 1 and k != f.kappa]
+    factors = list(fact.factors)
+    factors[j] = dataclasses.replace(f, kappa=int(rng.choice(units)))
+    return Factorization(fact.N, tuple(factors))
+
+
+@pytest.mark.parametrize("N", range(2, 61))
+def test_coefficient_witness_is_the_table_witness(N):
+    """Three coefficients per chirp name the same witness as the scan of
+    the whole exponent tables, for random G, chirps or not, under the
+    correct twist, the naive kappa_j = 1 and one random kappa_j."""
+    fact = factor_dimension(N)
+    rng = np.random.default_rng(N)
+    Gs = [random_symplectic(Dimension(N), rng) for _ in range(5)]
+    naive = Factorization(N, tuple(dataclasses.replace(f, kappa=1)
+                                   for f in fact.factors))
+    witnesses = []
+    for cand in (fact, naive, random_unit_kappas(fact, rng)):
+        witness = symplectic_witness(cand, Gs)
+        assert witness == oracles.chirp_table_witness(cand, Gs)
+        witnesses.append(witness)
+    assert witnesses[0] is None
+    assert (witnesses[1] is None) == (len(fact.factors) == 1)
+
+
+@pytest.mark.parametrize("N", [6, 10, 12, 15, 30])
+@pytest.mark.parametrize("k,entry", [(0, (1, 0)), (1, (1, 1)), (2, (0, 1))])
+def test_one_raised_coefficient_is_the_witness(N, k, entry, monkeypatch):
+    """Coefficient k of the third sample's N-side chirp raised by 1 raises
+    A, B or C alone, by N + 1, so P(u, v) = (N+1) u^2, (N+1) uv or
+    (N+1) v^2: the witness is the first entry where that is nonzero, and
+    the dense sides differ there."""
+    fact = factor_dimension(N)
+    dim = Dimension(N)
+    Gs = chirp_samples(N, 5)
+    target = Gs[2].reduced(dim.nbar)
+    chirp_coefficients = clifford.chirp_coefficients
+
+    def raised(Gs, d):
+        coeffs = [list(c) for c in chirp_coefficients(Gs, d)]
+        for G, c in zip(Gs, coeffs):
+            if d.N == N and G == target:
+                c[k] += 1
+        return coeffs
+
+    for module in (clifford, crt):
+        monkeypatch.setattr(module, "chirp_coefficients", raised)
+    G, uv = symplectic_witness(fact, Gs)
+    assert G is Gs[2] and uv == entry
+    assert_dense_witness(fact, G, uv)

@@ -10,11 +10,11 @@ from whsic.dims import (Dimension, PhasePermutation, tau_power, tau_powers,
 from whsic.errors import NotCoprime
 from whsic.monomial import is_phase_permutation, monomial_weyl_generators
 from whsic.weyl import (GroupElement, all_displacements, canonicalize, compose,
-                        displacement, displacements, element_matrix,
-                        element_order, identity_element, inverse,
-                        mod_inverse, standard_generators)
+                        displacement, displacements, element_order,
+                        identity_element, inverse, mod_inverse,
+                        standard_generators)
 
-from oracles import iterated_powers
+from oracles import element_matrix, iterated_powers
 
 DIMS = st.integers(min_value=1, max_value=12)
 EPS = np.finfo(float).eps
