@@ -25,7 +25,7 @@ eigenspace where fiducials live, and searches that eigenspace for fiducials
 with one numpy L-BFGS pass per restart (`_lbfgs`) on the exact gradient.
 
 What depends on N alone is built once per dimension and shared read-only:
-each tag's V, the E0 basis of the search and the kernel's shift gathers.
+each tag's V, the E0 basis and objective of the search and the shift gathers.
 """
 
 from __future__ import annotations
@@ -357,7 +357,8 @@ def standard_overlaps(psi: np.ndarray) -> np.ndarray:
     <psi|D_ij|psi> = tau^{ij} S_ij: N shifted products and one FFT along v,
     O(N^2 log N) in place of the O(N^4) dense contraction."""
     N = len(psi)
-    return N * np.fft.ifft(psi[_shift_index(N, +1)].conj() * psi, axis=1)
+    S = psi.conj()[_shift_index(N, +1)] * psi
+    return np.multiply(np.fft.ifft(S, axis=1, out=S), N, out=S)
 
 
 def frame_residual(psi: np.ndarray) -> tuple[float, np.ndarray]:
@@ -365,17 +366,18 @@ def frame_residual(psi: np.ndarray) -> tuple[float, np.ndarray]:
     unit vector, with its Wirtinger gradient dF/d conj(psi).
 
     With w_ij = |S_ij|^2 - 1/(N+1) (w_00 = 0) and
-    B_i(v) = sum_j w_ij conj(S_ij) omega^{jv}, one more FFT, the gradient is
-    4 sum_i psi_{u-i} B_i(u-i): the terms from S and conj(S) are equal
-    because w_{-i,-j} = w_ij."""
+    B_i(v) = psi_v sum_j w_ij conj(S_ij) omega^{jv}, one more FFT, the
+    gradient is 4 sum_i B_i(u-i), one gather: the terms from S and conj(S)
+    are equal because w_{-i,-j} = w_ij. B is formed in S's buffer."""
     N = len(psi)
     S = standard_overlaps(psi)
-    w = np.abs(S) ** 2 - 1.0 / (N + 1)
+    w = np.abs(S) ** 2
+    w -= 1.0 / (N + 1)
     w[0, 0] = 0.0
-    B = N * np.fft.ifft(w * S.conj(), axis=1)
-    grad = 4.0 * (psi[_shift_index(N, -1)]
-                  * B.ravel()[_row_shift_gather(N)]).sum(axis=0)
-    return float(np.sum(w ** 2)), grad
+    np.multiply(np.conjugate(S, out=S), w, out=S)
+    np.fft.ifft(S, axis=1, norm="forward", out=S)
+    S *= psi
+    return float(np.vdot(w, w)), 4.0 * S.ravel()[_row_shift_gather(N)].sum(0)
 
 
 SEARCH_MAX_ITER = 100_000  # iteration cap of the one L-BFGS pass per restart
@@ -494,24 +496,27 @@ def _line_search(fg, x: np.ndarray, f: float, g: np.ndarray, d: np.ndarray,
     return None, f, g, LINE_SEARCH_EVALS
 
 
-def _e0_objective(B: np.ndarray) -> Callable[[np.ndarray],
-                                             tuple[float, np.ndarray]]:
-    """x -> (F, dF/dx) for psi = Bc/|c| with c = x[:d] + i x[d:], over the
-    orthonormal columns of B."""
-    Bh = B.conj().T
-    d = B.shape[1]
+@functools.lru_cache(maxsize=256)
+def _e0_objective(dim: Dimension) -> Callable[[np.ndarray],
+                                               tuple[float, np.ndarray]]:
+    """x -> (F, dF/dx) for psi = Bx x/|x|, Bx = [B, iB] for the E0 basis B
+    (Bx x = B c with c = x[:d] + i x[d:]), built once per dimension. Bx is
+    held as the real (2d, 2N) array R whose row k interleaves Re and Im of
+    column k: on vectors viewed as floats, R.T x is Bx x and R g is
+    Re(Bx^dag g). As Re(Bx^dag Bx) = 1, dF/dx is
+    (2/|x|) (Re(Bx^dag g) - Re<psi, g> x/|x|) for g = dF/d conj(psi)."""
+    B = _e0_basis(dim)
+    R = np.ascontiguousarray(np.hstack((B, 1j * B)).T).view(np.float64)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        c = x[:d] + 1j * x[d:]
-        nrm = np.linalg.norm(c)
+        nrm = math.sqrt(x @ x)
         if nrm < 1e-12:
             return 1.0, np.zeros_like(x)
-        psi = B @ (c / nrm)
-        F, g = frame_residual(psi)
-        # psi = phi/|phi| with phi = Bc: project out the radial part, scale
-        # by 1/|phi| and pull back through B; d/dRe, d/dIm are 2 Re, 2 Im
-        gc = Bh @ (g - np.vdot(psi, g).real * psi) / nrm
-        return F, 2.0 * np.concatenate([gc.real, gc.imag])
+        u = x / nrm
+        psi = R.T @ u
+        F, g = frame_residual(psi.view(complex))
+        g = g.view(np.float64)
+        return F, (2.0 / nrm) * (R @ g - (psi @ g) * u)
 
     return objective
 
@@ -525,19 +530,14 @@ def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
     on F(psi) = sum ( |<psi|D_ij|psi>|^2 - 1/(N+1) )^2 with psi = Bc/|c| for
     an orthonormal basis B of E0: the multi-start scheme of Renes,
     Blume-Kohout, Scott & Caves, J. Math. Phys. 45, 2171 (2004). F and its
-    exact gradient come from the FFT kernel `frame_residual`, chained through
-    the normalisation and B; there are no finite differences and no
-    displacement matrices. Returns the first restart (lowest index) whose
+    exact gradient come from `_e0_objective`, with no finite differences and
+    no displacement matrices. Returns the first restart (lowest index) whose
     refined vector passes verify_sic at tol, or None if all restarts fail.
     Its provenance records that pass's `nit`, `nfev` and `stop`.
-
-    B and the kernel's shift gathers are built once per dimension and
-    shared; B^dag is formed once per call, and each restart's sub-seed only
-    when that restart is reached.
     """
     B = _e0_basis(dim)
     d = B.shape[1]
-    objective = _e0_objective(B)
+    objective = _e0_objective(dim)
     for restart in range(max_restarts):
         # child `restart` of SeedSequence(rng_seed).spawn(max_restarts),
         # made only when the restart is reached

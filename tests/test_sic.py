@@ -434,9 +434,31 @@ def test_search_small_dimensions(N):
     f = search_fiducial(Dimension(N), rng_seed=SEARCH_SEEDS[N])
     assert f is not None
     assert verify_sic(f, 1e-8).passed
-    # the restart index pins the L-BFGS trajectory: a changed bit in the
-    # kernel, the E0 basis, the start draws or the optimizer moves it
+    # the restart index pins the L-BFGS trajectory. A changed bit in the E0
+    # basis or the start draws moves it; changed rounding inside the
+    # objective moved no restart over N = 5..48 and seeds 0..9
     assert f.provenance["restart"] == 0
+
+
+# the restart at which seed 0 first certifies, for every N = 2..24
+SEED0_RESTART = {2: 0, 3: 0, 4: 1, 5: 0, 6: 0, 7: 0, 8: 0, 9: 0, 10: 0,
+                 11: 0, 12: 6, 13: 3, 14: 0, 15: 0, 16: 4, 17: 0, 18: 3,
+                 19: 4, 20: 5, 21: 1, 22: 6, 23: 0, 24: 4}
+
+
+@pytest.mark.parametrize("N", SEED0_RESTART)
+def test_search_seed0_restart_table(N):
+    f = search_fiducial(Dimension(N), rng_seed=0)
+    assert f is not None
+    assert verify_sic(f, 1e-8).passed
+    assert f.provenance["restart"] == SEED0_RESTART[N]
+
+
+def test_search_n48_seed0_restart_34():
+    """The `--dim` cap: seed 0 first certifies at restart 34, far below tol."""
+    f = search_fiducial(Dimension(48), rng_seed=0)
+    assert f is not None and f.provenance["restart"] == 34
+    assert verify_sic(f).max_abs_deviation < 1e-11
 
 
 def test_search_restart_index_is_pinned():
@@ -515,7 +537,7 @@ def test_lbfgs_converged_pass_ends_in_line_search_failure():
     evaluations, not loop to the iteration cap."""
     dim = Dimension(7)
     B = _e0_basis(dim)
-    objective = _e0_objective(B)
+    objective = _e0_objective(dim)
     seed = np.random.SeedSequence(0, spawn_key=(0,))
     x0 = np.random.default_rng(seed).standard_normal(2 * B.shape[1])
     x = _lbfgs(objective, x0, 1e-16, 1e-12, 1000).x
@@ -626,6 +648,36 @@ def test_frame_residual_gradient_central_difference(N):
             slope = (frame_residual(psi + e)[0] - frame_residual(psi - e)[0]) / (2 * h)
             numeric[u] += slope * step / h
     assert np.max(np.abs(numeric - 2 * grad)) < 1e-8 * np.max(np.abs(numeric))
+
+
+def test_standard_overlaps_is_the_scaled_inverse_fft_bit_for_bit():
+    for N in range(1, 49):
+        psi = random_unit(N, 1000 + N)
+        ref = N * np.fft.ifft(psi[_shift_index(N, 1)].conj() * psi, axis=1)
+        assert np.array_equal(standard_overlaps(psi), ref)
+
+
+@pytest.mark.parametrize("N", [2, 3, 7, 12, 48])
+def test_e0_objective_gradient_central_difference(N):
+    """dF/dx through psi = Bx x/|x| and the E0 basis, at a start that is
+    not a unit vector; and the null x gives (1, 0)."""
+    dim = Dimension(N)
+    objective = _e0_objective(dim)
+    assert objective is _e0_objective(Dimension(N))  # built once per N
+    x = np.random.default_rng(N).standard_normal(2 * _e0_basis(dim).shape[1])
+    F, grad = objective(x)
+    h = 1e-6
+    numeric = np.empty_like(x)
+    for k in range(len(x)):
+        e = np.zeros_like(x)
+        e[k] = h
+        numeric[k] = (objective(x + e)[0] - objective(x - e)[0]) / (2 * h)
+    assert np.abs(numeric - grad).max() < 1e-8 * max(np.abs(numeric).max(), 1)
+    # F is constant along x: the gradient has no radial part
+    assert abs(grad @ x) < 1e-12 * max(np.abs(grad).max(), 1)
+    assert objective(2.0 * x)[0] == pytest.approx(F, rel=1e-13, abs=1e-28)
+    F0, g0 = objective(np.zeros_like(x))
+    assert F0 == 1.0 and not g0.any() and g0.shape == x.shape
 
 
 @pytest.mark.parametrize("branch", [1, -1])
