@@ -3,7 +3,7 @@
     whsic verify sic (--builtin n4|n9|n16 | --file F) [construction] [--tol T]
     whsic verify mub [--p 2..19] [--tol T]
     whsic verify monomial [--dim 1..40000] [--samples 1..1000] [--seed K]
-    whsic verify crt [--dim 2..800000] [--seed K]
+    whsic verify crt [--dim 2..1000000000000] [--seed K]
     whsic verify zauner [--dim 1..800000]
     whsic generate sic [--dim 4|9|16] [construction] [--tol T]
     whsic generate mub [--p 2..13]
@@ -111,10 +111,13 @@ def _verify_sic(args) -> dict:
 def _verify_mub(args) -> dict:
     from .mub import is_unbiased, prime_family
     bases = prime_family(args.p)
-    worst = max(is_unbiased(A, B, args.tol).max_abs_deviation
-                for A, B in itertools.combinations(bases, 2))
-    return {"pass": bool(worst <= args.tol),
-            "metrics": {"num_bases": len(bases), "max_abs_deviation": worst}}
+    pairs = list(itertools.combinations(bases, 2))
+    devs = [is_unbiased(A, B, args.tol).max_abs_deviation for A, B in pairs]
+    k = int(np.argmax(devs))  # the first pair with the largest deviation
+    return {"pass": bool(devs[k] <= args.tol),
+            "metrics": {"num_bases": len(bases), "max_abs_deviation": devs[k],
+                        "worst_pair": [b.label for b in pairs[k]],
+                        "checked_pairs": len(pairs)}}
 
 
 def _verify_monomial(args) -> dict:
@@ -178,14 +181,18 @@ def _generate_mub(args) -> dict:
 
 
 def _generate_projection(args) -> dict:
-    from .sic import basis_change, to_standard
-    from .weyl import all_displacements
+    from .monomial import monomial_weyl_generators
+    from .sic import rephased4_generators
+    from .weyl import displacements
     f = _builtin_fiducial(args)
     dim = f.dim
-    # |V^dag D_ij V psi|^2: the orbit's probabilities in the fiducial's basis
-    orbit = all_displacements(dim) @ to_standard(f).amplitudes
-    points = np.abs(orbit @ basis_change(dim, f.basis).conj()) ** 2
-    distinct = _distinct_points(points)
+    # |D_ij a|^2 in the fiducial's basis, where the tag's generators make
+    # each D_ij a phase permutation: |a|^2 gathered through its inverse
+    X, Z = (rephased4_generators() if f.basis == "rephased4"
+            else monomial_weyl_generators(dim))
+    image = displacements(dim, X, Z).image
+    points = (np.abs(f.amplitudes) ** 2)[np.argsort(image, axis=1)]
+    distinct = len(np.unique(points, axis=0))
     return {"pass": distinct == dim.N,
             "metrics": {"num_points": len(points), "num_distinct": distinct,
                         "sum_p_squared": float(np.sum(points[0] ** 2))},
@@ -206,14 +213,6 @@ def _generate_operators(args) -> dict:
 def _encode(M) -> list:
     """A complex array as nested lists ending in [re, im] pairs."""
     return np.stack([np.real(M), np.imag(M)], axis=-1).tolist()
-
-
-def _distinct_points(points: np.ndarray, tol: float = 1e-8) -> int:
-    reps: list[np.ndarray] = []
-    for v in points:
-        if not any(np.max(np.abs(v - r)) < tol for r in reps):
-            reps.append(v)
-    return len(reps)
 
 
 def _search(args) -> dict:
@@ -247,14 +246,15 @@ class Command(NamedTuple):
 
 
 # each size cap keeps the peak RSS of `python -m whsic.cli` near 110 MB
-# (2 vCPUs, numpy 2.4.6): crt 109 MB at the prime N = 799999 in 0.5 s (the
-# O(N) displacement half sets it; a prime N, one factor as large as N,
-# peaks highest: 98 at N = 800000, 129 at 999983), zauner 109 at N =
-# 800000 in 2.7 s (129 at 10^6), verify mub 78 at p = 19 (148 at 23),
-# generate mub 102 at p = 13 (295 at 17), operators 104 at N = 324 (121 at
-# 361); each count cap keeps the largest dimension under a minute: 2500
-# failing search restarts take 49 s at N = 48, 1000 monomial samples 41 s
-# at N = 40000, where monomial peaks at 41 MB: time sets its --dim cap
+# (2 vCPUs, numpy 2.4.6): zauner 109 at N = 800000 in 2.7 s (129 at 10^6),
+# verify mub 78 at p = 19 (148 at 23), generate mub 102 at p = 13 (295 at
+# 17), operators 104 at N = 324 (121 at 361); each count cap keeps the
+# largest dimension under a minute: 2500 failing search restarts take 49 s
+# at N = 48, 1000 monomial samples 41 s at N = 40000, where monomial peaks
+# at 41 MB: time sets its --dim cap. Time sets the crt cap too: both halves
+# are O(r) integers, 35 MB at any N, and the O(sqrt N) trial division of
+# `factor_dimension` peaks at a prime: 0.11 s at N = 999999999989
+# (0.35-0.55 s wall), 0.35 s at 10^13, 1.1 s at 10^14, 11 s at 10^16
 COMMANDS = {
     "verify sic": Command(_verify_sic, ("builtin", "file", "tol"),
                           tuple(BUILTINS), one_of=("builtin", "file")),
@@ -264,7 +264,7 @@ COMMANDS = {
                                bounds={"dim": range(1, 40001),
                                        "samples": range(1, 1001)}),
     "verify crt": Command(_verify_crt, ("dim", "seed"),
-                          bounds={"dim": range(2, 800001)}),
+                          bounds={"dim": range(2, 10 ** 12 + 1)}),
     "verify zauner": Command(_verify_zauner, ("dim",),
                              bounds={"dim": range(1, 800001)}),
     "generate sic": Command(_generate_sic, ("dim", "tol"), tuple(BUILTINS)),

@@ -14,15 +14,19 @@ and a symplectic F factors through the twisted matrices
     F'_j = ( alpha_j, kappa_j^{-1} beta_j ; kappa_j gamma_j, delta_j )
 
 mod nbar_j. `product_iso_witness` checks both statements exactly and names
-the first failure. The displacement half compares the integer phases of
-both sides of D_01, D_10 and D_11, which decide all N^2 displacements
-(`displacement_witness`): `verify crt` counts N^2 `checked_displacements`
-certified through them. The symplectic half compares U_K and
-(x)_j U_{F'_j(K)} up to one constant for every chirp factor K of random
-symplectic samples (`symplectic_witness`): they differ by one quadratic
-form A u^2 + B uv + C v^2 mod 2N, so three coefficients per chirp decide,
-and the witness entry is (0, 1) if C != 0, else (1, 0) if A != 0, else
-(1, 1). Both halves compare integers mod 2N and read no tolerance.
+the first failure, comparing integers mod 2N in the unit e^{i pi/N}, where
+tau_N is N+1 and tau_{n_j} is (n_j+1)(N/n_j). Both sides of D_ab carry |v>
+to |v + a> by the CRT, and their phases differ by b (a + 2v) K mod 2N for
+one constant K = sum_j (n_j+1)(N/n_j) kappa_j - (N+1). So D_10 (b = 0)
+cannot fail, D_01 fails exactly when K != 0 mod N and D_11 exactly when
+K = N mod 2N; the three decide all N^2 displacements, the
+`checked_displacements` of `verify crt` (`displacement_witness`). The
+symplectic half compares U_H and (x)_j U_{F'_j(H)} up to one constant for
+every chirp factor H of random symplectic samples (`symplectic_witness`):
+they differ by one quadratic form A u^2 + B uv + C v^2 mod 2N, so three
+coefficients per chirp decide, and the witness entry is (0, 1) if C != 0,
+else (1, 0) if A != 0, else (1, 1). Both halves take O(r) Python-int
+operations (per chirp) for r prime-power factors and read no tolerance.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from .clifford import (SymplecticMatrix, chirp_coefficients, chirp_factors,
                        random_symplectic)
 from .dims import Dimension
-from .weyl import displacement, mod_inverse, standard_generators
+from .weyl import mod_inverse
 
 SYMPLECTIC_SAMPLES = 20  # random symplectic G per verify_product_iso
 
@@ -91,23 +95,11 @@ def f_prime(G: SymplecticMatrix, j: int, fact: Factorization) -> SymplecticMatri
 
 def displacement_witness(fact: Factorization) -> tuple[int, int] | None:
     """First (a, b) in the order a*N + b with P D^{(N)}_{ab} P^T !=
-    (x)_j D^{(n_j)}_{a, kappa_j b}, or None. Both sides map |v> to |v + a>
-    by the CRT, so only phases are compared, exactly, mod 2N in the unit
-    e^{i pi/N}: tau_N^k is (N+1) k and tau_{n_j}^e is (n_j+1)(N/n_j) e.
-    Both sides are s^{ab} X'^a Z'^b with a central scalar s, so D_01 and
-    D_10, then D_11, decide all N^2, and the first of them that fails is
-    the first failure in that order."""
+    (x)_j D^{(n_j)}_{a, kappa_j b}, or None, from the module docstring's
+    constant K: (0, 1) if K != 0 mod N, else (1, 1) if K != 0 mod 2N."""
     N = fact.N
-    v, ab = np.arange(N), ((0, 1), (1, 0), (1, 1))
-    diff = np.zeros((len(ab), N), dtype=np.int64)
-    # the N side enters as a factor with n = N, kappa = 1 and weight -(N+1)
-    for n, kappa, w in [(N, 1, -(N + 1))] + [
-            (f.n, f.kappa, (f.n + 1) * (N // f.n)) for f in fact.factors]:
-        X, Z = standard_generators(Dimension(n))
-        for k, (a, b) in enumerate(ab):
-            diff[k] += w * displacement(X, Z, a, kappa * b).expo[v % n]
-    bad = np.flatnonzero((diff % (2 * N)).any(axis=1))
-    return ab[bad[0]] if bad.size else None
+    K = sum((f.n + 1) * (N // f.n) * f.kappa for f in fact.factors) - (N + 1)
+    return (0, 1) if K % N else (1, 1) if K % (2 * N) else None
 
 
 def symplectic_witness(fact: Factorization, Gs
@@ -133,8 +125,10 @@ def _chirp_witness(fact: Factorization, chirps
     sides = [chirp_coefficients(Ks, Dimension(N))] + [
         chirp_coefficients([f_prime(K, j, fact) for K in Ks], Dimension(f.n))
         for j, f in enumerate(fact.factors)]
-    for (G, _), (A, B, C) in zip(chirps,
-                                 np.tensordot(weights, sides, 1) % (2 * N)):
+    for (G, _), coeffs in zip(chirps, zip(*sides)):
+        # Python ints: at N ~ 10^10 a weighted term outgrows int64
+        A, B, C = (sum(w * c for w, c in zip(weights, cs)) % (2 * N)
+                   for cs in zip(*coeffs))
         if A or B or C:
             return G, (0, 1) if C else (1, 0) if A else (1, 1)
     return None

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dims import Dimension, PhasePermutation, require_square, tau_powers
-from .weyl import displacement, mod_inverse
+from .weyl import displacement
 from .clifford import (ZAUNER, SymplecticMatrix, _column_completion,
-                       chirp_factors, zauner_phase)
+                       chirp_coefficients, chirp_factors, zauner_phase)
 
 
 def flatten(r: int, s: int, n: int) -> int:
@@ -64,17 +64,18 @@ def monomial_weyl_generators(dim: Dimension) -> tuple[PhasePermutation, PhasePer
 
 def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> PhasePermutation:
     """Phase-permutation unitary of a symplectic G on the |r,s> basis: the
-    product of one monomial chirp per factor of `chirp_factors`."""
+    product of one monomial chirp per factor of `chirp_factors`, with phase
+    tau^E(s', s) for the quadratic form E of its `chirp_coefficients`."""
     n = require_square(dim)
     m = dim.half_shift
     r, s = np.divmod(np.arange(dim.N), n)
+    Fs = chirp_factors(G, dim)
     chirps = []
-    for F in chirp_factors(G, dim):
+    for F, (c_uu, c_uv, c_vv) in zip(Fs, chirp_coefficients(Fs, dim)):
         a, b, g_, d = F.alpha, F.beta, F.gamma, F.delta
-        binv = mod_inverse(b, dim.nbar)
         sp = (-b * r + a * s + m * a) % n
         rp = (d * r - g_ * s + m * g_ * d) % n
-        expo = binv * (d * sp * sp - 2 * s * sp + a * s * s)
+        expo = c_uu * sp * sp + c_uv * s * sp + c_vv * s * s
         chirps.append(PhasePermutation(dim, flatten(rp, sp, n), expo))
     return chirps[0] if len(chirps) == 1 else chirps[0] @ chirps[1]
 

@@ -5,6 +5,7 @@ import numpy as np
 from whsic import crt
 from whsic.clifford import chirp_exponents, chirp_factors
 from whsic.dims import Dimension, PhasePermutation, tau_table
+from whsic.weyl import displacement, standard_generators
 
 
 def reference_check(G, dim, U, D):
@@ -72,3 +73,23 @@ def chirp_table_witness(fact, Gs):
         return None
     k, uv = divmod(int(bad[0]), N * N)
     return Gs[owner[k]], divmod(uv, N)
+
+
+def displacement_row_witness(fact):
+    """`crt.displacement_witness` by a scan of whole phase rows: for D_01,
+    D_10 and D_11 in turn, sum_j (n_j+1)(N/n_j) times the exponent of
+    D^{(n_j)}_{a, kappa_j b} at column v mod n_j minus (N+1) times that of
+    D^{(N)}_{ab} at v, in the unit e^{i pi/N}, must be 0 mod 2N for every
+    v; both sides carry |v> to |v + a> by the CRT. The first of the three
+    that differs anywhere is the witness; None if none does."""
+    N = fact.N
+    v, ab = np.arange(N), ((0, 1), (1, 0), (1, 1))
+    diff = np.zeros((len(ab), N), dtype=np.int64)
+    # the N side enters as a factor with n = N, kappa = 1 and weight -(N+1)
+    for n, kappa, w in [(N, 1, -(N + 1))] + [
+            (f.n, f.kappa, (f.n + 1) * (N // f.n)) for f in fact.factors]:
+        X, Z = standard_generators(Dimension(n))
+        for k, (a, b) in enumerate(ab):
+            diff[k] += w * displacement(X, Z, a, kappa * b).expo[v % n]
+    bad = np.flatnonzero((diff % (2 * N)).any(axis=1))
+    return ab[bad[0]] if bad.size else None

@@ -99,6 +99,27 @@ def test_verify_sic_takes_exactly_one_fiducial_source(tmp_path, capsys):
     assert "--builtin" in captured.err and "--file" in captured.err
 
 
+def test_verify_mub_names_its_worst_pair(capsys, monkeypatch):
+    """A copy of basis "zero" in place of the last basis is biased against
+    "zero" alone: the report names that pair, the first at the largest
+    deviation 1 - 1/N, and counts every pair."""
+    from whsic import mub
+    prime_family = mub.prime_family
+
+    def with_copy(p):
+        bases = prime_family(p)
+        return bases[:-1] + [mub.Basis(bases[0].dim, bases[0].vectors, "copy")]
+
+    code, rep = run(["verify", "mub", "--p", "3"], capsys)
+    assert code == 0 and rep["metrics"]["checked_pairs"] == 6
+    monkeypatch.setattr(mub, "prime_family", with_copy)
+    code, rep = run(["verify", "mub", "--p", "3"], capsys)
+    assert code == 1
+    assert rep["metrics"]["worst_pair"] == ["zero", "copy"]
+    assert rep["metrics"]["checked_pairs"] == 6
+    assert abs(rep["metrics"]["max_abs_deviation"] - (1 - 1 / 9)) < 1e-12
+
+
 def test_verify_sic_corrupt_file_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -443,6 +464,27 @@ def test_generate_projection_counts_distinct(capsys):
         assert code == 0
         assert rep["metrics"]["num_distinct"] == n
         assert abs(rep["metrics"]["sum_p_squared"] - 2.0 / (n + 1)) < 1e-10
+
+
+@pytest.mark.parametrize("argv,builtin", [
+    (["--dim", "4", "--slot", "2", "--t", "1"], ("n4", (2, 0, 1, 0))),
+    (["--dim", "9", "--s1", "-1", "--m4", "2"], ("n9", (1, -1, 1, 0, 2))),
+])
+def test_generate_projection_is_the_dense_orbit(argv, builtin, capsys):
+    """Each point, |a|^2 permuted by the image of D_ij in the fiducial's
+    basis, is |V^dag D_ij V a|^2 from the dense standard stack to
+    roundoff."""
+    from whsic import sic
+    from whsic.weyl import all_displacements
+    name, flags = builtin
+    f = getattr(sic, cli.BUILTINS[name][0])(*flags)
+    V = sic.basis_change(f.dim, f.basis)
+    dense = np.abs(all_displacements(f.dim) @ (V @ f.amplitudes)
+                   @ V.conj()) ** 2
+    code, rep = run(["generate", "projection", *argv], capsys)
+    assert code == 0 and rep["metrics"]["num_distinct"] == f.dim.N
+    points = np.array(rep["artifacts"]["probability_vectors"])
+    assert np.abs(points - dense).max() < 1e-14
 
 
 def test_generate_mub_and_operators(capsys):

@@ -223,6 +223,64 @@ def test_central_scalar_alone_is_caught_at_d11(N):
     assert dense_first_failure(shifted) == (1, 1)
 
 
+def kappa_variants(fact, rng):
+    """fact with its true kappa_j, with every kappa_j = 1, with kappa_j +
+    n_j for the even factor (when there is one), and with 5 draws of every
+    kappa_j from 0..3 nbar_j - 1, units or not."""
+    N, factors = fact.N, fact.factors
+    out = [fact, Factorization(N, tuple(dataclasses.replace(f, kappa=1)
+                                        for f in factors))]
+    if factors[0].p == 2:
+        even, *odd = factors
+        out.append(Factorization(N, (dataclasses.replace(
+            even, kappa=even.kappa + even.n), *odd)))
+    for _ in range(5):
+        out.append(Factorization(N, tuple(
+            dataclasses.replace(f, kappa=int(rng.integers(0, 3 * f.nbar)))
+            for f in factors)))
+    return out
+
+
+@pytest.mark.parametrize("lo", range(2, 401, 100))
+def test_displacement_constant_is_the_row_scan(lo):
+    """The one constant K mod 2N names the same witness as the scan of the
+    phase rows of D_01, D_10 and D_11, for every N of the block and every
+    `kappa_variants` map: 2993 cases over N = 2..400."""
+    rng = np.random.default_rng(lo)
+    for N in range(lo, min(lo + 100, 401)):
+        for cand in kappa_variants(factor_dimension(N), rng):
+            assert displacement_witness(cand) == \
+                oracles.displacement_row_witness(cand)
+
+
+BIG_DIMS = [6 * 10 ** 9, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37]
+
+
+@pytest.mark.parametrize("N", BIG_DIMS)
+def test_symplectic_half_holds_beyond_int64(N):
+    """The weighted coefficient sums reach about N^2, past int64 at these N:
+    summed in Python ints, 20 random samples, chirps or not, hold."""
+    dim = Dimension(N)
+    rng = np.random.default_rng(0)
+    Gs = [random_symplectic(dim, rng) for _ in range(20)]
+    assert any(np.gcd(G.beta, dim.nbar) != 1 for G in Gs)
+    assert symplectic_witness(factor_dimension(N), Gs) is None
+
+
+@pytest.mark.parametrize("N", BIG_DIMS)
+def test_perturbed_kappa_beyond_the_old_cap_fails_as_at_small_n(N):
+    """kappa_j = 1 fails at D_01 and kappa_j + n_j for the even factor at
+    D_11, as at N = 6..20; kappa_j = 1 also fails the symplectic half."""
+    fact = factor_dimension(N)
+    naive, shifted = kappa_variants(fact, np.random.default_rng(0))[1:3]
+    assert displacement_witness(fact) is None
+    assert displacement_witness(naive) == (0, 1)
+    assert displacement_witness(shifted) == (1, 1)
+    Gs = [random_symplectic(Dimension(N), np.random.default_rng(1))]
+    assert symplectic_witness(fact, Gs) is None
+    assert symplectic_witness(naive, Gs) is not None
+
+
 def chirp_samples(N, count, seed=0):
     """count random symplectic G mod Nbar whose beta is a unit, so that U_G
     is itself a chirp and a witness entry is an entry of U_G."""
