@@ -11,9 +11,10 @@ split as G = (0,-1;1,x) * (gamma+x*alpha, delta+x*beta; -alpha, -beta) with x
 chosen minimal so that delta + x*beta is coprime to nbar, and the two chirps
 are multiplied (`chirp_factors`). The order-3 Zauner unitary is certified
 with no dense matrix, from two counts of tau exponents (`zauner_counts`).
-The one float covariance check, `conjugation_check_batched`, takes a phase
-permutation and a dense displacement stack, and reads the stack once, in
-blocks, finding each block's support from the float halves of its entries.
+The float covariance check `conjugation_check_batched`, an oracle for the
+tests and the `certify` benchmark that no command runs, reads a dense
+displacement stack once, in blocks, finding each block's support from the
+float halves of its entries; it moves to the tests when the benchmark drops it.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ displacements, monomial Clifford unitaries) is a `PhasePermutation` with
 integer exponents, composed exactly; checks on them compare integers. A
 metaplectic unitary is a chirp, tau to a quadratic form over sqrt(N), or a
 product of two, so the CRT certificate compares integers too, three form
-coefficients per chirp (`clifford.chirp_coefficients`); only
-`clifford.conjugation_check_batched`, which reads a dense displacement stack,
-stays float. `.dense()` is the one way a `PhasePermutation` becomes a matrix.
+coefficients per chirp (`clifford.chirp_coefficients`); the float
+`clifford.conjugation_check_batched` is a test and benchmark oracle that no
+command runs. `.dense()` is the one way a `PhasePermutation` becomes a matrix.
 
 The scalar evaluation, `cmath.exp`, is kept instead of a vectorised numpy exp
 because the seeded search's restart index follows the bits of the E0 basis

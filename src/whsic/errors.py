@@ -37,9 +37,5 @@ class NotLatin(WhsicError):
     pass
 
 
-class NullProjection(WhsicError):
-    pass
-
-
 class BasisUnavailable(WhsicError):
     pass

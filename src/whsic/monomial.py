@@ -17,13 +17,10 @@ U_G D_ij U_G^dag = tau^c D_{G(i,j)} is an integer check, and it holds for
 all N^2 displacements once it holds for the generators D_01 and D_10
 (`covariance_witness`): the `checked_displacements` of `verify monomial`,
 samples * N^2, counts the displacements certified through them. The float
-checks stay as oracles: `is_phase_permutation` for dense matrices, and
-`clifford.conjugation_check_batched`, which checks a phase permutation
-against a dense displacement stack from the stack's support: one read of
-the stack and O(N^3) gathers. The module also holds the SL(2,N)-orbit
-machinery used for the square/non-square decision procedures; its orbit
-witnesses use the column completion `clifford._column_completion`, as
-random_symplectic does.
+checks `is_phase_permutation` and `clifford.conjugation_check_batched` are
+oracles that the tests and the `certify` benchmark call. `invariant_subgroup`
+states the paper's theorem, a monomial representation exactly when N is a
+square, from the SL(2, N) orbits that `sl2_orbit` builds with witnesses.
 """
 
 from __future__ import annotations
@@ -180,41 +177,21 @@ def sl2_orbit(dim: Dimension, v: tuple[int, int]) -> OrbitReport:
     return OrbitReport(k, members, witnesses)
 
 
-def invariant_subgroup(dim: Dimension, brute_force: bool = False):
-    """The order-N subgroup of Z_N^2 stabilized by SL(2, N), or None.
+def invariant_subgroup(dim: Dimension) -> frozenset | None:
+    """The order-N subgroup of Z_N^2 that SL(2, N) maps into itself: n * Z_N^2
+    when N = n^2, and None otherwise.
 
-    For square N the answer is n * Z_N^2. Otherwise (N <= 36) an exhaustive
-    search over unions of constant-order classes (the only SL-invariant
-    candidates, by the orbit structure) is performed; brute_force=True forces
-    the search path even for squares.
+    SL(2, N) is transitive on the vectors of each order k | N (`sl2_orbit`
+    builds a witness per member), so an invariant subgroup V that holds a
+    vector of order k holds all of them, (N/k, 0) and (0, N/k) among them,
+    and with those the k-torsion subgroup (N/k) * Z_N^2. With orders k1 and
+    k2, V holds (N/k1, 0) + (0, N/k2), of order lcm(k1, k2). So V is the
+    m-torsion subgroup (N/m) * Z_N^2 for its largest order m, of order m^2;
+    order N means N = m^2.
     """
-    N = dim.N
-    if dim.is_square and not brute_force:
-        n = dim.n
-        return frozenset((n * a % N, n * b % N) for a in range(n) for b in range(n))
-    if N > 36:
-        raise ValueError("brute-force search is capped at N <= 36")
-    divisors = [d for d in range(1, N + 1) if N % d == 0]
-    classes = {d: frozenset((i, j) for i in range(N) for j in range(N)
-                            if vector_order((i, j), N) == d)
-               for d in divisors}
-    # candidate invariant sets: unions over divisor-closed subsets of divisors
-    for mask in range(1, 1 << len(divisors)):
-        S = [divisors[t] for t in range(len(divisors)) if mask >> t & 1]
-        if 1 not in S:
-            continue
-        if any(e for d in S for e in divisors if d % e == 0 and e not in S):
-            continue
-        V = frozenset().union(*(classes[d] for d in S))
-        if len(V) != N:
-            continue
-        if _is_subgroup(V, N):
-            return V
-    return None
-
-
-def _is_subgroup(V: frozenset, N: int) -> bool:
-    return all(((a1 + b1) % N, (a2 + b2) % N) in V for a1, a2 in V for b1, b2 in V)
+    n = dim.n
+    return None if n is None else frozenset(
+        (n * a, n * b) for a in range(n) for b in range(n))
 
 
 def stabilized_abelian_check(G: SymplecticMatrix, dim: Dimension) -> tuple[int, int] | None:

@@ -167,12 +167,15 @@ def prime_family(p: int) -> list[Basis]:
         step = A.expo[flatten(r, a + k * r, n)]
         prefix = np.cumsum(step, axis=0) - step
         # the loop phase is tau^loop = e^{i pi m/N}, m taken in (-N, N] so
-        # that its principal n-th root e^{i pi m/(N n)} is the eigenvalue
+        # that its principal n-th root e^{i pi m/(N n)} is the eigenvalue:
+        # tau^{(N+1) m/n}, as (N+1)^2 = 1 + N(N+2), once n | m (2n if N odd)
         m = (step.sum(axis=0) * (N + 1)) % (2 * N)
         m -= 2 * N * (m > N)
+        assert (m % (n * (1 + N % 2)) == 0).all(), "root is no tau power"
         # tau^prefix mu^{-r} at (r, a, b); mu = root sigma^b, sigma = tau^{2n}
-        phases = (tau_powers(dim, prefix[..., None] - 2 * n * r[..., None] * b)
-                  * np.exp(-1j * np.pi * m * r / (N * n))[..., None])
+        root_r = (N + 1) * (m // n) * r
+        phases = tau_powers(dim, (prefix - root_r)[..., None]
+                            - 2 * n * r[..., None] * b)
         bases.append(latin_basis(dim, cyclic_latin_square(n, k), phases,
                                  f"latin({k})"))
     return bases

@@ -18,11 +18,10 @@ an operator M acts in the tag's basis as V^dag M V. Registered tags:
                  which X^4 and Z^4 are diagonal
 
 Every certificate, in every basis, runs on the one FFT overlap kernel
-`standard_overlaps` applied to V a. The module also evaluates the
-simplex-projection identities (sum of squared probabilities 2/(N+1), shifted
-autocorrelations 1/(N+1)), projects vectors onto the order-3 symmetry
-eigenspace where fiducials live, and searches that eigenspace for fiducials
-with one numpy L-BFGS pass per restart (`_lbfgs`) on the exact gradient.
+`standard_overlaps` applied to V a. The module also checks the shifted
+autocorrelations of |a|^2 (2/(N+1) at zero shift, 1/(N+1) elsewhere) and
+searches the eigenvalue-1 eigenspace E0 of the order-3 symmetry, spanned by
+the cached `_e0_basis`, with one numpy L-BFGS pass per restart (`_lbfgs`).
 
 What depends on N alone is built once per dimension and shared read-only:
 each tag's V, the E0 basis and objective of the search and the shift gathers.
@@ -39,7 +38,7 @@ import numpy as np
 
 from .dims import (Dimension, PhasePermutation, _checked_sqrt, sigma_power,
                    tau_powers)
-from .errors import BasisUnavailable, NullProjection
+from .errors import BasisUnavailable
 
 
 @dataclass(frozen=True)
@@ -60,15 +59,6 @@ class SicCertificate:
     max_abs_deviation: float
     passed: bool
     worst_displacement: tuple[int, int]  # (i, j) of the largest deviation
-
-
-@dataclass(frozen=True)
-class SimplexProjection:
-    p: np.ndarray
-
-    def __post_init__(self):
-        if abs(float(self.p.sum()) - 1.0) > 1e-12 or (self.p < -1e-15).any():
-            raise ValueError("probabilities must be nonnegative and sum to 1")
 
 
 # tau exponents of the N = 4 rephasing |e_j> -> tau^{e_j} |e_j> of the
@@ -250,14 +240,8 @@ def fiducial_n16(t2_branch: int = +1, conjugate_orbit: bool = False) -> Fiducial
 
 
 # ---------------------------------------------------------------------------
-# Simplex projection and autocorrelations
+# Autocorrelations of the simplex projection
 # ---------------------------------------------------------------------------
-
-def simplex_projection(f: Fiducial) -> SimplexProjection:
-    """Componentwise squared moduli: the image of the state in the
-    probability simplex of its basis."""
-    return SimplexProjection(np.abs(f.amplitudes) ** 2)
-
 
 def autocorrelation_check(f: Fiducial) -> np.ndarray:
     """Residuals of the shifted-product probability sums.
@@ -284,26 +268,8 @@ def autocorrelation_check(f: Fiducial) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Zauner eigenspace projection and numerical search
+# Zauner eigenspace and numerical search
 # ---------------------------------------------------------------------------
-
-NULL_NORM = 1e-8  # a projected norm below this is numerically null
-
-
-def zauner_project(dim: Dimension, v: np.ndarray,
-                   basis: str = "standard") -> np.ndarray:
-    """Project onto the eigenvalue-1 eigenspace of the order-3 symmetry,
-    V^dag B B^dag V with B the cached E0 basis and V the basis change, and
-    renormalize; raises NullProjection if the component is numerically
-    null."""
-    V = basis_change(dim, basis)
-    B = _e0_basis(dim)
-    out = V.conj().T @ (B @ (B.conj().T @ (V @ v)))
-    nrm = float(np.linalg.norm(out))
-    if nrm < NULL_NORM:
-        raise NullProjection(f"projected norm {nrm} below {NULL_NORM}")
-    return out / nrm
-
 
 @functools.lru_cache(maxsize=256)
 def _e0_basis(dim: Dimension) -> np.ndarray:

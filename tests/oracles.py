@@ -5,6 +5,7 @@ import numpy as np
 from whsic import crt
 from whsic.clifford import chirp_exponents, chirp_factors
 from whsic.dims import Dimension, PhasePermutation, tau_table
+from whsic.monomial import vector_order
 from whsic.weyl import displacement, standard_generators
 
 
@@ -93,3 +94,26 @@ def displacement_row_witness(fact):
             diff[k] += w * displacement(X, Z, a, kappa * b).expo[v % n]
     bad = np.flatnonzero((diff % (2 * N)).any(axis=1))
     return ab[bad[0]] if bad.size else None
+
+
+def invariant_subgroup_search(N):
+    """`monomial.invariant_subgroup` by search over the 2^d sets of divisors
+    of N: the first union of constant-order classes (the SL(2, N) orbits, so
+    every invariant set is such a union) that holds order 1 and every
+    divisor of its orders, has N points and is closed under addition mod N;
+    None if there is none."""
+    divisors = [d for d in range(1, N + 1) if N % d == 0]
+    classes = {d: frozenset((i, j) for i in range(N) for j in range(N)
+                            if vector_order((i, j), N) == d)
+               for d in divisors}
+    for mask in range(1, 1 << len(divisors)):
+        S = [divisors[t] for t in range(len(divisors)) if mask >> t & 1]
+        if 1 not in S:
+            continue
+        if any(e for d in S for e in divisors if d % e == 0 and e not in S):
+            continue
+        V = frozenset().union(*(classes[d] for d in S))
+        if len(V) == N and all(((a1 + b1) % N, (a2 + b2) % N) in V
+                               for a1, a2 in V for b1, b2 in V):
+            return V
+    return None

@@ -133,7 +133,7 @@ def test_verify_mub_and_crt_and_zauner(capsys):
     code, rep = run(["verify", "crt", "--dim", "6"], capsys)
     assert code == 0
     assert rep["metrics"]["witness"] is None
-    assert rep["metrics"]["checked_displacements"] == 36
+    assert rep["metrics"]["checked_displacements"] == "36"
     assert rep["metrics"]["symplectic_samples"] == 20
     assert 20 <= rep["metrics"]["checked_chirps"] <= 40
     assert "max_abs_deviation" not in rep["metrics"]
@@ -141,6 +141,14 @@ def test_verify_mub_and_crt_and_zauner(capsys):
     assert code == 0 and rep["metrics"]["measured_dims"] == [4, 4, 3]
     assert rep["metrics"]["cube_root"] == (1 - 11) % 8
     assert "cube_deviation" not in rep["metrics"]
+
+
+def test_verify_crt_count_is_exact_for_double_readers(capsys):
+    """At the --dim cap N^2 = 10^24 is past 2^53; as a decimal string it
+    survives a reader that parses every JSON number as a double."""
+    assert main(["verify", "crt", "--dim", "1000000000000"]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_int=float)
+    assert rep["metrics"]["checked_displacements"] == "1" + "0" * 24
 
 
 # the monkeypatched function is looked up in whsic.clifford at each call;

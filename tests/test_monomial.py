@@ -17,7 +17,7 @@ from whsic.monomial import (covariance_witness, flatten, is_phase_permutation,
                             stabilized_abelian_check, vector_order, zak_matrix)
 from whsic.weyl import all_displacements
 
-from oracles import reference_check
+from oracles import invariant_subgroup_search, reference_check
 
 SQUARES = [4, 9, 16, 25]
 
@@ -354,12 +354,25 @@ def test_orbits_are_constant_order_classes(N, v0, v1):
         assert S.det() % N == 1
 
 
-@pytest.mark.parametrize("N", range(2, 37))
+@pytest.mark.parametrize("N", range(1, 37))
 def test_invariant_subgroup_exists_iff_square(N):
     dim = Dimension(N)
-    V = invariant_subgroup(dim, brute_force=True)
+    V = invariant_subgroup(dim)
+    assert V == invariant_subgroup_search(N)
     if dim.is_square:
         assert V is not None and len(V) == N
-        assert V == invariant_subgroup(dim)
     else:
         assert V is None
+
+
+def test_invariant_subgroup_has_no_dimension_cap():
+    assert invariant_subgroup(Dimension(10 ** 4 + 1)) is None
+    dim = Dimension(10 ** 4)
+    V = invariant_subgroup(dim)
+    assert len(V) == 10 ** 4
+    assert all(a % 100 == 0 and b % 100 == 0 for a, b in V)
+    # V is generated by (100, 0) and (0, 100): G maps both into V
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        G = random_symplectic(dim, rng)
+        assert G.apply(100, 0, dim.N) in V and G.apply(0, 100, dim.N) in V

@@ -201,12 +201,16 @@ def test_prime_family_latin_bases_diagonalize_cyclic_groups(p):
         assert np.max(np.abs(off)) < 1e-10
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+# up to the --p cap of `verify mub`, where prime_family asserts at the
+# largest p that each eigenvalue root is a tau power
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
 def test_prime_family_matches_dense_orbit_products(p):
     """Reference: float products of the dense entries of A = X^k Z^dag
     along each orbit, and the principal n-th root of their loop product.
-    prime_family reads the same phases as exact tau exponents, so the
-    vectors, their order included, agree to rounding."""
+    prime_family reads the same phases as exact tau exponents, the root
+    included, which is a tau power because n divides the loop exponent
+    (2n for odd n), so the vectors, their order included, agree to
+    rounding."""
     dim = Dimension(p * p)
     X, Z = (P.dense() for P in monomial_weyl_generators(dim))
     bases = prime_family(p)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whsic import adapted16
-from whsic.clifford import zauner_unitary
+from whsic.clifford import predicted_eigenspace_dims, zauner_unitary
 from whsic.dims import Dimension, tau_power, tau_powers
-from whsic.errors import BasisUnavailable, NegativeRadicand, NullProjection
+from whsic.errors import BasisUnavailable, NegativeRadicand
 from whsic.monomial import (is_phase_permutation, monomial_weyl_generators,
                             monomial_zauner)
 from whsic.sic import (LINE_SEARCH_EVALS, Fiducial, _direction, _e0_basis,
@@ -16,9 +16,8 @@ from whsic.sic import (LINE_SEARCH_EVALS, Fiducial, _direction, _e0_basis,
                        autocorrelation_check, basis_change,
                        fiducial_n4, fiducial_n9, fiducial_n9_amplitudes,
                        fiducial_n16, frame_residual, rephased4_generators,
-                       search_fiducial, sic_residual, simplex_projection,
-                       standard_overlaps, to_standard, verify_sic,
-                       zauner_project)
+                       search_fiducial, sic_residual, standard_overlaps,
+                       to_standard, verify_sic)
 from whsic.weyl import all_displacements, standard_generators
 
 
@@ -319,7 +318,7 @@ def test_n16_orbit_pair_differs():
 
 def test_simplex_projection_uniform():
     v = np.ones(9, dtype=complex) / 3.0
-    p = simplex_projection(Fiducial(Dimension(9), "monomial", v)).p
+    p = np.abs(Fiducial(Dimension(9), "monomial", v).amplitudes) ** 2
     assert np.max(np.abs(p - 1.0 / 9)) < 1e-12
 
 
@@ -330,7 +329,7 @@ def test_simplex_projection_uniform():
 ])
 def test_sum_p_squared(make, N):
     f = make()
-    p = simplex_projection(f).p
+    p = np.abs(f.amplitudes) ** 2
     assert abs(np.sum(p ** 2) - 2.0 / (N + 1)) < 1e-12
 
 
@@ -395,21 +394,26 @@ def test_zauner_project_idempotent_and_null():
     dim = Dimension(9)
     U = monomial_zauner(dim)
     w, vecs = np.linalg.eig(U)
+    # the E0 projection in the monomial basis: V^dag B B^dag V
+    VB = basis_change(dim, "monomial").conj().T @ _e0_basis(dim)
     fixed = vecs[:, int(np.argmin(np.abs(w - 1)))]
-    out = zauner_project(dim, fixed, basis="monomial")
-    assert best_phase_distance(out, fixed) < 1e-10
+    out = VB @ (VB.conj().T @ fixed)
+    assert best_phase_distance(out / np.linalg.norm(out), fixed) < 1e-10
     rotated = vecs[:, int(np.argmin(np.abs(w - np.exp(2j * np.pi / 3))))]
-    with pytest.raises(NullProjection):
-        zauner_project(dim, rotated, basis="monomial")
+    assert np.linalg.norm(VB.conj().T @ rotated) < 1e-8
 
 
-def test_zauner_project_lands_in_eigenspace():
-    dim = Dimension(9)
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    out = zauner_project(dim, v, basis="monomial")
-    U = monomial_zauner(dim)
-    assert np.max(np.abs(U @ out - out)) < 1e-10
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 9, 12, 16, 24])
+def test_e0_basis_spans_the_zauner_eigenspace(N):
+    dim = Dimension(N)
+    B = _e0_basis(dim)
+    U = zauner_unitary(dim)
+    assert B.shape == (N, predicted_eigenspace_dims(dim)[0])
+    assert np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1]))) < 1e-12
+    assert np.max(np.abs(U @ B - B)) < 1e-10
+    # B B^dag is the spectral projector (1 + U + U^2)/3 onto eigenvalue 1
+    P = (np.eye(N) + U + U @ U) / 3.0
+    assert np.max(np.abs(B @ B.conj().T - P)) < 1e-10
 
 
 def test_search_matches_closed_form_statistics_n4():
