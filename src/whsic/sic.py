@@ -21,7 +21,9 @@ Every certificate, in every basis, runs on the one FFT overlap kernel
 `standard_overlaps` applied to V a. The module also checks the shifted
 autocorrelations of |a|^2 (2/(N+1) at zero shift, 1/(N+1) elsewhere) and
 searches the eigenvalue-1 eigenspace E0 of the order-3 symmetry, spanned by
-the cached `_e0_basis`, with one numpy L-BFGS pass per restart (`_lbfgs`).
+the cached `_e0_basis`, with one numpy L-BFGS pass per restart (`_lbfgs`)
+that keeps its curvature pairs and their triangular inverse in a ring
+(`_CurvatureRing`, after Byrd, Nocedal & Schnabel), so no direction loops.
 
 What depends on N alone is built once per dimension and shared read-only:
 each tag's V, the E0 basis and objective of the search and the shift gathers.
@@ -115,10 +117,9 @@ def verify_sic(f: Fiducial, tol: float = 1e-8) -> SicCertificate:
     The overlaps come from the FFT kernel `standard_overlaps` on the
     standard-basis amplitudes; a basis change preserves each D_ij, so the
     certificate holds in the fiducial's own basis as well."""
-    N = f.dim.N
     psi = basis_change(f.dim, f.basis) @ f.amplitudes
     probs = np.abs(standard_overlaps(psi)) ** 2
-    dev = np.abs(probs - 1.0 / (N + 1))
+    dev = np.abs(probs - 1.0 / (f.dim.N + 1))
     dev[0, 0] = 0.0  # D_00 = identity carries no condition
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     worst = float(dev[i, j])
@@ -320,11 +321,10 @@ def standard_overlaps(psi: np.ndarray) -> np.ndarray:
     """S_ij = sum_v conj(psi_{v+i}) omega^{jv} psi_v as an N x N array.
 
     In the standard basis D_ij|v> = tau^{ij} omega^{jv} |v+i>, so
-    <psi|D_ij|psi> = tau^{ij} S_ij: N shifted products and one FFT along v,
-    O(N^2 log N) in place of the O(N^4) dense contraction."""
-    N = len(psi)
-    S = psi.conj()[_shift_index(N, +1)] * psi
-    return np.multiply(np.fft.ifft(S, axis=1, out=S), N, out=S)
+    <psi|D_ij|psi> = tau^{ij} S_ij: N shifted products and one unscaled
+    inverse FFT along v (norm="forward"), O(N^2 log N), not O(N^4)."""
+    S = psi.conj()[_shift_index(len(psi), +1)] * psi
+    return np.fft.ifft(S, axis=1, norm="forward", out=S)
 
 
 def frame_residual(psi: np.ndarray) -> tuple[float, np.ndarray]:
@@ -360,6 +360,37 @@ class LbfgsResult(NamedTuple):
     stop: str  # "gtol", "ftol", "line search" or "maxiter"
 
 
+class _CurvatureRing:
+    """The last LBFGS_MEMORY curvature pairs (s, y) of an L-BFGS pass in a
+    ring of slots: S[k] = s, Y[k] = y, sy[k] = s.y, zero while empty, and Ui,
+    the inverse of U_ij = s_i.y_j over pairs i no newer than j. A pair
+    entering slot k zeroes the row and column of the pair it replaces, which
+    leaves the inverse of the trailing block (Byrd, Nocedal & Schnabel, Math.
+    Prog. 63, 129 (1994)), and adds Ui[:, k] = -Ui (S y)/s.y, Ui[k, k] = 1/s.y.
+    With H_0 = gamma = s.y/y.y of the newest pair (1 while empty), -H g is
+    S^T Ui^T (Y r - sy a) - r for a = Ui S g and r = gamma (g - Y^T a)."""
+
+    def __init__(self, n: int):
+        self.S, self.Y = np.zeros((2, LBFGS_MEMORY, n))
+        self.Ui = np.zeros((LBFGS_MEMORY, LBFGS_MEMORY))
+        self.sy, self.pairs, self.gamma = np.zeros(LBFGS_MEMORY), 0, 1.0
+
+    def push(self, s: np.ndarray, y: np.ndarray) -> None:
+        sy = s @ y
+        if sy > 0:
+            k, Ui = self.pairs % LBFGS_MEMORY, self.Ui
+            Ui[k] = Ui[:, k] = 0.0
+            self.S[k], self.Y[k], self.sy[k] = s, y, sy
+            Ui[:, k] = Ui @ (self.S @ y) / -sy
+            Ui[k, k] = 1.0 / sy
+            self.pairs, self.gamma = self.pairs + 1, sy / (y @ y)
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        a = self.Ui @ (self.S @ g)
+        r = self.gamma * (g - a @ self.Y)
+        return (self.Y @ r - self.sy * a) @ self.Ui @ self.S - r
+
+
 def _lbfgs(fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
            x: np.ndarray, ftol: float, gtol: float,
            maxiter: int) -> LbfgsResult:
@@ -367,18 +398,17 @@ def _lbfgs(fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
     (1989)); fg returns f and its gradient.
 
     The direction is -H g for the inverse-Hessian estimate H of the last
-    LBFGS_MEMORY curvature pairs (s, y); a pair with s.y <= 0 is skipped.
-    The first trial step is min(1, 1/|g|) times -g, later ones start at
-    the full step, and `_line_search` picks each step. The pass stops when
-    max|g| <= gtol, when the relative reduction
+    LBFGS_MEMORY curvature pairs (s, y) in a `_CurvatureRing`, which skips
+    a pair with s.y <= 0. The first trial step is min(1, 1/|g|) times -g,
+    later ones start at the full step, and `_line_search` picks each step.
+    The pass stops when max|g| <= gtol, when the relative reduction
     (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ftol, when the line search
     fails, or after maxiter iterations. These rules and the constants above
     follow the L-BFGS-B code of Zhu, Byrd, Lu & Nocedal, ACM Trans. Math.
-    Softw. 23, 550 (1997).
-    """
+    Softw. 23, 550 (1997)."""
     f, g = fg(x)
     nfev, nit, reduction = 1, 0, math.inf
-    S = Y = np.empty((0, x.size))  # rows s and y, oldest first
+    ring = _CurvatureRing(x.size)
     while True:
         if np.abs(g).max() <= gtol:
             return LbfgsResult(x, f, nit, nfev, "gtol")
@@ -386,44 +416,14 @@ def _lbfgs(fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
             return LbfgsResult(x, f, nit, nfev, "ftol")
         if nit == maxiter:
             return LbfgsResult(x, f, nit, nfev, "maxiter")
-        d = _direction(g, S, Y)
         step = min(1.0, 1.0 / np.linalg.norm(g)) if nit == 0 else 1.0
-        x1, f1, g1, evals = _line_search(fg, x, f, g, d, step)
+        x1, f1, g1, evals = _line_search(fg, x, f, g, ring.direction(g), step)
         nfev += evals
         if x1 is None:
             return LbfgsResult(x, f, nit, nfev, "line search")
-        s, y = x1 - x, g1 - g
-        if s @ y > 0:
-            S = np.concatenate((S, s[None]))[-LBFGS_MEMORY:]
-            Y = np.concatenate((Y, y[None]))[-LBFGS_MEMORY:]
+        ring.push(x1 - x, g1 - g)
         reduction = (f - f1) / max(abs(f), abs(f1), 1.0)
         x, f, g, nit = x1, f1, g1, nit + 1
-
-
-def _direction(g: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """-H g by the two-loop recursion over the pairs in the rows of S and Y
-    (oldest first), with H_0 = s.y / y.y of the newest pair.
-
-    Each loop's inner products come from one m x m table s_i.y_j, so the
-    recursions run on m scalars and not on m vector updates."""
-    m = len(S)
-    if m == 0:
-        return -g
-    SY = (S @ Y.T).tolist()
-    # newest to oldest: alpha_i = rho_i s_i.(g - sum_{j>i} alpha_j y_j)
-    alpha = (S @ g).tolist()
-    for i in reversed(range(m)):
-        for j in range(i + 1, m):
-            alpha[i] -= alpha[j] * SY[i][j]
-        alpha[i] /= SY[i][i]
-    r = (g - np.array(alpha) @ Y) * (SY[-1][-1] / (Y[-1] @ Y[-1]))
-    # oldest to newest: r += (alpha_i - rho_i y_i.r) s_i
-    coef = (Y @ r).tolist()
-    for i in range(m):
-        for j in range(i):
-            coef[i] += coef[j] * SY[j][i]
-        coef[i] = alpha[i] - coef[i] / SY[i][i]
-    return -(r + np.array(coef) @ S)
 
 
 def _line_search(fg, x: np.ndarray, f: float, g: np.ndarray, d: np.ndarray,

@@ -11,8 +11,9 @@ from whsic.dims import Dimension, tau_power, tau_powers
 from whsic.errors import BasisUnavailable, NegativeRadicand
 from whsic.monomial import (is_phase_permutation, monomial_weyl_generators,
                             monomial_zauner)
-from whsic.sic import (LINE_SEARCH_EVALS, Fiducial, _direction, _e0_basis,
-                       _e0_objective, _lbfgs, _row_shift_gather, _shift_index,
+from whsic.sic import (LBFGS_MEMORY, LINE_SEARCH_EVALS, Fiducial,
+                       _CurvatureRing, _e0_basis, _e0_objective, _lbfgs,
+                       _row_shift_gather, _shift_index,
                        autocorrelation_check, basis_change,
                        fiducial_n4, fiducial_n9, fiducial_n9_amplitudes,
                        fiducial_n16, frame_residual, rephased4_generators,
@@ -431,6 +432,9 @@ def test_search_matches_closed_form_statistics_n4():
 
 # start seeds: 0 at N = 5..7, and the benchmark's search seeds above that
 SEARCH_SEEDS = {5: 0, 6: 0, 7: 0, 8: 0, 12: 1, 16: 1, 20: 4, 24: 13}
+# (restart, nit, nfev) of each benchmark search: the work of one `search` op
+SEARCH_WORK = {8: (0, 23, 30), 12: (0, 24, 27), 16: (0, 21, 25),
+               20: (0, 15, 16), 24: (0, 21, 22)}
 
 
 @pytest.mark.parametrize("N", SEARCH_SEEDS)
@@ -440,8 +444,12 @@ def test_search_small_dimensions(N):
     assert verify_sic(f, 1e-8).passed
     # the restart index pins the L-BFGS trajectory. A changed bit in the E0
     # basis or the start draws moves it; changed rounding inside the
-    # objective moved no restart over N = 5..48 and seeds 0..9
+    # objective or in the L-BFGS direction moved no restart, iteration or
+    # evaluation count over N = 5..48 and seeds 0..9
     assert f.provenance["restart"] == 0
+    if N in SEARCH_WORK:
+        work = tuple(f.provenance[k] for k in ("restart", "nit", "nfev"))
+        assert work == SEARCH_WORK[N]
 
 
 # the restart at which seed 0 first certifies, for every N = 2..24
@@ -462,6 +470,7 @@ def test_search_n48_seed0_restart_34():
     """The `--dim` cap: seed 0 first certifies at restart 34, far below tol."""
     f = search_fiducial(Dimension(48), rng_seed=0)
     assert f is not None and f.provenance["restart"] == 34
+    assert (f.provenance["nit"], f.provenance["nfev"]) == (58, 66)
     assert verify_sic(f).max_abs_deviation < 1e-11
 
 
@@ -576,18 +585,57 @@ def two_loop(g, S, Y):
     return -r
 
 
-@pytest.mark.parametrize("m", [1, 2, 10])
-def test_direction_matches_two_loop_recursion(m):
-    rng = np.random.default_rng(m)
-    n = 34
+def ring_direction(g, S, Y):
+    """-H g from a `_CurvatureRing` after pushing the rows of S and Y."""
+    ring = _CurvatureRing(len(g))
+    for s, y in zip(S, Y):
+        ring.push(s, y)
+    return ring.direction(g)
+
+
+def curvature_pairs(m, n, seed):
+    rng = np.random.default_rng(seed)
     S = rng.standard_normal((m, n))
     Y = S + 0.3 * rng.standard_normal((m, n))  # s.y > 0
-    g = rng.standard_normal(n)
-    d = _direction(g, S, Y)
+    return S, Y, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 10])
+def test_direction_matches_two_loop_recursion(m):
+    S, Y, g = curvature_pairs(m, 34, m)
+    d = ring_direction(g, S, Y)
     ref = two_loop(g, S, Y)
     assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
     assert g @ d < 0
-    assert np.array_equal(_direction(g, S[:0], Y[:0]), -g)
+    assert np.array_equal(ring_direction(g, S[:0], Y[:0]), -g)
+
+
+def test_ring_keeps_the_last_memory_pairs():
+    """13 pairs into LBFGS_MEMORY = 10 slots: the ring wraps, and the
+    direction is the recursion over the last 10 pairs alone."""
+    assert LBFGS_MEMORY == 10
+    S, Y, g = curvature_pairs(13, 34, 13)
+    d = ring_direction(g, S, Y)
+    ref = two_loop(g, S[-LBFGS_MEMORY:], Y[-LBFGS_MEMORY:])
+    assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert g @ d < 0
+
+
+@pytest.mark.parametrize("sign", [0.0, -1.0])
+def test_ring_skips_a_pair_without_positive_curvature(sign):
+    """A pair with s.y = 0 or s.y < 0 pushed among 5 good ones leaves the
+    ring as it was: the direction is the recursion over the 5 alone."""
+    S, Y, g = curvature_pairs(5, 34, 7)
+    ring = _CurvatureRing(len(g))
+    for k in range(5):
+        ring.push(S[k], Y[k])
+        if k == 2:
+            ring.push(S[k], sign * S[k])
+    d = ring.direction(g)
+    assert np.array_equal(d, ring_direction(g, S, Y))
+    ref = two_loop(g, S, Y)
+    assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert ring.pairs == 5
 
 
 def test_e0_basis_is_shared_read_only_and_bit_identical():
@@ -654,10 +702,11 @@ def test_frame_residual_gradient_central_difference(N):
     assert np.max(np.abs(numeric - 2 * grad)) < 1e-8 * np.max(np.abs(numeric))
 
 
-def test_standard_overlaps_is_the_scaled_inverse_fft_bit_for_bit():
+def test_standard_overlaps_is_the_unscaled_inverse_fft_bit_for_bit():
     for N in range(1, 49):
         psi = random_unit(N, 1000 + N)
-        ref = N * np.fft.ifft(psi[_shift_index(N, 1)].conj() * psi, axis=1)
+        ref = np.fft.ifft(psi[_shift_index(N, 1)].conj() * psi, axis=1,
+                          norm="forward")
         assert np.array_equal(standard_overlaps(psi), ref)
 
 
