@@ -247,15 +247,19 @@ class Command(NamedTuple):
 
 
 # each size cap keeps the peak RSS of `python -m whsic.cli` near 110 MB
-# (2 vCPUs, numpy 2.4.6): zauner 109 at N = 800000 in 2.7 s (129 at 10^6),
-# verify mub 78 at p = 19 (148 at 23), generate mub 102 at p = 13 (295 at
-# 17), operators 104 at N = 324 (121 at 361); each count cap keeps the
-# largest dimension under a minute: 2500 failing search restarts take 49 s
-# at N = 48, 1000 monomial samples 41 s at N = 40000, where monomial peaks
-# at 41 MB: time sets its --dim cap. Time sets the crt cap too: both halves
-# are O(r) integers, 35 MB at any N, and the O(sqrt N) trial division of
-# `factor_dimension` peaks at a prime: 0.11 s at N = 999999999989
-# (0.35-0.55 s wall), 0.35 s at 10^13, 1.1 s at 10^14, 11 s at 10^16
+# (ru_maxrss of the process and its wall time, median of 3 runs, one past
+# 2 s, bounds lifted past a cap; 2 vCPUs, numpy 2.4.6): zauner 109 at
+# N = 800000 in 1.5 s (129 at 10^6), verify mub 77 at p = 19 (145 at 23),
+# generate mub 103 at p = 13 (295 at 17), operators 104 at N = 324, the
+# largest square under the cap, which also emits the monomial pair (75 at
+# 360, 121 at 361); each count cap keeps the largest dimension under a
+# minute: 2500 failing search restarts (--tol 0) take 35 s at N = 48, 1000
+# monomial samples 41 s at N = 40000, where monomial peaks at 41 MB: time
+# sets its --dim cap. Time sets the crt cap too: both halves are O(r)
+# integers, 35 MB at any N, and the O(sqrt N) trial division of
+# `factor_dimension` peaks at a prime (best of 3 in process): 0.13 s at
+# N = 999999999989 (0.3-0.45 s wall), 0.41 s at 10^13, 1.1 s at 10^14,
+# 13 s at 10^16
 COMMANDS = {
     "verify sic": Command(_verify_sic, ("builtin", "file", "tol"),
                           tuple(BUILTINS), one_of=("builtin", "file")),

@@ -29,13 +29,9 @@ def fiducial_to_dict(f: Fiducial) -> dict:
     }
 
 
-def dumps_fiducial(f: Fiducial) -> str:
-    return json.dumps(fiducial_to_dict(f), sort_keys=True) + "\n"
-
-
 def save_fiducial(f: Fiducial, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps_fiducial(f))
+        fh.write(json.dumps(fiducial_to_dict(f), sort_keys=True) + "\n")
 
 
 def fiducial_from_dict(d: dict) -> Fiducial:

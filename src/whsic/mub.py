@@ -30,31 +30,17 @@ from .errors import DimensionMismatch, NotLatin, NotOrthonormal, NotPrime
 from .monomial import flatten, monomial_weyl_generators
 
 
-@dataclass(frozen=True)
-class LatinSquare:
-    n: int
-    cells: tuple  # n rows of n entries in Z_n, indexed cells[r][a]
-
-    @staticmethod
-    def from_array(arr) -> "LatinSquare":
-        a = np.asarray(arr, dtype=int)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("cells must be a square array")
-        return LatinSquare(a.shape[0], tuple(tuple(int(x) % a.shape[0] for x in row)
-                                             for row in a))
-
-    def is_latin(self) -> bool:
-        full = set(range(self.n))
-        rows_ok = all(set(row) == full for row in self.cells)
-        cols_ok = all({self.cells[r][a] for r in range(self.n)} == full
-                      for a in range(self.n))
-        return rows_ok and cols_ok
+def cyclic_latin_square(n: int, k: int) -> np.ndarray:
+    """lam[r, a] = a + k*r mod n; Latin whenever gcd(k, n) = 1."""
+    return np.add.outer(k * np.arange(n), np.arange(n)) % n
 
 
-def cyclic_latin_square(n: int, k: int) -> LatinSquare:
-    """lam(r, a) = a + k*r mod n; Latin whenever gcd(k, n) = 1."""
-    return LatinSquare(n, tuple(tuple((a + k * r) % n for a in range(n))
-                                for r in range(n)))
+def is_latin(lam: np.ndarray) -> bool:
+    """True iff lam is n x n and its rows and columns permute Z_n."""
+    n = len(lam)
+    return np.shape(lam) == (n, n) and all(
+        (np.sort(sq, axis=1) == np.arange(n)).all()
+        for sq in (lam, np.transpose(lam)))
 
 
 @dataclass(frozen=True)
@@ -65,9 +51,13 @@ class Basis:
     vectors: np.ndarray
     label: str
 
-    def gram_deviation(self) -> float:
-        G = self.vectors.conj().T @ self.vectors
-        return float(np.max(np.abs(G - np.eye(self.dim.N))))
+    def gram_deviation(self) -> tuple[float, tuple[int, int]]:
+        """max |<u|v> - delta_uv| over vector pairs, and the first pair
+        (u, v) that attains it."""
+        V = self.vectors
+        dev = np.abs(V.conj().T @ V - np.eye(self.dim.N))
+        u, v = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        return float(dev[u, v]), (int(u), int(v))
 
 
 def eigenbasis_zero(dim: Dimension) -> Basis:
@@ -95,9 +85,9 @@ def eigenbasis_infinity(dim: Dimension) -> Basis:
     return Basis(dim, V, "infinity")
 
 
-def latin_basis(dim: Dimension, lam: LatinSquare, phases: np.ndarray,
+def latin_basis(dim: Dimension, lam: np.ndarray, phases: np.ndarray,
                 label: str = "latin") -> Basis:
-    """Vectors |a+nb> = (1/sqrt n) sum_r phases[r,a,b] |r, lam(r,a)>.
+    """Vectors |a+nb> = (1/sqrt n) sum_r phases[r,a,b] |r, lam[r,a]>.
 
     phases has shape (n, n, n) indexed (r, a, b) with unit-modulus entries.
     The Gram matrix must be the identity within 1e-10, otherwise
@@ -105,24 +95,23 @@ def latin_basis(dim: Dimension, lam: LatinSquare, phases: np.ndarray,
     unbiasedness claims then fail downstream, not here.
     """
     n = require_square(dim)
-    if lam.n != n:
-        raise DimensionMismatch(f"Latin square order {lam.n} != n = {n}")
+    if np.shape(lam) != (n, n):
+        raise DimensionMismatch(
+            f"Latin square shape {np.shape(lam)} != {(n, n)}")
     phases = np.asarray(phases, dtype=complex)
     if phases.shape != (n, n, n):
         raise ValueError(f"phase table must have shape {(n, n, n)}")
     if np.max(np.abs(np.abs(phases) - 1.0)) > 1e-10:
         raise ValueError("phase table entries must have unit modulus")
-    N = dim.N
     r, a, b = np.indices((n, n, n))
-    V = np.zeros((N, N), dtype=complex)
-    V[flatten(r, np.array(lam.cells)[r, a], n), a + n * b] = phases / np.sqrt(n)
-    G = V.conj().T @ V
-    dev = np.abs(G - np.eye(N))
-    if dev.max() > 1e-10:
-        u, v = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    V = np.zeros((dim.N, dim.N), dtype=complex)
+    V[flatten(r, np.asarray(lam)[r, a], n), a + n * b] = phases / np.sqrt(n)
+    basis = Basis(dim, V, label)
+    dev, (u, v) = basis.gram_deviation()
+    if dev > 1e-10:
         raise NotOrthonormal(
-            f"vectors {u} and {v} fail orthonormality by {dev.max():.3e}")
-    return Basis(dim, V, label)
+            f"vectors {u} and {v} fail orthonormality by {dev:.3e}")
+    return basis
 
 
 @dataclass(frozen=True)
@@ -181,19 +170,17 @@ def prime_family(p: int) -> list[Basis]:
     return bases
 
 
-def mols_check(squares: list[LatinSquare]) -> bool:
+def mols_check(squares: list[np.ndarray]) -> bool:
     """True iff every pair of squares is orthogonal (superposing the two
     arrays yields all n^2 ordered symbol pairs)."""
-    for sq in squares:
-        if not sq.is_latin():
-            raise NotLatin(f"square of order {sq.n} violates the Latin property")
+    for lam in squares:
+        if not is_latin(lam):
+            raise NotLatin(f"square of shape {np.shape(lam)} is not Latin")
     for i, A in enumerate(squares):
         for B in squares[i + 1:]:
-            if A.n != B.n:
-                raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
-            pairs = {(A.cells[r][a], B.cells[r][a])
-                     for r in range(A.n) for a in range(A.n)}
-            if len(pairs) != A.n * A.n:
+            if len(A) != len(B):
+                raise DimensionMismatch(f"orders differ: {len(A)} vs {len(B)}")
+            if len(np.unique(A * len(A) + B)) != A.size:
                 return False
     return True
 

@@ -1,6 +1,7 @@
 """Metaplectic representation, order-3 symmetry, and the even-dimension lift."""
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -146,21 +147,41 @@ def test_random_symplectic_is_symplectic(N, seed):
     assert G.mul(G.inv(dim.nbar), dim.nbar) == IDENTITY.reduced(dim.nbar)
 
 
+class _ScriptedDraws:
+    """A stand-in for np.random.Generator whose `integers` returns the
+    scripted draws in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def integers(self, low, high, size):
+        assert size == 3 and all(low <= x < high for x in self.draws[0])
+        return np.array(self.draws.pop(0))
+
+
 @pytest.mark.parametrize("nbar, order", [(3, 24), (4, 48), (8, 384)])
 def test_random_symplectic_is_exactly_uniform(nbar, order):
-    """200 seeded draws per element of SL(2, Z_nbar) hit every element, each
-    with det 1, and their chi^2 statistic against the uniform law stays below
-    its upper 1e-6 quantile."""
-    from scipy.stats import chi2
+    """Each accepted draw (alpha, gamma, t), with gcd(alpha, gamma, nbar) = 1,
+    gives a different element of SL(2, Z_nbar) and together they give all of
+    it, so uniform draws give a uniform element. Each is scripted after a
+    draw with (alpha, gamma) = (0, 0), which must be rejected. 200 seeded
+    draws per element hit every element, each with det 1."""
     dim = Dimension(nbar if nbar % 2 else nbar // 2)
     assert dim.nbar == nbar
     group = {G for G in itertools.starmap(
         SymplecticMatrix, itertools.product(range(nbar), repeat=4))
         if is_symplectic(G, dim)}
     assert len(group) == order
+    accepted = [v for v in itertools.product(range(nbar), repeat=3)
+                if math.gcd(v[0], v[1], nbar) == 1]
+    assert len(accepted) == order
+    images = []
+    for v in accepted:
+        draws = _ScriptedDraws([(0, 0, v[2]), v])
+        images.append(random_symplectic(dim, draws))
+        assert draws.draws == []
+    assert set(images) == group and len(images) == order
     rng = np.random.default_rng(nbar)
     counts = Counter(random_symplectic(dim, rng) for _ in range(200 * order))
     assert all(G.det() % nbar == 1 for G in counts)
     assert set(counts) == group
-    stat = sum((c - 200) ** 2 / 200 for c in counts.values())
-    assert stat < chi2.isf(1e-6, order - 1)

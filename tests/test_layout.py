@@ -1,12 +1,15 @@
-"""Every public module-level function and class in `src/whsic` that no
-command reaches carries a reason to stay: it states a result of the paper,
-or it is a float oracle that the benchmark still times.
+"""Every public module-level function and class in `src/whsic`, and every
+public method, that no command reaches carries a reason to stay: it states
+a result of the paper, or it is a float oracle that the benchmark still
+times.
 
 Reachability is read from the source with `ast`: a definition reaches every
 name its body mentions that resolves to a module-level definition, in its
 own module, through a `from .module import name` or as `module.name`; a
 string constant counts when it names a definition of a module used as
 `module.name`, which is how `cli.BUILTINS` names the fiducial constructors.
+A method is reached when its class is reached and a reached definition
+reads an attribute of its name; a dunder method is reached with its class.
 """
 
 import ast
@@ -63,8 +66,11 @@ BENCHMARK_ORACLES = {
 
 
 def _module_graph():
-    """(definitions, edges): the module-level definitions of each module as
-    "module.name" keys with their nodes, and the keys each one mentions."""
+    """(definitions, edges, attributes): the definitions of each module as
+    "module.name" keys, and its methods as "module.Class.name", with their
+    nodes; the keys each one mentions; the attribute names each one reads.
+    A class's own node leaves out its methods' bodies, and it mentions its
+    dunder methods, which Python calls without naming them."""
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     defs = {}
     for mod, tree in trees.items():
@@ -75,7 +81,11 @@ def _module_graph():
                 for t in node.targets:
                     if isinstance(t, ast.Name):
                         defs[f"{mod}.{t.id}"] = node
-    edges = {}
+            if isinstance(node, ast.ClassDef):
+                defs.update((f"{mod}.{node.name}.{m.name}", m)
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef))
+    edges, attributes = {}, {}
     for mod, tree in trees.items():
         names, modules = {}, set()
         for node in ast.walk(tree):
@@ -87,43 +97,67 @@ def _module_graph():
                     else:
                         names[local] = f"{node.module}.{alias.name}"
 
+        def walk(node):
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if not isinstance(sub, ast.FunctionDef):
+                        yield from ast.walk(sub)
+                for sub in node.decorator_list + node.bases:
+                    yield from ast.walk(sub)
+            else:
+                yield from ast.walk(node)
+
         def mentions(node):
-            out = set()
-            for sub in ast.walk(node):
+            out, attrs = set(), set()
+            for sub in walk(node):
                 if isinstance(sub, ast.Name):
                     out.add(names.get(sub.id, f"{mod}.{sub.id}"))
-                elif (isinstance(sub, ast.Attribute)
-                      and isinstance(sub.value, ast.Name)
-                      and sub.value.id in modules):
-                    out.add(f"{sub.value.id}.{sub.attr}")
+                elif isinstance(sub, ast.Attribute):
+                    attrs.add(sub.attr)
+                    if (isinstance(sub.value, ast.Name)
+                            and sub.value.id in modules):
+                        out.add(f"{sub.value.id}.{sub.attr}")
                 elif isinstance(sub, ast.Constant):
                     out.update(f"{m}.{sub.value}" for m in modules)
-            return out & defs.keys()
+            return out & defs.keys(), attrs
 
-        edges[mod] = mentions(tree)
+        edges[mod], attributes[mod] = mentions(tree)
         for key, node in defs.items():
             if key.startswith(mod + "."):
-                edges[key] = mentions(node)
-    return defs, edges
+                edges[key], attributes[key] = mentions(node)
+                if isinstance(node, ast.ClassDef):
+                    edges[key] |= {f"{key}.{m.name}" for m in node.body
+                                   if isinstance(m, ast.FunctionDef)
+                                   and m.name.startswith("__")}
+    return defs, edges, attributes
 
 
-def _reach(edges, roots):
+def _reach(graph, roots):
+    """The keys reached from roots. A method is reached when its class is
+    reached and a reached definition names it as an attribute."""
+    defs, edges, attributes = graph
     seen, todo = set(), list(roots)
     while todo:
-        key = todo.pop()
-        if key not in seen:
-            seen.add(key)
-            todo.extend(edges.get(key, ()))
+        while todo:
+            key = todo.pop()
+            if key not in seen:
+                seen.add(key)
+                todo.extend(edges.get(key, ()))
+        named = set().union(*(attributes.get(k, ()) for k in seen))
+        todo = [k for k in defs.keys() - seen if k.count(".") == 2
+                and k.rsplit(".", 1)[0] in seen
+                and k.rsplit(".", 1)[1] in named]
     return seen
 
 
 def _unreachable_from_cli():
-    defs, edges = _module_graph()
-    reached = _reach(edges, edges["cli"])
+    graph = _module_graph()
+    defs = graph[0]
+    reached = _reach(graph, ["cli"])
     public = {k for k, node in defs.items()
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not k.split(".")[1].startswith("_")}
-    return public - reached - {k for k in defs if k.startswith("cli.")}, edges
+              and not k.rsplit(".", 1)[1].startswith("_")}
+    return public - reached - {k for k in defs if k.startswith("cli.")}, graph
 
 
 def test_pinned_tables_do_not_overlap():
@@ -139,18 +173,22 @@ def test_every_pinned_name_is_unreachable_from_cli():
 def test_code_no_command_runs_has_a_reason():
     """Each public definition that `cli` does not reach is pinned, or is
     reached only through a pinned one."""
-    unreachable, edges = _unreachable_from_cli()
-    covered = _reach(edges, PAPER_RESULTS.keys() | BENCHMARK_ORACLES)
+    unreachable, graph = _unreachable_from_cli()
+    covered = _reach(graph, PAPER_RESULTS.keys() | BENCHMARK_ORACLES)
     assert sorted(unreachable - covered) == []
 
 
 def test_the_graph_reaches_what_the_commands_run():
-    """Positive controls: a handler's imports, a module-qualified name and
-    a constructor named only by a string in `cli.BUILTINS`."""
-    defs, edges = _module_graph()
-    reached = _reach(edges, edges["cli"])
+    """Positive controls: a handler's imports, a module-qualified name, a
+    constructor named only by a string in `cli.BUILTINS`, methods read as
+    attributes and a dunder method; negative controls: a function and a
+    method that only pinned names reach."""
+    reached = _reach(_module_graph(), ["cli"])
     assert {"crt.product_iso_witness", "crt.displacement_witness",
             "monomial.covariance_witness", "weyl.displacement",
             "sic.fiducial_n16", "adapted16.fiducial_vector",
-            "sic.search_fiducial", "fileio.load_fiducial"} <= reached
-    assert "monomial.sl2_orbit" not in reached
+            "sic.search_fiducial", "fileio.load_fiducial",
+            "mub.Basis.gram_deviation", "sic._CurvatureRing.push",
+            "dims.PhasePermutation.__array__"} <= reached
+    assert not {"monomial.sl2_orbit",
+                "clifford.SymplecticMatrix.inv"} & reached

@@ -9,10 +9,9 @@ from whsic.dims import Dimension, sigma_power
 from whsic.errors import (DimensionMismatch, NotLatin, NotOrthonormal,
                           NotPrime, NotSquare)
 from whsic.monomial import flatten, monomial_weyl_generators
-from whsic.mub import (Basis, LatinSquare, cyclic_latin_square,
-                       eigenbasis_infinity, eigenbasis_zero,
-                       entanglement_check, is_unbiased, latin_basis,
-                       mols_check, prime_family)
+from whsic.mub import (Basis, cyclic_latin_square, eigenbasis_infinity,
+                       eigenbasis_zero, entanglement_check, is_latin,
+                       is_unbiased, latin_basis, mols_check, prime_family)
 
 
 # ---------------------------------------------------------------------------
@@ -20,15 +19,18 @@ from whsic.mub import (Basis, LatinSquare, cyclic_latin_square,
 # ---------------------------------------------------------------------------
 
 def test_cyclic_square_latin_iff_coprime():
-    assert cyclic_latin_square(5, 2).is_latin()
-    assert cyclic_latin_square(4, 1).is_latin()
-    assert not cyclic_latin_square(4, 2).is_latin()
+    assert is_latin(cyclic_latin_square(5, 2))
+    assert is_latin(cyclic_latin_square(4, 1))
+    assert not is_latin(cyclic_latin_square(4, 2))
 
 
-def test_from_array_reduces_mod_n():
-    sq = LatinSquare.from_array([[0, 5], [1, 4]])
-    assert sq.cells == ((0, 1), (1, 0))
-    assert sq.is_latin()
+def test_is_latin_needs_an_n_by_n_square_over_z_n():
+    assert is_latin(cyclic_latin_square(3, 1).T)
+    assert not is_latin(np.array([[0, 0], [1, 1]]))  # rows repeat
+    assert not is_latin(np.array([[0, 1], [0, 1]]))  # columns repeat
+    assert not is_latin(np.array([[0, 2], [2, 0]]))  # 2 is not in Z_2
+    assert not is_latin(np.array([[0, 1, 2], [1, 2, 0]]))
+    assert not is_latin(np.zeros(3, dtype=int))
 
 
 def test_mols_cyclic_family_prime():
@@ -46,8 +48,16 @@ def test_mols_single_square_vacuous():
     assert mols_check([cyclic_latin_square(4, 1)])
 
 
+def test_mols_rejects_a_non_orthogonal_pair_and_mixed_orders():
+    # a + r and a + 3r mod 4 superpose to the same pair at rows r and r + 2
+    assert not mols_check([cyclic_latin_square(4, 1),
+                           cyclic_latin_square(4, 3)])
+    with pytest.raises(DimensionMismatch):
+        mols_check([cyclic_latin_square(3, 1), cyclic_latin_square(5, 1)])
+
+
 def test_mols_rejects_non_latin():
-    bad = LatinSquare.from_array(np.zeros((3, 3), dtype=int))
+    bad = np.zeros((3, 3), dtype=int)
     with pytest.raises(NotLatin):
         mols_check([bad])
 
@@ -88,8 +98,8 @@ def test_eigenbases_orthonormal_and_mutually_unbiased(N):
     dim = Dimension(N)
     A = eigenbasis_zero(dim)
     B = eigenbasis_infinity(dim)
-    assert A.gram_deviation() < 1e-12
-    assert B.gram_deviation() < 1e-12
+    assert A.gram_deviation()[0] < 1e-12
+    assert B.gram_deviation()[0] < 1e-12
     assert is_unbiased(A, B).passed
 
 
@@ -117,7 +127,7 @@ def test_n4_third_basis_completes_triple():
     theta = np.exp(1j * np.array([[0.3, 1.1], [2.0, -0.4]]))
     phases = fourier_phases(2, theta, np.ones((2, 2)))
     C = latin_basis(dim, lam, phases)
-    assert C.gram_deviation() < 1e-12
+    assert C.gram_deviation()[0] < 1e-12
     for other in (eigenbasis_zero(dim), eigenbasis_infinity(dim)):
         rep = is_unbiased(C, other)
         assert rep.passed and rep.max_abs_deviation < 1e-12
@@ -127,8 +137,8 @@ def test_non_latin_square_breaks_unbiasedness():
     """Constant-column lam(r,a) = a keeps orthonormality but the vectors are
     eigenbasis-aligned, so unbiasedness to the Z eigenbasis fails badly."""
     dim = Dimension(4)
-    lam = LatinSquare.from_array([[0, 1], [0, 1]])
-    assert not lam.is_latin()
+    lam = np.array([[0, 1], [0, 1]])
+    assert not is_latin(lam)
     phases = fourier_phases(2, np.ones((2, 2)), np.ones((2, 2)))
     C = latin_basis(dim, lam, phases)
     rep = is_unbiased(C, eigenbasis_zero(dim))
@@ -136,10 +146,17 @@ def test_non_latin_square_breaks_unbiasedness():
     assert rep.max_abs_deviation > 0.1
 
 
+def test_gram_deviation_names_the_first_worst_pair():
+    dim = Dimension(4)
+    V = np.eye(4, dtype=complex)
+    V[:, 2] = V[:, 1]
+    assert Basis(dim, V, "bad").gram_deviation() == (1.0, (1, 2))
+
+
 def test_latin_basis_rejects_bad_inputs():
     dim = Dimension(4)
     lam = cyclic_latin_square(2, 1)
-    with pytest.raises(NotOrthonormal):
+    with pytest.raises(NotOrthonormal, match="vectors 0 and 2 fail"):
         latin_basis(dim, lam, np.ones((2, 2, 2), dtype=complex))
     with pytest.raises(ValueError):
         latin_basis(dim, lam, 2.0 * fourier_phases(2, np.ones((2, 2)),
@@ -181,7 +198,7 @@ def test_prime_family_complete(p):
     bases = prime_family(p)
     assert len(bases) == p + 1
     for B in bases:
-        assert B.gram_deviation() < 1e-10
+        assert B.gram_deviation()[0] < 1e-10
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
             rep = is_unbiased(bases[i], bases[j])

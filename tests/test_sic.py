@@ -21,6 +21,8 @@ from whsic.sic import (LBFGS_MEMORY, LINE_SEARCH_EVALS, Fiducial,
                        to_standard, verify_sic)
 from whsic.weyl import all_displacements, standard_generators
 
+from search_parity import DIMS, SEEDS, search_row, table_rows
+
 
 def random_unit(N, seed):
     rng = np.random.default_rng(seed)
@@ -464,6 +466,24 @@ def test_search_seed0_restart_table(N):
     assert f is not None
     assert verify_sic(f, 1e-8).passed
     assert f.provenance["restart"] == SEED0_RESTART[N]
+
+
+PARITY = {tuple(map(int, row.split("\t")[:2])): row for row in table_rows()}
+
+
+def test_search_parity_table_covers_every_seeded_search():
+    assert list(PARITY) == [(N, seed) for N in DIMS for seed in SEEDS]
+    assert sum(row.split("\t")[2] == "1" for row in PARITY.values()) == 407
+
+
+# 38 stratified rows of the parity table: seed -N mod 10 at every N up to
+# 36 and at every even N above (one finds nothing), about 3 s on 2 vCPUs;
+# CI checks all 440 rows
+@pytest.mark.parametrize("N, seed", [(N, seed) for N, seed in PARITY
+                                     if (N + seed) % 10 == 0
+                                     and (N <= 36 or N % 2 == 0)])
+def test_search_parity_table_subset(N, seed):
+    assert search_row(N, seed) == PARITY[N, seed]
 
 
 def test_search_n48_seed0_restart_34():
