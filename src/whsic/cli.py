@@ -1,7 +1,7 @@
 """whsic: construct, verify and search, with JSON reports.
 
     whsic verify sic (--builtin n4|n9|n16 | --file F) [construction] [--tol T]
-    whsic verify mub [--p 2..19] [--tol T]
+    whsic verify mub [--p 2..19]
     whsic verify monomial [--dim 1..40000] [--samples 1..1000] [--seed K]
     whsic verify crt [--dim 2..1000000000000] [--seed K]
     whsic verify zauner [--dim 1..800000]
@@ -17,7 +17,7 @@ COMMAND -h` lists them. The construction flags --slot, --s, --t, --u (n4),
 belong to the builtin that --builtin or --dim chooses; --file takes none.
 Any other flag, an abbreviated flag or a value out of range is a usage
 error. --tol is the tolerance compared against; `verify crt`, `verify
-monomial` and `verify zauner` compare integers and take none.
+mub`, `verify monomial` and `verify zauner` compare integers and take none.
 
 Exit codes: 0 when the check passes, 1 when it runs but fails, 2 on usage
 or parse errors. Each report is one line of JSON that names the command and
@@ -109,14 +109,15 @@ def _verify_sic(args) -> dict:
 
 
 def _verify_mub(args) -> dict:
-    from .mub import is_unbiased, prime_family
+    from .mub import prime_family, unbiased_witness
     bases = prime_family(args.p)
     pairs = list(itertools.combinations(bases, 2))
-    devs = [is_unbiased(A, B, args.tol).max_abs_deviation for A, B in pairs]
-    k = int(np.argmax(devs))  # the first pair with the largest deviation
-    return {"pass": bool(devs[k] <= args.tol),
-            "metrics": {"num_bases": len(bases), "max_abs_deviation": devs[k],
-                        "worst_pair": [b.label for b in pairs[k]],
+    # each pair of bases with two lines that do not meet once
+    found = [[A.label, B.label, *w] for A, B in pairs
+             if (w := unbiased_witness(A, B))]
+    witness = found[0] if found else None
+    return {"pass": witness is None,
+            "metrics": {"num_bases": len(bases), "witness": witness,
                         "checked_pairs": len(pairs)}}
 
 
@@ -174,9 +175,11 @@ def _generate_sic(args) -> dict:
 def _generate_mub(args) -> dict:
     from .mub import prime_family
     bases = prime_family(args.p)
-    # each vector, a column of b.vectors, as a list of [re, im] pairs
-    payload = [{"label": b.label, "N": b.dim.N, "vectors": _encode(b.vectors.T)}
-               for b in bases]
+    # each vector, a column of b.vectors, as a list of [re, im] pairs; all
+    # are built first, which keeps the peak RSS 4 MB lower at p = 13
+    dense = [b.vectors.T for b in bases]
+    payload = [{"label": b.label, "N": b.dim.N, "vectors": _encode(V)}
+               for b, V in zip(bases, dense)]
     return {"pass": True, "metrics": {"num_bases": len(bases)},
             "artifacts": {"bases": payload}}
 
@@ -249,21 +252,22 @@ class Command(NamedTuple):
 # each size cap keeps the peak RSS of `python -m whsic.cli` near 110 MB
 # (ru_maxrss of the process and its wall time, median of 3 runs, one past
 # 2 s, bounds lifted past a cap; 2 vCPUs, numpy 2.4.6): zauner 109 at
-# N = 800000 in 1.5 s (129 at 10^6), verify mub 77 at p = 19 (145 at 23),
-# generate mub 103 at p = 13 (295 at 17), operators 104 at N = 324, the
-# largest square under the cap, which also emits the monomial pair (75 at
-# 360, 121 at 361); each count cap keeps the largest dimension under a
-# minute: 2500 failing search restarts (--tol 0) take 35 s at N = 48, 1000
-# monomial samples 41 s at N = 40000, where monomial peaks at 41 MB: time
-# sets its --dim cap. Time sets the crt cap too: both halves are O(r)
-# integers, 35 MB at any N, and the O(sqrt N) trial division of
-# `factor_dimension` peaks at a prime (best of 3 in process): 0.13 s at
-# N = 999999999989 (0.3-0.45 s wall), 0.41 s at 10^13, 1.1 s at 10^14,
-# 13 s at 10^16
+# N = 800000 in 1.5 s (129 at 10^6), generate mub 102 at p = 13 (293 at
+# 17), operators 104 at N = 324, the largest square under the cap, which
+# also emits the monomial pair (75 at 360, 121 at 361); verify mub counts
+# integer lines, 30 MB in 0.22 s at p = 19 (30 MB in 0.16 s at 23), so its
+# cap is where the dense-orbit reference test of `prime_family` stops;
+# each count cap keeps the largest dimension under a minute: 2500 failing
+# search restarts (--tol 0) take 35 s at N = 48, 1000 monomial samples
+# 41 s at N = 40000, where monomial peaks at 41 MB: time sets its --dim
+# cap. Time sets the crt cap too: both halves are O(r) integers, 35 MB at
+# any N, and the O(sqrt N) trial division of `factor_dimension` peaks at a
+# prime (best of 3 in process): 0.13 s at N = 999999999989 (0.3-0.45 s
+# wall), 0.41 s at 10^13, 1.1 s at 10^14, 13 s at 10^16
 COMMANDS = {
     "verify sic": Command(_verify_sic, ("builtin", "file", "tol"),
                           tuple(BUILTINS), one_of=("builtin", "file")),
-    "verify mub": Command(_verify_mub, ("p", "tol"),
+    "verify mub": Command(_verify_mub, ("p",),
                           bounds={"p": range(2, 20)}),
     "verify monomial": Command(_verify_monomial, ("dim", "samples", "seed"),
                                bounds={"dim": range(1, 40001),

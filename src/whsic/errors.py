@@ -33,9 +33,5 @@ class NotPrime(WhsicError):
     pass
 
 
-class NotLatin(WhsicError):
-    pass
-
-
 class BasisUnavailable(WhsicError):
     pass

@@ -1,18 +1,16 @@
 """Unbiased bases from Latin squares in square dimensions N = n^2.
 
-Everything here lives in the phase-permutation basis |r,s>. The standard
-(Z-eigen) and Fourier (X-eigen) bases become
+A basis lives in the phase-permutation basis |r,s> as n lines of n grid
+points and the integers of `Basis`; its vectors are
 
-    |a+nb>_0   = (1/sqrt n) sum_r sigma^{br} |r,a>
-    |a+nb>_inf = (1/sqrt n) sum_r sigma^{-br} omega^{-ar} |a,r>
+    |a+nb> = (1/sqrt n) sum_r tau^{expo[a,r] + fourier b r} |lines[a,r]>.
 
-and a candidate third basis has the shape
-
-    |a+nb>_k = (1/sqrt n) sum_r w_k(r,a,b) |r, lam(r,a)>
-
-with free unit phases w_k. Unbiasedness to the two eigenbases holds exactly
-when lam is a Latin square, independently of the phases; orthonormality
-within the basis constrains the phases. For n = p prime the squares
+The Z eigenbasis has the lines {(r, a)}, the X eigenbasis the lines
+{(a, r)}, and the Latin basis of a square lam the lines {(r, lam(r,a))}.
+Orthonormality is exact once the lines partition the grid and tau^fourier
+has order n; unbiasedness is exact once every line of one basis meets
+every line of the other once, which a Latin square's lines do with those
+of both eigenbases, whatever the exponents. For n = p prime the squares
 lam_k(r,a) = a + k r with eigenvector phases of the cyclic subgroup
 generated by X^k Z^{-1} give p - 1 bases completing a family of p + 1
 mutually unbiased bases.
@@ -20,13 +18,14 @@ mutually unbiased bases.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dims import Dimension, PhasePermutation, require_square, tau_powers
-from .errors import DimensionMismatch, NotLatin, NotOrthonormal, NotPrime
+from .errors import DimensionMismatch, NotOrthonormal, NotPrime
 from .monomial import flatten, monomial_weyl_generators
 
 
@@ -35,83 +34,98 @@ def cyclic_latin_square(n: int, k: int) -> np.ndarray:
     return np.add.outer(k * np.arange(n), np.arange(n)) % n
 
 
-def is_latin(lam: np.ndarray) -> bool:
-    """True iff lam is n x n and its rows and columns permute Z_n."""
-    n = len(lam)
-    return np.shape(lam) == (n, n) and all(
-        (np.sort(sq, axis=1) == np.arange(n)).all()
-        for sq in (lam, np.transpose(lam)))
-
-
 @dataclass(frozen=True)
 class Basis:
-    """N vectors in monomial coordinates, stored as the columns of `vectors`."""
+    """N vectors as integers: row a of `lines` holds the flat labels r*n + s
+    of line a, `expo` the tau exponents of vector a on them, and vector
+    a + nb steps by tau^{fourier r}. Vectors on disjoint lines are
+    orthogonal, and those of one line are the characters of Z_n when
+    tau^fourier has order n: otherwise, or if the lines do not partition
+    the grid, NotOrthonormal."""
 
     dim: Dimension
-    vectors: np.ndarray
+    lines: np.ndarray
+    expo: np.ndarray
+    fourier: int
     label: str
 
-    def gram_deviation(self) -> tuple[float, tuple[int, int]]:
-        """max |<u|v> - delta_uv| over vector pairs, and the first pair
-        (u, v) that attains it."""
-        V = self.vectors
-        dev = np.abs(V.conj().T @ V - np.eye(self.dim.N))
-        u, v = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        return float(dev[u, v]), (int(u), int(v))
+    def __post_init__(self):
+        n = require_square(self.dim)
+        if np.shape(self.lines) != (n, n) or np.shape(self.expo) != (n, n):
+            raise DimensionMismatch(
+                f"line and exponent tables must have shape {(n, n)}")
+        if not np.array_equal(np.sort(self.lines, axis=None),
+                              np.arange(self.dim.N)):
+            raise NotOrthonormal(
+                f"the lines of {self.label} do not partition the grid")
+        order = self.dim.nbar // math.gcd(self.fourier, self.dim.nbar)
+        if order != n:
+            raise NotOrthonormal(
+                f"tau^{self.fourier} has order {order}, not n = {n}")
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """The vectors as the columns of a dense N x N matrix."""
+        n = self.dim.n
+        a, b, r = np.indices((n, n, n))
+        V = np.zeros((self.dim.N, self.dim.N), dtype=complex)
+        V[self.lines[a, r], a + n * b] = tau_powers(
+            self.dim, self.expo[a, r] + self.fourier * b * r) / np.sqrt(n)
+        return V
 
 
 def eigenbasis_zero(dim: Dimension) -> Basis:
     """Eigenbasis of Z in monomial coordinates: Z|u>_0 = omega^u |u>_0.
-
-    It is the Latin basis of lam(r, a) = a with phases sigma^{+br}; the
-    opposite sign would flip the eigenvalue of the n-part of u (Z decreases r
-    by one, so the Fourier phase over r must run with a positive exponent to
-    produce omega^{a+nb}).
-    """
+    Its lines are those of lam(r, a) = a, and its step is sigma^{+r}: Z
+    lowers r by one, so only a positive exponent gives omega^{a+nb}."""
     n = require_square(dim)
-    r, _, b = np.indices((n, n, n))
-    return latin_basis(dim, cyclic_latin_square(n, 0),
-                       tau_powers(dim, 2 * n * b * r), "zero")
+    return Basis(dim, np.arange(dim.N).reshape(n, n).T,
+                 np.zeros((n, n), dtype=int), 2 * n, "zero")
 
 
 def eigenbasis_infinity(dim: Dimension) -> Basis:
-    """Eigenbasis of X in monomial coordinates: X|u>_inf = omega^u |u>_inf."""
+    """Eigenbasis of X in monomial coordinates: X|u>_inf = omega^u |u>_inf,
+    with |a+nb>_inf = (1/sqrt n) sum_r sigma^{-br} omega^{-ar} |a,r>."""
     n = require_square(dim)
-    a, b, r = np.indices((n, n, n))
+    grid = np.arange(n)
     # sigma^{-br} omega^{-ar} = tau^{-2nbr - 2ar}
-    phase = tau_powers(dim, -2 * n * b * r - 2 * a * r)
-    V = np.zeros((dim.N, dim.N), dtype=complex)
-    V[flatten(a, r, n), a + n * b] = phase / np.sqrt(n)
-    return Basis(dim, V, "infinity")
+    return Basis(dim, np.arange(dim.N).reshape(n, n),
+                 -2 * np.outer(grid, grid), -2 * n, "infinity")
 
 
-def latin_basis(dim: Dimension, lam: np.ndarray, phases: np.ndarray,
+def latin_basis(dim: Dimension, lam: np.ndarray, expo: np.ndarray,
                 label: str = "latin") -> Basis:
-    """Vectors |a+nb> = (1/sqrt n) sum_r phases[r,a,b] |r, lam[r,a]>.
+    """Vectors |a+nb> = (1/sqrt n) sum_r tau^{expo[r,a] - 2nbr} |r, lam[r,a]>.
 
-    phases has shape (n, n, n) indexed (r, a, b) with unit-modulus entries.
-    The Gram matrix must be the identity within 1e-10, otherwise
-    NotOrthonormal names an offending pair. lam need not actually be Latin;
-    unbiasedness claims then fail downstream, not here.
+    lam, read mod n, and the integer exponents expo are n x n tables
+    indexed (r, a). Each row of lam must permute Z_n, or the lines overlap
+    (NotOrthonormal); a column that repeats a value leaves the basis biased
+    against `eigenbasis_zero`, which `unbiased_witness` names.
     """
     n = require_square(dim)
-    if np.shape(lam) != (n, n):
-        raise DimensionMismatch(
-            f"Latin square shape {np.shape(lam)} != {(n, n)}")
-    phases = np.asarray(phases, dtype=complex)
-    if phases.shape != (n, n, n):
-        raise ValueError(f"phase table must have shape {(n, n, n)}")
-    if np.max(np.abs(np.abs(phases) - 1.0)) > 1e-10:
-        raise ValueError("phase table entries must have unit modulus")
-    r, a, b = np.indices((n, n, n))
-    V = np.zeros((dim.N, dim.N), dtype=complex)
-    V[flatten(r, np.asarray(lam)[r, a], n), a + n * b] = phases / np.sqrt(n)
-    basis = Basis(dim, V, label)
-    dev, (u, v) = basis.gram_deviation()
-    if dev > 1e-10:
-        raise NotOrthonormal(
-            f"vectors {u} and {v} fail orthonormality by {dev:.3e}")
-    return basis
+    r = np.indices(np.shape(lam))[0]
+    return Basis(dim, flatten(r, np.asarray(lam), n).T, np.transpose(expo),
+                 -2 * n, label)
+
+
+def unbiased_witness(A: Basis, B: Basis) -> tuple[int, int, int] | None:
+    """None when A and B are mutually unbiased, else the first line a of A
+    and a' of B, in the order a*n + a', that do not meet in exactly one
+    point, with the number of points where they meet.
+
+    Vectors on lines that meet in one point share only that point, with
+    amplitudes of modulus 1/sqrt n, so |<u|v>|^2 = 1/N exactly. The n
+    vectors of a line span the functions on its points, so the n^2 values
+    |<u|v>|^2 of lines that meet in m points sum to m: all are 1/N only if
+    m = 1."""
+    if A.dim.N != B.dim.N:
+        raise DimensionMismatch(f"dimensions differ: {A.dim.N} vs {B.dim.N}")
+    n = A.dim.n
+    # the line through each point: its flat position in the table, over n
+    on_a, on_b = (np.argsort(X.lines, axis=None) // n for X in (A, B))
+    meets = np.bincount(on_a * n + on_b, minlength=A.dim.N)
+    bad = np.flatnonzero(meets != 1)
+    return (*divmod(int(bad[0]), n), int(meets[bad[0]])) if bad.size else None
 
 
 @dataclass(frozen=True)
@@ -148,7 +162,6 @@ def prime_family(p: int) -> list[Basis]:
     inv = np.argsort(Z.image)
     A = PhasePermutation(dim, inv, -Z.expo[inv])  # Z^{-1}, exactly
     r, a = np.indices((n, n))
-    b = np.arange(n)
     bases = [eigenbasis_zero(dim), eigenbasis_infinity(dim)]
     for k in range(1, p):
         A = X @ A  # X^k Z^{-1}
@@ -161,28 +174,12 @@ def prime_family(p: int) -> list[Basis]:
         m = (step.sum(axis=0) * (N + 1)) % (2 * N)
         m -= 2 * N * (m > N)
         assert (m % (n * (1 + N % 2)) == 0).all(), "root is no tau power"
-        # tau^prefix mu^{-r} at (r, a, b); mu = root sigma^b, sigma = tau^{2n}
+        # tau^prefix mu^{-r} at (r, a); mu = root sigma^b, where sigma =
+        # tau^{2n} and latin_basis steps by sigma^{-r} in b
         root_r = (N + 1) * (m // n) * r
-        phases = tau_powers(dim, (prefix - root_r)[..., None]
-                            - 2 * n * r[..., None] * b)
-        bases.append(latin_basis(dim, cyclic_latin_square(n, k), phases,
-                                 f"latin({k})"))
+        bases.append(latin_basis(dim, cyclic_latin_square(n, k),
+                                 prefix - root_r, f"latin({k})"))
     return bases
-
-
-def mols_check(squares: list[np.ndarray]) -> bool:
-    """True iff every pair of squares is orthogonal (superposing the two
-    arrays yields all n^2 ordered symbol pairs)."""
-    for lam in squares:
-        if not is_latin(lam):
-            raise NotLatin(f"square of shape {np.shape(lam)} is not Latin")
-    for i, A in enumerate(squares):
-        for B in squares[i + 1:]:
-            if len(A) != len(B):
-                raise DimensionMismatch(f"orders differ: {len(A)} vs {len(B)}")
-            if len(np.unique(A * len(A) + B)) != A.size:
-                return False
-    return True
 
 
 def entanglement_check(basis: Basis) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 from whsic import crt
 from whsic.clifford import chirp_exponents, chirp_factors
 from whsic.dims import Dimension, PhasePermutation, tau_table
-from whsic.monomial import vector_order
+from whsic.monomial import flatten, vector_order
 from whsic.weyl import displacement, standard_generators
 
 
@@ -117,3 +117,29 @@ def invariant_subgroup_search(N):
                                for a1, a2 in V for b1, b2 in V):
             return V
     return None
+
+
+def gram_deviation(V):
+    """max |<u|v> - delta_uv| over the column pairs of V, and the first
+    pair (u, v) that attains it: the float Gram check that `mub.Basis`
+    replaces by its exact line and step conditions."""
+    dev = np.abs(V.conj().T @ V - np.eye(V.shape[1]))
+    u, v = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    return float(dev[u, v]), (int(u), int(v))
+
+
+def latin_vectors(dim, lam, phases):
+    """Columns a + nb = (1/sqrt n) sum_r phases[r,a,b] |r, lam[r,a]> for any
+    complex phase table indexed (r, a, b): the dense Latin basis, which
+    `mub.latin_basis` holds as integer exponents."""
+    n = dim.n
+    r, a, b = np.indices((n, n, n))
+    V = np.zeros((dim.N, dim.N), dtype=complex)
+    V[flatten(r, np.asarray(lam)[r, a], n), a + n * b] = phases / np.sqrt(n)
+    return V
+
+
+def overlap_deviation(V, W):
+    """max | |<v|w>|^2 - 1/N | over the columns v of V and w of W: 0 up to
+    roundoff when the two bases are mutually unbiased."""
+    return float(np.max(np.abs(np.abs(V.conj().T @ W) ** 2 - 1 / len(V))))

@@ -23,7 +23,8 @@ from whsic.monomial import (covariance_witness, flatten, invariant_subgroup,
                             is_phase_permutation, monomial_clifford,
                             monomial_weyl_generators, sl2_orbit, vector_order)
 from whsic.mub import (cyclic_latin_square, eigenbasis_infinity,
-                       eigenbasis_zero, is_unbiased, latin_basis, prime_family)
+                       eigenbasis_zero, is_unbiased, latin_basis, prime_family,
+                       unbiased_witness)
 from whsic.sic import (autocorrelation_check, fiducial_n4, fiducial_n9,
                        fiducial_n16, rephased4_generators, search_fiducial,
                        to_standard, verify_sic)
@@ -226,27 +227,23 @@ def test_acceptance_prime_family(p):
     assert len(bases) == p + 1
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
+            assert unbiased_witness(bases[i], bases[j]) is None
             rep = is_unbiased(bases[i], bases[j], 1e-10)
             assert rep.passed, (i, j, rep.max_abs_deviation)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_acceptance_latin_property_suffices(n):
+    """Whatever its tau exponents, a Latin basis meets each eigenbasis line
+    once, and is unbiased to both eigenbases in float as well."""
     dim = Dimension(n * n)
     rng = np.random.default_rng(n)
     eigen = (eigenbasis_zero(dim), eigenbasis_infinity(dim))
     lam = cyclic_latin_square(n, 1)
     for _ in range(50):
-        theta = np.exp(2j * np.pi * rng.random((n, n)))
-        chi = np.exp(2j * np.pi * rng.random((n, n)))
-        phases = np.empty((n, n, n), dtype=complex)
-        for r in range(n):
-            for a in range(n):
-                for b in range(n):
-                    phases[r, a, b] = (theta[r, a] * chi[a, b]
-                                       * np.exp(2j * np.pi * b * r / n))
-        C = latin_basis(dim, lam, phases)
+        C = latin_basis(dim, lam, rng.integers(0, 2 * dim.N, (n, n)))
         for other in eigen:
+            assert unbiased_witness(C, other) is None
             assert is_unbiased(C, other, 1e-10).passed
 
 

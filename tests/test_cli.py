@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, determinism, round trips."""
 
+import dataclasses
 import functools
 import json
 import os
@@ -103,23 +104,40 @@ def test_verify_sic_takes_exactly_one_fiducial_source(tmp_path, capsys):
 
 def test_verify_mub_names_its_worst_pair(capsys, monkeypatch):
     """A copy of basis "zero" in place of the last basis is biased against
-    "zero" alone: the report names that pair, the first at the largest
-    deviation 1 - 1/N, and counts every pair."""
+    "zero" alone: the report names that pair and its lines 0 and 0, which
+    meet in all n points, and counts every pair."""
     from whsic import mub
     prime_family = mub.prime_family
 
     def with_copy(p):
         bases = prime_family(p)
-        return bases[:-1] + [mub.Basis(bases[0].dim, bases[0].vectors, "copy")]
+        return bases[:-1] + [dataclasses.replace(bases[0], label="copy")]
 
     code, rep = run(["verify", "mub", "--p", "3"], capsys)
     assert code == 0 and rep["metrics"]["checked_pairs"] == 6
+    assert rep["metrics"]["witness"] is None
     monkeypatch.setattr(mub, "prime_family", with_copy)
     code, rep = run(["verify", "mub", "--p", "3"], capsys)
     assert code == 1
-    assert rep["metrics"]["worst_pair"] == ["zero", "copy"]
+    assert rep["metrics"]["witness"] == ["zero", "copy", 0, 0, 3]
     assert rep["metrics"]["checked_pairs"] == 6
-    assert abs(rep["metrics"]["max_abs_deviation"] - (1 - 1 / 9)) < 1e-12
+    assert "max_abs_deviation" not in rep["metrics"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
+def test_verify_mub_certifies_every_prime_to_the_cap(p, capsys, monkeypatch):
+    """No pair has a witness, every pair is counted, and no dense vector
+    is built."""
+    from whsic import mub
+
+    def no_vectors(self):
+        raise AssertionError("verify mub built a dense basis")
+
+    monkeypatch.setattr(mub.Basis, "vectors", property(no_vectors))
+    code, rep = run(["verify", "mub", "--p", str(p)], capsys)
+    assert code == 0 and rep["pass"] is True
+    assert rep["metrics"]["witness"] is None
+    assert rep["metrics"]["checked_pairs"] == p * (p + 1) // 2
 
 
 def test_verify_sic_corrupt_file_exits_two(tmp_path, capsys):
@@ -185,7 +203,7 @@ def test_verify_monomial(capsys):
 
 # no command raises --tol: these checks deviate by about 1e-16 in float64
 @pytest.mark.parametrize("argv", [
-    ["verify", "mub", "--p", "3"],
+    ["generate", "sic", "--dim", "4"],
     ["verify", "sic", "--builtin", "n4"],
     ["generate", "sic", "--dim", "16"],
 ])
@@ -301,7 +319,7 @@ def test_dim_cap_plus_one_exits_two_at_once(command, flag):
     (["verify", "sic", "--builtin", "n9", "--m3", "2"],
      {"builtin": "n9", "tol": 1e-10, "s0": 1, "s1": 1, "s2": 1, "m3": 2,
       "m4": 0}),
-    (["verify", "mub", "--p", "3"], {"p": 3, "tol": 1e-10}),
+    (["verify", "mub", "--p", "3"], {"p": 3}),
     (["verify", "monomial", "--dim", "4", "--samples", "2"],
      {"dim": 4, "samples": 2, "seed": 0}),
     (["verify", "zauner", "--dim", "7"], {"dim": 7}),
@@ -350,6 +368,8 @@ def test_report_inputs_are_the_flags_read(argv, inputs, capsys):
     ["verify", "crt", "--dim", "6", "--tol", "1e-9"],
     # nor has the exact Zauner certificate
     ["verify", "zauner", "--dim", "7", "--tol", "1e-9"],
+    # nor the exact unbiasedness certificate
+    ["verify", "mub", "--p", "3", "--tol", "1e-10"],
 ])
 def test_vacuous_or_invalid_inputs_exit_two(argv, tmp_path, capsys):
     path = tmp_path / "f.json"

@@ -44,7 +44,6 @@ PAPER_RESULTS = {
     "crt.eta_prime": "H(N) is the product of the H(n_j) under the CRT map",
     "crt.symplectic_witness":
         "the Clifford group of N is the product of those of the n_j",
-    "mub.mols_check": "unbiased Latin bases come from orthogonal squares",
     "mub.entanglement_check":
         "each Latin basis vector is maximally entangled across n (x) n",
     "sic.autocorrelation_check":
@@ -62,6 +61,7 @@ BENCHMARK_ORACLES = {
     "sic.sic_residual",
     "weyl.all_displacements",
     "crt.verify_product_iso",
+    "mub.is_unbiased",
 }
 
 
@@ -188,7 +188,8 @@ def test_the_graph_reaches_what_the_commands_run():
             "monomial.covariance_witness", "weyl.displacement",
             "sic.fiducial_n16", "adapted16.fiducial_vector",
             "sic.search_fiducial", "fileio.load_fiducial",
-            "mub.Basis.gram_deviation", "sic._CurvatureRing.push",
+            "mub.unbiased_witness", "mub.Basis.vectors",
+            "sic._CurvatureRing.push",
             "dims.PhasePermutation.__array__"} <= reached
     assert not {"monomial.sl2_orbit",
                 "clifford.SymplecticMatrix.inv"} & reached
