@@ -6,9 +6,9 @@
     whsic verify crt [--dim 2..1000000000000] [--seed K]
     whsic verify zauner [--dim 1..800000]
     whsic generate sic [--dim 4|9|16] [construction] [--tol T]
-    whsic generate mub [--p 2..13]
+    whsic generate mub [--p 2..19]
     whsic generate projection [--dim 4|9] [construction]
-    whsic generate operators [--dim 1..360]
+    whsic generate operators [--dim 1..209763]
     whsic search --dim 2..48 [--restarts 1..2500] [--seed K] [--tol T] [--fiducial-out F]
 
 Every command also takes --out, and flags follow the command; `whsic
@@ -86,6 +86,10 @@ FLAGS = {
     "conjugate_orbit": dict(type=int, choices=(0, 1), default=0),
 }
 CONSTRUCTION = tuple(k for _, flags in BUILTINS.values() for k in flags)
+
+# the layout of each `generate` basis or operator pair: the integers of
+# `mub.Basis` or `dims.PhasePermutation`; README, "Artifact format", decodes
+ARTIFACT_VERSION = 2
 
 
 def _builtin_fiducial(args) -> Fiducial:
@@ -175,11 +179,9 @@ def _generate_sic(args) -> dict:
 def _generate_mub(args) -> dict:
     from .mub import prime_family
     bases = prime_family(args.p)
-    # each vector, a column of b.vectors, as a list of [re, im] pairs; all
-    # are built first, which keeps the peak RSS 4 MB lower at p = 13
-    dense = [b.vectors.T for b in bases]
-    payload = [{"label": b.label, "N": b.dim.N, "vectors": _encode(V)}
-               for b, V in zip(bases, dense)]
+    payload = [{"format_version": ARTIFACT_VERSION, "label": b.label,
+                "N": b.dim.N, "lines": b.lines.tolist(),
+                "expo": b.expo.tolist(), "fourier": b.fourier} for b in bases]
     return {"pass": True, "metrics": {"num_bases": len(bases)},
             "artifacts": {"bases": payload}}
 
@@ -210,13 +212,10 @@ def _generate_operators(args) -> dict:
     pairs = {"standard": standard_generators(dim)}
     if dim.is_square:
         pairs["monomial"] = monomial_weyl_generators(dim)
-    art = {k: {"X": _encode(X), "Z": _encode(Z)} for k, (X, Z) in pairs.items()}
+    art = {k: {"format_version": ARTIFACT_VERSION,
+               **{g: {"image": P.image.tolist(), "expo": P.expo.tolist()}
+                  for g, P in zip("XZ", pair)}} for k, pair in pairs.items()}
     return {"pass": True, "metrics": {"N": dim.N}, "artifacts": art}
-
-
-def _encode(M) -> list:
-    """A complex array as nested lists ending in [re, im] pairs."""
-    return np.stack([np.real(M), np.imag(M)], axis=-1).tolist()
 
 
 def _search(args) -> dict:
@@ -252,11 +251,11 @@ class Command(NamedTuple):
 # each size cap keeps the peak RSS of `python -m whsic.cli` near 110 MB
 # (ru_maxrss of the process and its wall time, median of 3 runs, one past
 # 2 s, bounds lifted past a cap; 2 vCPUs, numpy 2.4.6): zauner 109 at
-# N = 800000 in 1.5 s (129 at 10^6), generate mub 102 at p = 13 (293 at
-# 17), operators 104 at N = 324, the largest square under the cap, which
-# also emits the monomial pair (75 at 360, 121 at 361); verify mub counts
-# integer lines, 30 MB in 0.22 s at p = 19 (30 MB in 0.16 s at 23), so its
-# cap is where the dense-orbit reference test of `prime_family` stops;
+# N = 800000 in 1.5 s (129 at 10^6); operators, 2N integers a generator,
+# 109 in 0.51 s at 208849 = 457^2, the largest square under the cap, which
+# adds the monomial pair (72 in 0.31 s at the cap, 111 in 0.56 s at 458^2);
+# both mub commands hold integer lines, 30-32 MB in 0.17-0.23 s at p = 19
+# (30-33 at 23), where the dense-orbit test of `prime_family` stops;
 # each count cap keeps the largest dimension under a minute: 2500 failing
 # search restarts (--tol 0) take 35 s at N = 48, 1000 monomial samples
 # 41 s at N = 40000, where monomial peaks at 41 MB: time sets its --dim
@@ -278,11 +277,11 @@ COMMANDS = {
                              bounds={"dim": range(1, 800001)}),
     "generate sic": Command(_generate_sic, ("dim", "tol"), tuple(BUILTINS)),
     "generate mub": Command(_generate_mub, ("p",),
-                            bounds={"p": range(2, 14)}),
+                            bounds={"p": range(2, 20)}),
     "generate projection": Command(_generate_projection, ("dim",),
                                    ("n4", "n9")),
     "generate operators": Command(_generate_operators, ("dim",),
-                                  bounds={"dim": range(1, 361)}),
+                                  bounds={"dim": range(1, 209764)}),
     "search": Command(_search, ("dim", "fiducial_out", "restarts", "seed",
                                 "tol"), required=("dim",),
                       bounds={"dim": range(2, 49),
@@ -367,8 +366,9 @@ def _emit(args, report: dict) -> None:
     inputs = {k: getattr(args, k)
               for k in COMMANDS[args.command].reads + CONSTRUCTION
               if getattr(args, k, None) is not None}
+    # NaN and Infinity are not JSON: such a report is an error, not a line
     text = json.dumps({"command": args.command, "inputs": inputs, **report},
-                      sort_keys=True) + "\n"
+                      sort_keys=True, allow_nan=False) + "\n"
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:

@@ -1,8 +1,8 @@
-"""JSON serialization for fiducial vectors and basis sets.
+"""JSON serialization for fiducial vectors.
 
 Fiducial files carry {format_version, N, basis, amplitudes, provenance} with
 amplitudes stored as [re, im] pairs. Parsers reject vectors whose norm
-deviates from 1 by more than 1e-6; writers always emit the renormalized
+deviates from 1 by more than 1e-6 or is not finite; writers always emit the renormalized
 amplitudes so files round-trip bit-for-bit. A file is written as one line
 of JSON, by json's C encoder; files written with indentation load the same.
 """
@@ -42,7 +42,7 @@ def fiducial_from_dict(d: dict) -> Fiducial:
     if amps.shape != (N,):
         raise ValueError(f"expected {N} amplitudes, got {amps.shape}")
     nrm = float(np.linalg.norm(amps))
-    if abs(nrm - 1.0) > 1e-6:
+    if not abs(nrm - 1.0) <= 1e-6:  # NaN fails too
         raise ValueError(f"vector norm {nrm} deviates from 1 beyond 1e-6")
     return Fiducial(Dimension(N), str(d["basis"]), amps / nrm,
                     dict(d.get("provenance", {})))

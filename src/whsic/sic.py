@@ -52,7 +52,7 @@ class Fiducial:
 
     def __post_init__(self):
         nrm = float(np.linalg.norm(self.amplitudes))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"fiducial norm {nrm} deviates from 1 beyond 1e-12")
 
 

@@ -31,7 +31,7 @@ CLOSED_FORMS = [
 ]
 
 # every command at small sizes, a failing check and the usage errors of
-# non-prime --p among them
+# non-prime --p among them; new rows go at the end, so that no row shifts
 REPORTS = [
     "verify sic --builtin n4 --slot 3 --s 1 --t 2 --u 3",
     "verify sic --builtin n4 --tol 1e-20",
@@ -56,6 +56,13 @@ REPORTS = [
     "search --dim 5 --seed 0",
     "search --dim 7 --seed 1",
     "search --dim 8 --seed 0 --restarts 2",
+    # the exact CRT certificate at every N to 100, past int64 in the
+    # coefficient sums (6e9), at the cap and at the prime below it
+    *(f"verify crt --dim {N}" for N in [*range(2, 101), 6000000000,
+                                        10 ** 12, 999999999989]),
+    # the exact monomial covariance at every square to 64
+    *(f"verify monomial --dim {n * n} --samples 5 --seed {seed}"
+      for n in range(1, 9) for seed in (0, 1)),
 ]
 
 

@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 import whsic
-from whsic import cli, fileio
+from whsic import cli, dims, fileio, mub
 from whsic.cli import main
-from whsic.dims import Dimension
+from whsic.dims import Dimension, PhasePermutation, tau_powers
+from whsic.errors import NotOrthonormal
+from whsic.monomial import monomial_weyl_generators
 from whsic.sic import Fiducial, fiducial_n4
+from whsic.weyl import standard_generators
 
 from report_parity import CLOSED_FORMS, REPORTS, moved_rows, table_rows
 
@@ -145,6 +148,34 @@ def test_verify_sic_corrupt_file_exits_two(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["verify", "sic", "--file", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("literal,value", [("NaN", np.nan),
+                                           ("Infinity", np.inf)])
+def test_non_finite_amplitude_exits_two(literal, value, tmp_path, capsys):
+    """json reads NaN and Infinity, and a NaN norm compares False both
+    ways: a norm that is not finite is a parse error, so no report carries
+    a NaN deviation, which would not be JSON."""
+    d = fileio.fiducial_to_dict(fiducial_n4(0, 0, 0, 0))
+    d["amplitudes"][1][0] = value
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(d))
+    assert literal in path.read_text()
+    assert main(["verify", "sic", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "vector norm" in captured.err
+    with pytest.raises(ValueError, match="fiducial norm"):
+        Fiducial(Dimension(2), "standard", np.array([value, 1.0]))
+
+
+def test_a_non_finite_report_exits_two_with_nothing_on_stdout(capsys,
+                                                              monkeypatch):
+    command = cli.COMMANDS["verify zauner"]
+    monkeypatch.setitem(cli.COMMANDS, "verify zauner", command._replace(
+        run=lambda args: {"pass": True, "metrics": {"margin": np.nan}}))
+    assert main(["verify", "zauner", "--dim", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "JSON" in captured.err
 
 
 def test_verify_mub_and_crt_and_zauner(capsys):
@@ -520,12 +551,109 @@ def test_generate_projection_is_the_dense_orbit(argv, builtin, capsys):
 def test_generate_mub_and_operators(capsys):
     code, rep = run(["generate", "mub", "--p", "2"], capsys)
     assert code == 0 and rep["metrics"]["num_bases"] == 3
+    assert all(set(d) == {"format_version", "label", "N", "lines", "expo",
+                          "fourier"} and d["format_version"] == 2
+               for d in rep["artifacts"]["bases"])
     code, rep = run(["generate", "operators", "--dim", "4"], capsys)
     assert code == 0
     assert set(rep["artifacts"]) == {"standard", "monomial"}
     code, rep = run(["generate", "operators", "--dim", "5"], capsys)
     assert code == 0
     assert set(rep["artifacts"]) == {"standard"}
+    # the exponents of Z = omega^u = tau^2u, mod the order of tau, N = 5
+    assert rep["artifacts"]["standard"] == {
+        "format_version": 2, "X": {"image": [1, 2, 3, 4, 0], "expo": [0] * 5},
+        "Z": {"image": [0, 1, 2, 3, 4], "expo": [0, 2, 4, 1, 3]}}
+
+
+def decode_basis(d: dict) -> mub.Basis:
+    """A `generate mub` basis, rebuilt: construction proves it orthonormal."""
+    return mub.Basis(Dimension(d["N"]), np.array(d["lines"]),
+                     np.array(d["expo"]), d["fourier"], d["label"])
+
+
+def decode_operator(N: int, d: dict) -> PhasePermutation:
+    return PhasePermutation(Dimension(N), np.array(d["image"]),
+                            np.array(d["expo"]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_generate_mub_decodes_to_the_family_bit_for_bit(p, capsys):
+    """The README's decoder, |a+nb> = n^-1/2 sum_r
+    tau^(expo[a][r] + fourier b r) |lines[a][r]>, vector by vector, and the
+    rebuilt `mub.Basis`, both give the dense bases of `prime_family`."""
+    code, rep = run(["generate", "mub", "--p", str(p)], capsys)
+    assert code == 0
+    family = mub.prime_family(p)
+    assert len(rep["artifacts"]["bases"]) == len(family) == p + 1
+    for d, basis in zip(rep["artifacts"]["bases"], family):
+        dim, n = basis.dim, basis.dim.n
+        assert d["label"] == basis.label and d["N"] == dim.N
+        rebuilt = decode_basis(d)
+        assert np.array_equal(rebuilt.vectors, basis.vectors)
+        V = np.zeros((dim.N, dim.N), dtype=complex)
+        for a in range(n):
+            for b in range(n):
+                V[d["lines"][a], a + n * b] = tau_powers(
+                    dim, np.add(d["expo"][a], d["fourier"] * b * np.arange(n))
+                ) / np.sqrt(n)
+        assert np.array_equal(V, basis.vectors)
+
+
+@pytest.mark.parametrize("N", [*range(1, 41), 49, 64])
+def test_generate_operators_decodes_to_the_generators_bit_for_bit(N, capsys):
+    """M[image[v], v] = tau^expo[v] gives each generator's dense matrix,
+    as does the rebuilt `PhasePermutation`; square N adds the monomial
+    pair."""
+    code, rep = run(["generate", "operators", "--dim", str(N)], capsys)
+    assert code == 0
+    dim = Dimension(N)
+    pairs = {"standard": standard_generators(dim)}
+    if dim.is_square:
+        pairs["monomial"] = monomial_weyl_generators(dim)
+    assert set(rep["artifacts"]) == set(pairs)
+    for key, pair in pairs.items():
+        for name, P in zip("XZ", pair):
+            d = rep["artifacts"][key][name]
+            assert sorted(d["image"]) == list(range(N))
+            M = np.zeros((N, N), dtype=complex)
+            M[d["image"], np.arange(N)] = tau_powers(dim, d["expo"])
+            assert np.array_equal(M, P.dense())
+            assert np.array_equal(decode_operator(N, d).dense(), P.dense())
+
+
+def test_generate_builds_no_dense_matrix(capsys, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("generate built a dense matrix")
+
+    monkeypatch.setattr(mub.Basis, "vectors", property(dense))
+    monkeypatch.setattr(dims.PhasePermutation, "dense", dense)
+    monkeypatch.setattr(dims.PhasePermutation, "__array__", dense)
+    with pytest.raises(AssertionError, match="dense matrix"):
+        np.asarray(standard_generators(Dimension(3))[0])
+    code, rep = run(["generate", "mub", "--p", "13"], capsys)
+    assert code == 0 and len(rep["artifacts"]["bases"]) == 14
+    code, rep = run(["generate", "operators", "--dim", "324"], capsys)
+    assert code == 0 and set(rep["artifacts"]) == {"standard", "monomial"}
+
+
+def test_a_tampered_artifact_fails_to_decode_or_decodes_differently(capsys):
+    code, rep = run(["generate", "mub", "--p", "3"], capsys)
+    d = rep["artifacts"]["bases"][2]
+    good = decode_basis(d).vectors
+    # lines 0 and 1 share a point, so the lines do not partition the grid
+    lines = [row[:] for row in d["lines"]]
+    lines[0][1] = lines[1][0]
+    with pytest.raises(NotOrthonormal, match="partition"):
+        decode_basis({**d, "lines": lines})
+    expo = [row[:] for row in d["expo"]]
+    expo[1][2] += 1
+    assert not np.array_equal(decode_basis({**d, "expo": expo}).vectors, good)
+    code, rep = run(["generate", "operators", "--dim", "9"], capsys)
+    Z = rep["artifacts"]["monomial"]["Z"]
+    flipped = {**Z, "expo": [Z["expo"][0] + 1, *Z["expo"][1:]]}
+    assert not np.array_equal(decode_operator(9, flipped).dense(),
+                              decode_operator(9, Z).dense())
 
 
 def test_generate_sic_unsupported_dim_exits_two(capsys):
@@ -613,8 +741,8 @@ def test_help_lists_every_command_and_bound(argv, capsys):
             assert f"--{flag} {bound[0]}..{bound[-1]}" in line, (command, flag)
 
 
-# every row of the closed-form and report parity table: about 0.2 s on 2
-# vCPUs, within 3 s; `tests/report_parity.py` prints the rows that moved
+# every row of the closed-form and report parity table: about 0.4 s on 2
+# vCPUs, within 1.5 s; `tests/report_parity.py` prints the rows that moved
 def test_report_parity_table():
     assert len(CLOSED_FORMS) == 332
     assert len(table_rows()) == len(CLOSED_FORMS) + len(REPORTS)
