@@ -252,33 +252,25 @@ def lift_sl2(G: SymplecticMatrix, dim: Dimension) -> SymplecticMatrix:
     """Lift G in SL(2, N), N even, to Gbar in SL(2, 2N) with Gbar == G mod N.
 
     If det G = kN + 1 with k odd, adding N to the cofactor partner of an odd
-    entry shifts the determinant by N * (odd), flipping the parity of k while
-    leaving G mod N untouched. Some odd entry always exists, since an
-    all-even matrix could not be invertible mod N.
+    entry (one exists, as G is invertible mod N) shifts the determinant by
+    N * (odd), flipping the parity of k while leaving G mod N untouched.
+    Gbar is the first of G and its four shifts with determinant 1 mod 2N.
     """
     N = dim.N
     if N % 2 != 0:
         raise ValueError("lift is only needed for even N")
     G = G.reduced(N)
-    d = G.det()
-    if d % N != 1:
+    if G.det() % N != 1:
         raise ValueError("input must have determinant 1 mod N")
-    if d % (2 * N) == 1:
-        return G
     a, b, g_, dl = G.alpha, G.beta, G.gamma, G.delta
-    if a % 2 == 1:
-        out = SymplecticMatrix(a, b, g_, dl + N)     # det += N * alpha
-    elif dl % 2 == 1:
-        out = SymplecticMatrix(a + N, b, g_, dl)     # det += N * delta
-    elif b % 2 == 1:
-        out = SymplecticMatrix(a, b, g_ - N, dl)     # det += N * beta
-    elif g_ % 2 == 1:
-        out = SymplecticMatrix(a, b - N, g_, dl)     # det += N * gamma
-    else:
-        raise AssertionError("all entries even contradicts invertibility mod N")
-    out = out.reduced(2 * N)
-    assert out.det() % (2 * N) == 1
-    return out
+    # det += 0, N * alpha, N * delta, N * beta, N * gamma
+    for out in (G, SymplecticMatrix(a, b, g_, dl + N),
+                SymplecticMatrix(a + N, b, g_, dl),
+                SymplecticMatrix(a, b, g_ - N, dl),
+                SymplecticMatrix(a, b - N, g_, dl)):
+        if out.det() % (2 * N) == 1:
+            return out.reduced(2 * N)
+    raise AssertionError("all entries even contradicts invertibility mod N")
 
 
 def antiunitary_action(E: SymplecticMatrix, dim: Dimension, v: np.ndarray) -> np.ndarray:

@@ -20,10 +20,10 @@ to |v + a> by the CRT, and their phases differ by b (a + 2v) K mod 2N for
 one constant K = sum_j (n_j+1)(N/n_j) kappa_j - (N+1). So D_10 (b = 0)
 cannot fail, D_01 fails exactly when K != 0 mod N and D_11 exactly when
 K = N mod 2N; the three decide all N^2 displacements, the
-`checked_displacements` of `verify crt` (`displacement_witness`). The
-symplectic half compares U_H and (x)_j U_{F'_j(H)} up to one constant for
-every chirp factor H of random symplectic samples (`symplectic_witness`):
-they differ by one quadratic form A u^2 + B uv + C v^2 mod 2N, so three
+`checked_displacements` of `verify crt` (`displacement_witness`). Its
+symplectic half, `symplectic_witness`, compares U_H and (x)_j U_{F'_j(H)}
+up to a constant for each chirp factor H of random symplectic G (its
+`checked_chirps`): they differ by A u^2 + B uv + C v^2 mod 2N, so three
 coefficients per chirp decide, and the witness entry is (0, 1) if C != 0,
 else (1, 0) if A != 0, else (1, 1). Both halves take O(r) Python-int
 operations (per chirp) for r prime-power factors and read no tolerance.
@@ -106,23 +106,18 @@ def symplectic_witness(fact: Factorization, Gs
                        ) -> tuple[SymplecticMatrix, tuple[int, int]] | None:
     """First G of Gs and entry (u, v) with P U_K P^T != c (x)_j U_{F'_j(K)}
     for a constant c, where K is G or the failing one of its two
-    `chirp_factors`, or None."""
-    return _chirp_witness(fact, [(G, K) for G in Gs for K in
-                                 chirp_factors(G, Dimension(fact.N))])
-
-
-def _chirp_witness(fact: Factorization, chirps
-                   ) -> tuple[SymplecticMatrix, tuple[int, int]] | None:
-    """`symplectic_witness` over pairs (G, K), K a chirp factor of G. U_K
-    and each U_{F'_j(K)} are chirps tau^E / sqrt(n); in the unit
-    e^{i pi/N} the weights N+1 and (n_j+1)(N/n_j) make each term of each
-    form E well defined mod 2N on Z^2, so the sides differ by P(u, v) =
-    A u^2 + B uv + C v^2 mod 2N, A, B and C the weighted sums of their
-    `chirp_coefficients`. The witness is the first nonzero P(u, v) in
-    row-major order: P(0, 1) = C, then P(1, 0) = A, then P(1, 1) = A+B+C."""
-    N, Ks = fact.N, [K for _, K in chirps]
+    `chirp_factors`, or None. U_K and each U_{F'_j(K)} are chirps
+    tau^E / sqrt(n); in the unit e^{i pi/N} the weights N+1 and
+    (n_j+1)(N/n_j) make each term of each form E well defined mod 2N on
+    Z^2, so the sides differ by P(u, v) = A u^2 + B uv + C v^2 mod 2N, A, B
+    and C the weighted sums of their `chirp_coefficients`. The witness is
+    the first nonzero P(u, v) in row-major order: P(0, 1) = C, then
+    P(1, 0) = A, then P(1, 1) = A+B+C."""
+    N, dim = fact.N, Dimension(fact.N)
+    chirps = [(G, K) for G in Gs for K in chirp_factors(G, dim)]
+    Ks = [K for _, K in chirps]
     weights = [N + 1] + [-(f.n + 1) * (N // f.n) for f in fact.factors]
-    sides = [chirp_coefficients(Ks, Dimension(N))] + [
+    sides = [chirp_coefficients(Ks, dim)] + [
         chirp_coefficients([f_prime(K, j, fact) for K in Ks], Dimension(f.n))
         for j, f in enumerate(fact.factors)]
     for (G, _), coeffs in zip(chirps, zip(*sides)):
@@ -152,13 +147,13 @@ def product_iso_witness(N: int, n_symplectic: int = SYMPLECTIC_SAMPLES,
         return {"displacement": list(ab)}, 0
     rng = np.random.default_rng(rng_seed)
     Gs = [random_symplectic(dim, rng) for _ in range(n_symplectic)]
-    chirps = [(G, K) for G in Gs for K in chirp_factors(G, dim)]
-    bad = _chirp_witness(fact, chirps)
+    chirps = sum(len(chirp_factors(G, dim)) for G in Gs)
+    bad = symplectic_witness(fact, Gs)
     if bad is None:
-        return None, len(chirps)
+        return None, chirps
     G, uv = bad
     return ({"symplectic": [G.alpha, G.beta, G.gamma, G.delta],
-             "entry": list(uv)}, len(chirps))
+             "entry": list(uv)}, chirps)
 
 
 def verify_product_iso(N: int, n_symplectic: int = SYMPLECTIC_SAMPLES,

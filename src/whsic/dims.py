@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeRadicand, NotSquare
+from .errors import NegativeRadicand, NotOrthonormal, NotSquare
 
 @dataclass(frozen=True)
 class Dimension:
@@ -118,14 +118,20 @@ def tau_powers(dim: Dimension, exponents) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PhasePermutation:
-    """|v> -> tau^{expo[v]} |image[v]>, with the exponents reduced mod nbar,
-    the order of tau. Leading axes of image and expo stack operators."""
+    """|v> -> tau^{expo[v]} |image[v]>, image a permutation of 0..N-1 and expo
+    reduced mod nbar, the order of tau. Leading axes stack operators."""
 
     dim: Dimension
     image: np.ndarray
     expo: np.ndarray
 
     def __post_init__(self):
+        N, image = self.dim.N, np.asarray(self.image)
+        hit = np.zeros(image.shape[:-1] + (N + 1,), bool)  # N: out of range
+        np.put_along_axis(hit, np.clip(image, -1, N) % (N + 1), True, axis=-1)
+        if image.shape[-1:] != (N,) or not hit[..., :N].all():
+            raise NotOrthonormal(f"image is not a permutation of 0..{N - 1}")
+        object.__setattr__(self, "image", image)
         object.__setattr__(self, "expo", np.asarray(self.expo) % self.dim.nbar)
 
     @classmethod

@@ -133,8 +133,8 @@ def displacements(dim: Dimension, X: PhasePermutation | None = None,
     N = dim.N
     XZ = _powers(X) @ _powers(Z)
     ij = np.multiply.outer(np.arange(N), np.arange(N))[..., None]
-    return PhasePermutation(dim, XZ.image.reshape(N * N, N),
-                            (XZ.expo + ij).reshape(N * N, N))
+    expo = ((XZ.expo + ij) % dim.nbar).reshape(N * N, N)
+    return PhasePermutation._reduced(dim, XZ.image.reshape(N * N, N), expo)
 
 
 def all_displacements(dim: Dimension, X: PhasePermutation | None = None,

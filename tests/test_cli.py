@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import whsic
-from whsic import cli, dims, fileio, mub
+from whsic import cli, crt, dims, fileio, mub
 from whsic.cli import main
+from whsic.clifford import random_symplectic
 from whsic.dims import Dimension, PhasePermutation, tau_powers
 from whsic.errors import NotOrthonormal
 from whsic.monomial import monomial_weyl_generators
@@ -200,6 +201,41 @@ def test_verify_crt_count_is_exact_for_double_readers(capsys):
     assert main(["verify", "crt", "--dim", "1000000000000"]) == 0
     rep = json.loads(capsys.readouterr().out, parse_int=float)
     assert rep["metrics"]["checked_displacements"] == "1" + "0" * 24
+
+
+@pytest.mark.parametrize("N", [6, 10, 12, 15, 30])
+def test_verify_crt_untwisted_factor_map_exits_one_with_its_witness(
+        N, capsys, monkeypatch):
+    """F'_j = F mod nbar_j without the kappa_j twist: the report names the
+    G and entry that `symplectic_witness` names for the same draws."""
+    monkeypatch.setattr(crt, "f_prime", lambda G, j, fact:
+                        G.reduced(fact.factors[j].nbar))
+    code, rep = run(["verify", "crt", "--dim", str(N), "--seed", "3"], capsys)
+    rng = np.random.default_rng(3)
+    Gs = [random_symplectic(Dimension(N), rng)
+          for _ in range(crt.SYMPLECTIC_SAMPLES)]
+    G, uv = crt.symplectic_witness(crt.factor_dimension(N), Gs)
+    assert code == 1 and rep["pass"] is False
+    assert rep["metrics"]["witness"] == {
+        "symplectic": [G.alpha, G.beta, G.gamma, G.delta], "entry": list(uv)}
+    assert rep["metrics"]["checked_chirps"] >= crt.SYMPLECTIC_SAMPLES
+
+
+@pytest.mark.parametrize("N,ab", [(6, [0, 1]), (10, [0, 1]), (12, [0, 1]),
+                                  (15, [0, 1]), (30, [1, 1])])
+def test_verify_crt_kappa_one_exits_one_at_a_displacement(N, ab, capsys,
+                                                          monkeypatch):
+    """With every kappa_j = 1 the displacement half fails first and no chirp
+    is checked: at D_01, or at D_11 for N = 30, where the constant K of the
+    `crt` docstring is 3*15 + 4*10 + 6*6 - 31 = 90 = N mod 2N."""
+    factor_dimension = crt.factor_dimension
+    monkeypatch.setattr(crt, "factor_dimension", lambda N: crt.Factorization(
+        N, tuple(dataclasses.replace(f, kappa=1)
+                 for f in factor_dimension(N).factors)))
+    code, rep = run(["verify", "crt", "--dim", str(N)], capsys)
+    assert code == 1 and rep["pass"] is False
+    assert rep["metrics"]["witness"] == {"displacement": ab}
+    assert rep["metrics"]["checked_chirps"] == 0
 
 
 # the monkeypatched function is looked up in whsic.clifford at each call;
@@ -654,6 +690,18 @@ def test_a_tampered_artifact_fails_to_decode_or_decodes_differently(capsys):
     flipped = {**Z, "expo": [Z["expo"][0] + 1, *Z["expo"][1:]]}
     assert not np.array_equal(decode_operator(9, flipped).dense(),
                               decode_operator(9, Z).dense())
+
+
+@pytest.mark.parametrize("key,name", [("standard", "X"), ("standard", "Z"),
+                                      ("monomial", "X"), ("monomial", "Z")])
+def test_an_operator_artifact_with_a_repeated_image_entry_fails_to_decode(
+        key, name, capsys):
+    code, rep = run(["generate", "operators", "--dim", "9"], capsys)
+    d = rep["artifacts"][key][name]
+    decode_operator(9, d)
+    image = [d["image"][1], *d["image"][1:]]
+    with pytest.raises(NotOrthonormal, match="permutation"):
+        decode_operator(9, {**d, "image": image})
 
 
 def test_generate_sic_unsupported_dim_exits_two(capsys):

@@ -88,20 +88,23 @@ def test_eigenspace_table_formula():
     assert predicted_eigenspace_dims(Dimension(11)) == (4, 4, 3)
 
 
-@pytest.mark.parametrize("N", [2, 4, 6, 8])
+@pytest.mark.parametrize("N", [2, 4, 6, 8, 10, 12])
 def test_lift_sl2_round_trip(N):
+    """Every element of SL(2, N), |SL(2, N)| = N^3 prod_{p | N} (1 - p^-2),
+    lifts to a reduced matrix of determinant 1 mod 2N that equals it mod N."""
+    order = {2: 6, 4: 48, 6: 144, 8: 384, 10: 720, 12: 1152}[N]
     dim = Dimension(N)
-    rng = np.random.default_rng(N)
     count = 0
-    while count < 250:
-        a, b, g_, d = (int(x) for x in rng.integers(0, N, size=4))
+    for a, b, g_, d in itertools.product(range(N), repeat=4):
         G = SymplecticMatrix(a, b, g_, d)
         if G.det() % N != 1:
             continue
         count += 1
         Gbar = lift_sl2(G, dim)
         assert Gbar.det() % (2 * N) == 1
-        assert Gbar.reduced(N) == G.reduced(N)
+        assert Gbar == Gbar.reduced(2 * N)
+        assert Gbar.reduced(N) == G
+    assert count == order
 
 
 @given(half=st.integers(1, 15), word=st.lists(st.integers(0, 29), min_size=1,

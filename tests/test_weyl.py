@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from whsic.dims import (Dimension, PhasePermutation, tau_power, tau_powers,
                         tau_table)
-from whsic.errors import NotCoprime
+from whsic.errors import NotCoprime, NotOrthonormal
 from whsic.monomial import is_phase_permutation, monomial_weyl_generators
 from whsic.weyl import (GroupElement, all_displacements, canonicalize, compose,
                         displacement, displacements, element_order,
@@ -216,6 +216,28 @@ def test_phase_permutation_composes_like_its_matrices(data, N):
     assert np.max(np.abs((A @ B).dense() - A.dense() @ B.dense())) <= 16 * EPS
     assert np.array_equal(np.asarray(A), A.dense())
     assert is_phase_permutation(A)
+
+
+@pytest.mark.parametrize("image", [[0, 0, 1], [0, 1, 3], [-1, 1, 2], [0, 1],
+                                   [0, 1, 2, 0], [[0, 1, 2], [2, 2, 0]]])
+def test_phase_permutation_refuses_a_non_permutation_image(image):
+    """A repeated entry ([0, 0, 1] would put two entries in row 0 and none
+    in row 2), entries outside 0..N-1, rows of another length and one bad
+    row in a stack."""
+    with pytest.raises(NotOrthonormal, match="permutation"):
+        PhasePermutation(Dimension(3), image, np.zeros(np.shape(image), int))
+
+
+@pytest.mark.parametrize("N", [2, 5, 9])
+def test_phase_permutation_refuses_one_repeated_entry_in_a_stack(N):
+    """The N^2 x N displacement stack passes the public constructor; with
+    one entry of one row copied from its neighbour it is refused."""
+    D = displacements(Dimension(N))
+    PhasePermutation(D.dim, D.image, D.expo)
+    image = D.image.copy()
+    image[N + 1, -1] = image[N + 1, 0]
+    with pytest.raises(NotOrthonormal):
+        PhasePermutation(D.dim, image, D.expo)
 
 
 @given(N=st.integers(1, 30), data=st.data())
