@@ -188,15 +188,12 @@ def _generate_mub(args) -> dict:
 
 def _generate_projection(args) -> dict:
     from .monomial import monomial_weyl_generators
-    from .sic import rephased4_generators
     from .weyl import displacements
     f = _builtin_fiducial(args)
     dim = f.dim
-    # |D_ij a|^2 in the fiducial's basis, where the tag's generators make
-    # each D_ij a phase permutation: |a|^2 gathered through its inverse
-    X, Z = (rephased4_generators() if f.basis == "rephased4"
-            else monomial_weyl_generators(dim))
-    image = displacements(dim, X, Z).image
+    # |D_ij a|^2: |a|^2 gathered through the inverse of the monomial image
+    # of D_ij, which the diagonal rephasing of the n4 basis leaves as it is
+    image = displacements(dim, *monomial_weyl_generators(dim)).image
     points = (np.abs(f.amplitudes) ** 2)[np.argsort(image, axis=1)]
     distinct = len(np.unique(points, axis=0))
     return {"pass": distinct == dim.N,
@@ -210,7 +207,7 @@ def _generate_operators(args) -> dict:
     from .weyl import standard_generators
     dim = Dimension(args.dim)
     pairs = {"standard": standard_generators(dim)}
-    if dim.is_square:
+    if dim.n is not None:
         pairs["monomial"] = monomial_weyl_generators(dim)
     art = {k: {"format_version": ARTIFACT_VERSION,
                **{g: {"image": P.image.tolist(), "expo": P.expo.tolist()}

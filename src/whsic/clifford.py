@@ -225,7 +225,7 @@ def zauner_counts(dim: Dimension) -> tuple:
     N, nbar = dim.N, dim.nbar
     s2 = np.arange(N, dtype=np.int64) ** 2
     # N^{-1/2} sum_s tau^{k s^2}: N exponents counted mod nbar, then weighed
-    c, tr = (np.bincount(k * s2 % nbar, minlength=nbar) @ tau_table(dim)[:nbar]
+    c, tr = (np.bincount(k * s2 % nbar, minlength=nbar) @ tau_table(dim)
              / math.sqrt(N) for k in (1, 3))
     d = (N + 2 * np.real(zauner_phase(dim) * tr
                          * np.exp(-2j * np.pi * np.arange(3) / 3))) / 3

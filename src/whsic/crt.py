@@ -102,17 +102,17 @@ def displacement_witness(fact: Factorization) -> tuple[int, int] | None:
     return (0, 1) if K % N else (1, 1) if K % (2 * N) else None
 
 
-def symplectic_witness(fact: Factorization, Gs
-                       ) -> tuple[SymplecticMatrix, tuple[int, int]] | None:
-    """First G of Gs and entry (u, v) with P U_K P^T != c (x)_j U_{F'_j(K)}
-    for a constant c, where K is G or the failing one of its two
-    `chirp_factors`, or None. U_K and each U_{F'_j(K)} are chirps
-    tau^E / sqrt(n); in the unit e^{i pi/N} the weights N+1 and
-    (n_j+1)(N/n_j) make each term of each form E well defined mod 2N on
-    Z^2, so the sides differ by P(u, v) = A u^2 + B uv + C v^2 mod 2N, A, B
-    and C the weighted sums of their `chirp_coefficients`. The witness is
-    the first nonzero P(u, v) in row-major order: P(0, 1) = C, then
-    P(1, 0) = A, then P(1, 1) = A+B+C."""
+def symplectic_witness(fact: Factorization, Gs) -> tuple[
+        tuple[SymplecticMatrix, tuple[int, int]] | None, int]:
+    """The first G of Gs and entry (u, v) with P U_K P^T != c (x)_j
+    U_{F'_j(K)} for a constant c, K G or the failing one of its two
+    `chirp_factors`, or None; and the count of all their chirp factors.
+    U_K and each U_{F'_j(K)} are chirps tau^E / sqrt(n); in the unit
+    e^{i pi/N} the weights N+1 and (n_j+1)(N/n_j) make each term of each
+    form E well defined mod 2N on Z^2, so the sides differ by P(u, v) =
+    A u^2 + B uv + C v^2 mod 2N, A, B and C the weighted sums of their
+    `chirp_coefficients`. The witness is the first nonzero P(u, v) in
+    row-major order: P(0, 1) = C, then P(1, 0) = A, then P(1, 1) = A+B+C."""
     N, dim = fact.N, Dimension(fact.N)
     chirps = [(G, K) for G in Gs for K in chirp_factors(G, dim)]
     Ks = [K for _, K in chirps]
@@ -125,8 +125,8 @@ def symplectic_witness(fact: Factorization, Gs
         A, B, C = (sum(w * c for w, c in zip(weights, cs)) % (2 * N)
                    for cs in zip(*coeffs))
         if A or B or C:
-            return G, (0, 1) if C else (1, 0) if A else (1, 1)
-    return None
+            return (G, (0, 1) if C else (1, 0) if A else (1, 1)), len(chirps)
+    return None, len(chirps)
 
 
 def product_iso_witness(N: int, n_symplectic: int = SYMPLECTIC_SAMPLES,
@@ -146,9 +146,8 @@ def product_iso_witness(N: int, n_symplectic: int = SYMPLECTIC_SAMPLES,
     if ab is not None:
         return {"displacement": list(ab)}, 0
     rng = np.random.default_rng(rng_seed)
-    Gs = [random_symplectic(dim, rng) for _ in range(n_symplectic)]
-    chirps = sum(len(chirp_factors(G, dim)) for G in Gs)
-    bad = symplectic_witness(fact, Gs)
+    bad, chirps = symplectic_witness(
+        fact, [random_symplectic(dim, rng) for _ in range(n_symplectic)])
     if bad is None:
         return None, chirps
     G, uv = bad

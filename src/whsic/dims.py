@@ -5,10 +5,10 @@ for square N = n^2, sigma = tau^{2n}. `tau_power` is the one scalar
 evaluation: it reduces the integer exponent first and evaluates
 exp(i pi m/N) once, never by repeated multiplication, so high powers stay
 accurate to machine precision even for N = 16 radical checks. `tau_table`
-lists tau^k for k < 2N from `tau_power`, built once per dimension and
+lists tau^k for k < nbar from `tau_power`, built once per dimension and
 shared read-only (so are `sic.basis_change`, the search's E0 basis and the
 FFT kernel's shift gathers); `tau_powers` is the one array lookup into the
-table (the only place an exponent array is reduced mod 2N).
+table (the only place an exponent array is reduced mod nbar).
 
 Every operator with one tau power per column (Weyl generators and
 displacements, monomial Clifford unitaries) is a `PhasePermutation` with
@@ -62,16 +62,6 @@ class Dimension:
         r = math.isqrt(self.N)
         return r if r * r == self.N else None
 
-    @property
-    def is_square(self) -> bool:
-        return self.n is not None
-
-    @property
-    def half_shift(self) -> int:
-        """m = 0 for odd n, n/2 for even n (square dimensions only)."""
-        n = require_square(self)
-        return 0 if n % 2 == 1 else n // 2
-
 
 def require_square(dim: Dimension) -> int:
     """The side n of a square dimension N = n^2; raises NotSquare otherwise."""
@@ -102,18 +92,19 @@ def sigma_power(dim: Dimension, k: int) -> complex:
 
 @functools.lru_cache(maxsize=256)
 def tau_table(dim: Dimension) -> np.ndarray:
-    """tau^k for 0 <= k < 2N; index it with any exponent reduced mod 2N.
-    Built once per dimension from `tau_power` and returned read-only, so
-    every caller shares the same bits."""
-    table = np.fromiter((tau_power(dim, k) for k in range(2 * dim.N)),
-                        dtype=complex, count=2 * dim.N)
+    """tau^k for 0 <= k < nbar; index it with any exponent reduced mod nbar
+    (tau^k depends on k(N+1) mod 2N, so on k mod N for odd N). Built once
+    per dimension from `tau_power` and returned read-only, so every caller
+    shares the same bits."""
+    table = np.fromiter((tau_power(dim, k) for k in range(dim.nbar)),
+                        dtype=complex, count=dim.nbar)
     table.flags.writeable = False
     return table
 
 
 def tau_powers(dim: Dimension, exponents) -> np.ndarray:
     """tau^e for every integer e of an exponent array, of any sign or size."""
-    return tau_table(dim)[np.asarray(exponents) % (2 * dim.N)]
+    return tau_table(dim)[np.asarray(exponents) % dim.nbar]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +118,10 @@ class PhasePermutation:
 
     def __post_init__(self):
         N, image = self.dim.N, np.asarray(self.image)
-        hit = np.zeros(image.shape[:-1] + (N + 1,), bool)  # N: out of range
-        np.put_along_axis(hit, np.clip(image, -1, N) % (N + 1), True, axis=-1)
+        hit = np.zeros(image.shape[:-1] + (N + 1,), bool)  # N: outside
+        if image.shape[-1:] == (N,):  # a 0-d image has no row to index
+            inside = (image >= 0) & (image < N)
+            np.put_along_axis(hit, np.where(inside, image, N), True, axis=-1)
         if image.shape[-1:] != (N,) or not hit[..., :N].all():
             raise NotOrthonormal(f"image is not a permutation of 0..{N - 1}")
         object.__setattr__(self, "image", image)

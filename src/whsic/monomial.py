@@ -11,10 +11,10 @@ and a symplectic G with beta coprime to nbar acts by
     U_G|r,s> = tau^{beta^{-1}(delta s'^2 - 2 s s' + alpha s^2)}
                |delta r - gamma s + m gamma delta, -beta r + alpha s + m alpha beta>
 
-with s' = -beta r + alpha s + m alpha taken in [0, n) and m = 0 (n odd) or
-n/2 (n even). These operators are exact `PhasePermutation`s, so covariance
-U_G D_ij U_G^dag = tau^c D_{G(i,j)} is an integer check, and it holds for
-all N^2 displacements once it holds for the generators D_01 and D_10
+with s' = -beta r + alpha s + m alpha taken in [0, n) and m = 0 (n odd) or n/2
+(n even), set in `monomial_clifford`. These are exact `PhasePermutation`s, so
+covariance U_G D_ij U_G^dag = tau^c D_{G(i,j)} is an integer check, and it
+holds for all N^2 displacements once it holds for the generators D_01 and D_10
 (`covariance_witness`): the `checked_displacements` of `verify monomial`,
 samples * N^2, counts the displacements certified through them. The float
 checks `is_phase_permutation` and `clifford.conjugation_check_batched` are
@@ -64,7 +64,7 @@ def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> PhasePermutation:
     product of one monomial chirp per factor of `chirp_factors`, with phase
     tau^E(s', s) for the quadratic form E of its `chirp_coefficients`."""
     n = require_square(dim)
-    m = dim.half_shift
+    m = 0 if n % 2 else n // 2
     r, s = np.divmod(np.arange(dim.N), n)
     Fs = chirp_factors(G, dim)
     chirps = []

@@ -90,7 +90,7 @@ def basis_change(dim: Dimension, basis: str) -> np.ndarray:
     read-only: copy it before writing into it."""
     if basis == "standard":
         V = np.eye(dim.N, dtype=complex)
-    elif basis == "monomial" and dim.is_square:
+    elif basis == "monomial" and dim.n is not None:
         from .monomial import zak_matrix
         V = zak_matrix(dim)
     elif basis == "rephased4" and dim.N == 4:
@@ -256,7 +256,7 @@ def autocorrelation_check(f: Fiducial) -> np.ndarray:
     dim = f.dim
     if f.basis == "standard":
         shape = (dim.N,)
-    elif f.basis in ("monomial", "rephased4") and dim.is_square:
+    elif f.basis in ("monomial", "rephased4") and dim.n is not None:
         shape = (dim.n, dim.n)
     else:
         raise BasisUnavailable(

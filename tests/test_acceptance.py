@@ -126,7 +126,7 @@ def test_acceptance_invariant_subgroup_boundary():
         dim = Dimension(N)
         V = invariant_subgroup(dim)
         assert V == invariant_subgroup_search(N), N
-        assert (V is not None) == dim.is_square, N
+        assert (V is not None) == (dim.n is not None), N
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whsic import clifford, crt
-from whsic.clifford import (SymplecticMatrix, is_symplectic, metaplectic,
-                            random_symplectic)
+from whsic.clifford import (SymplecticMatrix, chirp_factors, is_symplectic,
+                            metaplectic, random_symplectic)
 from whsic.crt import (Factorization, displacement_witness, eta_prime, f_prime,
                        factor_dimension, symplectic_witness,
                        verify_product_iso)
@@ -264,7 +264,7 @@ def test_symplectic_half_holds_beyond_int64(N):
     rng = np.random.default_rng(0)
     Gs = [random_symplectic(dim, rng) for _ in range(20)]
     assert any(np.gcd(G.beta, dim.nbar) != 1 for G in Gs)
-    assert symplectic_witness(factor_dimension(N), Gs) is None
+    assert symplectic_witness(factor_dimension(N), Gs)[0] is None
 
 
 @pytest.mark.parametrize("N", BIG_DIMS)
@@ -277,8 +277,26 @@ def test_perturbed_kappa_beyond_the_old_cap_fails_as_at_small_n(N):
     assert displacement_witness(naive) == (0, 1)
     assert displacement_witness(shifted) == (1, 1)
     Gs = [random_symplectic(Dimension(N), np.random.default_rng(1))]
-    assert symplectic_witness(fact, Gs) is None
-    assert symplectic_witness(naive, Gs) is not None
+    assert symplectic_witness(fact, Gs)[0] is None
+    assert symplectic_witness(naive, Gs)[0] is not None
+
+
+def test_verify_crt_splits_each_sample_into_chirps_once(monkeypatch):
+    """`product_iso_witness` at N = 12 calls `chirp_factors` once for each
+    of its 20 samples, and its count is the number of chirps they split
+    into: the witness and the count come from one pass."""
+    samples = []
+
+    def counted(G, dim):
+        samples.append(G)
+        return chirp_factors(G, dim)
+
+    monkeypatch.setattr(crt, "chirp_factors", counted)
+    witness, checked = crt.product_iso_witness(12)
+    assert witness is None
+    assert len(samples) == crt.SYMPLECTIC_SAMPLES
+    assert checked == sum(len(chirp_factors(G, Dimension(12)))
+                          for G in samples) > len(samples)
 
 
 def chirp_samples(N, count, seed=0):
@@ -313,9 +331,10 @@ def test_exact_symplectic_half_agrees_with_dense_oracle(N):
     rng = np.random.default_rng(N)
     Gs = [random_symplectic(dim, rng) for _ in range(10)]
     assert any(np.gcd(G.beta, dim.nbar) != 1 for G in Gs)
-    assert symplectic_witness(fact, Gs) is None
+    chirps = sum(len(chirp_factors(G, dim)) for G in Gs)
+    assert symplectic_witness(fact, Gs) == (None, chirps)
     for G in Gs:
-        assert symplectic_witness(fact, [G]) is None
+        assert symplectic_witness(fact, [G])[0] is None
         assert dense_symplectic_deviation(fact, G) < 1e-9
 
 
@@ -325,8 +344,8 @@ def test_naive_kappa_twist_is_rejected_with_a_symplectic_witness(N):
     naive = Factorization(N, tuple(dataclasses.replace(f, kappa=1)
                                    for f in fact.factors))
     Gs = chirp_samples(N, 5)
-    witness = symplectic_witness(naive, Gs)
-    assert witness is not None
+    witness, checked = symplectic_witness(naive, Gs)
+    assert witness is not None and checked == len(Gs)
     G, uv = witness
     assert any(G is H for H in Gs)
     assert_dense_witness(naive, G, uv)
@@ -345,7 +364,7 @@ def test_twist_of_another_sample_is_rejected_with_a_witness(N, monkeypatch):
                        fact)
 
     monkeypatch.setattr(crt, "f_prime", twist)
-    witness = symplectic_witness(fact, Gs)
+    witness, _ = symplectic_witness(fact, Gs)
     assert witness is not None
     G, uv = witness
     assert G is Gs[0]
@@ -395,7 +414,7 @@ def test_coefficient_witness_is_the_table_witness(N):
                                    for f in fact.factors))
     witnesses = []
     for cand in (fact, naive, random_unit_kappas(fact, rng)):
-        witness = symplectic_witness(cand, Gs)
+        witness, _ = symplectic_witness(cand, Gs)
         assert witness == oracles.chirp_table_witness(cand, Gs)
         witnesses.append(witness)
     assert witnesses[0] is None
@@ -424,6 +443,6 @@ def test_one_raised_coefficient_is_the_witness(N, k, entry, monkeypatch):
 
     for module in (clifford, crt):
         monkeypatch.setattr(module, "chirp_coefficients", raised)
-    G, uv = symplectic_witness(fact, Gs)
+    (G, uv), _ = symplectic_witness(fact, Gs)
     assert G is Gs[2] and uv == entry
     assert_dense_witness(fact, G, uv)

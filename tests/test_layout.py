@@ -47,6 +47,8 @@ PAPER_RESULTS = {
     "sic.autocorrelation_check":
         "a fiducial's |a|^2 autocorrelations are 2/(N+1) and 1/(N+1)",
     "sic.to_standard": "a SIC in any basis is a SIC in the standard basis",
+    "sic.rephased4_generators":
+        "rephased, N = 4 monomial X and Z are tau times signed permutations",
     "adapted16.omega32_identity":
         "the N = 16 radicals give a primitive 32nd root of unity",
 }

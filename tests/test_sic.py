@@ -19,7 +19,7 @@ from whsic.sic import (LBFGS_MEMORY, LINE_SEARCH_EVALS, Fiducial,
                        fiducial_n16, frame_residual, rephased4_generators,
                        search_fiducial, sic_residual, standard_overlaps,
                        to_standard, verify_sic)
-from whsic.weyl import all_displacements, standard_generators
+from whsic.weyl import all_displacements, displacements, standard_generators
 
 from search_parity import DIMS, SEEDS, search_row, table_rows
 
@@ -88,6 +88,17 @@ def test_rephased4_generators_match_monomial_up_to_diagonal():
     t = tau_power(dim, 1)
     assert abs(X[0, 1] - t * 1j) < 1e-12 and abs(X[1, 0] + t) < 1e-12
     assert abs(Z[0, 2] + t) < 1e-12 and abs(Z[2, 0] - t * 1j) < 1e-12
+
+
+def test_rephased4_displacements_have_the_monomial_images():
+    """The N = 4 rephasing is diagonal, so it moves the exponents of every
+    D_ij but not its image: `generate projection` gathers the n4 fiducial
+    through the monomial images."""
+    dim = Dimension(4)
+    rephased = displacements(dim, *rephased4_generators())
+    monomial = displacements(dim, *monomial_weyl_generators(dim))
+    assert np.array_equal(rephased.image, monomial.image)
+    assert not np.array_equal(rephased.expo, monomial.expo)
 
 
 # ---------------------------------------------------------------------------

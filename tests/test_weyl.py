@@ -111,22 +111,23 @@ def test_displacement_phase_convention():
 @given(N=st.integers(1, 30), k=st.integers(-200, 200))
 def test_one_phase_path_is_exact(N, k):
     dim = Dimension(N)
-    assert tau_table(dim)[k % (2 * N)] == tau_power(dim, k)
+    assert tau_table(dim)[k % dim.nbar] == tau_power(dim, k)
     assert tau_powers(dim, [k])[0] == tau_power(dim, k)
 
 
 def test_tau_table_is_shared_read_only_and_bit_identical():
-    """The cached table is the uncached scalar build, bit for bit, and no
-    caller can write into it."""
+    """The cached table is the uncached scalar build of its nbar entries,
+    bit for bit, and no caller can write into it."""
     for N in range(1, 65):
         dim = Dimension(N)
         table = tau_table(dim)
+        assert len(table) == dim.nbar
         assert table is tau_table(Dimension(N))
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0
-        rebuilt = np.fromiter((tau_power(dim, k) for k in range(2 * N)),
-                              dtype=complex, count=2 * N)
+        rebuilt = np.fromiter((tau_power(dim, k) for k in range(dim.nbar)),
+                              dtype=complex, count=dim.nbar)
         assert np.array_equal(table, rebuilt)
 
 
@@ -134,7 +135,7 @@ def test_tau_power_matches_numpy_scalar_exp():
     """`tau_power` evaluates exp with `cmath`; its table keeps the bits of
     numpy's scalar exp, which the seeded searches were run on."""
     for N in range(1, 301):
-        m = np.arange(2 * N) * (N + 1) % (2 * N)
+        m = np.arange(Dimension(N).nbar) * (N + 1) % (2 * N)
         expect = [complex(np.exp(1j * np.pi * int(x) / N)) for x in m]
         assert np.array_equal(tau_table(Dimension(N)).view(np.uint64),
                               np.array(expect).view(np.uint64)), N
@@ -219,13 +220,24 @@ def test_phase_permutation_composes_like_its_matrices(data, N):
 
 
 @pytest.mark.parametrize("image", [[0, 0, 1], [0, 1, 3], [-1, 1, 2], [0, 1],
-                                   [0, 1, 2, 0], [[0, 1, 2], [2, 2, 0]]])
+                                   [0, 1, 2, 0], [[0, 1, 2], [2, 2, 0]],
+                                   0, [-1, 1, 3]])
 def test_phase_permutation_refuses_a_non_permutation_image(image):
     """A repeated entry ([0, 0, 1] would put two entries in row 0 and none
-    in row 2), entries outside 0..N-1, rows of another length and one bad
-    row in a stack."""
+    in row 2), entries outside 0..N-1 (-1 and N, alone and in one row),
+    rows of another length (N - 1 and N + 1), one bad row in a stack and a
+    0-d image."""
     with pytest.raises(NotOrthonormal, match="permutation"):
         PhasePermutation(Dimension(3), image, np.zeros(np.shape(image), int))
+
+
+@pytest.mark.parametrize("image", [np.int64(0), np.zeros((1, 0), int),
+                                   np.zeros((2, 2), int)])
+def test_phase_permutation_checks_the_shape_before_indexing(image):
+    """At N = 1 a 0-d image, an empty row and rows of length 2 are refused
+    by the shape check, not by a numpy error from the index."""
+    with pytest.raises(NotOrthonormal, match="permutation"):
+        PhasePermutation(Dimension(1), image, 0)
 
 
 @pytest.mark.parametrize("N", [2, 5, 9])
@@ -250,7 +262,7 @@ def test_displacement_stack_obeys_composition_law_exactly(N, data):
     i, j, l, m = (data.draw(ints) for _ in range(4))
     g = compose(GroupElement(0, i, j), GroupElement(0, l, m), dim)
     stacks = [displacements(dim)]
-    if dim.is_square:
+    if dim.n is not None:
         stacks.append(displacements(dim, *monomial_weyl_generators(dim)))
     for D in stacks:
         row = lambda k, e=0: PhasePermutation(dim, D.image[k], D.expo[k] + e)
