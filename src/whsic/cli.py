@@ -4,7 +4,7 @@
     whsic verify mub [--p 2..19]
     whsic verify monomial [--dim 1..40000] [--samples 1..1000] [--seed K]
     whsic verify crt [--dim 2..1000000000000] [--seed K]
-    whsic verify zauner [--dim 1..800000]
+    whsic verify zauner [--dim 1..1000000000000]
     whsic generate sic [--dim 4|9|16] [construction] [--tol T]
     whsic generate mub [--p 2..19]
     whsic generate projection [--dim 4|9] [construction]
@@ -24,9 +24,9 @@ or parse errors. Each report is one line of JSON that names the command and
 the flags it read, and is deterministic for fixed arguments and seed.
 """
 
-# At module level this file imports no package module beyond dims and
-# errors, which parsing and reporting need; each handler imports the modules
-# it runs, so a command loads only those.
+# At module level this file imports no numpy and no package module beyond
+# dims and errors, which parsing and reporting need; each handler imports
+# the modules it runs, so a command loads only those.
 
 from __future__ import annotations
 
@@ -36,8 +36,6 @@ import json
 import math
 import sys
 from typing import TYPE_CHECKING, Callable, NamedTuple
-
-import numpy as np
 
 from .dims import Dimension
 from .errors import WhsicError
@@ -126,6 +124,7 @@ def _verify_mub(args) -> dict:
 
 
 def _verify_monomial(args) -> dict:
+    import numpy as np
     from .clifford import random_symplectic
     from .monomial import covariance_witness, monomial_clifford
     dim = Dimension(args.dim)
@@ -153,17 +152,16 @@ def _verify_crt(args) -> dict:
 
 
 def _verify_zauner(args) -> dict:
-    from .clifford import (ROUNDING_BOUND, predicted_eigenspace_dims,
-                           zauner_counts)
+    from .clifford import predicted_eigenspace_dims, zauner_counts
     dim = Dimension(args.dim)
-    dims, dims_margin, root, cube_margin = zauner_counts(dim)
+    dims, root, sums = zauner_counts(dim)
     predicted = predicted_eigenspace_dims(dim)
-    # U_0^3 must be zauner_phase^-3 = e^{-i pi (N-1)/4}
-    return {"pass": dims == predicted and root == (1 - dim.N) % 8
-            and max(dims_margin, cube_margin) <= ROUNDING_BOUND,
+    # U_0^3 must be the Zauner phase^-3, e^{-i pi (N-1)/4}
+    return {"pass": dims == predicted and root == (1 - dim.N) % 8,
             "metrics": {"measured_dims": list(dims), "cube_root": root,
                         "predicted_dims": list(predicted),
-                        "dims_margin": dims_margin, "cube_margin": cube_margin}}
+                        "gauss_sums": [[m, f"{q.numerator}/{q.denominator}"]
+                                       for m, q in sums]}}
 
 
 def _generate_sic(args) -> dict:
@@ -180,13 +178,14 @@ def _generate_mub(args) -> dict:
     from .mub import prime_family
     bases = prime_family(args.p)
     payload = [{"format_version": ARTIFACT_VERSION, "label": b.label,
-                "N": b.dim.N, "lines": b.lines.tolist(),
-                "expo": b.expo.tolist(), "fourier": b.fourier} for b in bases]
+                "N": b.dim.N, "lines": b.lines, "expo": b.expo,
+                "fourier": b.fourier} for b in bases]
     return {"pass": True, "metrics": {"num_bases": len(bases)},
             "artifacts": {"bases": payload}}
 
 
 def _generate_projection(args) -> dict:
+    import numpy as np
     from .monomial import monomial_weyl_generators
     from .weyl import displacements
     f = _builtin_fiducial(args)
@@ -246,20 +245,17 @@ class Command(NamedTuple):
 
 
 # each size cap keeps the peak RSS of `python -m whsic.cli` near 110 MB
-# (ru_maxrss of the process and its wall time, median of 3 runs, one past
-# 2 s, bounds lifted past a cap; 2 vCPUs, numpy 2.4.6): zauner 109 at
-# N = 800000 in 1.5 s (129 at 10^6); operators, 2N integers a generator,
-# 109 in 0.51 s at 208849 = 457^2, the largest square under the cap, which
-# adds the monomial pair (72 in 0.31 s at the cap, 111 in 0.56 s at 458^2);
-# both mub commands hold integer lines, 30-32 MB in 0.17-0.23 s at p = 19
-# (30-33 at 23), where the dense-orbit test of `prime_family` stops;
-# each count cap keeps the largest dimension under a minute: 2500 failing
-# search restarts (--tol 0) take 35 s at N = 48, 1000 monomial samples
-# 41 s at N = 40000, where monomial peaks at 41 MB: time sets its --dim
-# cap. Time sets the crt cap too: both halves are O(r) integers, 35 MB at
-# any N, and the O(sqrt N) trial division of `factor_dimension` peaks at a
-# prime (best of 3 in process): 0.13 s at N = 999999999989 (0.3-0.45 s
-# wall), 0.41 s at 10^13, 1.1 s at 10^14, 13 s at 10^16
+# (ru_maxrss and wall time, median of 3 runs, bounds lifted past a cap; 2
+# vCPUs, numpy 2.4.6): operators, 2N integers a generator, 109 in 0.51 s
+# at 208849 = 457^2, the largest square under the cap, which adds the
+# monomial pair (111 in 0.56 s at 458^2); mub 17-18 MB in 0.08-0.09 s at
+# p = 19 (0.09-0.11 s at 23), where the dense-orbit test of `prime_family`
+# stops; zauner 17 MB in 0.07-0.09 s at 10^12 and 10^27 alike, capped where
+# crt is, so every integer it reports is below 2^53. Each count cap keeps
+# the largest dimension under a minute: 2500 failing search restarts (--tol
+# 0) take 35 s at N = 48, 1000 monomial samples 41 s at N = 40000 (41 MB),
+# so time sets the monomial --dim cap; and the crt cap: trial division
+# peaks at a prime, 0.13 s in process at 999999999989, 13 s at 10^16
 COMMANDS = {
     "verify sic": Command(_verify_sic, ("builtin", "file", "tol"),
                           tuple(BUILTINS), one_of=("builtin", "file")),
@@ -271,7 +267,7 @@ COMMANDS = {
     "verify crt": Command(_verify_crt, ("dim", "seed"),
                           bounds={"dim": range(2, 10 ** 12 + 1)}),
     "verify zauner": Command(_verify_zauner, ("dim",),
-                             bounds={"dim": range(1, 800001)}),
+                             bounds={"dim": range(1, 10 ** 12 + 1)}),
     "generate sic": Command(_generate_sic, ("dim", "tol"), tuple(BUILTINS)),
     "generate mub": Command(_generate_mub, ("p",),
                             bounds={"p": range(2, 20)}),

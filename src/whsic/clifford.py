@@ -10,23 +10,27 @@ that the CRT check compares and `chirp_exponents` tabulates. Otherwise G is
 split as G = (0,-1;1,x) * (gamma+x*alpha, delta+x*beta; -alpha, -beta) with x
 chosen minimal so that delta + x*beta is coprime to nbar, and the two chirps
 are multiplied (`chirp_factors`). The order-3 Zauner unitary is certified
-with no dense matrix, from two counts of tau exponents (`zauner_counts`).
-The float covariance check `conjugation_check_batched`, an oracle for the
+with no matrix and no float, from two Gauss sums (`zauner_counts`). The
+float covariance check `conjugation_check_batched`, an oracle for the
 tests and the `certify` benchmark that no command runs, reads a dense
 displacement stack once, in blocks, finding each block's support from the
-float halves of its entries; it moves to the tests when the benchmark drops it.
+float halves of its entries; it moves to the tests when the benchmark drops
+it. numpy is imported only inside the functions that build arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dims import Dimension, PhasePermutation, tau_powers, tau_table
+from .dims import (Dimension, PhasePermutation, mod_inverse, tau_powers,
+                   tau_table)
 from .errors import DetNotMinusOne
-from .weyl import mod_inverse
+
+if TYPE_CHECKING:  # fractions loads only with the exact Zauner certificate
+    from fractions import Fraction
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,10 @@ IDENTITY = SymplecticMatrix(1, 0, 0, 1)
 ZAUNER = SymplecticMatrix(0, -1, 1, -1)
 PARITY_J = SymplecticMatrix(1, 0, 0, -1)
 CHECK_CHUNK_ENTRIES = 2 ** 16  # stack entries per block of conjugation_check_batched
-# each `zauner_counts` sum errs by at most about 2 N^{3/2} eps, 4e-7 at N =
-# 10^6: far below the 1/3 between multiplicities and 0.76 between 8th roots
-ROUNDING_BOUND = 1e-6
+# sign(c) c^2 for c = 2 cos(j pi/12), j = 0..23, where c^2 is rational: by
+# Niven's theorem, 2 sqrt(r) cos(pi t) is an integer nowhere else
+_SIGNED_COS2 = (4, None, 3, 2, 1, None, 0, None, -1, -2, -3, None,
+                -4, None, -3, -2, -1, None, 0, None, 1, 2, 3, None)
 
 
 def is_symplectic(G: SymplecticMatrix, dim: Dimension) -> bool:
@@ -118,6 +123,7 @@ def chirp_coefficients(Gs, dim: Dimension) -> list[tuple[int, int, int]]:
 def chirp_exponents(Gs, dim: Dimension) -> np.ndarray:
     """The exponent tables E[k] of the `chirp_coefficients` of a sequence of
     symplectic matrices, so that U_{G_k} = tau^{E[k]} / sqrt(N)."""
+    import numpy as np
     # the coefficients are reduced first, so one reduction ends the table
     c = np.array(chirp_coefficients(Gs, dim), dtype=np.int64)[..., None, None]
     u = np.arange(dim.N).reshape(-1, 1)
@@ -128,6 +134,7 @@ def chirp_exponents(Gs, dim: Dimension) -> np.ndarray:
 def metaplectic(G: SymplecticMatrix, dim: Dimension) -> np.ndarray:
     """Unitary representative of a symplectic G in the standard basis: the
     chirp of G, or the product of the chirps of its `chirp_factors`."""
+    import numpy as np
     U = tau_powers(dim, chirp_exponents(chirp_factors(G, dim), dim)) \
         / np.sqrt(dim.N)
     return U[0] if len(U) == 1 else U[0] @ U[1]
@@ -144,6 +151,7 @@ def conjugation_check_batched(G: SymplecticMatrix, dim: Dimension,
     entries only. A k whose D_{G(k)} has nonzeros outside them (fewer hits
     than nonzeros) is compared again densely. A non-finite entry makes the
     result NaN or inf."""
+    import numpy as np
     N = dim.N
     ip, jp = G.apply(*np.divmod(np.arange(N * N), N), N)
     target = ip * N + jp
@@ -191,48 +199,66 @@ def predicted_eigenspace_dims(dim: Dimension) -> tuple[int, int, int]:
     return (k + 1, k + (r == 2), k - (r == 0))
 
 
-def zauner_phase(dim: Dimension) -> complex:
-    """e^{i pi (N-1)/12}, the phase that makes the metaplectic unitary of
-    (0,-1;1,-1) cube to 1 (Appleby, J. Math. Phys. 46, 052107, 2005)."""
-    return np.exp(1j * np.pi * (dim.N - 1) / 12)
+def zauner_angle(dim: Dimension) -> Fraction:
+    """(N-1)/12: the Zauner phase e^{i pi (N-1)/12} makes the metaplectic
+    unitary of ZAUNER cube to 1 (Appleby, J. Math. Phys. 46, 052107, 2005)."""
+    from fractions import Fraction
+    return Fraction(dim.N - 1, 12)
 
 
 def zauner_unitary(dim: Dimension) -> np.ndarray:
-    """Metaplectic unitary of (0,-1;1,-1) times zauner_phase, so that U^3 = 1."""
+    """Metaplectic unitary of (0,-1;1,-1) times the Zauner phase: U^3 = 1."""
+    import numpy as np
     U0 = metaplectic(ZAUNER, dim)
     cube = U0 @ U0 @ U0
     c = cube[0, 0]
     if np.max(np.abs(cube - c * np.eye(dim.N))) > 1e-8:
         raise AssertionError("U^3 is not scalar; metaplectic construction is broken")
-    # the phase is taken as the cube root of 1/c nearest zauner_phase, not
-    # zauner_phase itself, so U keeps the bits the seeded search was run on
-    base = c ** (-1.0 / 3.0)
-    lam = min((base * np.exp(2j * np.pi * m / 3) for m in range(3)),
-              key=lambda z: abs(z - zauner_phase(dim)))
+    # the phase is taken as the cube root of 1/c nearest the Zauner phase,
+    # not that phase itself, so U keeps the bits the seeded search was run on
+    lam = min((c ** (-1.0 / 3.0) * np.exp(2j * np.pi * m / 3) for m in range(3)),
+              key=lambda z: abs(z - np.exp(1j * np.pi * (dim.N - 1) / 12)))
     return lam * U0
 
 
+def gauss_sum(a: int, b: int, c: int) -> tuple[int, Fraction]:
+    """(m, q) with S(a, b, c) = sum_{n<c} e^{i pi (a n^2 + b n)/c} =
+    sqrt(m) e^{i pi q}, 0 <= q < 2, for c >= 1 and ac + b even, by Euclid's
+    algorithm on reciprocity (Berndt, Evans & Williams, Gauss and Jacobi
+    Sums, Thm 1.2.2): S(a, b, c) = sqrt(|c/a|) e^{i pi (|ac| - b^2)/(4ac)}
+    S(-c, -b, a), which is S(c, b, -a) for a < 0."""
+    from fractions import Fraction
+    ratio, q = Fraction(1), Fraction(0)
+    while (a := (a + c - 1) % (2 * c) - c + 1) % c:  # a mod 2c, in (-c, c]
+        q += Fraction(abs(a * c) - b * b, 4 * a * c)
+        ratio *= Fraction(c, abs(a))
+        a, b, c = (-c, -b, a) if a > 0 else (c, b, -a)
+    # a = 0 or c: a n^2 = a n mod 2c, so the c terms are e^{i pi n (a + b)/c}
+    m = ratio * c * c if (a + b) % (2 * c) == 0 else 0
+    return int(m), q % 2 if m else Fraction(0)
+
+
 def zauner_counts(dim: Dimension) -> tuple:
-    """(d, d_margin, m, c_margin) in O(N): U_0 = metaplectic(ZAUNER) cubes
-    to c nearest e^{i pi m/4}, and d_k is the multiplicity of omega^k =
-    e^{2 pi i k/3} in `zauner_unitary`; the margins are the distances of the
-    float sums from d and from that root. U_0 is the chirp tau^E / sqrt(N),
-    E[u, v] = u^2 + 2uv mod nbar (`chirp_exponents`), and ZAUNER^3 = 1, so
-    c = (U_0^3)[0, 0] = N^{-1/2} sum_s tau^{s^2}, as (v+w)^2 mod nbar
-    depends on v+w mod N only. If m = -(N-1) mod 8, c = z^{-3} for z =
-    `zauner_phase`, U = z U_0 cubes to 1 and d_k = (N + 2 Re(omega^{-k} z
-    tr U_0))/3, with tr U_0 = N^{-1/2} sum_u tau^{3u^2}."""
-    N, nbar = dim.N, dim.nbar
-    s2 = np.arange(N, dtype=np.int64) ** 2
-    # N^{-1/2} sum_s tau^{k s^2}: N exponents counted mod nbar, then weighed
-    c, tr = (np.bincount(k * s2 % nbar, minlength=nbar) @ tau_table(dim)
-             / math.sqrt(N) for k in (1, 3))
-    d = (N + 2 * np.real(zauner_phase(dim) * tr
-                         * np.exp(-2j * np.pi * np.arange(3) / 3))) / 3
-    dims = np.rint(d)
-    m = round(float(np.angle(c)) * 4 / np.pi) % 8
-    return (tuple(int(x) for x in dims), float(np.max(np.abs(d - dims))),
-            m, float(abs(c - np.exp(1j * np.pi * m / 4))))
+    """(d, m, sums), exactly: sums holds the `gauss_sum` S_k of sum_s
+    tau^{k s^2} = S(k, kN, N), k = 1, 3 (tau = e^{i pi (N+1)/N}, s^2 = s mod
+    2). U_0 = metaplectic(ZAUNER) = tau^E / sqrt(N), E[u, v] = u^2 + 2uv,
+    and ZAUNER^3 = 1, so U_0^3 = N^{-1/2} S_1 = e^{i pi m/4}; d_k = (N + 2
+    Re(omega^{-k} e^{i pi zauner_angle} S_3 / sqrt(N)))/3 is the multiplicity
+    of omega^k in `zauner_unitary`. A value that is no integer is None."""
+    from fractions import Fraction
+    N = dim.N
+    (m1, q1), (m3, q3) = sums = tuple(gauss_sum(k, k * N, N) for k in (1, 3))
+    root = int(4 * q1) % 8 if m1 == N and (4 * q1).denominator == 1 else None
+    d = []
+    for k in range(3):
+        # 3 d_k - N = x = 2 sqrt(m3/N) cos(pi j/12), and x^2 = m3 |c2|/N
+        j = 12 * (zauner_angle(dim) + q3 - Fraction(2 * k, 3))
+        c2 = _SIGNED_COS2[j.numerator % 24] if j.denominator == 1 else None
+        x2 = Fraction(m3 * abs(c2 or 0), N)
+        x = math.isqrt(int(x2)) * (-1 if (c2 or 0) < 0 else 1)
+        ok = c2 is not None and x * x == x2 and (N + x) % 3 == 0
+        d.append((N + x) // 3 if ok else None)
+    return tuple(d), root, sums
 
 
 def order3_trace_check(G: SymplecticMatrix, dim: Dimension) -> tuple[bool, bool]:
@@ -280,6 +306,7 @@ def antiunitary_action(E: SymplecticMatrix, dim: Dimension, v: np.ndarray) -> np
     nbar = dim.nbar
     if E.det() % nbar != (-1) % nbar:
         raise DetNotMinusOne(f"det = {E.det() % nbar} mod {nbar}, expected -1")
+    import numpy as np
     G = E.mul(PARITY_J, nbar)
     return metaplectic(G, dim) @ np.conj(v)
 

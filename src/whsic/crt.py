@@ -37,8 +37,7 @@ import numpy as np
 
 from .clifford import (SymplecticMatrix, chirp_coefficients, chirp_factors,
                        random_symplectic)
-from .dims import Dimension
-from .weyl import mod_inverse
+from .dims import Dimension, mod_inverse
 
 SYMPLECTIC_SAMPLES = 20  # random symplectic G per verify_product_iso
 

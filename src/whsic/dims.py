@@ -26,6 +26,8 @@ and a changed last bit in the Zauner unitary changes restart counts, while
 rounding inside the objective moved none over N = 5..48, seeds 0..9.
 `cmath.exp` gives the bits of numpy's scalar exp at a third of its cost; a
 test pins the two together for N = 1..300.
+It also holds the shared integer conventions `flatten` and `mod_inverse`,
+and imports numpy only inside the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -34,10 +36,12 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import NegativeRadicand, NotCoprime, NotOrthonormal, NotSquare
 
-from .errors import NegativeRadicand, NotOrthonormal, NotSquare
+if TYPE_CHECKING:
+    import numpy as np
 
 @dataclass(frozen=True)
 class Dimension:
@@ -70,6 +74,20 @@ def require_square(dim: Dimension) -> int:
     return dim.n
 
 
+def flatten(r: int, s: int, n: int) -> int:
+    """The label of grid point |r,s>, for ints or arrays."""
+    return (r % n) * n + (s % n)
+
+
+def mod_inverse(a: int, m: int) -> int:
+    """Multiplicative inverse of a mod m; raises NotCoprime if it does not exist."""
+    if m <= 0:
+        raise ValueError(f"modulus must be positive, got {m}")
+    if math.gcd(a, m) != 1:
+        raise NotCoprime(f"{a} is not invertible mod {m}")
+    return pow(a, -1, m)
+
+
 def _checked_sqrt(x: float, name: str) -> float:
     """sqrt(x) for a radicand that must be non-negative up to roundoff.
     The N = 9 and N = 16 closed forms share it; it lives here so that `sic`
@@ -96,6 +114,7 @@ def tau_table(dim: Dimension) -> np.ndarray:
     (tau^k depends on k(N+1) mod 2N, so on k mod N for odd N). Built once
     per dimension from `tau_power` and returned read-only, so every caller
     shares the same bits."""
+    import numpy as np
     table = np.fromiter((tau_power(dim, k) for k in range(dim.nbar)),
                         dtype=complex, count=dim.nbar)
     table.flags.writeable = False
@@ -104,6 +123,7 @@ def tau_table(dim: Dimension) -> np.ndarray:
 
 def tau_powers(dim: Dimension, exponents) -> np.ndarray:
     """tau^e for every integer e of an exponent array, of any sign or size."""
+    import numpy as np
     return tau_table(dim)[np.asarray(exponents) % dim.nbar]
 
 
@@ -117,6 +137,7 @@ class PhasePermutation:
     expo: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         N, image = self.dim.N, np.asarray(self.image)
         hit = np.zeros(image.shape[:-1] + (N + 1,), bool)  # N: outside
         if image.shape[-1:] == (N,):  # a 0-d image has no row to index
@@ -144,13 +165,14 @@ class PhasePermutation:
             return NotImplemented
         # both exponents lie in [0, nbar), so one subtraction reduces the sum
         nbar = self.dim.nbar
-        expo = other.expo + np.take(self.expo, other.image, axis=-1)
+        expo = other.expo + self.expo.take(other.image, axis=-1)
         expo -= nbar * (expo >= nbar)
         return PhasePermutation._reduced(
-            self.dim, np.take(self.image, other.image, axis=-1), expo)
+            self.dim, self.image.take(other.image, axis=-1), expo)
 
     def dense(self) -> np.ndarray:
         """The N x N matrix, one per stacked operator."""
+        import numpy as np
         N = self.dim.N
         image = self.image.reshape(-1, N)
         out = np.zeros((len(image), N, N), dtype=complex)

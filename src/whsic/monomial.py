@@ -30,14 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import Dimension, PhasePermutation, require_square, tau_powers
+from .dims import (Dimension, PhasePermutation, flatten, require_square,
+                   tau_powers)
 from .weyl import displacement
 from .clifford import (ZAUNER, SymplecticMatrix, _column_completion,
-                       chirp_coefficients, chirp_factors, zauner_phase)
-
-
-def flatten(r: int, s: int, n: int) -> int:
-    return (r % n) * n + (s % n)
+                       chirp_coefficients, chirp_factors, zauner_angle)
 
 
 def zak_matrix(dim: Dimension) -> np.ndarray:
@@ -78,9 +75,10 @@ def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> PhasePermutation:
 
 
 def monomial_zauner(dim: Dimension) -> np.ndarray:
-    """The order-3 unitary zauner_phase * U_ZAUNER on the |r,s> basis, U^3 = 1.
-    Dense, since the Zauner phase is not a power of tau."""
-    return zauner_phase(dim) * monomial_clifford(ZAUNER, dim).dense()
+    """The order-3 unitary e^{i pi zauner_angle} U_ZAUNER on the |r,s> basis,
+    U^3 = 1. Dense, since the Zauner phase is not a power of tau."""
+    return (np.exp(1j * np.pi * float(zauner_angle(dim)))
+            * monomial_clifford(ZAUNER, dim).dense())
 
 
 def monomial_antiunitary(dim: Dimension, v: np.ndarray) -> np.ndarray:

@@ -13,25 +13,32 @@ every line of the other once, which a Latin square's lines do with those
 of both eigenbases, whatever the exponents. For n = p prime the squares
 lam_k(r,a) = a + k r with eigenvector phases of the cyclic subgroup
 generated by X^k Z^{-1} give p - 1 bases completing a family of p + 1
-mutually unbiased bases.
+mutually unbiased bases. The tables are Python ints; only the float oracles
+(`Basis.vectors`, `is_unbiased`, `entanglement_check`) import numpy.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dims import Dimension, PhasePermutation, require_square, tau_powers
+from .dims import Dimension, flatten, require_square, tau_powers
 from .errors import DimensionMismatch, NotOrthonormal, NotPrime
-from .monomial import flatten, monomial_weyl_generators
 
 
-def cyclic_latin_square(n: int, k: int) -> np.ndarray:
-    """lam[r, a] = a + k*r mod n; Latin whenever gcd(k, n) = 1."""
-    return np.add.outer(k * np.arange(n), np.arange(n)) % n
+def _table(rows, n: int) -> tuple:
+    """rows as an n x n tuple of Python ints, or DimensionMismatch."""
+    table = tuple(tuple(map(int, r)) for r in rows if hasattr(r, "__iter__"))
+    if len(table) != n or {len(row) for row in table} != {n}:
+        raise DimensionMismatch(f"tables must have shape {(n, n)}")
+    return table
+
+
+def cyclic_latin_square(n: int, k: int) -> tuple:
+    """lam[r][a] = a + k*r mod n; Latin whenever gcd(k, n) = 1."""
+    return tuple(tuple((a + k * r) % n for a in range(n)) for r in range(n))
 
 
 @dataclass(frozen=True)
@@ -44,18 +51,16 @@ class Basis:
     the grid, NotOrthonormal."""
 
     dim: Dimension
-    lines: np.ndarray
-    expo: np.ndarray
+    lines: tuple  # n rows of n ints, from any n x n table
+    expo: tuple
     fourier: int
     label: str
 
     def __post_init__(self):
         n = require_square(self.dim)
-        if np.shape(self.lines) != (n, n) or np.shape(self.expo) != (n, n):
-            raise DimensionMismatch(
-                f"line and exponent tables must have shape {(n, n)}")
-        if not np.array_equal(np.sort(self.lines, axis=None),
-                              np.arange(self.dim.N)):
+        object.__setattr__(self, "lines", _table(self.lines, n))
+        object.__setattr__(self, "expo", _table(self.expo, n))
+        if sorted(itertools.chain(*self.lines)) != list(range(self.dim.N)):
             raise NotOrthonormal(
                 f"the lines of {self.label} do not partition the grid")
         order = self.dim.nbar // math.gcd(self.fourier, self.dim.nbar)
@@ -64,13 +69,14 @@ class Basis:
                 f"tau^{self.fourier} has order {order}, not n = {n}")
 
     @functools.cached_property
-    def vectors(self) -> np.ndarray:
+    def vectors(self):
         """The vectors as the columns of a dense N x N matrix."""
-        n = self.dim.n
+        import numpy as np
+        n, lines, expo = self.dim.n, np.array(self.lines), np.array(self.expo)
         a, b, r = np.indices((n, n, n))
         V = np.zeros((self.dim.N, self.dim.N), dtype=complex)
-        V[self.lines[a, r], a + n * b] = tau_powers(
-            self.dim, self.expo[a, r] + self.fourier * b * r) / np.sqrt(n)
+        V[lines[a, r], a + n * b] = tau_powers(
+            self.dim, expo[a, r] + self.fourier * b * r) / np.sqrt(n)
         return V
 
 
@@ -79,22 +85,21 @@ def eigenbasis_zero(dim: Dimension) -> Basis:
     Its lines are those of lam(r, a) = a, and its step is sigma^{+r}: Z
     lowers r by one, so only a positive exponent gives omega^{a+nb}."""
     n = require_square(dim)
-    return Basis(dim, np.arange(dim.N).reshape(n, n).T,
-                 np.zeros((n, n), dtype=int), 2 * n, "zero")
+    return Basis(dim, [range(a, dim.N, n) for a in range(n)], [[0] * n] * n,
+                 2 * n, "zero")
 
 
 def eigenbasis_infinity(dim: Dimension) -> Basis:
     """Eigenbasis of X in monomial coordinates: X|u>_inf = omega^u |u>_inf,
     with |a+nb>_inf = (1/sqrt n) sum_r sigma^{-br} omega^{-ar} |a,r>."""
     n = require_square(dim)
-    grid = np.arange(n)
+    grid = range(n)
     # sigma^{-br} omega^{-ar} = tau^{-2nbr - 2ar}
-    return Basis(dim, np.arange(dim.N).reshape(n, n),
-                 -2 * np.outer(grid, grid), -2 * n, "infinity")
+    return Basis(dim, [range(a * n, a * n + n) for a in grid],
+                 [[-2 * a * r for r in grid] for a in grid], -2 * n, "infinity")
 
 
-def latin_basis(dim: Dimension, lam: np.ndarray, expo: np.ndarray,
-                label: str = "latin") -> Basis:
+def latin_basis(dim: Dimension, lam, expo, label: str = "latin") -> Basis:
     """Vectors |a+nb> = (1/sqrt n) sum_r tau^{expo[r,a] - 2nbr} |r, lam[r,a]>.
 
     lam, read mod n, and the integer exponents expo are n x n tables
@@ -103,9 +108,9 @@ def latin_basis(dim: Dimension, lam: np.ndarray, expo: np.ndarray,
     against `eigenbasis_zero`, which `unbiased_witness` names.
     """
     n = require_square(dim)
-    r = np.indices(np.shape(lam))[0]
-    return Basis(dim, flatten(r, np.asarray(lam), n).T, np.transpose(expo),
-                 -2 * n, label)
+    lam, expo = _table(lam, n), _table(expo, n)
+    return Basis(dim, [[flatten(r, lam[r][a], n) for r in range(n)]
+                       for a in range(n)], list(zip(*expo)), -2 * n, label)
 
 
 def unbiased_witness(A: Basis, B: Basis) -> tuple[int, int, int] | None:
@@ -120,12 +125,14 @@ def unbiased_witness(A: Basis, B: Basis) -> tuple[int, int, int] | None:
     m = 1."""
     if A.dim.N != B.dim.N:
         raise DimensionMismatch(f"dimensions differ: {A.dim.N} vs {B.dim.N}")
-    n = A.dim.n
-    # the line through each point: its flat position in the table, over n
-    on_a, on_b = (np.argsort(X.lines, axis=None) // n for X in (A, B))
-    meets = np.bincount(on_a * n + on_b, minlength=A.dim.N)
-    bad = np.flatnonzero(meets != 1)
-    return (*divmod(int(bad[0]), n), int(meets[bad[0]])) if bad.size else None
+    on_b = {x: b for b, line in enumerate(B.lines) for x in line}
+    for a, line in enumerate(A.lines):
+        meets = [0] * len(line)  # n lines of B
+        for x in line:
+            meets[on_b[x]] += 1
+        if bad := [b for b, m in enumerate(meets) if m != 1]:
+            return a, bad[0], meets[bad[0]]
+    return None
 
 
 @dataclass(frozen=True)
@@ -136,6 +143,7 @@ class UnbiasedReport:
 
 def is_unbiased(A: Basis, B: Basis, tol: float = 1e-10) -> UnbiasedReport:
     """Max over vector pairs of | |<a|b>|^2 - 1/N |."""
+    import numpy as np
     if A.dim.N != B.dim.N:
         raise DimensionMismatch(f"dimensions differ: {A.dim.N} vs {B.dim.N}")
     N = A.dim.N
@@ -157,28 +165,28 @@ def prime_family(p: int) -> list[Basis]:
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise NotPrime(f"{p} is not prime")
     dim = Dimension(p * p)
-    N, n = dim.N, p
-    X, Z = monomial_weyl_generators(dim)
-    inv = np.argsort(Z.image)
-    A = PhasePermutation(dim, inv, -Z.expo[inv])  # Z^{-1}, exactly
-    r, a = np.indices((n, n))
+    N, n, nbar = dim.N, p, dim.nbar
     bases = [eigenbasis_zero(dim), eigenbasis_infinity(dim)]
     for k in range(1, p):
-        A = X @ A  # X^k Z^{-1}
-        # A carries orbit point r to r + 1 (cyclically) with phase tau^step
-        step = A.expo[flatten(r, a + k * r, n)]
-        prefix = np.cumsum(step, axis=0) - step
-        # the loop phase is tau^loop = e^{i pi m/N}, m taken in (-N, N] so
-        # that its principal n-th root e^{i pi m/(N n)} is the eigenvalue:
-        # tau^{(N+1) m/n}, as (N+1)^2 = 1 + N(N+2), once n | m (2n if N odd)
-        m = (step.sum(axis=0) * (N + 1)) % (2 * N)
-        m -= 2 * N * (m > N)
-        assert (m % (n * (1 + N % 2)) == 0).all(), "root is no tau power"
-        # tau^prefix mu^{-r} at (r, a); mu = root sigma^b, where sigma =
-        # tau^{2n} and latin_basis steps by sigma^{-r} in b
-        root_r = (N + 1) * (m // n) * r
+        columns = []
+        for a in range(n):
+            # X^k Z^{-1} carries (r, s), s = a + kr mod n, to (r + 1, s + k)
+            # with tau^step: omega^{-s}, times sigma^{(r+1) mod n} on a wrap
+            step = [(-2 * s + 2 * n * ((r + 1) % n) * (s + k >= n)) % nbar
+                    for r in range(n) for s in [(a + k * r) % n]]
+            # the loop phase is tau^loop = e^{i pi m/N}, m taken in (-N, N] so
+            # that its principal n-th root e^{i pi m/(N n)} is the eigenvalue:
+            # tau^{(N+1) m/n}, as (N+1)^2 = 1 + N(N+2), once n | m (2n if N odd)
+            m = sum(step) * (N + 1) % (2 * N)
+            m -= 2 * N * (m > N)
+            assert m % (n * (1 + N % 2)) == 0, "root is no tau power"
+            # tau^prefix mu^{-r} at (r, a); mu = root sigma^b, where sigma =
+            # tau^{2n} and latin_basis steps by sigma^{-r} in b
+            prefix = itertools.accumulate(step[:-1], initial=0)
+            columns.append([x - (N + 1) * (m // n) * r
+                            for r, x in enumerate(prefix)])
         bases.append(latin_basis(dim, cyclic_latin_square(n, k),
-                                 prefix - root_r, f"latin({k})"))
+                                 list(zip(*columns)), f"latin({k})"))
     return bases
 
 
@@ -186,6 +194,7 @@ def entanglement_check(basis: Basis) -> float:
     """Max deviation of the singular values of each vector's n x n coefficient
     matrix from 1/sqrt(n); 0 up to roundoff means every vector is maximally
     entangled across the n (x) n split."""
+    import numpy as np
     n = require_square(basis.dim)
     sv = np.linalg.svd(basis.vectors.T.reshape(-1, n, n), compute_uv=False)
     return float(np.max(np.abs(sv - 1.0 / np.sqrt(n))))

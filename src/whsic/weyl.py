@@ -14,22 +14,11 @@ small N in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dims import Dimension, PhasePermutation
-from .errors import NotCoprime
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Multiplicative inverse of a mod m; raises NotCoprime if it does not exist."""
-    if m <= 0:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if math.gcd(a, m) != 1:
-        raise NotCoprime(f"{a} is not invertible mod {m}")
-    return pow(a, -1, m)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 import numpy as np
 
 from whsic import crt
-from whsic.clifford import chirp_exponents, chirp_factors
-from whsic.dims import Dimension, PhasePermutation, tau_table
-from whsic.monomial import flatten, vector_order
+from whsic.clifford import chirp_exponents, chirp_factors, zauner_angle
+from whsic.dims import Dimension, PhasePermutation, flatten, tau_table
+from whsic.monomial import vector_order
 from whsic.weyl import displacement, standard_generators
 
 
@@ -143,3 +143,21 @@ def overlap_deviation(V, W):
     """max | |<v|w>|^2 - 1/N | over the columns v of V and w of W: 0 up to
     roundoff when the two bases are mutually unbiased."""
     return float(np.max(np.abs(np.abs(V.conj().T @ W) ** 2 - 1 / len(V))))
+
+
+def float_zauner_counts(dim):
+    """`clifford.zauner_counts` in O(N) float arithmetic, with no Gauss-sum
+    reciprocity: (d, S) with S = (S_1, S_3), S_k = sum_s
+    tau^{k s^2} from N exponents counted mod nbar with one `np.bincount`
+    each and weighed by `dims.tau_table`, and the float multiplicities
+    d_k = (N + 2 Re(omega^{-k} z tr U_0))/3, with z = e^{i pi
+    zauner_angle} and tr U_0 = S_3 / sqrt(N). Each sum errs by about
+    N^{3/2} eps."""
+    N, nbar = dim.N, dim.nbar
+    s2 = np.arange(N, dtype=np.int64) ** 2
+    S = tuple(np.bincount(k * s2 % nbar, minlength=nbar) @ tau_table(dim)
+              for k in (1, 3))
+    z = np.exp(1j * np.pi * float(zauner_angle(dim)))
+    d = (N + 2 * np.real(z * S[1] / np.sqrt(N)
+                         * np.exp(-2j * np.pi * np.arange(3) / 3))) / 3
+    return d, S

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +193,9 @@ def test_verify_mub_and_crt_and_zauner(capsys):
     code, rep = run(["verify", "zauner", "--dim", "11"], capsys)
     assert code == 0 and rep["metrics"]["measured_dims"] == [4, 4, 3]
     assert rep["metrics"]["cube_root"] == (1 - 11) % 8
-    assert "cube_deviation" not in rep["metrics"]
+    # sum_s tau^{s^2} = sum_s tau^{3 s^2} = sqrt(11) e^{3 pi i/2}
+    assert rep["metrics"]["gauss_sums"] == [[11, "3/2"], [11, "3/2"]]
+    assert not {"cube_deviation", "dims_margin"} & rep["metrics"].keys()
 
 
 def test_verify_crt_count_is_exact_for_double_readers(capsys):
@@ -239,14 +242,13 @@ def test_verify_crt_kappa_one_exits_one_at_a_displacement(N, ab, capsys,
 
 
 # the monkeypatched function is looked up in whsic.clifford at each call;
-# each control fails on the table or on the margin, not on both
+# with no float margin, each control fails on a table of integers that
+# differs from the prediction, or on counts that are no integers
 @pytest.mark.parametrize("name,wrong,table_differs", [
     # z omega has the same cube, so only the multiplicities rotate
-    ("zauner_phase", lambda f: lambda dim: f(dim) * np.exp(2j * np.pi / 3),
-     True),
+    ("zauner_angle", lambda f: lambda dim: f(dim) + Fraction(2, 3), True),
     # z e^{i pi/7} makes U no order-3 unitary: its counts are no integers
-    ("zauner_phase", lambda f: lambda dim: f(dim) * np.exp(1j * np.pi / 7),
-     False),
+    ("zauner_angle", lambda f: lambda dim: f(dim) + Fraction(1, 7), False),
     ("predicted_eigenspace_dims", lambda f: lambda dim: f(dim)[::-1], True),
 ])
 def test_verify_zauner_negative_controls_exit_one(name, wrong, table_differs,
@@ -256,8 +258,12 @@ def test_verify_zauner_negative_controls_exit_one(name, wrong, table_differs,
     code, rep = run(["verify", "zauner", "--dim", "7"], capsys)
     assert code == 1 and rep["pass"] is False
     m = rep["metrics"]
-    assert (m["measured_dims"] != m["predicted_dims"]) == table_differs
-    assert (m["dims_margin"] > clifford.ROUNDING_BOUND) != table_differs
+    assert m["cube_root"] == (1 - 7) % 8
+    if table_differs:
+        assert m["measured_dims"] != m["predicted_dims"]
+        assert sorted(m["measured_dims"]) == sorted(m["predicted_dims"])
+    else:
+        assert m["measured_dims"] == [None, None, None]
 
 
 def test_verify_monomial(capsys):
@@ -311,14 +317,25 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 # each handler imports the modules it runs: a command leaves the others
-# unloaded, and parsing alone loads none beyond dims and errors
+# unloaded, and parsing alone loads none beyond dims and errors; numpy is
+# loaded exactly when a case does not list it, by the commands that build
+# arrays
 @pytest.mark.parametrize("argv,unloaded", [
-    ([], {"adapted16", "clifford", "crt", "fileio", "monomial", "mub", "sic",
-          "weyl"}),
+    ([], {"numpy", "adapted16", "clifford", "crt", "fileio", "monomial",
+          "mub", "sic", "weyl"}),
     (["verify", "zauner", "--dim", "7"],
-     {"sic", "monomial", "mub", "crt", "adapted16", "fileio"}),
-    (["verify", "mub", "--p", "3"], {"sic", "crt", "adapted16", "fileio"}),
+     {"numpy", "sic", "monomial", "mub", "crt", "adapted16", "fileio",
+      "weyl"}),
+    (["verify", "mub", "--p", "3"], {"numpy", "sic", "crt", "adapted16",
+                                     "fileio", "clifford", "monomial",
+                                     "weyl"}),
     (["verify", "sic", "--builtin", "n4"], {"adapted16", "crt", "mub"}),
+    (["generate", "mub", "--p", "19"], {"numpy", "sic", "crt", "adapted16",
+                                        "fileio", "clifford", "monomial",
+                                        "weyl"}),
+    (["verify", "zauner", "--dim", "1000000000000"],
+     {"numpy", "sic", "monomial", "mub", "crt", "adapted16", "fileio",
+      "weyl"}),
 ])
 def test_command_loads_only_the_modules_it_runs(argv, unloaded):
     proc = run_python(["-c", "import os, sys, whsic.cli; "
@@ -326,12 +343,14 @@ def test_command_loads_only_the_modules_it_runs(argv, unloaded):
                              "code = whsic.cli.main(argv + ['--out', "
                              "os.devnull]) if argv else 0; "
                              "print(code, *sorted(m for m in sys.modules "
-                             "if m.startswith('whsic.')))"])
+                             "if m.startswith('whsic.') or m == 'numpy'))"])
     assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.split()
     assert code == "0"
-    assert {"whsic.cli", "whsic.dims", "whsic.errors"} <= set(loaded)
-    assert not {"whsic." + m for m in unloaded} & set(loaded), loaded
+    loaded = {m.removeprefix("whsic.") for m in loaded}
+    assert {"cli", "dims", "errors"} <= loaded
+    assert not unloaded & loaded, loaded
+    assert ("numpy" in loaded) == ("numpy" not in unloaded), loaded
     if not argv:
         assert len(loaded) == 3, loaded
 
@@ -603,9 +622,10 @@ def test_generate_mub_and_operators(capsys):
 
 
 def decode_basis(d: dict) -> mub.Basis:
-    """A `generate mub` basis, rebuilt: construction proves it orthonormal."""
-    return mub.Basis(Dimension(d["N"]), np.array(d["lines"]),
-                     np.array(d["expo"]), d["fourier"], d["label"])
+    """A `generate mub` basis, rebuilt from its JSON lists: construction
+    proves it orthonormal."""
+    return mub.Basis(Dimension(d["N"]), d["lines"], d["expo"], d["fourier"],
+                     d["label"])
 
 
 def decode_operator(N: int, d: dict) -> PhasePermutation:

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from whsic.clifford import (ZAUNER, SymplecticMatrix,
                             conjugation_check_batched, decompose,
                             random_symplectic)
-from whsic.dims import Dimension, PhasePermutation, sigma_power, tau_table
+from whsic.dims import (Dimension, PhasePermutation, flatten, sigma_power,
+                        tau_table)
 from whsic.errors import NotSquare
-from whsic.monomial import (covariance_witness, flatten, is_phase_permutation,
+from whsic.monomial import (covariance_witness, is_phase_permutation,
                             invariant_subgroup, monomial_antiunitary,
                             monomial_clifford, monomial_weyl_generators,
                             monomial_zauner, sl2_orbit,

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whsic.dims import Dimension, sigma_power
+from whsic.dims import Dimension, flatten, sigma_power
 from whsic.errors import (DimensionMismatch, NotOrthonormal, NotPrime,
                           NotSquare)
-from whsic.monomial import flatten, monomial_weyl_generators
+from whsic.monomial import monomial_weyl_generators
 from whsic.mub import (Basis, cyclic_latin_square, eigenbasis_infinity,
                        eigenbasis_zero, entanglement_check, is_unbiased,
                        latin_basis, prime_family, unbiased_witness)
@@ -50,8 +50,8 @@ def test_is_latin_needs_an_n_by_n_square_over_z_n():
     """Rows that permute Z_n make the lines partition the grid; columns
     that permute it make them meet the Z eigenbasis once. Entries are
     read mod n."""
-    assert witnesses_to_eigenbases(square_basis(cyclic_latin_square(3, 1).T)) \
-        == [None, None]
+    transposed = np.transpose(cyclic_latin_square(3, 1))
+    assert witnesses_to_eigenbases(square_basis(transposed)) == [None, None]
     with pytest.raises(NotOrthonormal, match="do not partition"):
         square_basis(np.array([[0, 0], [1, 1]]))  # rows repeat
     columns_repeat = square_basis(np.array([[0, 1], [0, 1]]))

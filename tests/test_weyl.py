@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whsic.dims import (Dimension, PhasePermutation, tau_power, tau_powers,
-                        tau_table)
+from whsic.dims import (Dimension, PhasePermutation, mod_inverse, tau_power,
+                        tau_powers, tau_table)
 from whsic.errors import NotCoprime, NotOrthonormal
 from whsic.monomial import is_phase_permutation, monomial_weyl_generators
 from whsic.weyl import (GroupElement, all_displacements, canonicalize, compose,
                         displacement, displacements, element_order,
-                        identity_element, inverse, mod_inverse,
-                        standard_generators)
+                        identity_element, inverse, standard_generators)
 
 from oracles import element_matrix, iterated_powers
 
