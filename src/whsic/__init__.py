@@ -2,7 +2,7 @@
 
 Submodules:
     dims       dimension bookkeeping and root-of-unity phases
-    weyl       exact H(N) group arithmetic and displacement operators
+    weyl       the displacement operators of H(N), exactly
     clifford   symplectic matrices, metaplectic unitaries, order-3 symmetry
     monomial   phase-permutation representation in square dimensions
     adapted16  the N = 16 adapted basis and closed-form fiducial coefficients

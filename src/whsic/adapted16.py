@@ -14,8 +14,6 @@ sigma is the field automorphism r2 -> -r2.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .dims import Dimension, PhasePermutation, _checked_sqrt, tau_powers
@@ -133,12 +131,6 @@ def field_elements(t2_branch: int = +1, conjugate_orbit: bool = False) -> dict[s
     t4 = -_checked_sqrt(2.0 + t3, "t4")
     return {"sqrt2": s2, "sqrt13": s13, "sqrt17": s17, "sqrt221": s221,
             "r2": r2, "r3": r3, "t1": t1, "t2": t2, "t3": t3, "t4": t4}
-
-
-def omega32_identity(elems: dict[str, float]) -> complex:
-    """The printed radical expression for the primitive 32nd root of unity."""
-    s2, t3, t4 = elems["sqrt2"], elems["t3"], elems["t4"]
-    return 0.5 * ((s2 * (1.0 - t3) - 1.0) * t4 - 1j * t4)
 
 
 def fiducial_coefficients(t2_branch: int = +1,

@@ -20,8 +20,9 @@ error. --tol is the tolerance compared against; `verify crt`, `verify
 mub`, `verify monomial` and `verify zauner` compare integers and take none.
 
 Exit codes: 0 when the check passes, 1 when it runs but fails, 2 on usage
-or parse errors. Each report is one line of JSON that names the command and
-the flags it read, and is deterministic for fixed arguments and seed.
+or parse errors, among them a malformed --file or one with N above 1224.
+Each report is one line of JSON that names the command and the flags it
+read, and is deterministic for fixed arguments and seed.
 """
 
 # At module level this file imports no numpy and no package module beyond
@@ -101,6 +102,9 @@ def _verify_sic(args) -> dict:
     if args.file is not None:
         from .fileio import load_fiducial
         f = load_fiducial(args.file)
+        if f.dim.N > FILE_DIM_CAP:
+            raise ValueError(f"{args.file}: N = {f.dim.N} is above the "
+                             f"verify sic --file cap {FILE_DIM_CAP}")
     else:
         f = _builtin_fiducial(args)
     cert = verify_sic(f, args.tol)
@@ -251,11 +255,16 @@ class Command(NamedTuple):
 # monomial pair (111 in 0.56 s at 458^2); mub 17-18 MB in 0.08-0.09 s at
 # p = 19 (0.09-0.11 s at 23), where the dense-orbit test of `prime_family`
 # stops; zauner 17 MB in 0.07-0.09 s at 10^12 and 10^27 alike, capped where
-# crt is, so every integer it reports is below 2^53. Each count cap keeps
+# crt is, so every integer it reports is below 2^53; the N of a `verify sic
+# --file` fiducial, FILE_DIM_CAP, refused after the file is read: its N x N
+# basis change and overlap table take 107 MB in 0.19 s at 1224 in the
+# standard basis, 103 MB at 34^2 = 1156 in the monomial one (112 MB at
+# 35^2 = 1225; an unbounded N = 200000 asks for 596 GiB). Each count cap keeps
 # the largest dimension under a minute: 2500 failing search restarts (--tol
 # 0) take 35 s at N = 48, 1000 monomial samples 41 s at N = 40000 (41 MB),
 # so time sets the monomial --dim cap; and the crt cap: trial division
 # peaks at a prime, 0.13 s in process at 999999999989, 13 s at 10^16
+FILE_DIM_CAP = 1224
 COMMANDS = {
     "verify sic": Command(_verify_sic, ("builtin", "file", "tol"),
                           tuple(BUILTINS), one_of=("builtin", "file")),

@@ -82,10 +82,6 @@ _SIGNED_COS2 = (4, None, 3, 2, 1, None, 0, None, -1, -2, -3, None,
                 -4, None, -3, -2, -1, None, 0, None, 1, 2, 3, None)
 
 
-def is_symplectic(G: SymplecticMatrix, dim: Dimension) -> bool:
-    return (G.det() - 1) % dim.nbar == 0
-
-
 def decompose(G: SymplecticMatrix, dim: Dimension) -> tuple[SymplecticMatrix, SymplecticMatrix]:
     """Split G = G1*G2 mod nbar with G1 = (0,-1;1,x) and G2's beta entry
     delta + x*beta coprime to nbar; x is the smallest non-negative choice."""
@@ -272,31 +268,6 @@ def order3_trace_check(G: SymplecticMatrix, dim: Dimension) -> tuple[bool, bool]
     is_order3 = G3.reduced(nbar) == IDENTITY.reduced(nbar)
     trace_cond = (G.alpha + G.delta) % N == (-1) % N
     return is_order3, trace_cond
-
-
-def lift_sl2(G: SymplecticMatrix, dim: Dimension) -> SymplecticMatrix:
-    """Lift G in SL(2, N), N even, to Gbar in SL(2, 2N) with Gbar == G mod N.
-
-    If det G = kN + 1 with k odd, adding N to the cofactor partner of an odd
-    entry (one exists, as G is invertible mod N) shifts the determinant by
-    N * (odd), flipping the parity of k while leaving G mod N untouched.
-    Gbar is the first of G and its four shifts with determinant 1 mod 2N.
-    """
-    N = dim.N
-    if N % 2 != 0:
-        raise ValueError("lift is only needed for even N")
-    G = G.reduced(N)
-    if G.det() % N != 1:
-        raise ValueError("input must have determinant 1 mod N")
-    a, b, g_, dl = G.alpha, G.beta, G.gamma, G.delta
-    # det += 0, N * alpha, N * delta, N * beta, N * gamma
-    for out in (G, SymplecticMatrix(a, b, g_, dl + N),
-                SymplecticMatrix(a + N, b, g_, dl),
-                SymplecticMatrix(a, b, g_ - N, dl),
-                SymplecticMatrix(a, b - N, g_, dl)):
-        if out.det() % (2 * N) == 1:
-            return out.reduced(2 * N)
-    raise AssertionError("all entries even contradicts invertibility mod N")
 
 
 def antiunitary_action(E: SymplecticMatrix, dim: Dimension, v: np.ndarray) -> np.ndarray:

@@ -76,12 +76,6 @@ def factor_dimension(N: int) -> Factorization:
     return Factorization(N, tuple(factors))
 
 
-def eta_prime(a: int, b: int, c: int, N: int) -> list[tuple[int, int, int]]:
-    """Factor exponents of x^a z^b t^c under the corrected product map."""
-    return [(a % f.n, (f.kappa * b) % f.n, (f.kappa * c) % f.nbar)
-            for f in factor_dimension(N).factors]
-
-
 def f_prime(G: SymplecticMatrix, j: int, fact: Factorization) -> SymplecticMatrix:
     """The twisted symplectic factor of G mod nbar_j."""
     f = fact.factors[j]

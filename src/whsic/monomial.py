@@ -33,8 +33,8 @@ import numpy as np
 from .dims import (Dimension, PhasePermutation, flatten, require_square,
                    tau_powers)
 from .weyl import displacement
-from .clifford import (ZAUNER, SymplecticMatrix, _column_completion,
-                       chirp_coefficients, chirp_factors, zauner_angle)
+from .clifford import (SymplecticMatrix, _column_completion,
+                       chirp_coefficients, chirp_factors)
 
 
 def zak_matrix(dim: Dimension) -> np.ndarray:
@@ -72,13 +72,6 @@ def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> PhasePermutation:
         expo = c_uu * sp * sp + c_uv * s * sp + c_vv * s * s
         chirps.append(PhasePermutation(dim, flatten(rp, sp, n), expo))
     return chirps[0] if len(chirps) == 1 else chirps[0] @ chirps[1]
-
-
-def monomial_zauner(dim: Dimension) -> np.ndarray:
-    """The order-3 unitary e^{i pi zauner_angle} U_ZAUNER on the |r,s> basis,
-    U^3 = 1. Dense, since the Zauner phase is not a power of tau."""
-    return (np.exp(1j * np.pi * float(zauner_angle(dim)))
-            * monomial_clifford(ZAUNER, dim).dense())
 
 
 def monomial_antiunitary(dim: Dimension, v: np.ndarray) -> np.ndarray:
@@ -191,15 +184,3 @@ def invariant_subgroup(dim: Dimension) -> frozenset | None:
     return None if n is None else frozenset(
         (n * a, n * b) for a in range(n) for b in range(n))
 
-
-def stabilized_abelian_check(G: SymplecticMatrix, dim: Dimension) -> tuple[int, int] | None:
-    """U_G-conjugation must map the maximal Abelian subgroup <X^n, Z^n, tau*1>
-    into itself: U_G D_ij U_G^dag = tau^c D_{G(i,j)} for its generators
-    (i, j) = (n, 0) and (0, n), which decide all of its displacements as in
-    `covariance_witness`, with G(i, j) again in n * Z_N^2. Returns the first
-    generator that fails, or None; exact."""
-    n = require_square(dim)
-    ijs = ((n, 0), (0, n))
-    assert all(x % n == 0 for ij in ijs for x in G.apply(*ij, dim.N)), \
-        "conjugate left the subgroup"
-    return covariance_witness(G, monomial_clifford(G, dim), ijs)

@@ -14,7 +14,7 @@ of both eigenbases, whatever the exponents. For n = p prime the squares
 lam_k(r,a) = a + k r with eigenvector phases of the cyclic subgroup
 generated by X^k Z^{-1} give p - 1 bases completing a family of p + 1
 mutually unbiased bases. The tables are Python ints; only the float oracles
-(`Basis.vectors`, `is_unbiased`, `entanglement_check`) import numpy.
+`Basis.vectors` and `is_unbiased` import numpy.
 """
 
 from __future__ import annotations
@@ -189,12 +189,3 @@ def prime_family(p: int) -> list[Basis]:
                                  list(zip(*columns)), f"latin({k})"))
     return bases
 
-
-def entanglement_check(basis: Basis) -> float:
-    """Max deviation of the singular values of each vector's n x n coefficient
-    matrix from 1/sqrt(n); 0 up to roundoff means every vector is maximally
-    entangled across the n (x) n split."""
-    import numpy as np
-    n = require_square(basis.dim)
-    sv = np.linalg.svd(basis.vectors.T.reshape(-1, n, n), compute_uv=False)
-    return float(np.max(np.abs(sv - 1.0 / np.sqrt(n))))

@@ -18,11 +18,10 @@ an operator M acts in the tag's basis as V^dag M V. Registered tags:
                  which X^4 and Z^4 are diagonal
 
 Every certificate, in every basis, runs on the one FFT overlap kernel
-`standard_overlaps` applied to V a. The module also checks the shifted
-autocorrelations of |a|^2 (2/(N+1) at zero shift, 1/(N+1) elsewhere) and
-searches the eigenvalue-1 eigenspace E0 of the order-3 symmetry, spanned by
-the cached `_e0_basis`, with one numpy L-BFGS pass per restart (`_lbfgs`)
-that keeps its curvature pairs and their triangular inverse in a ring
+`standard_overlaps` applied to V a. The module also searches the
+eigenvalue-1 eigenspace E0 of the order-3 symmetry, spanned by the cached
+`_e0_basis`, with one numpy L-BFGS pass per restart (`_lbfgs`) that keeps
+its curvature pairs and their triangular inverse in a ring
 (`_CurvatureRing`, after Byrd, Nocedal & Schnabel), so no direction loops.
 
 What depends on N alone is built once per dimension and shared read-only:
@@ -38,8 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dims import (Dimension, PhasePermutation, _checked_sqrt, sigma_power,
-                   tau_powers)
+from .dims import Dimension, _checked_sqrt, sigma_power, tau_powers
 from .errors import BasisUnavailable
 
 
@@ -68,20 +66,6 @@ class SicCertificate:
 REPHASE4 = (-2, -7, -5, 0)
 
 
-def rephased4_generators() -> tuple[PhasePermutation, PhasePermutation]:
-    """N = 4 monomial generators after the diagonal rephasing
-    diag(tau^-2, tau^-7, tau^-5, 1); both come out as tau times a signed
-    permutation with entries in {1, i, -1}."""
-    from .monomial import monomial_weyl_generators
-    dim = Dimension(4)
-    # rescaling the kets |e_j> -> ph_j |e_j> conjugates operators by the
-    # inverse diagonal, M' = P^{-1} M P: a shift of the tau exponents
-    e = np.arange(4)
-    P = PhasePermutation(dim, e, REPHASE4)
-    Pinv = PhasePermutation(dim, e, np.negative(REPHASE4))
-    return tuple(Pinv @ M @ P for M in monomial_weyl_generators(dim))
-
-
 @functools.lru_cache(maxsize=256)
 def basis_change(dim: Dimension, basis: str) -> np.ndarray:
     """Unitary V whose columns are the basis vectors of a tag in standard
@@ -102,12 +86,6 @@ def basis_change(dim: Dimension, basis: str) -> np.ndarray:
         raise BasisUnavailable(f"no basis {basis!r} registered at N={dim.N}")
     V.flags.writeable = False
     return V
-
-
-def to_standard(f: Fiducial) -> Fiducial:
-    """The same fiducial with its amplitudes in the standard basis."""
-    return Fiducial(f.dim, "standard",
-                    basis_change(f.dim, f.basis) @ f.amplitudes, f.provenance)
 
 
 def verify_sic(f: Fiducial, tol: float = 1e-8) -> SicCertificate:
@@ -238,34 +216,6 @@ def fiducial_n16(t2_branch: int = +1, conjugate_orbit: bool = False) -> Fiducial
                     {"construction": "n16", "t2_branch": t2_branch,
                      "conjugate_orbit": bool(conjugate_orbit),
                      "orbit": "16b" if conjugate_orbit else "16a"})
-
-
-# ---------------------------------------------------------------------------
-# Autocorrelations of the simplex projection
-# ---------------------------------------------------------------------------
-
-def autocorrelation_check(f: Fiducial) -> np.ndarray:
-    """Residuals of the shifted-product probability sums.
-
-    In the standard basis the sums run over 1D shifts,
-    sum_i p_i p_{i+x} with x mod N; in a phase-permutation basis over 2D
-    shifts, sum_{r,s} p_{rs} p_{r+x,s+y} with x, y mod n. The zero shift must
-    give 2/(N+1), every other shift 1/(N+1); the returned array holds the
-    absolute residuals, indexed by shift.
-    """
-    dim = f.dim
-    if f.basis == "standard":
-        shape = (dim.N,)
-    elif f.basis in ("monomial", "rephased4") and dim.n is not None:
-        shape = (dim.n, dim.n)
-    else:
-        raise BasisUnavailable(
-            f"autocorrelation shifts are not defined for basis {f.basis!r}")
-    P = np.fft.fftn((np.abs(f.amplitudes) ** 2).reshape(shape))
-    sums = np.fft.ifftn(np.abs(P) ** 2).real
-    target = np.full(shape, 1.0 / (dim.N + 1))
-    target.flat[0] = 2.0 / (dim.N + 1)
-    return np.abs(sums - target)
 
 
 # ---------------------------------------------------------------------------

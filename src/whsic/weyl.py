@@ -1,77 +1,20 @@
-"""Exact arithmetic for the finite Weyl-Heisenberg group H(N).
+"""The displacement operators of the Weyl-Heisenberg group H(N), exactly.
 
-Group elements are stored as integer triples tau^k D_{ij} with
-D_{ij} = tau^{ij} X^i Z^j; all phase exponents live mod nbar and all
-displacement indices mod N. The composition law is
-
-    D_{ij} D_{lm} = tau^{lj - im} D_{i+l, j+m},
-
-and folding an index back into [0, N) picks up the phases
-D_{i+N,j} = tau^{Nj} D_{ij} and D_{i,j+N} = tau^{Ni} D_{ij}.
-The reduction rule is validated exhaustively against dense matrices for
-small N in the test suite.
+X is the cyclic shift X|u> = |u+1> and Z the clock Z|u> = omega^u |u>, and
+each displacement D_ij = tau^{ij} X^i Z^j is a `PhasePermutation`: one
+(`displacement`, by powers by squaring) or all N^2 stacked (`displacements`,
+by doubling), with integer tau exponents mod nbar. They obey the
+composition law D_ij D_lm = tau^{lj - im} D_{i+l, j+m}, which the tests
+check exactly against integer triples tau^k D_ij and densely for small N.
+`all_displacements` is the dense stack, a float oracle that no command
+builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dims import Dimension, PhasePermutation
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """tau^k D_{ij}; canonical when 0 <= k < nbar and 0 <= i, j < N."""
-
-    k: int
-    i: int
-    j: int
-
-
-def identity_element() -> GroupElement:
-    return GroupElement(0, 0, 0)
-
-
-def canonicalize(g: GroupElement, dim: Dimension) -> GroupElement:
-    """Reduce (k, i, j) to the canonical representative, tracking the fold phases."""
-    N, nbar = dim.N, dim.nbar
-    k, i, j = g.k, g.i, g.j
-    # i = i0 + N*q  =>  D_{ij} = tau^{N*q*j} D_{i0,j}
-    i0 = i % N
-    q = (i - i0) // N
-    k += N * q * j
-    # j = j0 + N*q' =>  D_{i0,j} = tau^{N*q'*i0} D_{i0,j0}
-    j0 = j % N
-    qp = (j - j0) // N
-    k += N * qp * i0
-    return GroupElement(k % nbar, i0, j0)
-
-
-def compose(g1: GroupElement, g2: GroupElement, dim: Dimension) -> GroupElement:
-    """Exact product tau^{k1} D_{i1 j1} * tau^{k2} D_{i2 j2}."""
-    k = g1.k + g2.k + (g2.i * g1.j - g1.i * g2.j)
-    return canonicalize(GroupElement(k, g1.i + g2.i, g1.j + g2.j), dim)
-
-
-def inverse(g: GroupElement, dim: Dimension) -> GroupElement:
-    """The exact group inverse of a canonical element."""
-    # D_{ij} D_{-i,-j} = tau^{(-i)j - i(-j)} D_00 = D_00 exactly
-    return canonicalize(GroupElement(-g.k, -g.i, -g.j), dim)
-
-
-def element_order(g: GroupElement, dim: Dimension) -> int:
-    """Least m >= 1 with g^m equal to the identity triple."""
-    g = canonicalize(g, dim)
-    acc = g
-    ident = identity_element()
-    cap = dim.nbar * dim.N * dim.N + 1
-    for m in range(1, cap + 1):
-        if acc == ident:
-            return m
-        acc = compose(acc, g, dim)
-    raise AssertionError("element order exceeded group-size bound")
 
 
 def standard_generators(dim: Dimension) -> tuple[PhasePermutation, PhasePermutation]:

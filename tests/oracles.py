@@ -1,12 +1,166 @@
-"""Dense test oracles shared by the test modules."""
+"""Test oracles shared by the test modules: dense checks, the exact
+H(N) triples that `PhasePermutation` products are compared against, and the
+paper's results that no command states."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from whsic import crt
-from whsic.clifford import chirp_exponents, chirp_factors, zauner_angle
+from whsic.clifford import (ZAUNER, SymplecticMatrix, chirp_exponents,
+                            chirp_factors, zauner_angle)
 from whsic.dims import Dimension, PhasePermutation, flatten, tau_table
-from whsic.monomial import vector_order
+from whsic.errors import BasisUnavailable
+from whsic.monomial import (monomial_clifford, monomial_weyl_generators,
+                            vector_order)
+from whsic.sic import REPHASE4, Fiducial, basis_change
 from whsic.weyl import displacement, standard_generators
+
+
+# ---------------------------------------------------------------------------
+# H(N) as exact integer triples tau^k D_ij
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GroupElement:
+    """tau^k D_{ij}, D_{ij} = tau^{ij} X^i Z^j: H(N) is the group of these
+    triples, with k mod nbar and i, j mod N; canonical when 0 <= k < nbar
+    and 0 <= i, j < N."""
+
+    k: int
+    i: int
+    j: int
+
+
+def canonicalize(g: GroupElement, dim: Dimension) -> GroupElement:
+    """Reduce (k, i, j) to the canonical representative, tracking the fold
+    phases D_{i+N,j} = tau^{Nj} D_ij and D_{i,j+N} = tau^{Ni} D_ij."""
+    N, nbar = dim.N, dim.nbar
+    k, i, j = g.k, g.i, g.j
+    # i = i0 + N*q  =>  D_{ij} = tau^{N*q*j} D_{i0,j}
+    i0 = i % N
+    q = (i - i0) // N
+    k += N * q * j
+    # j = j0 + N*q' =>  D_{i0,j} = tau^{N*q'*i0} D_{i0,j0}
+    j0 = j % N
+    qp = (j - j0) // N
+    k += N * qp * i0
+    return GroupElement(k % nbar, i0, j0)
+
+
+def compose(g1: GroupElement, g2: GroupElement, dim: Dimension) -> GroupElement:
+    """Exact product tau^{k1} D_{i1 j1} * tau^{k2} D_{i2 j2}, by the law
+    D_ij D_lm = tau^{lj - im} D_{i+l, j+m}."""
+    k = g1.k + g2.k + (g2.i * g1.j - g1.i * g2.j)
+    return canonicalize(GroupElement(k, g1.i + g2.i, g1.j + g2.j), dim)
+
+
+def inverse(g: GroupElement, dim: Dimension) -> GroupElement:
+    """The exact group inverse, D_ij^{-1} = D_{-i,-j}."""
+    # D_{ij} D_{-i,-j} = tau^{(-i)j - i(-j)} D_00 = D_00 exactly
+    return canonicalize(GroupElement(-g.k, -g.i, -g.j), dim)
+
+
+def element_order(g: GroupElement, dim: Dimension) -> int:
+    """The order of tau^k D_ij in H(N): least m >= 1 with g^m the identity
+    triple."""
+    g = canonicalize(g, dim)
+    acc = g
+    cap = dim.nbar * dim.N * dim.N + 1
+    for m in range(1, cap + 1):
+        if acc == GroupElement(0, 0, 0):
+            return m
+        acc = compose(acc, g, dim)
+    raise AssertionError("element order exceeded group-size bound")
+
+
+# ---------------------------------------------------------------------------
+# results of the paper that the tests state
+# ---------------------------------------------------------------------------
+
+def lift_sl2(G: SymplecticMatrix, dim: Dimension) -> SymplecticMatrix:
+    """SL(2, N) lifts onto SL(2, 2N) for even N: Gbar in SL(2, 2N) with
+    Gbar == G mod N.
+
+    If det G = kN + 1 with k odd, adding N to the cofactor partner of an odd
+    entry (one exists, as G is invertible mod N) shifts the determinant by
+    N * (odd), flipping the parity of k while leaving G mod N untouched.
+    Gbar is the first of G and its four shifts with determinant 1 mod 2N.
+    """
+    N = dim.N
+    if N % 2 != 0:
+        raise ValueError("lift is only needed for even N")
+    G = G.reduced(N)
+    if G.det() % N != 1:
+        raise ValueError("input must have determinant 1 mod N")
+    a, b, g_, dl = G.alpha, G.beta, G.gamma, G.delta
+    # det += 0, N * alpha, N * delta, N * beta, N * gamma
+    for out in (G, SymplecticMatrix(a, b, g_, dl + N),
+                SymplecticMatrix(a + N, b, g_, dl),
+                SymplecticMatrix(a, b, g_ - N, dl),
+                SymplecticMatrix(a, b - N, g_, dl)):
+        if out.det() % (2 * N) == 1:
+            return out.reduced(2 * N)
+    raise AssertionError("all entries even contradicts invertibility mod N")
+
+
+def monomial_zauner(dim: Dimension) -> np.ndarray:
+    """The Zauner unitary is monomial for square N: the order-3 unitary
+    e^{i pi zauner_angle} U_ZAUNER on the |r,s> basis, U^3 = 1. Dense, since
+    the Zauner phase is not a power of tau."""
+    return (np.exp(1j * np.pi * float(zauner_angle(dim)))
+            * monomial_clifford(ZAUNER, dim).dense())
+
+
+def rephased4_generators() -> tuple[PhasePermutation, PhasePermutation]:
+    """Rephased, N = 4 monomial X and Z are tau times signed permutations:
+    the monomial generators after the diagonal rephasing
+    diag(tau^-2, tau^-7, tau^-5, 1) of `sic.REPHASE4` have entries in
+    {1, i, -1} times tau."""
+    dim = Dimension(4)
+    # rescaling the kets |e_j> -> ph_j |e_j> conjugates operators by the
+    # inverse diagonal, M' = P^{-1} M P: a shift of the tau exponents
+    e = np.arange(4)
+    P = PhasePermutation(dim, e, REPHASE4)
+    Pinv = PhasePermutation(dim, e, np.negative(REPHASE4))
+    return tuple(Pinv @ M @ P for M in monomial_weyl_generators(dim))
+
+
+def to_standard(f: Fiducial) -> Fiducial:
+    """A SIC in any basis is a SIC in the standard basis: the same fiducial
+    with its amplitudes V a in the standard basis, V = `sic.basis_change`."""
+    return Fiducial(f.dim, "standard",
+                    basis_change(f.dim, f.basis) @ f.amplitudes, f.provenance)
+
+
+def autocorrelation_check(f: Fiducial) -> np.ndarray:
+    """A fiducial's |a|^2 autocorrelations are 2/(N+1) and 1/(N+1): the
+    residuals of the shifted-product probability sums.
+
+    In the standard basis the sums run over 1D shifts,
+    sum_i p_i p_{i+x} with x mod N; in a phase-permutation basis over 2D
+    shifts, sum_{r,s} p_{rs} p_{r+x,s+y} with x, y mod n. The zero shift must
+    give 2/(N+1), every other shift 1/(N+1); the returned array holds the
+    absolute residuals, indexed by shift.
+    """
+    dim = f.dim
+    if f.basis == "standard":
+        shape = (dim.N,)
+    elif f.basis in ("monomial", "rephased4") and dim.n is not None:
+        shape = (dim.n, dim.n)
+    else:
+        raise BasisUnavailable(
+            f"autocorrelation shifts are not defined for basis {f.basis!r}")
+    P = np.fft.fftn((np.abs(f.amplitudes) ** 2).reshape(shape))
+    sums = np.fft.ifftn(np.abs(P) ** 2).real
+    target = np.full(shape, 1.0 / (dim.N + 1))
+    target.flat[0] = 2.0 / (dim.N + 1)
+    return np.abs(sums - target)
+
+
+# ---------------------------------------------------------------------------
+# dense and scan oracles of the package's exact checks
+# ---------------------------------------------------------------------------
 
 
 def reference_check(G, dim, U, D):

@@ -14,9 +14,8 @@ import pytest
 
 from whsic.adapted16 import adapted16_generators
 from whsic.cli import COMMANDS
-from whsic.clifford import (SymplecticMatrix, lift_sl2,
-                            predicted_eigenspace_dims, random_symplectic,
-                            zauner_counts, zauner_unitary)
+from whsic.clifford import (SymplecticMatrix, predicted_eigenspace_dims,
+                            random_symplectic, zauner_counts, zauner_unitary)
 from whsic.crt import verify_product_iso
 from whsic.dims import Dimension
 from whsic.monomial import (covariance_witness, invariant_subgroup,
@@ -25,12 +24,12 @@ from whsic.monomial import (covariance_witness, invariant_subgroup,
 from whsic.mub import (cyclic_latin_square, eigenbasis_infinity,
                        eigenbasis_zero, is_unbiased, latin_basis, prime_family,
                        unbiased_witness)
-from whsic.sic import (autocorrelation_check, fiducial_n4, fiducial_n9,
-                       fiducial_n16, rephased4_generators, search_fiducial,
-                       to_standard, verify_sic)
+from whsic.sic import (fiducial_n4, fiducial_n9, fiducial_n16,
+                       search_fiducial, verify_sic)
 from whsic.weyl import all_displacements
 
-from oracles import invariant_subgroup_search
+from oracles import (autocorrelation_check, invariant_subgroup_search,
+                     lift_sl2, rephased4_generators, to_standard)
 
 
 def orbit_key(v, D, decimals=8):

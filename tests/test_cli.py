@@ -170,6 +170,46 @@ def test_non_finite_amplitude_exits_two(literal, value, tmp_path, capsys):
         Fiducial(Dimension(2), "standard", np.array([value, 1.0]))
 
 
+N4_DOCUMENT = fileio.fiducial_to_dict(fiducial_n4(0, 0, 0, 0))
+# each malformed fiducial document, with what its error names
+MALFORMED = {
+    "list": ([], "JSON object"),
+    "no-N": ({k: v for k, v in N4_DOCUMENT.items() if k != "N"}, "'N'"),
+    "null-N": ({**N4_DOCUMENT, "N": None}, "'N'"),
+    "number-amplitude": ({**N4_DOCUMENT, "amplitudes": [1]}, "'amplitudes'"),
+    "string-amplitude": ({**N4_DOCUMENT, "amplitudes": [["a", "b"]]},
+                         "'amplitudes'"),
+    "list-provenance": ({**N4_DOCUMENT, "provenance": [1]}, "'provenance'"),
+}
+
+
+@pytest.mark.parametrize("doc,names", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_fiducial_file_exits_two_naming_the_field(doc, names,
+                                                            tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "sic", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and names in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_fiducial_file_above_the_cap_exits_two(tmp_path, capsys):
+    """A file one above the cap is refused after it is read, before any
+    N x N array is built."""
+    N = cli.FILE_DIM_CAP + 1
+    e0 = np.zeros(N, dtype=complex)
+    e0[0] = 1.0
+    path = tmp_path / "f.json"
+    fileio.save_fiducial(Fiducial(Dimension(N), "standard", e0), path)
+    assert main(["verify", "sic", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: N = {N} is above the verify sic "
+                            f"--file cap {cli.FILE_DIM_CAP}\n")
+
+
 def test_a_non_finite_report_exits_two_with_nothing_on_stdout(capsys,
                                                               monkeypatch):
     command = cli.COMMANDS["verify zauner"]

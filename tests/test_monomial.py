@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from whsic.clifford import (ZAUNER, SymplecticMatrix,
                             conjugation_check_batched, decompose,
                             random_symplectic)
-from whsic.dims import (Dimension, PhasePermutation, flatten, sigma_power,
-                        tau_table)
+from whsic.dims import (Dimension, PhasePermutation, flatten, require_square,
+                        sigma_power, tau_table)
 from whsic.errors import NotSquare
 from whsic.monomial import (covariance_witness, is_phase_permutation,
                             invariant_subgroup, monomial_antiunitary,
                             monomial_clifford, monomial_weyl_generators,
-                            monomial_zauner, sl2_orbit,
-                            stabilized_abelian_check, vector_order, zak_matrix)
+                            sl2_orbit, vector_order, zak_matrix)
 from whsic.weyl import all_displacements
 
-from oracles import invariant_subgroup_search, reference_check
+from oracles import invariant_subgroup_search, monomial_zauner, reference_check
 
 SQUARES = [4, 9, 16, 25]
 
@@ -309,6 +308,20 @@ def test_conjugation_check_fails_on_nan(where):
                 reference_check(G, dim, U, D)):
         assert not res < 1e-9
         assert np.isnan(res)
+
+
+def stabilized_abelian_check(G: SymplecticMatrix,
+                             dim: Dimension) -> tuple[int, int] | None:
+    """U_G maps <X^n, Z^n, tau> into itself for square N:
+    U_G D_ij U_G^dag = tau^c D_{G(i,j)} for its generators (i, j) = (n, 0)
+    and (0, n), which decide all of its displacements as in
+    `covariance_witness`, with G(i, j) again in n * Z_N^2. Returns the first
+    generator that fails, or None; exact."""
+    n = require_square(dim)
+    ijs = ((n, 0), (0, n))
+    assert all(x % n == 0 for ij in ijs for x in G.apply(*ij, dim.N)), \
+        "conjugate left the subgroup"
+    return covariance_witness(G, monomial_clifford(G, dim), ijs)
 
 
 @pytest.mark.parametrize("N", [1] + SQUARES)

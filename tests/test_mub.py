@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whsic.dims import Dimension, flatten, sigma_power
+from whsic.dims import Dimension, flatten, require_square, sigma_power
 from whsic.errors import (DimensionMismatch, NotOrthonormal, NotPrime,
                           NotSquare)
 from whsic.monomial import monomial_weyl_generators
 from whsic.mub import (Basis, cyclic_latin_square, eigenbasis_infinity,
-                       eigenbasis_zero, entanglement_check, is_unbiased,
-                       latin_basis, prime_family, unbiased_witness)
+                       eigenbasis_zero, is_unbiased, latin_basis,
+                       prime_family, unbiased_witness)
 
 from oracles import gram_deviation, latin_vectors, overlap_deviation
 
@@ -326,6 +326,15 @@ def test_prime_family_rejects_composite():
         prime_family(4)
     with pytest.raises(NotPrime):
         prime_family(1)
+
+
+def entanglement_check(basis: Basis) -> float:
+    """Each Latin basis vector is maximally entangled across n (x) n: the
+    max deviation of the singular values of each vector's n x n coefficient
+    matrix from 1/sqrt(n), 0 up to roundoff when every vector is."""
+    n = require_square(basis.dim)
+    sv = np.linalg.svd(basis.vectors.T.reshape(-1, n, n), compute_uv=False)
+    return float(np.max(np.abs(sv - 1.0 / np.sqrt(n))))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -9,18 +9,17 @@ from whsic import adapted16
 from whsic.clifford import predicted_eigenspace_dims, zauner_unitary
 from whsic.dims import Dimension, tau_power, tau_powers
 from whsic.errors import BasisUnavailable, NegativeRadicand
-from whsic.monomial import (is_phase_permutation, monomial_weyl_generators,
-                            monomial_zauner)
+from whsic.monomial import is_phase_permutation, monomial_weyl_generators
 from whsic.sic import (LBFGS_MEMORY, LINE_SEARCH_EVALS, Fiducial,
                        _CurvatureRing, _e0_basis, _e0_objective, _lbfgs,
-                       _row_shift_gather, _shift_index,
-                       autocorrelation_check, basis_change,
+                       _row_shift_gather, _shift_index, basis_change,
                        fiducial_n4, fiducial_n9, fiducial_n9_amplitudes,
-                       fiducial_n16, frame_residual, rephased4_generators,
-                       search_fiducial, sic_residual, standard_overlaps,
-                       to_standard, verify_sic)
+                       fiducial_n16, frame_residual, search_fiducial,
+                       sic_residual, standard_overlaps, verify_sic)
 from whsic.weyl import all_displacements, displacements, standard_generators
 
+from oracles import (autocorrelation_check, monomial_zauner,
+                     rephased4_generators, to_standard)
 from search_parity import DIMS, SEEDS, search_row, table_rows
 
 
@@ -296,11 +295,18 @@ def test_n16_both_branches_and_orbits():
             assert verify_sic(g, 1e-8).max_abs_deviation < 1e-12
 
 
+def omega32_identity(elems: dict[str, float]) -> complex:
+    """The N = 16 radicals give a primitive 32nd root of unity: the printed
+    radical expression for it, at the embedding `elems`."""
+    s2, t3, t4 = elems["sqrt2"], elems["t3"], elems["t4"]
+    return 0.5 * ((s2 * (1.0 - t3) - 1.0) * t4 - 1j * t4)
+
+
 @pytest.mark.parametrize("branch", [1, -1])
 @pytest.mark.parametrize("conj", [False, True])
 def test_n16_embedding_pins_omega32(branch, conj):
     elems = adapted16.field_elements(branch, conj)
-    assert abs(adapted16.omega32_identity(elems) - np.exp(1j * np.pi / 16)) < 1e-14
+    assert abs(omega32_identity(elems) - np.exp(1j * np.pi / 16)) < 1e-14
 
 
 def test_adapted16_generators_match_signed_transcription():
