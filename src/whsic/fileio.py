@@ -74,6 +74,11 @@ def fiducial_from_dict(d: dict) -> Fiducial:
     return Fiducial(Dimension(N), basis, amps / nrm, dict(provenance))
 
 
-def load_fiducial(path: str) -> Fiducial:
-    with open(path) as fh:
-        return fiducial_from_dict(json.load(fh))
+def load_fiducial(path: str, max_bytes: int | None = None) -> Fiducial:
+    """The fiducial of the file at path. A file longer than max_bytes is a
+    ValueError, raised after reading max_bytes + 1 bytes and parsing none."""
+    with open(path, "rb") as fh:
+        data = fh.read(-1 if max_bytes is None else max_bytes + 1)
+    if max_bytes is not None and len(data) > max_bytes:
+        raise ValueError(f"{path}: longer than {max_bytes} bytes")
+    return fiducial_from_dict(json.loads(data))

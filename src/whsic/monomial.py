@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dims import (Dimension, PhasePermutation, flatten, require_square,
                    tau_powers)
-from .weyl import displacement
-from .clifford import (SymplecticMatrix, _column_completion,
-                       chirp_coefficients, chirp_factors)
+
+if TYPE_CHECKING:  # weyl and clifford load only with the functions below
+    from .clifford import SymplecticMatrix
 
 
 def zak_matrix(dim: Dimension) -> np.ndarray:
@@ -60,6 +61,7 @@ def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> PhasePermutation:
     """Phase-permutation unitary of a symplectic G on the |r,s> basis: the
     product of one monomial chirp per factor of `chirp_factors`, with phase
     tau^E(s', s) for the quadratic form E of its `chirp_coefficients`."""
+    from .clifford import chirp_coefficients, chirp_factors
     n = require_square(dim)
     m = 0 if n % 2 else n // 2
     r, s = np.divmod(np.arange(dim.N), n)
@@ -90,6 +92,7 @@ def covariance_witness(G: SymplecticMatrix, U: PhasePermutation,
     Z^j, so the default Z = D_01, then X = D_10, decide all N^2: if D_01
     holds, so does every D_0j, so the first failure of the two is the first
     in the order i*N + j."""
+    from .weyl import displacement
     dim = U.dim
     X, Z = monomial_weyl_generators(dim)
     for i, j in ijs:
@@ -149,6 +152,7 @@ def sl2_orbit(dim: Dimension, v: tuple[int, int]) -> OrbitReport:
     """Orbit of v under SL(2, N): all vectors of the same order, with an
     explicit symplectic witness per member built from the constructive
     transitivity proof."""
+    from .clifford import SymplecticMatrix, _column_completion
     N = dim.N
     v = (v[0] % N, v[1] % N)
     k = vector_order(v, N)

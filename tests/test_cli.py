@@ -210,6 +210,57 @@ def test_fiducial_file_above_the_cap_exits_two(tmp_path, capsys):
                             f"--file cap {cli.FILE_DIM_CAP}\n")
 
 
+def _fiducial_file(path, N, amplitudes, indent=None, size=0):
+    """A standard-basis fiducial file, written by json with the given indent
+    and padded with spaces to size bytes."""
+    doc = {"format_version": 1, "N": N, "basis": "standard",
+           "amplitudes": amplitudes,
+           "provenance": {"nfev": 1234, "nit": 1000, "restart": 2499,
+                          "residual": 1.2345678901234567e-11}}
+    path.write_text(json.dumps(doc, indent=indent).ljust(size))
+
+
+def test_the_byte_cap_admits_every_fiducial_of_the_n_cap(tmp_path):
+    """FILE_BYTES_CAP is above an N = 1224 file of the longest float reprs,
+    23 characters, with and without indentation."""
+    N = cli.FILE_DIM_CAP
+    tiny = -1.2345678901234567e-05
+    head = (1 - (2 * N - 1) * tiny ** 2) ** 0.5
+    amps = [[head, tiny]] + [[tiny, tiny]] * (N - 1)
+    assert {len(repr(x)) for pair in amps[1:] for x in pair} == {23}
+    for indent in (None, 4):
+        path = tmp_path / f"f{indent}.json"
+        _fiducial_file(path, N, amps, indent)
+        assert path.stat().st_size <= cli.FILE_BYTES_CAP
+        assert fileio.load_fiducial(str(path), cli.FILE_BYTES_CAP).dim.N == N
+
+
+def test_a_file_longer_than_the_byte_cap_is_never_parsed(tmp_path, capsys,
+                                                          monkeypatch):
+    """A file of exactly FILE_BYTES_CAP is read; one a byte longer, and a
+    1.6 MB file of N = 200000, exit 2 without a call to json's parser."""
+    path, large = tmp_path / "f.json", tmp_path / "large.json"
+    amps = [[0.5, 0.0]] * 4
+    _fiducial_file(path, 4, amps, size=cli.FILE_BYTES_CAP)
+    assert path.stat().st_size == cli.FILE_BYTES_CAP
+    code, rep = run(["verify", "sic", "--file", str(path)], capsys)
+    assert code == 1 and rep["metrics"]["N"] == 4
+    _fiducial_file(path, 4, amps, size=cli.FILE_BYTES_CAP + 1)
+    _fiducial_file(large, 200000, [[1, 0]] + [[0, 0]] * 199999)
+    assert large.stat().st_size > 1.6e6
+
+    def parse(*args, **kwargs):
+        raise AssertionError("json parsed a file above the byte cap")
+    monkeypatch.setattr(json, "load", parse)
+    monkeypatch.setattr(json, "loads", parse)
+    for f in (path, large):
+        assert main(["verify", "sic", "--file", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {f}: longer than "
+                                f"{cli.FILE_BYTES_CAP} bytes\n")
+
+
 def test_a_non_finite_report_exits_two_with_nothing_on_stdout(capsys,
                                                               monkeypatch):
     command = cli.COMMANDS["verify zauner"]
@@ -329,13 +380,85 @@ def test_tol_is_the_tolerance_compared_against(argv, capsys):
     assert "effective_tol" not in rep["metrics"]
 
 
-def run_python(args):
-    """Run the interpreter in a fresh process with this whsic importable."""
+def run_python(args, env=None, stdout=subprocess.PIPE):
+    """Run the interpreter in a fresh process with this whsic importable;
+    env sets variables, and unsets those it maps to None."""
     path = [str(Path(whsic.__file__).resolve().parent.parent),
             os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=60)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           **(env or {})}
+    return subprocess.run([sys.executable, *args],
+                          env={k: v for k, v in env.items() if v is not None},
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=60)
+
+
+# one argv per exit code, which between them write stdout, stderr, --out
+# and --fiducial-out
+@pytest.mark.parametrize("argv,code", [
+    (["search", "--dim", "5", "--seed", "0", "--fiducial-out", "F"], 0),
+    (["verify", "sic", "--builtin", "n4", "--tol", "1e-20", "--out", "R"], 1),
+    (["verify", "mub", "--dim", "9"], 2),
+])
+def test_the_process_entry_writes_what_main_writes(argv, code, tmp_path,
+                                                    capsys):
+    """`python -m whsic.cli` ends without interpreter teardown: it still
+    gives main's exit code and every byte main writes."""
+    argv = [str(tmp_path / a) if a in ("F", "R") else a for a in argv]
+    files = [Path(a) for a in argv if a.startswith(str(tmp_path))]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    written = [f.read_bytes() for f in files]
+    for f in files:
+        f.unlink()
+    proc = run_python(["-m", "whsic.cli", *argv])
+    assert proc.returncode == code
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+    assert [f.read_bytes() for f in files] == written
+    assert any([captured.out, captured.err, *written])
+
+
+def test_the_process_entry_runs_atexit_handlers():
+    """A handler registered before `cli.run` runs, and what it prints to a
+    buffered stdout arrives after the report."""
+    proc = run_python(["-c", "import atexit, sys, whsic.cli; "
+                             "atexit.register(print, 'handler ran'); "
+                             "sys.argv[1:] = ['verify', 'zauner', '--dim', "
+                             "'5']; whsic.cli.run()"],
+                      env={"PYTHONUNBUFFERED": None})
+    assert proc.returncode == 0, proc.stderr
+    report, handler = proc.stdout.splitlines()
+    assert json.loads(report)["pass"] is True and handler == "handler ran"
+
+
+def test_a_profiled_process_still_prints_its_profile():
+    """Under a profiler the process entry keeps the teardown in which
+    cProfile prints its table."""
+    proc = run_python(["-m", "cProfile", "-m", "whsic.cli", "verify",
+                       "zauner", "--dim", "11"])
+    assert proc.returncode == 0, proc.stderr
+    report, *table = proc.stdout.splitlines()
+    assert json.loads(report)["pass"] is True
+    assert any("function calls" in line for line in table), table
+    assert any(line.split()[:1] == ["ncalls"] for line in table), table
+
+
+# the report is flushed inside main, so a closed pipe is an OSError there,
+# whatever the buffering; a buffered report would otherwise fail only at
+# exit, after main has returned its code
+@pytest.mark.parametrize("unbuffered", ["1", None])
+@pytest.mark.parametrize("argv", [["verify", "zauner", "--dim", "7"],
+                                  ["verify", "sic", "--builtin", "n4"]])
+def test_a_report_to_a_closed_pipe_exits_two(argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_python(["-m", "whsic.cli", *argv],
+                          env={"PYTHONUNBUFFERED": unbuffered}, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
 
 
 def test_verify_monomial_dim_one_terminates():
@@ -369,7 +492,10 @@ def test_cli_import_leaves_scipy_unloaded():
     (["verify", "mub", "--p", "3"], {"numpy", "sic", "crt", "adapted16",
                                      "fileio", "clifford", "monomial",
                                      "weyl"}),
-    (["verify", "sic", "--builtin", "n4"], {"adapted16", "crt", "mub"}),
+    (["verify", "sic", "--builtin", "n4"], {"adapted16", "clifford", "crt",
+                                             "mub", "weyl"}),
+    (["verify", "sic", "--builtin", "n9"], {"adapted16", "clifford", "crt",
+                                             "mub", "weyl"}),
     (["generate", "mub", "--p", "19"], {"numpy", "sic", "crt", "adapted16",
                                         "fileio", "clifford", "monomial",
                                         "weyl"}),
