@@ -31,9 +31,9 @@ runs the same command in process and returns its exit code. `run` calls
 `main` and the `atexit` handlers, flushes stdout and stderr, and ends the
 process with `os._exit`: the module teardown and final garbage collection
 that a normal exit adds take 5-10 ms, 15-20 ms once numpy is loaded (2
-vCPUs), and change nothing the command wrote. Under a profiler or tracer
-it ends with `sys.exit` instead, because such a tool writes its report
-during that teardown.
+vCPUs), and change nothing the command wrote. Under a profiler, a tracer
+or a `sys.monitoring` tool it ends with `sys.exit` instead, because such a
+tool writes its report during that teardown.
 """
 
 # At module level this file imports no numpy and no package module beyond
@@ -115,7 +115,7 @@ def _verify_sic(args) -> dict:
     from .sic import verify_sic
     if args.file is not None:
         from .fileio import load_fiducial
-        f = load_fiducial(args.file, FILE_BYTES_CAP)
+        f = load_fiducial(args.file)
         if f.dim.N > FILE_DIM_CAP:
             raise ValueError(f"{args.file}: N = {f.dim.N} is above the "
                              f"verify sic --file cap {FILE_DIM_CAP}")
@@ -274,18 +274,17 @@ class Command(NamedTuple):
 # basis change and overlap table take 107 MB in 0.19 s at 1224 in the
 # standard basis, 103 MB at 34^2 = 1156 in the monomial one (112 MB at
 # 35^2 = 1225; an unbounded N = 200000 asks for 596 GiB); and the length of
-# that file, FILE_BYTES_CAP, refused before it is parsed: an N = 1224
-# fiducial whose 2448 floats all take the longest repr, 23 characters,
-# takes 63847 bytes as whsic writes it and 115337 with json's indent=4
-# (57409 and 108899 for a random vector), so 2^17 leaves room for the
-# provenance, and a 1.6 MB file of N = 200000 stops at 28 MB in 0.11 s
-# (60 MB in 0.32 s when parsed first). Each count cap keeps
+# that file, fileio.MAX_BYTES = 2^17, refused before it is parsed: an
+# N = 1224 fiducial whose 2447 small floats all take the longest repr, 24
+# characters (a three-digit exponent), takes 66316 bytes with a search's
+# provenance as whsic writes it and 117813 with json's indent=4 (57409 and
+# 108899 for a random vector), and a 1.6 MB file of N = 200000 stops at
+# 28 MB in 0.11 s (60 MB in 0.32 s when parsed first). Each count cap keeps
 # the largest dimension under a minute: 2500 failing search restarts (--tol
 # 0) take 35 s at N = 48, 1000 monomial samples 41 s at N = 40000 (41 MB),
 # so time sets the monomial --dim cap; and the crt cap: trial division
 # peaks at a prime, 0.13 s in process at 999999999989, 13 s at 10^16
 FILE_DIM_CAP = 1224
-FILE_BYTES_CAP = 2 ** 17
 COMMANDS = {
     "verify sic": Command(_verify_sic, ("builtin", "file", "tol"),
                           tuple(BUILTINS), one_of=("builtin", "file")),
@@ -414,10 +413,19 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if report["pass"] else 1
 
 
+def _observed() -> bool:
+    """Whether a profiler or tracer is attached, through `sys.monitoring`
+    too: from Python 3.12 cProfile and coverage attach there, unseen by
+    `sys.getprofile()` and `sys.gettrace()`."""
+    tools = getattr(sys, "monitoring", None)
+    return bool(sys.getprofile() or sys.gettrace()
+                or tools and any(map(tools.get_tool, range(6))))
+
+
 def run() -> None:
     """The process entry: how it ends is in the module docstring."""
     code = main()
-    if sys.getprofile() is not None or sys.gettrace() is not None:
+    if _observed():
         sys.exit(code)
     atexit._run_exitfuncs()
     # _emit has flushed any report, or failed to and said so; what fails

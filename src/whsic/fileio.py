@@ -74,11 +74,16 @@ def fiducial_from_dict(d: dict) -> Fiducial:
     return Fiducial(Dimension(N), basis, amps / nrm, dict(provenance))
 
 
-def load_fiducial(path: str, max_bytes: int | None = None) -> Fiducial:
-    """The fiducial of the file at path. A file longer than max_bytes is a
-    ValueError, raised after reading max_bytes + 1 bytes and parsing none."""
+# The longest fiducial file load_fiducial reads: the bound is derived from
+# the verify sic --file N cap in the comment above cli.COMMANDS
+MAX_BYTES = 2 ** 17
+
+
+def load_fiducial(path: str) -> Fiducial:
+    """The fiducial of the file at path. A file longer than MAX_BYTES is a
+    ValueError, raised after reading MAX_BYTES + 1 bytes and parsing none."""
     with open(path, "rb") as fh:
-        data = fh.read(-1 if max_bytes is None else max_bytes + 1)
-    if max_bytes is not None and len(data) > max_bytes:
-        raise ValueError(f"{path}: longer than {max_bytes} bytes")
+        data = fh.read(MAX_BYTES + 1)
+    if len(data) > MAX_BYTES:
+        raise ValueError(f"{path}: longer than {MAX_BYTES} bytes")
     return fiducial_from_dict(json.loads(data))

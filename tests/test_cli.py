@@ -215,37 +215,38 @@ def _fiducial_file(path, N, amplitudes, indent=None, size=0):
     and padded with spaces to size bytes."""
     doc = {"format_version": 1, "N": N, "basis": "standard",
            "amplitudes": amplitudes,
-           "provenance": {"nfev": 1234, "nit": 1000, "restart": 2499,
-                          "residual": 1.2345678901234567e-11}}
+           "provenance": {"construction": "search", "nfev": 1234,
+                          "nit": 1000, "residual": -1.2345678901234567e-100,
+                          "restart": 2499, "rng_seed": 1234567890,
+                          "stop": "line search"}}
     path.write_text(json.dumps(doc, indent=indent).ljust(size))
 
 
 def test_the_byte_cap_admits_every_fiducial_of_the_n_cap(tmp_path):
-    """FILE_BYTES_CAP is above an N = 1224 file of the longest float reprs,
-    23 characters, with and without indentation."""
+    """MAX_BYTES is above an N = 1224 file of the longest float reprs, 24
+    characters, with and without indentation."""
     N = cli.FILE_DIM_CAP
-    tiny = -1.2345678901234567e-05
-    head = (1 - (2 * N - 1) * tiny ** 2) ** 0.5
-    amps = [[head, tiny]] + [[tiny, tiny]] * (N - 1)
-    assert {len(repr(x)) for pair in amps[1:] for x in pair} == {23}
+    tiny = -1.2345678901234567e-100
+    amps = [[1.0, tiny]] + [[tiny, tiny]] * (N - 1)
+    assert {len(repr(x)) for pair in amps[1:] for x in pair} == {24}
     for indent in (None, 4):
         path = tmp_path / f"f{indent}.json"
         _fiducial_file(path, N, amps, indent)
-        assert path.stat().st_size <= cli.FILE_BYTES_CAP
-        assert fileio.load_fiducial(str(path), cli.FILE_BYTES_CAP).dim.N == N
+        assert path.stat().st_size <= fileio.MAX_BYTES
+        assert fileio.load_fiducial(str(path)).dim.N == N
 
 
 def test_a_file_longer_than_the_byte_cap_is_never_parsed(tmp_path, capsys,
                                                           monkeypatch):
-    """A file of exactly FILE_BYTES_CAP is read; one a byte longer, and a
+    """A file of exactly MAX_BYTES is read; one a byte longer, and a
     1.6 MB file of N = 200000, exit 2 without a call to json's parser."""
     path, large = tmp_path / "f.json", tmp_path / "large.json"
     amps = [[0.5, 0.0]] * 4
-    _fiducial_file(path, 4, amps, size=cli.FILE_BYTES_CAP)
-    assert path.stat().st_size == cli.FILE_BYTES_CAP
+    _fiducial_file(path, 4, amps, size=fileio.MAX_BYTES)
+    assert path.stat().st_size == fileio.MAX_BYTES
     code, rep = run(["verify", "sic", "--file", str(path)], capsys)
     assert code == 1 and rep["metrics"]["N"] == 4
-    _fiducial_file(path, 4, amps, size=cli.FILE_BYTES_CAP + 1)
+    _fiducial_file(path, 4, amps, size=fileio.MAX_BYTES + 1)
     _fiducial_file(large, 200000, [[1, 0]] + [[0, 0]] * 199999)
     assert large.stat().st_size > 1.6e6
 
@@ -258,7 +259,7 @@ def test_a_file_longer_than_the_byte_cap_is_never_parsed(tmp_path, capsys,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: {f}: longer than "
-                                f"{cli.FILE_BYTES_CAP} bytes\n")
+                                f"{fileio.MAX_BYTES} bytes\n")
 
 
 def test_a_non_finite_report_exits_two_with_nothing_on_stdout(capsys,
@@ -441,6 +442,37 @@ def test_a_profiled_process_still_prints_its_profile():
     assert json.loads(report)["pass"] is True
     assert any("function calls" in line for line in table), table
     assert any(line.split()[:1] == ["ncalls"] for line in table), table
+
+
+class _Monitoring:
+    """A stand-in for `sys.monitoring` with one tool id in use."""
+
+    def __init__(self, used):
+        self.used = used
+
+    def get_tool(self, tool_id):
+        return "tool" if tool_id == self.used else None
+
+
+@pytest.mark.parametrize("used", [0, 2, 5])
+def test_a_monitoring_tool_keeps_the_teardown(monkeypatch, used):
+    """From Python 3.12 cProfile and coverage attach through
+    `sys.monitoring`, where sys.getprofile() and sys.gettrace() read None;
+    a tool there, at any id, makes the process entry end by sys.exit."""
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "monitoring", _Monitoring(None), raising=False)
+    assert not cli._observed()
+    monkeypatch.setattr(sys, "monitoring", _Monitoring(used))
+    assert cli._observed()
+
+    def no_teardown(code):
+        raise AssertionError("os._exit under a monitoring tool")
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    monkeypatch.setattr(os, "_exit", no_teardown)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 1
 
 
 # the report is flushed inside main, so a closed pipe is an OSError there,
