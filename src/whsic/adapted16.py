@@ -10,13 +10,22 @@ powers, Zauner-as-permutation) before any SIC arithmetic touches them.
 Of the six fiducial coefficients only x0, x1, x4 and x5 are transcribed:
 x3 and x7 are sigma-conjugates, x3 = sigma(x1) and x7 = i sigma(x5), where
 sigma is the field automorphism r2 -> -r2.
+
+The coefficients, the fiducial's amplitudes and the generators' integer
+tables (`adapted16_weyl_tables`) are Python numbers, which `verify sic
+--builtin n16` certifies without numpy; numpy is imported only by the
+functions that build arrays: `adapted16_generators` and `fiducial_vector`.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from typing import TYPE_CHECKING
 
 from .dims import Dimension, PhasePermutation, _checked_sqrt, tau_powers
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DIM16 = Dimension(16)
 
@@ -74,15 +83,17 @@ FIDUCIAL_SLOT_GROUPS = {
 }
 
 
-def _tau_exponents(signed) -> np.ndarray:
-    """Exponents e' with tau^{e'} = sign * tau^e, for rows (sign, e)."""
-    signs, expo = np.asarray(signed).T
-    return expo + 8 * (1 - signs)
+def _tau_exponent(sign: int, e: int) -> int:
+    """The exponent e' with tau^{e'} = sign * tau^e."""
+    return e + 8 * (1 - sign)
 
 
-def _generator(entries: list) -> PhasePermutation:
-    e = np.asarray(entries)  # listed by column, 0 to 15
-    return PhasePermutation(DIM16, e[:, 0], _tau_exponents(e[:, 2:]))
+def adapted16_weyl_tables() -> tuple[tuple, tuple]:
+    """(X16, Z16) as (image, expo) tuples of Python ints, read from their
+    entries, which are listed by column, 0 to 15."""
+    return tuple((tuple(row for row, _, _, _ in entries),
+                  tuple(_tau_exponent(sign, e) for _, _, sign, e in entries))
+                 for entries in (_X16_ENTRIES, _Z16_ENTRIES))
 
 
 def adapted16_generators() -> tuple[PhasePermutation, PhasePermutation, np.ndarray]:
@@ -92,10 +103,14 @@ def adapted16_generators() -> tuple[PhasePermutation, PhasePermutation, np.ndarr
     standard shift and clock, so a vector v in the adapted basis corresponds
     to T.T @ v in the standard basis.
     """
+    import numpy as np
     T = np.zeros((16, 16), dtype=complex)
     for row, (cols, vals) in enumerate(_T_ROWS):
-        T[row, cols] = 0.5 * tau_powers(DIM16, _tau_exponents(vals))
-    return _generator(_X16_ENTRIES), _generator(_Z16_ENTRIES), T
+        T[row, cols] = 0.5 * tau_powers(DIM16,
+                                        [_tau_exponent(*v) for v in vals])
+    X, Z = (PhasePermutation(DIM16, np.array(image), np.array(expo))
+            for image, expo in adapted16_weyl_tables())
+    return X, Z, T
 
 
 def field_elements(t2_branch: int = +1, conjugate_orbit: bool = False) -> dict[str, float]:
@@ -115,11 +130,11 @@ def field_elements(t2_branch: int = +1, conjugate_orbit: bool = False) -> dict[s
     """
     if t2_branch not in (+1, -1):
         raise ValueError("t2_branch must be +1 or -1")
-    s2 = -np.sqrt(2.0)
+    s2 = -math.sqrt(2.0)
     orbit_sign = -1.0 if conjugate_orbit else 1.0
-    s13 = orbit_sign * np.sqrt(13.0)
-    s17 = orbit_sign * np.sqrt(17.0)
-    s221 = np.sqrt(221.0)
+    s13 = orbit_sign * math.sqrt(13.0)
+    s17 = orbit_sign * math.sqrt(17.0)
+    s221 = math.sqrt(221.0)
     r2 = _checked_sqrt(s221 - 11.0, "r2")
     r3 = _checked_sqrt(15.0 + s17, "r3")
     t1 = orbit_sign * _checked_sqrt(15.0 + (4.0 - s17) * r3 - 3.0 * s17, "t1")
@@ -211,11 +226,19 @@ def _coefficients_from(e: dict[str, float]) -> dict[int, complex]:
     return {0: complex(x0), 1: x1, 4: x4, 5: x5}
 
 
-def fiducial_vector(t2_branch: int = +1, conjugate_orbit: bool = False) -> np.ndarray:
-    """Unit-norm adapted-basis fiducial built from the slot-group ansatz."""
+def fiducial_amplitudes(t2_branch: int = +1,
+                        conjugate_orbit: bool = False) -> list[complex]:
+    """The adapted-basis fiducial of the slot-group ansatz, unnormalized."""
     coeffs = fiducial_coefficients(t2_branch, conjugate_orbit)
-    v = np.zeros(16, dtype=complex)
+    v = [0j] * 16
     for lead, slots in FIDUCIAL_SLOT_GROUPS.items():
         for s in slots:
             v[s] = coeffs[lead]
+    return v
+
+
+def fiducial_vector(t2_branch: int = +1, conjugate_orbit: bool = False) -> np.ndarray:
+    """`fiducial_amplitudes` as a unit-norm numpy vector."""
+    import numpy as np
+    v = np.array(fiducial_amplitudes(t2_branch, conjugate_orbit))
     return v / np.linalg.norm(v)

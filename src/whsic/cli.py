@@ -38,7 +38,10 @@ tool writes its report during that teardown.
 
 # At module level this file imports no numpy and no package module beyond
 # dims and errors, which parsing and reporting need; each handler imports
-# the modules it runs, so a command loads only those.
+# the modules it runs, so a command loads only those. Numpy loads with the
+# commands that build arrays: `verify sic --file`, `search`, `verify
+# monomial` and `generate` sic, projection and operators; `verify sic
+# --builtin` certifies its closed form in Python numbers.
 
 from __future__ import annotations
 
@@ -56,13 +59,15 @@ from .dims import Dimension
 from .errors import WhsicError
 
 if TYPE_CHECKING:
-    from .sic import Fiducial
+    from .sic import SicCertificate
 
-# each builtin fiducial: the name of its constructor in whsic.sic, and the
-# construction flags it takes, in call order
-BUILTINS = {"n4": ("fiducial_n4", ("slot", "s", "t", "u")),
-            "n9": ("fiducial_n9", ("s0", "s1", "s2", "m3", "m4")),
-            "n16": ("fiducial_n16", ("t2_branch", "conjugate_orbit"))}
+# each builtin fiducial: the names in whsic.sic of its numpy `Fiducial` and
+# of its closed form in Python numbers, and the construction flags both
+# take, in call order
+BUILTINS = {"n4": ("fiducial_n4", "closed_n4", ("slot", "s", "t", "u")),
+            "n9": ("fiducial_n9", "closed_n9", ("s0", "s1", "s2", "m3", "m4")),
+            "n16": ("fiducial_n16", "closed_n16",
+                    ("t2_branch", "conjugate_orbit"))}
 
 
 def _tolerance(text: str) -> float:
@@ -98,34 +103,40 @@ FLAGS = {
     **{k: dict(type=int, choices=range(3), default=0) for k in ("m3", "m4")},
     "conjugate_orbit": dict(type=int, choices=(0, 1), default=0),
 }
-CONSTRUCTION = tuple(k for _, flags in BUILTINS.values() for k in flags)
+CONSTRUCTION = tuple(k for *_, flags in BUILTINS.values() for k in flags)
 
 # the layout of each `generate` basis or operator pair: the integers of
 # `mub.Basis` or `dims.PhasePermutation`; README, "Artifact format", decodes
 ARTIFACT_VERSION = 2
 
 
-def _builtin_fiducial(args) -> Fiducial:
+def _builtin(args, closed: bool):
+    """The builtin that --builtin or --dim chooses, built from its
+    construction flags: its numpy `Fiducial`, or its closed form."""
     from . import sic
-    name, flags = BUILTINS[args.builtin]
-    return getattr(sic, name)(*(getattr(args, k) for k in flags))
+    *names, flags = BUILTINS[args.builtin]
+    return getattr(sic, names[closed])(*(getattr(args, k) for k in flags))
 
 
-def _verify_sic(args) -> dict:
-    from .sic import verify_sic
-    if args.file is not None:
-        from .fileio import load_fiducial
-        f = load_fiducial(args.file)
-        if f.dim.N > FILE_DIM_CAP:
-            raise ValueError(f"{args.file}: N = {f.dim.N} is above the "
-                             f"verify sic --file cap {FILE_DIM_CAP}")
-    else:
-        f = _builtin_fiducial(args)
-    cert = verify_sic(f, args.tol)
+def _certified(cert: SicCertificate, **metrics) -> dict:
     return {"pass": bool(cert.passed),
             "metrics": {"max_abs_deviation": cert.max_abs_deviation,
                         "worst_displacement": list(cert.worst_displacement),
-                        "N": f.dim.N}}
+                        **metrics}}
+
+
+def _verify_sic(args) -> dict:
+    if args.file is None:
+        from .sic import verify_closed_form
+        c = _builtin(args, closed=True)
+        return _certified(verify_closed_form(c, args.tol), N=c.dim.N)
+    from .fileio import load_fiducial
+    from .sic import verify_sic
+    f = load_fiducial(args.file)
+    if f.dim.N > FILE_DIM_CAP:
+        raise ValueError(f"{args.file}: N = {f.dim.N} is above the "
+                         f"verify sic --file cap {FILE_DIM_CAP}")
+    return _certified(verify_sic(f, args.tol), N=f.dim.N)
 
 
 def _verify_mub(args) -> dict:
@@ -183,13 +194,13 @@ def _verify_zauner(args) -> dict:
 
 
 def _generate_sic(args) -> dict:
+    """The certificate of `verify sic --builtin`, and the numpy `Fiducial`
+    as the artifact."""
     from .fileio import fiducial_to_dict
-    from .sic import verify_sic
-    f = _builtin_fiducial(args)
-    cert = verify_sic(f, args.tol)
-    return {"pass": bool(cert.passed),
-            "metrics": {"max_abs_deviation": cert.max_abs_deviation},
-            "artifacts": {"fiducial": fiducial_to_dict(f)}}
+    from .sic import verify_closed_form
+    cert = verify_closed_form(_builtin(args, closed=True), args.tol)
+    f = _builtin(args, closed=False)
+    return {**_certified(cert), "artifacts": {"fiducial": fiducial_to_dict(f)}}
 
 
 def _generate_mub(args) -> dict:
@@ -206,7 +217,7 @@ def _generate_projection(args) -> dict:
     import numpy as np
     from .monomial import monomial_weyl_generators
     from .weyl import displacements
-    f = _builtin_fiducial(args)
+    f = _builtin(args, closed=False)
     dim = f.dim
     # |D_ij a|^2: |a|^2 gathered through the inverse of the monomial image
     # of D_ij, which the diagonal rephasing of the n4 basis leaves as it is
@@ -242,12 +253,8 @@ def _search(args) -> dict:
     cert = verify_sic(f, args.tol)
     if args.fiducial_out:
         save_fiducial(f, args.fiducial_out)
-    return {"pass": bool(cert.passed),
-            "metrics": {"found": True,
-                        "max_abs_deviation": cert.max_abs_deviation,
-                        "worst_displacement": list(cert.worst_displacement),
-                        "restart": f.provenance["restart"],
-                        "residual": f.provenance["residual"]},
+    return {**_certified(cert, found=True, restart=f.provenance["restart"],
+                         residual=f.provenance["residual"]),
             "artifacts": {"fiducial": fiducial_to_dict(f)}}
 
 
@@ -327,7 +334,7 @@ def build_parser(command: str) -> argparse.ArgumentParser:
         _add_flag(group if name in cmd.one_of else ap, name,
                   required=name in cmd.required)
     # a construction flag is set only when given: see parse_args
-    for name in (k for b in cmd.builtins for k in BUILTINS[b][1]):
+    for name in (k for b in cmd.builtins for k in BUILTINS[b][-1]):
         _add_flag(ap, name, default=argparse.SUPPRESS)
     return ap
 
@@ -373,7 +380,7 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
         args.builtin = f"n{args.dim}"  # generate: --dim chooses the builtin
         if args.builtin not in cmd.builtins:
             ap.error(f"{args.command}: no closed form for N = {args.dim}")
-    takes = BUILTINS[args.builtin][1] if vars(args).get("builtin") else ()
+    takes = BUILTINS[args.builtin][-1] if vars(args).get("builtin") else ()
     stray = [k for k in CONSTRUCTION if k in vars(args) and k not in takes]
     if stray:
         ap.error(f"{args.command}: the chosen fiducial takes no "

@@ -21,6 +21,12 @@ checks `is_phase_permutation` and `clifford.conjugation_check_batched` are
 oracles that the tests and the `certify` benchmark call. `invariant_subgroup`
 states the paper's theorem, a monomial representation exactly when N is a
 square, from the SL(2, N) orbits that `sl2_orbit` builds with witnesses.
+
+The generators' formula, `_weyl_images`, reads ints and arrays alike:
+`monomial_weyl_tables` gives X and Z as tuples of Python ints, which the
+closed-form SIC certificate reads, so `verify sic --builtin n4|n9` loads
+this module without numpy; numpy is imported only inside the functions
+that build arrays.
 """
 
 from __future__ import annotations
@@ -29,17 +35,18 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .dims import (Dimension, PhasePermutation, flatten, require_square,
                    tau_powers)
 
 if TYPE_CHECKING:  # weyl and clifford load only with the functions below
+    import numpy as np
+
     from .clifford import SymplecticMatrix
 
 
 def zak_matrix(dim: Dimension) -> np.ndarray:
     """Unitary whose columns are |r,s> = (1/sqrt(n)) sum_t omega^{-ntr} |nt+s>."""
+    import numpy as np
     n = require_square(dim)
     r, s, t = np.indices((n, n, n))
     V = np.zeros((dim.N, dim.N), dtype=complex)
@@ -47,20 +54,36 @@ def zak_matrix(dim: Dimension) -> np.ndarray:
     return V
 
 
+def _weyl_images(r, s, n: int):
+    """((image, expo) of X, (image, expo) of Z) at |r,s>, for ints or
+    arrays alike."""
+    # the wrap X|r,n-1> = sigma^r |r,0> carries tau^{2nr}
+    return ((flatten(r, s + 1, n), 2 * n * r * (s == n - 1)),
+            (flatten(r - 1, s, n), 2 * s))
+
+
+def monomial_weyl_tables(dim: Dimension) -> tuple[tuple, tuple]:
+    """(X, Z) on the |r,s> basis as (image, expo) tuples of Python ints."""
+    n = require_square(dim)
+    X, Z = zip(*(_weyl_images(*divmod(k, n), n) for k in range(dim.N)))
+    return tuple(zip(*X)), tuple(zip(*Z))
+
+
 def monomial_weyl_generators(dim: Dimension) -> tuple[PhasePermutation, PhasePermutation]:
     """(X, Z) acting on the |r,s> basis."""
+    import numpy as np
     n = require_square(dim)
     r, s = np.divmod(np.arange(dim.N), n)
-    # the wrap X|r,n-1> = sigma^r |r,0> carries tau^{2nr}
-    X = PhasePermutation(dim, flatten(r, s + 1, n), 2 * n * r * (s == n - 1))
-    Z = PhasePermutation(dim, flatten(r - 1, s, n), 2 * s)
-    return X, Z
+    return tuple(PhasePermutation(dim, image, expo)
+                 for image, expo in _weyl_images(r, s, n))
 
 
 def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> PhasePermutation:
     """Phase-permutation unitary of a symplectic G on the |r,s> basis: the
     product of one monomial chirp per factor of `chirp_factors`, with phase
     tau^E(s', s) for the quadratic form E of its `chirp_coefficients`."""
+    import numpy as np
+
     from .clifford import chirp_coefficients, chirp_factors
     n = require_square(dim)
     m = 0 if n % 2 else n // 2
@@ -78,6 +101,7 @@ def monomial_clifford(G: SymplecticMatrix, dim: Dimension) -> PhasePermutation:
 
 def monomial_antiunitary(dim: Dimension, v: np.ndarray) -> np.ndarray:
     """Anti-unitary of J: conjugate amplitudes and send (r,s) -> (-r, s)."""
+    import numpy as np
     n = require_square(dim)
     r, s = np.divmod(np.arange(dim.N), n)
     # (r,s) -> (-r,s) is an involution, so gathering through it also scatters
@@ -92,6 +116,8 @@ def covariance_witness(G: SymplecticMatrix, U: PhasePermutation,
     Z^j, so the default Z = D_01, then X = D_10, decide all N^2: if D_01
     holds, so does every D_0j, so the first failure of the two is the first
     in the order i*N + j."""
+    import numpy as np
+
     from .weyl import displacement
     dim = U.dim
     X, Z = monomial_weyl_generators(dim)
@@ -108,6 +134,7 @@ def covariance_witness(G: SymplecticMatrix, U: PhasePermutation,
 def is_phase_permutation(M, tol: float = 1e-10) -> bool:
     """True iff every row and column carries exactly one unit-modulus entry
     and everything else is below tol: the float oracle for `.dense()`."""
+    import numpy as np
     absM = np.abs(np.asarray(M))
     big = absM > tol
     if not (big.sum(axis=0) == 1).all() or not (big.sum(axis=1) == 1).all():

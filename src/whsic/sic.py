@@ -17,12 +17,21 @@ an operator M acts in the tag's basis as V^dag M V. Registered tags:
     adapted16  - V = T.T with T from adapted16_generators: the N = 16 basis in
                  which X^4 and Z^4 are diagonal
 
-Every certificate, in every basis, runs on the one FFT overlap kernel
-`standard_overlaps` applied to V a. The module also searches the
-eigenvalue-1 eigenspace E0 of the order-3 symmetry, spanned by the cached
-`_e0_basis`, with one numpy L-BFGS pass per restart (`_lbfgs`) that keeps
-its curvature pairs and their triangular inverse in a ring
-(`_CurvatureRing`, after Byrd, Nocedal & Schnabel), so no direction loops.
+Two certificates read the same overlaps. `verify_sic` certifies a numeric
+vector in any tag, by the one FFT overlap kernel `standard_overlaps` on
+V a. `verify_closed_form` certifies a closed form in its own tag, whose X
+and Z are phase permutations (`_weyl_tables`), in Python numbers: the
+closed forms `closed_n4`, `closed_n9` and `closed_n16` are Python complex
+numbers from `math`, `cmath` and `dims.tau_power`, so `verify sic
+--builtin` imports no numpy. `fiducial_n4`, `fiducial_n9` and
+`fiducial_n16` are their numpy `Fiducial`s, normalized by `np.linalg.norm`.
+
+The module also searches the eigenvalue-1 eigenspace E0 of the order-3
+symmetry, spanned by the cached `_e0_basis`, with one numpy L-BFGS pass per
+restart (`_lbfgs`) that keeps its curvature pairs and their triangular
+inverse in a ring (`_CurvatureRing`, after Byrd, Nocedal & Schnabel), so no
+direction loops. numpy is imported only inside the functions that build
+arrays.
 
 What depends on N alone is built once per dimension and shared read-only:
 each tag's V, the E0 basis and objective of the search and the shift gathers.
@@ -32,13 +41,15 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from .dims import Dimension, _checked_sqrt, sigma_power, tau_powers
+from .dims import Dimension, _checked_sqrt, sigma_power, tau_power, tau_powers
 from .errors import BasisUnavailable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -49,9 +60,24 @@ class Fiducial:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        import numpy as np
+        N, shape = self.dim.N, np.shape(self.amplitudes)
+        if shape != (N,):
+            raise ValueError(f"a fiducial at N = {N} has {N} amplitudes in "
+                             f"one dimension, not an array of shape {shape}")
         nrm = float(np.linalg.norm(self.amplitudes))
         if not abs(nrm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"fiducial norm {nrm} deviates from 1 beyond 1e-12")
+
+
+class ClosedForm(NamedTuple):
+    """A closed-form fiducial in Python numbers: its ray, as amplitudes in
+    its tag that are not normalized."""
+
+    dim: Dimension
+    basis: str
+    amplitudes: tuple[complex, ...]
+    provenance: dict
 
 
 @dataclass(frozen=True)
@@ -72,6 +98,7 @@ def basis_change(dim: Dimension, basis: str) -> np.ndarray:
     coordinates; raises BasisUnavailable for an unknown tag or a tag
     registered at another N. Built once per (dim, tag) and returned
     read-only: copy it before writing into it."""
+    import numpy as np
     if basis == "standard":
         V = np.eye(dim.N, dtype=complex)
     elif basis == "monomial" and dim.n is not None:
@@ -95,6 +122,7 @@ def verify_sic(f: Fiducial, tol: float = 1e-8) -> SicCertificate:
     The overlaps come from the FFT kernel `standard_overlaps` on the
     standard-basis amplitudes; a basis change preserves each D_ij, so the
     certificate holds in the fiducial's own basis as well."""
+    import numpy as np
     psi = basis_change(f.dim, f.basis) @ f.amplitudes
     probs = np.abs(standard_overlaps(psi)) ** 2
     dev = np.abs(probs - 1.0 / (f.dim.N + 1))
@@ -105,26 +133,95 @@ def verify_sic(f: Fiducial, tol: float = 1e-8) -> SicCertificate:
                           worst_displacement=(int(i), int(j)))
 
 
+def _weyl_tables(dim: Dimension, basis: str) -> tuple[tuple, tuple]:
+    """X and Z in a closed form's tag, V^dag X V and V^dag Z V, as
+    (image, expo) tuples of Python ints; raises BasisUnavailable for a tag
+    in which they are no phase permutations, or one registered at another
+    N."""
+    if basis == "monomial" and dim.n is not None:
+        from .monomial import monomial_weyl_tables
+        return monomial_weyl_tables(dim)
+    if basis == "rephased4" and dim.N == 4:
+        # ket k of the tag is tau^{e_k} times monomial ket k, so the
+        # exponent at k gains e_k - e_{image(k)}
+        e = REPHASE4
+        return tuple((image, tuple(x + e[k] - e[image[k]]
+                                   for k, x in enumerate(expo)))
+                     for image, expo in _weyl_tables(dim, "monomial"))
+    if basis == "adapted16" and dim.N == 16:
+        from .adapted16 import adapted16_weyl_tables
+        return adapted16_weyl_tables()
+    raise BasisUnavailable(f"no phase-permutation basis {basis!r} "
+                           f"registered at N={dim.N}")
+
+
+def verify_closed_form(c: ClosedForm, tol: float = 1e-8) -> SicCertificate:
+    """`verify_sic`'s certificate of a closed form, in its own tag and in
+    Python numbers: the same deviations up to rounding, and the first
+    (i, j) in row-major order at which the largest occurs.
+
+    The tag's X and Z are phase permutations, so with the amplitudes a
+    scaled to unit norm, |<a|D_ij|a>| = |<(X^i)^dag a, Z^j a>|: N - 1
+    applications of each table and N^2 inner products of N terms, with no
+    change of basis and no displacement stack."""
+    dim, N = c.dim, c.dim.N
+    (x_image, x_expo), (z_image, z_expo) = _weyl_tables(dim, c.basis)
+    tau = [tau_power(dim, k) for k in range(dim.nbar)]
+    norm = math.sqrt(math.fsum(x * x for z in c.amplitudes
+                               for x in (z.real, z.imag)))
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"closed form of norm {norm}: no ray to certify")
+    a = [z / norm for z in c.amplitudes]
+    # rows[i] = conj((X^i)^dag a): its entry v is tau^{x_expo[v]} times
+    # entry x_image[v] of rows[i - 1]. cols[j] = Z^j a: Z moves entry v to
+    # z_image[v] times tau^{z_expo[v]}, gathered through the inverse image.
+    x_step = [(k, tau[e % dim.nbar]) for k, e in zip(x_image, x_expo)]
+    z_step = [None] * N
+    for v, (k, e) in enumerate(zip(z_image, z_expo)):
+        z_step[k] = (v, tau[e % dim.nbar])
+    rows, cols = [[z.conjugate() for z in a]], [a]
+    for _ in range(N - 1):
+        rows.append([p * rows[-1][k] for k, p in x_step])
+        cols.append([p * cols[-1][v] for v, p in z_step])
+    target = 1.0 / (N + 1)
+    worst, at = -1.0, (0, 0)
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            s = sum(map(operator.mul, row, col))
+            dev = abs(s.real * s.real + s.imag * s.imag - target)
+            if dev > worst and (i, j) != (0, 0):
+                worst, at = dev, (i, j)
+    return SicCertificate(max_abs_deviation=worst, passed=worst <= tol,
+                          worst_displacement=at)
+
+
+def _fiducial(c: ClosedForm) -> Fiducial:
+    """A closed form as a numpy `Fiducial`, normalized by `np.linalg.norm`."""
+    import numpy as np
+    v = np.array(c.amplitudes)
+    return Fiducial(c.dim, c.basis, v / np.linalg.norm(v), c.provenance)
+
+
 # ---------------------------------------------------------------------------
 # N = 4 closed form
 # ---------------------------------------------------------------------------
 
-def fiducial_n4(slot: int, s: int, t: int, u: int) -> Fiducial:
+def closed_n4(slot: int, s: int, t: int, u: int) -> ClosedForm:
     """x = sqrt(2 + sqrt(5)) in the given slot, powers of i elsewhere,
     in the rephased N = 4 monomial basis. All 256 parameter choices are
     fiducials; they fall into 16 Weyl-Heisenberg orbits."""
     if not (0 <= slot < 4):
         raise ValueError(f"slot must be 0..3, got {slot}")
-    x = math.sqrt(2.0 + math.sqrt(5.0))
-    v = np.empty(4, dtype=complex)
-    v[slot] = x
-    rest = [k for k in range(4) if k != slot]
-    for k, e in zip(rest, (s, t, u)):
-        v[k] = 1j ** (e % 4)
-    v = v / np.linalg.norm(v)
-    return Fiducial(Dimension(4), "rephased4", v,
-                    {"construction": "n4", "slot": slot, "s": s % 4,
-                     "t": t % 4, "u": u % 4})
+    v = [1j ** (e % 4) for e in (s, t, u)]
+    v.insert(slot, complex(math.sqrt(2.0 + math.sqrt(5.0))))
+    return ClosedForm(Dimension(4), "rephased4", tuple(v),
+                      {"construction": "n4", "slot": slot, "s": s % 4,
+                       "t": t % 4, "u": u % 4})
+
+
+def fiducial_n4(slot: int, s: int, t: int, u: int) -> Fiducial:
+    """`closed_n4` as a numpy `Fiducial`."""
+    return _fiducial(closed_n4(slot, s, t, u))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +242,7 @@ def fiducial_n9_amplitudes(s0: int, s1: int, s2: int) -> tuple[float, float, flo
     return a1 + b1, a1 - b1, a3 + b3, a3 - b3
 
 
-def fiducial_n9(s0: int, s1: int, s2: int, m3: int, m4: int) -> Fiducial:
+def closed_n9(s0: int, s1: int, s2: int, m3: int, m4: int) -> ClosedForm:
     """Closed-form N = 9 fiducial in the monomial basis.
 
     Parameters: signs s0, s1, s2 in {+1, -1} and cube-root indices m3, m4 in
@@ -181,41 +278,54 @@ def fiducial_n9(s0: int, s1: int, s2: int, m3: int, m4: int) -> Fiducial:
     e_mu4 = sigma_power(dim, m4) * complex(cube4) ** (1.0 / 3.0)
 
     z1 = math.sqrt(p1) * e_mu0
-    z2 = math.sqrt(p2) * np.conj(e_mu0)
+    z2 = math.sqrt(p2) * e_mu0.conjugate()
     z3 = math.sqrt(p3) * e_mu3
     z4 = math.sqrt(p4) * e_mu4
 
-    w = tau_powers(dim, 2 * np.arange(9))  # omega^k
-    v = np.zeros((3, 3), dtype=complex)  # v[r, s] is the amplitude of |r,s>
-    v[1, 1] = -z1 * w[7]
-    v[2, 2] = -z2 * w[1]
-    v[0, 2] = z3 * w[6]
-    v[1, 0] = z3
-    v[2, 1] = z3 * w[8]
-    v[0, 1] = z4 * w[6]
-    v[2, 0] = z4
-    v[1, 2] = z4 * w[5]
-    v = v.ravel() / np.linalg.norm(v)
-    return Fiducial(dim, "monomial", v,
-                    {"construction": "n9", "s0": s0, "s1": s1, "s2": s2,
-                     "m3": m3 % 3, "m4": m4 % 3,
-                     "orbit": "9a" if s0 == 1 else "9b"})
+    def w(k: int) -> complex:  # omega^k
+        return tau_power(dim, 2 * k)
+
+    # the amplitude of |r,s> at r*3 + s
+    v = (0j, z4 * w(6), z3 * w(6),
+         z3, -z1 * w(7), z4 * w(5),
+         z4, z3 * w(8), -z2 * w(1))
+    return ClosedForm(dim, "monomial", v,
+                      {"construction": "n9", "s0": s0, "s1": s1, "s2": s2,
+                       "m3": m3 % 3, "m4": m4 % 3,
+                       "orbit": "9a" if s0 == 1 else "9b"})
+
+
+def fiducial_n9(s0: int, s1: int, s2: int, m3: int, m4: int) -> Fiducial:
+    """`closed_n9` as a numpy `Fiducial`."""
+    return _fiducial(closed_n9(s0, s1, s2, m3, m4))
 
 
 # ---------------------------------------------------------------------------
 # N = 16 closed form (heavy lifting lives in adapted16)
 # ---------------------------------------------------------------------------
 
-def fiducial_n16(t2_branch: int = +1, conjugate_orbit: bool = False) -> Fiducial:
+def _n16_provenance(t2_branch: int, conjugate_orbit: bool) -> dict:
+    return {"construction": "n16", "t2_branch": t2_branch,
+            "conjugate_orbit": bool(conjugate_orbit),
+            "orbit": "16b" if conjugate_orbit else "16a"}
+
+
+def closed_n16(t2_branch: int = +1, conjugate_orbit: bool = False) -> ClosedForm:
     """Closed-form N = 16 fiducial in the adapted basis. Both t2 branches
     give valid fiducials; conjugate_orbit flips the signs of sqrt(13) and
     sqrt(17) in the coefficient field, landing on the second orbit."""
+    from .adapted16 import fiducial_amplitudes
+    return ClosedForm(Dimension(16), "adapted16",
+                      tuple(fiducial_amplitudes(t2_branch, conjugate_orbit)),
+                      _n16_provenance(t2_branch, conjugate_orbit))
+
+
+def fiducial_n16(t2_branch: int = +1, conjugate_orbit: bool = False) -> Fiducial:
+    """`closed_n16` as a numpy `Fiducial`, from `adapted16.fiducial_vector`."""
     from .adapted16 import fiducial_vector
-    v = fiducial_vector(t2_branch, conjugate_orbit)
-    return Fiducial(Dimension(16), "adapted16", v,
-                    {"construction": "n16", "t2_branch": t2_branch,
-                     "conjugate_orbit": bool(conjugate_orbit),
-                     "orbit": "16b" if conjugate_orbit else "16a"})
+    return Fiducial(Dimension(16), "adapted16",
+                    fiducial_vector(t2_branch, conjugate_orbit),
+                    _n16_provenance(t2_branch, conjugate_orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +337,8 @@ def _e0_basis(dim: Dimension) -> np.ndarray:
     """Orthonormal columns spanning the eigenvalue-1 eigenspace of the
     standard-basis order-3 unitary U, from P = (1 + U + U^2)/3; built once
     per dimension, read-only."""
+    import numpy as np
+
     from .clifford import zauner_unitary
     U = zauner_unitary(dim)
     P = (np.eye(dim.N) + U + U @ U) / 3.0
@@ -241,6 +353,7 @@ def _e0_basis(dim: Dimension) -> np.ndarray:
 def sic_residual(psi: np.ndarray, D: np.ndarray, N: int) -> float:
     """F(psi) contracted over a dense displacement stack D: the O(N^4)
     reference that `frame_residual` is tested against."""
+    import numpy as np
     overlaps = np.einsum("i,kij,j->k", psi.conj(), D, psi)
     probs = np.abs(overlaps) ** 2
     probs[0] = 1.0 / (N + 1)
@@ -251,6 +364,7 @@ def sic_residual(psi: np.ndarray, D: np.ndarray, N: int) -> float:
 def _shift_index(N: int, sign: int) -> np.ndarray:
     """(v + sign*i) mod N at row i, column v; built once per (N, sign),
     read-only."""
+    import numpy as np
     u = np.arange(N)
     index = (u[None, :] + sign * u[:, None]) % N
     index.flags.writeable = False
@@ -262,6 +376,7 @@ def _row_shift_gather(N: int) -> np.ndarray:
     """Flat indices of entry (i, (v - i) mod N) of a C-ordered N x N array,
     at row i, column v: M.ravel()[index] is
     np.take_along_axis(M, _shift_index(N, -1), axis=1). Read-only."""
+    import numpy as np
     index = _shift_index(N, -1) + N * np.arange(N)[:, None]
     index.flags.writeable = False
     return index
@@ -273,6 +388,7 @@ def standard_overlaps(psi: np.ndarray) -> np.ndarray:
     In the standard basis D_ij|v> = tau^{ij} omega^{jv} |v+i>, so
     <psi|D_ij|psi> = tau^{ij} S_ij: N shifted products and one unscaled
     inverse FFT along v (norm="forward"), O(N^2 log N), not O(N^4)."""
+    import numpy as np
     S = psi.conj()[_shift_index(len(psi), +1)] * psi
     return np.fft.ifft(S, axis=1, norm="forward", out=S)
 
@@ -285,6 +401,7 @@ def frame_residual(psi: np.ndarray) -> tuple[float, np.ndarray]:
     B_i(v) = psi_v sum_j w_ij conj(S_ij) omega^{jv}, one more FFT, the
     gradient is 4 sum_i B_i(u-i), one gather: the terms from S and conj(S)
     are equal because w_{-i,-j} = w_ij. B is formed in S's buffer."""
+    import numpy as np
     N = len(psi)
     S = standard_overlaps(psi)
     w = np.abs(S) ** 2
@@ -321,6 +438,7 @@ class _CurvatureRing:
     S^T Ui^T (Y r - sy a) - r for a = Ui S g and r = gamma (g - Y^T a)."""
 
     def __init__(self, n: int):
+        import numpy as np
         self.S, self.Y = np.zeros((2, LBFGS_MEMORY, n))
         self.Ui = np.zeros((LBFGS_MEMORY, LBFGS_MEMORY))
         self.sy, self.pairs, self.gamma = np.zeros(LBFGS_MEMORY), 0, 1.0
@@ -356,6 +474,7 @@ def _lbfgs(fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
     fails, or after maxiter iterations. These rules and the constants above
     follow the L-BFGS-B code of Zhu, Byrd, Lu & Nocedal, ACM Trans. Math.
     Softw. 23, 550 (1997)."""
+    import numpy as np
     f, g = fg(x)
     nfev, nit, reduction = 1, 0, math.inf
     ring = _CurvatureRing(x.size)
@@ -421,6 +540,7 @@ def _e0_objective(dim: Dimension) -> Callable[[np.ndarray],
     column k: on vectors viewed as floats, R.T x is Bx x and R g is
     Re(Bx^dag g). As Re(Bx^dag Bx) = 1, dF/dx is
     (2/|x|) (Re(Bx^dag g) - Re<psi, g> x/|x|) for g = dF/d conj(psi)."""
+    import numpy as np
     B = _e0_basis(dim)
     R = np.ascontiguousarray(np.hstack((B, 1j * B)).T).view(np.float64)
 
@@ -451,6 +571,7 @@ def search_fiducial(dim: Dimension, rng_seed: int = 0, max_restarts: int = 50,
     refined vector passes verify_sic at tol, or None if all restarts fail.
     Its provenance records that pass's `nit`, `nfev` and `stop`.
     """
+    import numpy as np
     B = _e0_basis(dim)
     d = B.shape[1]
     objective = _e0_objective(dim)

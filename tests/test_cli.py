@@ -514,7 +514,7 @@ def test_cli_import_leaves_scipy_unloaded():
 # each handler imports the modules it runs: a command leaves the others
 # unloaded, and parsing alone loads none beyond dims and errors; numpy is
 # loaded exactly when a case does not list it, by the commands that build
-# arrays
+# arrays, which `verify sic --builtin` does not
 @pytest.mark.parametrize("argv,unloaded", [
     ([], {"numpy", "adapted16", "clifford", "crt", "fileio", "monomial",
           "mub", "sic", "weyl"}),
@@ -524,16 +524,18 @@ def test_cli_import_leaves_scipy_unloaded():
     (["verify", "mub", "--p", "3"], {"numpy", "sic", "crt", "adapted16",
                                      "fileio", "clifford", "monomial",
                                      "weyl"}),
-    (["verify", "sic", "--builtin", "n4"], {"adapted16", "clifford", "crt",
-                                             "mub", "weyl"}),
-    (["verify", "sic", "--builtin", "n9"], {"adapted16", "clifford", "crt",
-                                             "mub", "weyl"}),
+    (["verify", "sic", "--builtin", "n4"], {"numpy", "adapted16", "clifford",
+                                             "crt", "fileio", "mub", "weyl"}),
+    (["verify", "sic", "--builtin", "n9"], {"numpy", "adapted16", "clifford",
+                                             "crt", "fileio", "mub", "weyl"}),
     (["generate", "mub", "--p", "19"], {"numpy", "sic", "crt", "adapted16",
                                         "fileio", "clifford", "monomial",
                                         "weyl"}),
     (["verify", "zauner", "--dim", "1000000000000"],
      {"numpy", "sic", "monomial", "mub", "crt", "adapted16", "fileio",
       "weyl"}),
+    (["verify", "sic", "--builtin", "n16", "--tol", "1e-8"],
+     {"numpy", "clifford", "crt", "fileio", "monomial", "mub", "weyl"}),
 ])
 def test_command_loads_only_the_modules_it_runs(argv, unloaded):
     proc = run_python(["-c", "import os, sys, whsic.cli; "
@@ -737,6 +739,28 @@ def test_generate_sic_report_round_trips(tmp_path, capsys):
     assert np.max(np.abs(
         f.amplitudes - fileio.fiducial_from_dict(rep["artifacts"]["fiducial"])
         .amplitudes)) == 0.0
+
+
+def test_generate_sic_reports_the_certificate_of_verify_sic(capsys):
+    """For the flags of every closed form, `generate sic` reports the
+    deviation and witness of `verify sic --builtin`, and its artifact is
+    the numpy Fiducial of the library constructor."""
+    from whsic import sic
+    for builtin, args in CLOSED_FORMS:
+        *names, flags = cli.BUILTINS[builtin]
+        argv = [x for k, v in zip(flags, args)
+                for x in ("--" + k.replace("_", "-"), str(v))]
+        code, verify = run(["verify", "sic", "--builtin", builtin, *argv],
+                           capsys)
+        code2, generate = run(["generate", "sic", "--dim", builtin[1:],
+                               *argv], capsys)
+        assert code == code2 == 0
+        metrics = verify["metrics"]
+        assert generate["metrics"] == {
+            "max_abs_deviation": metrics["max_abs_deviation"],
+            "worst_displacement": metrics["worst_displacement"]}
+        f = getattr(sic, names[0])(*args)
+        assert generate["artifacts"]["fiducial"] == fileio.fiducial_to_dict(f)
 
 
 def test_reports_and_fiducial_files_are_one_line(tmp_path, capsys):

@@ -7,19 +7,22 @@ from hypothesis import strategies as st
 
 from whsic import adapted16
 from whsic.clifford import predicted_eigenspace_dims, zauner_unitary
-from whsic.dims import Dimension, tau_power, tau_powers
+from whsic.dims import Dimension, PhasePermutation, tau_power, tau_powers
 from whsic.errors import BasisUnavailable, NegativeRadicand
 from whsic.monomial import is_phase_permutation, monomial_weyl_generators
-from whsic.sic import (LBFGS_MEMORY, LINE_SEARCH_EVALS, Fiducial,
-                       _CurvatureRing, _e0_basis, _e0_objective, _lbfgs,
-                       _row_shift_gather, _shift_index, basis_change,
+from whsic.sic import (LBFGS_MEMORY, LINE_SEARCH_EVALS, ClosedForm,
+                       Fiducial, _CurvatureRing, _e0_basis, _e0_objective,
+                       _lbfgs, _row_shift_gather, _shift_index, _weyl_tables,
+                       basis_change, closed_n4, closed_n9, closed_n16,
                        fiducial_n4, fiducial_n9, fiducial_n9_amplitudes,
                        fiducial_n16, frame_residual, search_fiducial,
-                       sic_residual, standard_overlaps, verify_sic)
+                       sic_residual, standard_overlaps, verify_closed_form,
+                       verify_sic)
 from whsic.weyl import all_displacements, displacements, standard_generators
 
 from oracles import (autocorrelation_check, monomial_zauner,
                      rephased4_generators, to_standard)
+from report_parity import CLOSED_FORMS
 from search_parity import DIMS, SEEDS, search_row, table_rows
 
 
@@ -75,6 +78,15 @@ def test_unknown_basis_raises():
 def test_fiducial_rejects_non_unit_norm():
     with pytest.raises(ValueError):
         Fiducial(Dimension(4), "standard", np.ones(4, dtype=complex))
+
+
+@pytest.mark.parametrize("amplitudes", [np.ones(4) / 2, np.ones((3, 3)) / 3],
+                         ids=["four-entries", "3x3"])
+def test_fiducial_refuses_amplitudes_that_are_not_n_entries(amplitudes):
+    """Both inputs have unit norm; verify_sic once died on them with
+    numpy's matmul error instead."""
+    with pytest.raises(ValueError, match="N = 9 has 9 amplitudes"):
+        Fiducial(Dimension(9), "standard", amplitudes)
 
 
 def test_rephased4_generators_match_monomial_up_to_diagonal():
@@ -156,6 +168,25 @@ def test_basis_change_is_shared_read_only_and_bit_identical(dim, basis,
     assert np.array_equal(V, basis_change.__wrapped__(dim, basis))
 
 
+@pytest.mark.parametrize("dim,basis,generators", TAG_GENERATORS[2:],
+                         ids=TAG_IDS[2:])
+def test_weyl_tables_are_the_tag_generators_in_python_ints(dim, basis,
+                                                           generators):
+    """The tables the closed-form certificate reads are the generators that
+    `basis_change` intertwines, entry for entry."""
+    for P, (image, expo) in zip(generators(), _weyl_tables(dim, basis)):
+        assert {type(k) for k in image + expo} == {int}
+        assert np.array_equal(P.image, image)
+        assert np.array_equal(P.expo, np.asarray(expo) % dim.nbar)
+
+
+@pytest.mark.parametrize("N,basis", [(5, "standard"), (5, "monomial"),
+                                     (9, "rephased4"), (4, "adapted16")])
+def test_weyl_tables_refuse_tags_without_phase_permutations(N, basis):
+    with pytest.raises(BasisUnavailable):
+        _weyl_tables(Dimension(N), basis)
+
+
 @pytest.mark.parametrize("N", [4, 9, 16, 25, 36])
 def test_basis_change_carries_zauner_to_monomial(N):
     dim = Dimension(N)
@@ -174,6 +205,105 @@ def test_standard_basis_change_keeps_every_bit():
 def test_basis_change_rejects_unregistered_tags(N, basis):
     with pytest.raises(BasisUnavailable):
         basis_change(Dimension(N), basis)
+
+
+# ---------------------------------------------------------------------------
+# closed forms in their own basis
+# ---------------------------------------------------------------------------
+
+CONSTRUCTORS = {"n4": (closed_n4, fiducial_n4), "n9": (closed_n9, fiducial_n9),
+                "n16": (closed_n16, fiducial_n16)}
+CLOSED_TOL = {"n4": 1e-10, "n9": 1e-10, "n16": 1e-8}
+
+
+def dense_worst(c, X, Z):
+    """(max deviation, argmax (i, j)) of |<a|D_ij|a>|^2 from 1/(N+1) over a
+    dense stack of displacements of X and Z, with a the unit amplitudes."""
+    N = c.dim.N
+    a = np.array(c.amplitudes) / np.linalg.norm(c.amplitudes)
+    D = all_displacements(c.dim, X, Z)
+    dev = np.abs(np.abs(np.einsum("i,kij,j->k", a.conj(), D, a)) ** 2
+                 - 1.0 / (N + 1))
+    dev[0] = 0.0
+    return dev.max(), divmod(int(dev.argmax()), N)
+
+
+def assert_witness(cert, c, X, Z, tol):
+    """The certificate fails, and its witness attains the dense maximum: it
+    is the dense argmax or its partner (-i, -j), whose overlap ties."""
+    worst, (i, j) = dense_worst(c, X, Z)
+    N = c.dim.N
+    assert not cert.passed and worst > tol
+    assert abs(cert.max_abs_deviation - worst) < 1e-14
+    assert cert.worst_displacement in {(i, j), (-i % N, -j % N)}
+
+
+@pytest.mark.parametrize("builtin", CONSTRUCTORS)
+def test_closed_form_certificate_agrees_with_verify_sic(builtin):
+    """Over every closed form: the numpy Fiducial is the closed form's
+    amplitudes over `np.linalg.norm`, bit for bit, and the own-basis
+    certificate gives verify_sic's verdict and deviation to 1e-14."""
+    closed, fiducial = CONSTRUCTORS[builtin]
+    tol = CLOSED_TOL[builtin]
+    for args in (a for b, a in CLOSED_FORMS if b == builtin):
+        c, f = closed(*args), fiducial(*args)
+        v = np.array(c.amplitudes)
+        assert np.array_equal(f.amplitudes, v / np.linalg.norm(v))
+        assert (c.dim, c.basis, c.provenance) == (f.dim, f.basis, f.provenance)
+        own, ref = verify_closed_form(c, tol), verify_sic(f, tol)
+        assert own.passed and ref.passed
+        assert abs(own.max_abs_deviation - ref.max_abs_deviation) < 1e-14
+
+
+@pytest.mark.parametrize("builtin,args,k", [
+    ("n4", (1, 2, 3, 0), 1), ("n9", (-1, 1, -1, 2, 1), 4),
+    ("n16", (1, 0), 7), ("n16", (-1, 1), 0)])
+def test_closed_form_certificate_fails_on_a_scaled_amplitude(builtin, args,
+                                                             k):
+    closed, _ = CONSTRUCTORS[builtin]
+    c = closed(*args)
+    a = list(c.amplitudes)
+    a[k] *= 1 + 1e-6
+    bad = c._replace(amplitudes=tuple(a))
+    tol = CLOSED_TOL[builtin]
+    cert = verify_closed_form(bad, tol)
+    X, Z = (PhasePermutation(c.dim, np.array(image), np.array(expo))
+            for image, expo in _weyl_tables(c.dim, c.basis))
+    assert_witness(cert, bad, X, Z, tol)
+    ref = verify_sic(Fiducial(c.dim, c.basis, np.array(a) / np.linalg.norm(a)))
+    assert abs(cert.max_abs_deviation - ref.max_abs_deviation) < 1e-14
+
+
+@pytest.mark.parametrize("k", [0, 5, 15])
+def test_closed_form_certificate_reads_the_x16_transcription(k, monkeypatch):
+    """One tau exponent of X16 off by one fails the N = 16 certificate,
+    which reads `_X16_ENTRIES` and not the basis change."""
+    entries = list(adapted16._X16_ENTRIES)
+    row, col, sign, e = entries[k]
+    entries[k] = (row, col, sign, e + 1)
+    monkeypatch.setattr(adapted16, "_X16_ENTRIES", entries)
+    c = closed_n16()
+    cert = verify_closed_form(c, 1e-8)
+    X, Z = adapted16.adapted16_generators()[:2]
+    assert X.expo[col] == (e + 1 + 8 * (1 - sign)) % 32
+    assert_witness(cert, c, X, Z, 1e-8)
+    assert verify_sic(fiducial_n16(), 1e-8).passed
+
+
+def test_closed_form_certificate_fails_without_the_rephasing():
+    """The n4 amplitudes read in the monomial tables, without REPHASE4."""
+    c = closed_n4(2, 1, 0, 3)
+    assert verify_closed_form(c, 1e-10).passed
+    bad = c._replace(basis="monomial")
+    cert = verify_closed_form(bad, 1e-10)
+    assert_witness(cert, bad, *monomial_weyl_generators(c.dim), 1e-10)
+
+
+@pytest.mark.parametrize("amplitudes", [(0j,) * 4, (1j, 0j, 0j, float("inf"))])
+def test_closed_form_certificate_refuses_a_vector_with_no_ray(amplitudes):
+    with pytest.raises(ValueError, match="no ray"):
+        verify_closed_form(ClosedForm(Dimension(4), "rephased4", amplitudes,
+                                      {}))
 
 
 # ---------------------------------------------------------------------------
