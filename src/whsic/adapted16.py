@@ -13,8 +13,8 @@ sigma is the field automorphism r2 -> -r2.
 
 The coefficients, the fiducial's amplitudes and the generators' integer
 tables (`adapted16_weyl_tables`) are Python numbers, which `verify sic
---builtin n16` certifies without numpy; numpy is imported only by the
-functions that build arrays: `adapted16_generators` and `fiducial_vector`.
+--builtin n16` certifies and `generate sic` writes without numpy; numpy
+is imported only by `adapted16_generators` and the oracle `fiducial_vector`.
 """
 
 from __future__ import annotations
@@ -238,7 +238,6 @@ def fiducial_amplitudes(t2_branch: int = +1,
 
 
 def fiducial_vector(t2_branch: int = +1, conjugate_orbit: bool = False) -> np.ndarray:
-    """`fiducial_amplitudes` as a unit-norm numpy vector."""
-    import numpy as np
-    v = np.array(fiducial_amplitudes(t2_branch, conjugate_orbit))
-    return v / np.linalg.norm(v)
+    """The amplitudes of `sic.fiducial_n16`, a unit-norm numpy vector."""
+    from .sic import fiducial_n16
+    return fiducial_n16(t2_branch, conjugate_orbit).amplitudes

@@ -40,8 +40,8 @@ tool writes its report during that teardown.
 # dims and errors, which parsing and reporting need; each handler imports
 # the modules it runs, so a command loads only those. Numpy loads with the
 # commands that build arrays: `verify sic --file`, `search`, `verify
-# monomial` and `generate` sic, projection and operators; `verify sic
-# --builtin` certifies its closed form in Python numbers.
+# monomial`, `verify crt` and `generate operators`; the commands that take
+# a builtin run on its closed form in Python numbers.
 
 from __future__ import annotations
 
@@ -61,13 +61,11 @@ from .errors import WhsicError
 if TYPE_CHECKING:
     from .sic import SicCertificate
 
-# each builtin fiducial: the names in whsic.sic of its numpy `Fiducial` and
-# of its closed form in Python numbers, and the construction flags both
-# take, in call order
-BUILTINS = {"n4": ("fiducial_n4", "closed_n4", ("slot", "s", "t", "u")),
-            "n9": ("fiducial_n9", "closed_n9", ("s0", "s1", "s2", "m3", "m4")),
-            "n16": ("fiducial_n16", "closed_n16",
-                    ("t2_branch", "conjugate_orbit"))}
+# each builtin fiducial: the name in whsic.sic of its closed form, and the
+# construction flags it takes, in call order
+BUILTINS = {"n4": ("closed_n4", ("slot", "s", "t", "u")),
+            "n9": ("closed_n9", ("s0", "s1", "s2", "m3", "m4")),
+            "n16": ("closed_n16", ("t2_branch", "conjugate_orbit"))}
 
 
 def _tolerance(text: str) -> float:
@@ -110,12 +108,11 @@ CONSTRUCTION = tuple(k for *_, flags in BUILTINS.values() for k in flags)
 ARTIFACT_VERSION = 2
 
 
-def _builtin(args, closed: bool):
-    """The builtin that --builtin or --dim chooses, built from its
-    construction flags: its numpy `Fiducial`, or its closed form."""
+def _builtin(args):
+    """The closed form that --builtin or --dim chooses, from its flags."""
     from . import sic
-    *names, flags = BUILTINS[args.builtin]
-    return getattr(sic, names[closed])(*(getattr(args, k) for k in flags))
+    name, flags = BUILTINS[args.builtin]
+    return getattr(sic, name)(*(getattr(args, k) for k in flags))
 
 
 def _certified(cert: SicCertificate, **metrics) -> dict:
@@ -128,7 +125,7 @@ def _certified(cert: SicCertificate, **metrics) -> dict:
 def _verify_sic(args) -> dict:
     if args.file is None:
         from .sic import verify_closed_form
-        c = _builtin(args, closed=True)
+        c = _builtin(args)
         return _certified(verify_closed_form(c, args.tol), N=c.dim.N)
     from .fileio import load_fiducial
     from .sic import verify_sic
@@ -194,13 +191,13 @@ def _verify_zauner(args) -> dict:
 
 
 def _generate_sic(args) -> dict:
-    """The certificate of `verify sic --builtin`, and the numpy `Fiducial`
-    as the artifact."""
+    """The certificate of `verify sic --builtin`, and the unit vector it
+    certified as the artifact."""
     from .fileio import fiducial_to_dict
     from .sic import verify_closed_form
-    cert = verify_closed_form(_builtin(args, closed=True), args.tol)
-    f = _builtin(args, closed=False)
-    return {**_certified(cert), "artifacts": {"fiducial": fiducial_to_dict(f)}}
+    c = _builtin(args)
+    return {**_certified(verify_closed_form(c, args.tol)),
+            "artifacts": {"fiducial": fiducial_to_dict(c.normalized())}}
 
 
 def _generate_mub(args) -> dict:
@@ -214,20 +211,24 @@ def _generate_mub(args) -> dict:
 
 
 def _generate_projection(args) -> dict:
-    import numpy as np
-    from .monomial import monomial_weyl_generators
-    from .weyl import displacements
-    f = _builtin(args, closed=False)
-    dim = f.dim
-    # |D_ij a|^2: |a|^2 gathered through the inverse of the monomial image
-    # of D_ij, which the diagonal rephasing of the n4 basis leaves as it is
-    image = displacements(dim, *monomial_weyl_generators(dim)).image
-    points = (np.abs(f.amplitudes) ** 2)[np.argsort(image, axis=1)]
-    distinct = len(np.unique(points, axis=0))
-    return {"pass": distinct == dim.N,
+    from .sic import _weyl_tables
+    c = _builtin(args).normalized()
+    N = c.dim.N
+    p = [z.real * z.real + z.imag * z.imag for z in c.amplitudes]
+    (x_image, _), (z_image, _) = _weyl_tables(c.dim, c.basis)
+    xs, zs = [range(N)], [range(N)]  # the images of X^i and Z^j
+    for _ in range(N - 1):
+        xs.append([x_image[v] for v in xs[-1]])
+        zs.append([z_image[v] for v in zs[-1]])
+    # |D_ij a|^2: |a|^2 gathered through the inverse of the image of
+    # X^i Z^j, the phases of D_ij dropping out; every row permutes p
+    points = [[p[v] for v in sorted(range(N), key=lambda v: x[z[v]])]
+              for x in xs for z in zs]
+    distinct = len(set(map(tuple, points)))
+    return {"pass": distinct == N,
             "metrics": {"num_points": len(points), "num_distinct": distinct,
-                        "sum_p_squared": float(np.sum(points[0] ** 2))},
-            "artifacts": {"probability_vectors": points.tolist()}}
+                        "sum_p_squared": math.fsum(q * q for q in p)},
+            "artifacts": {"probability_vectors": points}}
 
 
 def _generate_operators(args) -> dict:

@@ -6,7 +6,7 @@ that names the field, a document of the wrong shape, and vectors whose norm
 deviates from 1 by more than 1e-6 or is not finite; writers always emit the
 renormalized amplitudes so files round-trip bit-for-bit. A file is written
 as one line of JSON, by json's C encoder; files written with indentation
-load the same.
+load the same. Only the parser imports numpy.
 """
 
 from __future__ import annotations
@@ -14,15 +14,13 @@ from __future__ import annotations
 import json
 from typing import Callable
 
-import numpy as np
-
 from .dims import Dimension
-from .sic import Fiducial
+from .sic import ClosedForm, Fiducial
 
 FORMAT_VERSION = 1
 
 
-def fiducial_to_dict(f: Fiducial) -> dict:
+def fiducial_to_dict(f: Fiducial | ClosedForm) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "N": f.dim.N,
@@ -53,6 +51,7 @@ def _field(d: dict, name: str, ok: Callable[[object], bool], what: str):
 
 
 def fiducial_from_dict(d: dict) -> Fiducial:
+    import numpy as np
     if type(d) is not dict:
         raise ValueError(f"a fiducial is a JSON object, not {type(d).__name__}")
     if d.get("format_version") != FORMAT_VERSION:

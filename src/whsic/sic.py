@@ -23,8 +23,9 @@ V a. `verify_closed_form` certifies a closed form in its own tag, whose X
 and Z are phase permutations (`_weyl_tables`), in Python numbers: the
 closed forms `closed_n4`, `closed_n9` and `closed_n16` are Python complex
 numbers from `math`, `cmath` and `dims.tau_power`, so `verify sic
---builtin` imports no numpy. `fiducial_n4`, `fiducial_n9` and
-`fiducial_n16` are their numpy `Fiducial`s, normalized by `np.linalg.norm`.
+--builtin`, `generate sic` and `generate projection` import no numpy. They
+and the numpy `Fiducial`s of the oracles `fiducial_n4`, `fiducial_n9` and
+`fiducial_n16` all hold `ClosedForm.normalized()`, the same bits.
 
 The module also searches the eigenvalue-1 eigenspace E0 of the order-3
 symmetry, spanned by the cached `_e0_basis`, with one numpy L-BFGS pass per
@@ -78,6 +79,15 @@ class ClosedForm(NamedTuple):
     basis: str
     amplitudes: tuple[complex, ...]
     provenance: dict
+
+    def normalized(self) -> ClosedForm:
+        """The closed form over its norm, summed by `math.fsum`."""
+        norm = math.sqrt(math.fsum(x * x for z in self.amplitudes
+                                   for x in (z.real, z.imag)))
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"closed form of norm {norm}: no ray")
+        return self._replace(amplitudes=tuple(z / norm
+                                              for z in self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -160,18 +170,14 @@ def verify_closed_form(c: ClosedForm, tol: float = 1e-8) -> SicCertificate:
     Python numbers: the same deviations up to rounding, and the first
     (i, j) in row-major order at which the largest occurs.
 
-    The tag's X and Z are phase permutations, so with the amplitudes a
-    scaled to unit norm, |<a|D_ij|a>| = |<(X^i)^dag a, Z^j a>|: N - 1
+    The tag's X and Z are phase permutations, so with a the amplitudes of
+    `c.normalized()`, |<a|D_ij|a>| = |<(X^i)^dag a, Z^j a>|: N - 1
     applications of each table and N^2 inner products of N terms, with no
     change of basis and no displacement stack."""
     dim, N = c.dim, c.dim.N
     (x_image, x_expo), (z_image, z_expo) = _weyl_tables(dim, c.basis)
     tau = [tau_power(dim, k) for k in range(dim.nbar)]
-    norm = math.sqrt(math.fsum(x * x for z in c.amplitudes
-                               for x in (z.real, z.imag)))
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"closed form of norm {norm}: no ray to certify")
-    a = [z / norm for z in c.amplitudes]
+    a = c.normalized().amplitudes
     # rows[i] = conj((X^i)^dag a): its entry v is tau^{x_expo[v]} times
     # entry x_image[v] of rows[i - 1]. cols[j] = Z^j a: Z moves entry v to
     # z_image[v] times tau^{z_expo[v]}, gathered through the inverse image.
@@ -196,10 +202,10 @@ def verify_closed_form(c: ClosedForm, tol: float = 1e-8) -> SicCertificate:
 
 
 def _fiducial(c: ClosedForm) -> Fiducial:
-    """A closed form as a numpy `Fiducial`, normalized by `np.linalg.norm`."""
+    """`c.normalized()` as a numpy `Fiducial`, bit for bit."""
     import numpy as np
-    v = np.array(c.amplitudes)
-    return Fiducial(c.dim, c.basis, v / np.linalg.norm(v), c.provenance)
+    u = c.normalized()
+    return Fiducial(u.dim, u.basis, np.array(u.amplitudes), u.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +310,6 @@ def fiducial_n9(s0: int, s1: int, s2: int, m3: int, m4: int) -> Fiducial:
 # N = 16 closed form (heavy lifting lives in adapted16)
 # ---------------------------------------------------------------------------
 
-def _n16_provenance(t2_branch: int, conjugate_orbit: bool) -> dict:
-    return {"construction": "n16", "t2_branch": t2_branch,
-            "conjugate_orbit": bool(conjugate_orbit),
-            "orbit": "16b" if conjugate_orbit else "16a"}
-
-
 def closed_n16(t2_branch: int = +1, conjugate_orbit: bool = False) -> ClosedForm:
     """Closed-form N = 16 fiducial in the adapted basis. Both t2 branches
     give valid fiducials; conjugate_orbit flips the signs of sqrt(13) and
@@ -317,15 +317,14 @@ def closed_n16(t2_branch: int = +1, conjugate_orbit: bool = False) -> ClosedForm
     from .adapted16 import fiducial_amplitudes
     return ClosedForm(Dimension(16), "adapted16",
                       tuple(fiducial_amplitudes(t2_branch, conjugate_orbit)),
-                      _n16_provenance(t2_branch, conjugate_orbit))
+                      {"construction": "n16", "t2_branch": t2_branch,
+                       "conjugate_orbit": bool(conjugate_orbit),
+                       "orbit": "16b" if conjugate_orbit else "16a"})
 
 
 def fiducial_n16(t2_branch: int = +1, conjugate_orbit: bool = False) -> Fiducial:
-    """`closed_n16` as a numpy `Fiducial`, from `adapted16.fiducial_vector`."""
-    from .adapted16 import fiducial_vector
-    return Fiducial(Dimension(16), "adapted16",
-                    fiducial_vector(t2_branch, conjugate_orbit),
-                    _n16_provenance(t2_branch, conjugate_orbit))
+    """`closed_n16` as a numpy `Fiducial`."""
+    return _fiducial(closed_n16(t2_branch, conjugate_orbit))
 
 
 # ---------------------------------------------------------------------------

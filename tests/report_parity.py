@@ -5,11 +5,14 @@ of command lines.
     PYTHONPATH=src python tests/report_parity.py          # check every row
     PYTHONPATH=src python tests/report_parity.py --write  # regenerate
 
-A closed form's row gives `max_abs_deviation` of `verify_sic` as
+A closed form's row gives `max_abs_deviation` of `verify_closed_form`,
+the certificate that `verify sic --builtin` and `generate sic` run, as
 `float.hex` and its `worst_displacement` (i, j); a report's row gives the
 exit code of `whsic.cli.main` and the sha256 of the report it writes. The
-check prints each row that moved and exits 1 if any did. Like the search
-table, the rows follow numpy's float bits.
+check prints each row that moved and exits 1 if any did. The closed-form
+rows and the reports of the closed-form commands are Python float
+arithmetic; like the search table, the other reports follow numpy's float
+bits.
 """
 
 import contextlib
@@ -69,8 +72,8 @@ REPORTS = [
 def closed_form_row(builtin: str, args: tuple) -> str:
     """The table line of one closed-form fiducial's certificate."""
     from whsic import cli, sic
-    f = getattr(sic, cli.BUILTINS[builtin][0])(*args)
-    cert = sic.verify_sic(f, 1e-8)
+    c = getattr(sic, cli.BUILTINS[builtin][0])(*args)
+    cert = sic.verify_closed_form(c, 1e-8)
     i, j = cert.worst_displacement
     case = " ".join(map(str, [builtin, *args]))
     return f"{case}\t{cert.max_abs_deviation.hex()} {i} {j}"

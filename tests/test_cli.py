@@ -514,7 +514,8 @@ def test_cli_import_leaves_scipy_unloaded():
 # each handler imports the modules it runs: a command leaves the others
 # unloaded, and parsing alone loads none beyond dims and errors; numpy is
 # loaded exactly when a case does not list it, by the commands that build
-# arrays, which `verify sic --builtin` does not
+# arrays, which the closed-form commands `verify sic --builtin`, `generate
+# sic` and `generate projection` do not
 @pytest.mark.parametrize("argv,unloaded", [
     ([], {"numpy", "adapted16", "clifford", "crt", "fileio", "monomial",
           "mub", "sic", "weyl"}),
@@ -536,6 +537,16 @@ def test_cli_import_leaves_scipy_unloaded():
       "weyl"}),
     (["verify", "sic", "--builtin", "n16", "--tol", "1e-8"],
      {"numpy", "clifford", "crt", "fileio", "monomial", "mub", "weyl"}),
+    (["generate", "sic", "--dim", "4"], {"numpy", "adapted16", "clifford",
+                                         "crt", "mub", "weyl"}),
+    (["generate", "sic", "--dim", "9"], {"numpy", "adapted16", "clifford",
+                                         "crt", "mub", "weyl"}),
+    (["generate", "sic", "--dim", "16", "--tol", "1e-8"],
+     {"numpy", "clifford", "crt", "monomial", "mub", "weyl"}),
+    (["generate", "projection", "--dim", "4"],
+     {"numpy", "adapted16", "clifford", "crt", "fileio", "mub", "weyl"}),
+    (["generate", "projection", "--dim", "9", "--m4", "1"],
+     {"numpy", "adapted16", "clifford", "crt", "fileio", "mub", "weyl"}),
 ])
 def test_command_loads_only_the_modules_it_runs(argv, unloaded):
     proc = run_python(["-c", "import os, sys, whsic.cli; "
@@ -741,15 +752,21 @@ def test_generate_sic_report_round_trips(tmp_path, capsys):
         .amplitudes)) == 0.0
 
 
+def construction_argv(builtin: str, args: tuple) -> list[str]:
+    """The construction flags that build the closed form of args."""
+    return [x for k, v in zip(cli.BUILTINS[builtin][-1], args)
+            for x in ("--" + k.replace("_", "-"), str(v))]
+
+
 def test_generate_sic_reports_the_certificate_of_verify_sic(capsys):
     """For the flags of every closed form, `generate sic` reports the
     deviation and witness of `verify sic --builtin`, and its artifact is
-    the numpy Fiducial of the library constructor."""
+    the unit vector that certificate checked: the normalized closed form,
+    bit for bit, within 1e-15 of the numpy oracle, and `verify_sic` on the
+    loaded artifact agrees with the report to 1e-14."""
     from whsic import sic
     for builtin, args in CLOSED_FORMS:
-        *names, flags = cli.BUILTINS[builtin]
-        argv = [x for k, v in zip(flags, args)
-                for x in ("--" + k.replace("_", "-"), str(v))]
+        argv = construction_argv(builtin, args)
         code, verify = run(["verify", "sic", "--builtin", builtin, *argv],
                            capsys)
         code2, generate = run(["generate", "sic", "--dim", builtin[1:],
@@ -759,8 +776,16 @@ def test_generate_sic_reports_the_certificate_of_verify_sic(capsys):
         assert generate["metrics"] == {
             "max_abs_deviation": metrics["max_abs_deviation"],
             "worst_displacement": metrics["worst_displacement"]}
-        f = getattr(sic, names[0])(*args)
-        assert generate["artifacts"]["fiducial"] == fileio.fiducial_to_dict(f)
+        c = getattr(sic, "closed_" + builtin)(*args).normalized()
+        art = generate["artifacts"]["fiducial"]
+        assert [[x.hex() for x in xy] for xy in art["amplitudes"]] == [
+            [z.real.hex(), z.imag.hex()] for z in c.amplitudes]
+        assert art == fileio.fiducial_to_dict(c)
+        oracle = getattr(sic, "fiducial_" + builtin)(*args)
+        assert np.abs(np.array(c.amplitudes) - oracle.amplitudes).max() <= 1e-15
+        f = fileio.fiducial_from_dict(art)
+        assert abs(sic.verify_sic(f, 1e-8).max_abs_deviation
+                   - metrics["max_abs_deviation"]) < 1e-14
 
 
 def test_reports_and_fiducial_files_are_one_line(tmp_path, capsys):
@@ -805,17 +830,16 @@ def test_generate_projection_counts_distinct(capsys):
 
 
 @pytest.mark.parametrize("argv,builtin", [
-    (["--dim", "4", "--slot", "2", "--t", "1"], ("n4", (2, 0, 1, 0))),
-    (["--dim", "9", "--s1", "-1", "--m4", "2"], ("n9", (1, -1, 1, 0, 2))),
-])
+    (["--dim", b[1:], *construction_argv(b, args)], (b, args))
+    for b, args in CLOSED_FORMS if b in ("n4", "n9")])
 def test_generate_projection_is_the_dense_orbit(argv, builtin, capsys):
-    """Each point, |a|^2 permuted by the image of D_ij in the fiducial's
-    basis, is |V^dag D_ij V a|^2 from the dense standard stack to
-    roundoff."""
+    """For every n4 and n9 closed form, each point, |a|^2 permuted by the
+    image of D_ij in the fiducial's basis, is |V^dag D_ij V a|^2 from the
+    dense standard stack to roundoff."""
     from whsic import sic
     from whsic.weyl import all_displacements
-    name, flags = builtin
-    f = getattr(sic, cli.BUILTINS[name][0])(*flags)
+    name, args = builtin
+    f = getattr(sic, "fiducial_" + name)(*args)
     V = sic.basis_change(f.dim, f.basis)
     dense = np.abs(all_displacements(f.dim) @ (V @ f.amplitudes)
                    @ V.conj()) ** 2

@@ -38,7 +38,8 @@ PAPER_RESULTS = {
 }
 
 # float oracles that the benchmark's `certify` workload and layer probes
-# still time; the tests call them too
+# still time; the tests call them too. The numpy constructors of the
+# closed forms are among them: `certify` builds its fiducials with them.
 BENCHMARK_ORACLES = {
     "clifford.conjugation_check_batched",
     "monomial.is_phase_permutation",
@@ -46,6 +47,10 @@ BENCHMARK_ORACLES = {
     "weyl.all_displacements",
     "crt.verify_product_iso",
     "mub.is_unbiased",
+    "sic.fiducial_n4",
+    "sic.fiducial_n9",
+    "sic.fiducial_n16",
+    "adapted16.fiducial_vector",
 }
 
 
@@ -237,14 +242,18 @@ def test_the_graph_reaches_what_the_commands_run():
     constructor named only by a string in `cli.BUILTINS`, methods read as
     attributes and a dunder method; negative controls: a function and two
     methods that only pinned names reach, among them the dense
-    `mub.Basis.vectors`, which `generate mub` no longer builds."""
+    `mub.Basis.vectors`, which `generate mub` no longer builds, and the
+    numpy constructors of the closed forms, which no command calls."""
     reached = _reach(_module_graph(), ["cli"])
     assert {"crt.product_iso_witness", "crt.displacement_witness",
             "crt.symplectic_witness", "monomial.covariance_witness",
-            "weyl.displacement", "sic.fiducial_n16", "adapted16.fiducial_vector",
+            "weyl.displacement", "sic.closed_n16",
+            "adapted16.fiducial_amplitudes", "sic.ClosedForm.normalized",
             "sic.search_fiducial", "fileio.load_fiducial",
             "mub.unbiased_witness", "clifford.SymplecticMatrix.reduced",
             "sic._CurvatureRing.push",
             "dims.PhasePermutation.__array__"} <= reached
     assert not {"monomial.sl2_orbit", "clifford.SymplecticMatrix.inv",
-                "mub.Basis.vectors"} & reached
+                "mub.Basis.vectors", "sic._fiducial", "sic.fiducial_n4",
+                "sic.fiducial_n9", "sic.fiducial_n16",
+                "adapted16.fiducial_vector"} & reached

@@ -240,15 +240,17 @@ def assert_witness(cert, c, X, Z, tol):
 
 @pytest.mark.parametrize("builtin", CONSTRUCTORS)
 def test_closed_form_certificate_agrees_with_verify_sic(builtin):
-    """Over every closed form: the numpy Fiducial is the closed form's
-    amplitudes over `np.linalg.norm`, bit for bit, and the own-basis
-    certificate gives verify_sic's verdict and deviation to 1e-14."""
+    """Over every closed form: the numpy Fiducial is the normalized closed
+    form, bit for bit, and within 1e-15 of the amplitudes over
+    `np.linalg.norm`; the own-basis certificate gives verify_sic's verdict
+    and deviation to 1e-14."""
     closed, fiducial = CONSTRUCTORS[builtin]
     tol = CLOSED_TOL[builtin]
     for args in (a for b, a in CLOSED_FORMS if b == builtin):
         c, f = closed(*args), fiducial(*args)
+        assert np.array_equal(f.amplitudes, c.normalized().amplitudes)
         v = np.array(c.amplitudes)
-        assert np.array_equal(f.amplitudes, v / np.linalg.norm(v))
+        assert np.abs(f.amplitudes - v / np.linalg.norm(v)).max() <= 1e-15
         assert (c.dim, c.basis, c.provenance) == (f.dim, f.basis, f.provenance)
         own, ref = verify_closed_form(c, tol), verify_sic(f, tol)
         assert own.passed and ref.passed
