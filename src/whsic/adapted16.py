@@ -14,7 +14,7 @@ sigma is the field automorphism r2 -> -r2.
 The coefficients, the fiducial's amplitudes and the generators' integer
 tables (`adapted16_weyl_tables`) are Python numbers, which `verify sic
 --builtin n16` certifies and `generate sic` writes without numpy; numpy
-is imported only by `adapted16_generators` and the oracle `fiducial_vector`.
+is imported only by `adapted16_basis` and the oracle `fiducial_vector`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .dims import Dimension, PhasePermutation, _checked_sqrt, tau_powers
+from .dims import Dimension, _checked_sqrt, tau_powers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,21 +96,20 @@ def adapted16_weyl_tables() -> tuple[tuple, tuple]:
                  for entries in (_X16_ENTRIES, _Z16_ENTRIES))
 
 
-def adapted16_generators() -> tuple[PhasePermutation, PhasePermutation, np.ndarray]:
-    """(X16, Z16, T): adapted-basis generators and the basis-change matrix.
+def adapted16_basis() -> np.ndarray:
+    """The basis-change matrix T of the adapted basis.
 
     With U = conj(T) one has X16 = U X U^dag and Z16 = U Z U^dag for the
-    standard shift and clock, so a vector v in the adapted basis corresponds
-    to T.T @ v in the standard basis.
+    standard shift and clock and the generators of `adapted16_weyl_tables`,
+    so a vector v in the adapted basis corresponds to T.T @ v in the
+    standard basis.
     """
     import numpy as np
     T = np.zeros((16, 16), dtype=complex)
     for row, (cols, vals) in enumerate(_T_ROWS):
         T[row, cols] = 0.5 * tau_powers(DIM16,
                                         [_tau_exponent(*v) for v in vals])
-    X, Z = (PhasePermutation(DIM16, np.array(image), np.array(expo))
-            for image, expo in adapted16_weyl_tables())
-    return X, Z, T
+    return T
 
 
 def field_elements(t2_branch: int = +1, conjugate_orbit: bool = False) -> dict[str, float]:

@@ -279,9 +279,9 @@ class Command(NamedTuple):
 # stops; zauner 17 MB in 0.07-0.09 s at 10^12 and 10^27 alike, capped where
 # crt is, so every integer it reports is below 2^53; the N of a `verify sic
 # --file` fiducial, FILE_DIM_CAP, refused after the file is read: its N x N
-# basis change and overlap table take 107 MB in 0.19 s at 1224 in the
-# standard basis, 103 MB at 34^2 = 1156 in the monomial one (112 MB at
-# 35^2 = 1225; an unbounded N = 200000 asks for 596 GiB); and the length of
+# overlap table takes 86 MB in 0.20 s at 1224 in the standard basis, and
+# 81 MB at 34^2 = 1156 in the monomial one, whose basis change is a 34 x 34
+# factor (an unbounded N = 200000 asks for 596 GiB); and the length of
 # that file, fileio.MAX_BYTES = 2^17, refused before it is parsed: an
 # N = 1224 fiducial whose 2447 small floats all take the longest repr, 24
 # characters (a three-digit exponent), takes 66316 bytes with a search's

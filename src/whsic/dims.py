@@ -6,9 +6,9 @@ evaluation: it reduces the integer exponent first and evaluates
 exp(i pi m/N) once, never by repeated multiplication, so high powers stay
 accurate to machine precision even for N = 16 radical checks. `tau_table`
 lists tau^k for k < nbar from `tau_power`, built once per dimension and
-shared read-only (so are `sic.basis_change`, the search's E0 basis and the
-FFT kernel's shift gathers); `tau_powers` is the one array lookup into the
-table (the only place an exponent array is reduced mod nbar).
+shared read-only (so are the factors of `sic.basis_change`, the search's E0
+basis and the FFT kernel's shift gathers); `tau_powers` is the one array
+lookup into the table (the only place an exponent array is reduced mod nbar).
 
 Every operator with one tau power per column (Weyl generators and
 displacements, monomial Clifford unitaries) is a `PhasePermutation` with

@@ -3,10 +3,10 @@
 Fiducial files carry {format_version, N, basis, amplitudes, provenance} with
 amplitudes stored as [re, im] pairs. Parsers reject, with a ValueError
 that names the field, a document of the wrong shape, and vectors whose norm
-deviates from 1 by more than 1e-6 or is not finite; writers always emit the
-renormalized amplitudes so files round-trip bit-for-bit. A file is written
-as one line of JSON, by json's C encoder; files written with indentation
-load the same. Only the parser imports numpy.
+deviates from 1 by more than 1e-6 or is not finite; they divide by the norm
+only past 1e-12, the gate of `sic.Fiducial`, so a Fiducial's file loads
+bit-for-bit. A file is written as one line of JSON, by json's C encoder;
+files written with indentation load the same. Only the parser imports numpy.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ def fiducial_from_dict(d: dict) -> Fiducial:
     nrm = float(np.linalg.norm(amps))
     if not abs(nrm - 1.0) <= 1e-6:  # NaN fails too
         raise ValueError(f"vector norm {nrm} deviates from 1 beyond 1e-6")
-    return Fiducial(Dimension(N), basis, amps / nrm, dict(provenance))
+    amps /= nrm if abs(nrm - 1.0) > 1e-12 else 1.0
+    return Fiducial(Dimension(N), basis, amps, dict(provenance))
 
 
 # The longest fiducial file load_fiducial reads: the bound is derived from

@@ -1,7 +1,7 @@
 """Phase-permutation representation for square dimensions N = n^2.
 
-Basis vectors are labelled |r,s> with r,s mod n, flattened as r*n + s.
-The generators act by
+The basis |r,s> = n^-1/2 sum_t omega^{-ntr} |nt+s>, r,s mod n flattened as
+r*n + s, is the monomial tag of `sic.basis_change`. The generators act by
 
     X|r,s> = |r,s+1>            (wrap: X|r,n-1> = sigma^r |r,0>)
     Z|r,s> = omega^s |r-1,s>
@@ -35,23 +35,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .dims import (Dimension, PhasePermutation, flatten, require_square,
-                   tau_powers)
+from .dims import Dimension, PhasePermutation, flatten, require_square
 
 if TYPE_CHECKING:  # weyl and clifford load only with the functions below
     import numpy as np
 
     from .clifford import SymplecticMatrix
-
-
-def zak_matrix(dim: Dimension) -> np.ndarray:
-    """Unitary whose columns are |r,s> = (1/sqrt(n)) sum_t omega^{-ntr} |nt+s>."""
-    import numpy as np
-    n = require_square(dim)
-    r, s, t = np.indices((n, n, n))
-    V = np.zeros((dim.N, dim.N), dtype=complex)
-    V[n * t + s, flatten(r, s, n)] = tau_powers(dim, -2 * n * t * r) / np.sqrt(n)
-    return V
 
 
 def _weyl_images(r, s, n: int):

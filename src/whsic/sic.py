@@ -5,16 +5,17 @@ A SIC fiducial is a unit vector whose Weyl-Heisenberg orbit is equiangular,
     |<psi| D_ij |psi>|^2 = 1/(N+1)   for all (i, j) != (0, 0).
 
 Each fiducial carries a basis tag. A tag is one change of basis: the unitary
-V = basis_change(dim, tag), whose columns are the tag's basis vectors in
-standard coordinates, so amplitudes a stand for the standard vector V a and
-an operator M acts in the tag's basis as V^dag M V. Registered tags:
+V whose columns are the tag's basis vectors in standard coordinates, so
+amplitudes a stand for the standard vector V a and an operator M acts in the
+tag's basis as V^dag M V. Only the m x m factor F = basis_change(dim, tag)
+of V = F kron 1_{N/m} is built. Registered tags:
 
-    standard   - V = 1: the shift/clock basis
-    monomial   - V = zak_matrix(dim): the phase-permutation basis |r,s>
-                 (square N)
-    rephased4  - V = zak_matrix(4) diag(tau^-2, tau^-7, tau^-5, 1): the
-                 rephased monomial basis of the N = 4 closed form
-    adapted16  - V = T.T with T from adapted16_generators: the N = 16 basis in
+    standard   - V = 1, no factor: the shift/clock basis
+    monomial   - F[t, r] = tau^{-2ntr}/sqrt(n), an n x n DFT: the
+                 phase-permutation basis |r,s> of square N = n^2
+    rephased4  - F = (monomial F kron 1_2) diag(tau^-2, tau^-7, tau^-5, 1):
+                 the rephased monomial basis of the N = 4 closed form
+    adapted16  - F = T.T with T = adapted16_basis(): the N = 16 basis in
                  which X^4 and Z^4 are diagonal
 
 Two certificates read the same overlaps. `verify_sic` certifies a numeric
@@ -35,7 +36,7 @@ direction loops. numpy is imported only inside the functions that build
 arrays.
 
 What depends on N alone is built once per dimension and shared read-only:
-each tag's V, the E0 basis and objective of the search and the shift gathers.
+each tag's F, the E0 basis and objective of the search and the shift gathers.
 """
 
 from __future__ import annotations
@@ -103,26 +104,27 @@ REPHASE4 = (-2, -7, -5, 0)
 
 
 @functools.lru_cache(maxsize=256)
-def basis_change(dim: Dimension, basis: str) -> np.ndarray:
-    """Unitary V whose columns are the basis vectors of a tag in standard
-    coordinates; raises BasisUnavailable for an unknown tag or a tag
-    registered at another N. Built once per (dim, tag) and returned
-    read-only: copy it before writing into it."""
+def basis_change(dim: Dimension, basis: str) -> np.ndarray | None:
+    """The m x m factor F of a tag's change of basis V = F kron 1_{N/m}, or
+    None for the standard tag, whose V is 1; raises BasisUnavailable for an
+    unknown tag or a tag registered at another N. Built once per (dim, tag)
+    and returned read-only: copy it before writing into it."""
     import numpy as np
     if basis == "standard":
-        V = np.eye(dim.N, dtype=complex)
-    elif basis == "monomial" and dim.n is not None:
-        from .monomial import zak_matrix
-        V = zak_matrix(dim)
+        return None
+    if basis == "monomial" and dim.n is not None:
+        t, r = np.indices((dim.n, dim.n))
+        F = tau_powers(dim, -2 * dim.n * t * r) / np.sqrt(dim.n)
     elif basis == "rephased4" and dim.N == 4:
-        V = basis_change(dim, "monomial") * tau_powers(dim, REPHASE4)
+        F = (np.kron(basis_change(dim, "monomial"), np.eye(2))
+             * tau_powers(dim, REPHASE4))
     elif basis == "adapted16" and dim.N == 16:
-        from .adapted16 import adapted16_generators
-        V = adapted16_generators()[2].T
+        from .adapted16 import adapted16_basis
+        F = adapted16_basis().T
     else:
         raise BasisUnavailable(f"no basis {basis!r} registered at N={dim.N}")
-    V.flags.writeable = False
-    return V
+    F.flags.writeable = False
+    return F
 
 
 def verify_sic(f: Fiducial, tol: float = 1e-8) -> SicCertificate:
@@ -133,7 +135,8 @@ def verify_sic(f: Fiducial, tol: float = 1e-8) -> SicCertificate:
     standard-basis amplitudes; a basis change preserves each D_ij, so the
     certificate holds in the fiducial's own basis as well."""
     import numpy as np
-    psi = basis_change(f.dim, f.basis) @ f.amplitudes
+    F, a = basis_change(f.dim, f.basis), np.asarray(f.amplitudes, complex)
+    psi = a if F is None else (F @ a.reshape(len(F), -1)).ravel()
     probs = np.abs(standard_overlaps(psi)) ** 2
     dev = np.abs(probs - 1.0 / (f.dim.N + 1))
     dev[0, 0] = 0.0  # D_00 = identity carries no condition

@@ -7,9 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from whsic import crt
+from whsic.adapted16 import DIM16, _T_ROWS, adapted16_weyl_tables
 from whsic.clifford import (ZAUNER, SymplecticMatrix, chirp_exponents,
                             chirp_factors, zauner_angle)
-from whsic.dims import Dimension, PhasePermutation, flatten, tau_table
+from whsic.dims import (Dimension, PhasePermutation, flatten, tau_power,
+                        tau_powers, tau_table)
 from whsic.errors import BasisUnavailable
 from whsic.monomial import (monomial_clifford, monomial_weyl_generators,
                             vector_order)
@@ -126,11 +128,58 @@ def rephased4_generators() -> tuple[PhasePermutation, PhasePermutation]:
     return tuple(Pinv @ M @ P for M in monomial_weyl_generators(dim))
 
 
+def adapted16_weyl_generators() -> tuple[PhasePermutation, PhasePermutation]:
+    """X16 and Z16 of the adapted basis, from `adapted16_weyl_tables`."""
+    return tuple(PhasePermutation(DIM16, np.array(image), np.array(expo))
+                 for image, expo in adapted16_weyl_tables())
+
+
+# ---------------------------------------------------------------------------
+# dense basis changes
+# ---------------------------------------------------------------------------
+
+def zak_matrix(dim: Dimension) -> np.ndarray:
+    """Unitary whose columns are |r,s> = (1/sqrt(n)) sum_t omega^{-ntr} |nt+s>,
+    entry by entry: the monomial tag's V as an N x N matrix."""
+    n = dim.n
+    r, s, t = np.indices((n, n, n))
+    V = np.zeros((dim.N, dim.N), dtype=complex)
+    V[n * t + s, flatten(r, s, n)] = tau_powers(dim, -2 * n * t * r) / np.sqrt(n)
+    return V
+
+
+def dense_basis(dim: Dimension, basis: str) -> np.ndarray:
+    """Each registered tag's V built whole: 1, `zak_matrix`, `zak_matrix`
+    times the `sic.REPHASE4` phases, and the transpose of the adapted T from
+    its signed transcription, a sign times tau^e."""
+    if basis == "standard":
+        return np.eye(dim.N, dtype=complex)
+    if basis == "monomial":
+        return zak_matrix(dim)
+    if basis == "rephased4":
+        return zak_matrix(dim) * tau_powers(dim, REPHASE4)
+    assert (dim, basis) == (DIM16, "adapted16"), (dim, basis)
+    T = np.zeros((16, 16), dtype=complex)
+    for row, (cols, vals) in enumerate(_T_ROWS):
+        for c, (sign, e) in zip(cols, vals):
+            T[row, c] = 0.5 * sign * tau_power(DIM16, e)
+    return T.T
+
+
+def dense_v(dim: Dimension, basis: str) -> np.ndarray:
+    """V = F kron 1_{N/m} from the m x m factor F = `sic.basis_change`, and
+    1 for the standard tag, which has no factor."""
+    F = basis_change(dim, basis)
+    if F is None:
+        return np.eye(dim.N, dtype=complex)
+    return np.kron(F, np.eye(dim.N // len(F)))
+
+
 def to_standard(f: Fiducial) -> Fiducial:
     """A SIC in any basis is a SIC in the standard basis: the same fiducial
-    with its amplitudes V a in the standard basis, V = `sic.basis_change`."""
-    return Fiducial(f.dim, "standard",
-                    basis_change(f.dim, f.basis) @ f.amplitudes, f.provenance)
+    with its amplitudes V a in the standard basis, V = `dense_v`."""
+    return Fiducial(f.dim, "standard", dense_v(f.dim, f.basis) @ f.amplitudes,
+                    f.provenance)
 
 
 def autocorrelation_check(f: Fiducial) -> np.ndarray:

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from whsic.adapted16 import adapted16_generators
+from whsic.adapted16 import adapted16_basis
 from whsic.cli import COMMANDS
 from whsic.clifford import (SymplecticMatrix, predicted_eigenspace_dims,
                             random_symplectic, zauner_counts, zauner_unitary)
@@ -28,8 +28,9 @@ from whsic.sic import (fiducial_n4, fiducial_n9, fiducial_n16,
                        search_fiducial, verify_sic)
 from whsic.weyl import all_displacements
 
-from oracles import (autocorrelation_check, invariant_subgroup_search,
-                     lift_sl2, rephased4_generators, to_standard)
+from oracles import (adapted16_weyl_generators, autocorrelation_check,
+                     invariant_subgroup_search, lift_sl2, rephased4_generators,
+                     to_standard)
 
 
 def orbit_key(v, D, decimals=8):
@@ -86,7 +87,8 @@ def test_acceptance_n16_fiducial_and_structural_gates():
         assert verify_sic(f, 1e-8).passed
         g = to_standard(fiducial_n16(branch))
         assert verify_sic(g, 1e-8).passed
-    X, Z, T = adapted16_generators()
+    X, Z = adapted16_weyl_generators()
+    T = adapted16_basis()
     eye = np.eye(16)
     for M in (X.dense(), Z.dense(), T):
         assert np.max(np.abs(M @ M.conj().T - eye)) < 1e-12
@@ -209,7 +211,7 @@ def test_acceptance_simplex_identities():
 def test_acceptance_projection_collapse():
     cases = [(fiducial_n4(0, 0, 0, 0), rephased4_generators()),
              (fiducial_n9(1, 1, 1, 0, 0), monomial_weyl_generators(Dimension(9))),
-             (fiducial_n16(1), adapted16_generators()[:2])]
+             (fiducial_n16(1), adapted16_weyl_generators())]
     for f, (X, Z) in cases:
         v, dim = f.amplitudes, f.dim
         D = all_displacements(dim, X, Z)

@@ -19,9 +19,10 @@ from whsic.clifford import random_symplectic
 from whsic.dims import Dimension, PhasePermutation, tau_powers
 from whsic.errors import NotOrthonormal
 from whsic.monomial import monomial_weyl_generators
-from whsic.sic import Fiducial, fiducial_n4
+from whsic.sic import Fiducial, fiducial_n4, search_fiducial
 from whsic.weyl import standard_generators
 
+from oracles import dense_v
 from report_parity import CLOSED_FORMS, REPORTS, moved_rows, table_rows
 
 
@@ -788,6 +789,46 @@ def test_generate_sic_reports_the_certificate_of_verify_sic(capsys):
                    - metrics["max_abs_deviation"]) < 1e-14
 
 
+def test_generate_sic_artifacts_load_bit_for_bit():
+    """Each of the closed forms' unit vectors, as `generate sic` writes it,
+    loads from its JSON text as the bits it holds."""
+    from whsic import sic
+    for builtin, args in CLOSED_FORMS:
+        c = getattr(sic, "closed_" + builtin)(*args).normalized()
+        text = json.dumps(fileio.fiducial_to_dict(c))
+        f = fileio.fiducial_from_dict(json.loads(text))
+        assert np.array_equal(f.amplitudes, np.array(c.amplitudes)), (
+            builtin, args)
+
+
+@pytest.mark.parametrize("N", [5, 7, 8, 11, 12])
+def test_searched_fiducial_file_repeats_the_search_certificate(N, tmp_path,
+                                                               capsys):
+    """A `search --fiducial-out` file loads as the vector the search
+    certified, so `verify sic --file` reports the same deviation and
+    witness."""
+    path = tmp_path / "f.json"
+    code, found = run(["search", "--dim", str(N), "--seed", "0",
+                       "--fiducial-out", str(path)], capsys)
+    assert code == 0
+    f = search_fiducial(Dimension(N), rng_seed=0)
+    assert np.array_equal(fileio.load_fiducial(path).amplitudes, f.amplitudes)
+    code, again = run(["verify", "sic", "--file", str(path)], capsys)
+    assert code == 0
+    for key in ("max_abs_deviation", "worst_displacement"):
+        assert again["metrics"][key] == found["metrics"][key]
+
+
+def test_a_file_off_the_unit_sphere_loads_normalized():
+    """Amplitudes whose norm is off 1 by more than 1e-12, but within the
+    1e-6 the parser accepts, are divided by it."""
+    d = fileio.fiducial_to_dict(fiducial_n4(0, 0, 0, 0))
+    d["amplitudes"] = [[x * (1 + 1e-9), y * (1 + 1e-9)]
+                       for x, y in d["amplitudes"]]
+    f = fileio.fiducial_from_dict(d)
+    assert abs(np.linalg.norm(f.amplitudes) - 1.0) <= 1e-15
+
+
 def test_reports_and_fiducial_files_are_one_line(tmp_path, capsys):
     code = main(["search", "--dim", "5", "--seed", "0",
                  "--fiducial-out", str(tmp_path / "f.json")])
@@ -840,7 +881,7 @@ def test_generate_projection_is_the_dense_orbit(argv, builtin, capsys):
     from whsic.weyl import all_displacements
     name, args = builtin
     f = getattr(sic, "fiducial_" + name)(*args)
-    V = sic.basis_change(f.dim, f.basis)
+    V = dense_v(f.dim, f.basis)
     dense = np.abs(all_displacements(f.dim) @ (V @ f.amplitudes)
                    @ V.conj()) ** 2
     code, rep = run(["generate", "projection", *argv], capsys)

@@ -14,10 +14,11 @@ from whsic.errors import NotSquare
 from whsic.monomial import (covariance_witness, is_phase_permutation,
                             invariant_subgroup, monomial_antiunitary,
                             monomial_clifford, monomial_weyl_generators,
-                            sl2_orbit, vector_order, zak_matrix)
+                            sl2_orbit, vector_order)
 from whsic.weyl import all_displacements
 
-from oracles import invariant_subgroup_search, monomial_zauner, reference_check
+from oracles import (invariant_subgroup_search, monomial_zauner,
+                     reference_check, zak_matrix)
 
 SQUARES = [4, 9, 16, 25]
 

@@ -20,7 +20,8 @@ from whsic.sic import (LBFGS_MEMORY, LINE_SEARCH_EVALS, ClosedForm,
                        verify_sic)
 from whsic.weyl import all_displacements, displacements, standard_generators
 
-from oracles import (autocorrelation_check, monomial_zauner,
+from oracles import (adapted16_weyl_generators, autocorrelation_check,
+                     dense_basis, dense_v, monomial_zauner,
                      rephased4_generators, to_standard)
 from report_parity import CLOSED_FORMS
 from search_parity import DIMS, SEEDS, search_row, table_rows
@@ -125,14 +126,14 @@ TAG_GENERATORS = [
     (Dimension(16), "monomial", lambda: monomial_weyl_generators(Dimension(16))),
     (Dimension(25), "monomial", lambda: monomial_weyl_generators(Dimension(25))),
     (Dimension(4), "rephased4", rephased4_generators),
-    (Dimension(16), "adapted16", lambda: adapted16.adapted16_generators()[:2]),
+    (Dimension(16), "adapted16", adapted16_weyl_generators),
 ]
 TAG_IDS = [f"{basis}-{dim.N}" for dim, basis, _ in TAG_GENERATORS]
 
 
 @pytest.mark.parametrize("dim,basis,generators", TAG_GENERATORS, ids=TAG_IDS)
 def test_basis_change_is_unitary_and_intertwines(dim, basis, generators):
-    V = basis_change(dim, basis)
+    V = dense_v(dim, basis)
     Vd = V.conj().T
     assert np.max(np.abs(Vd @ V - np.eye(dim.N))) < 1e-14
     Xs, Zs = standard_generators(dim)
@@ -160,12 +161,43 @@ def test_kernel_matches_dense_stack_in_every_basis(dim, basis, generators):
 @pytest.mark.parametrize("dim,basis,generators", TAG_GENERATORS, ids=TAG_IDS)
 def test_basis_change_is_shared_read_only_and_bit_identical(dim, basis,
                                                            generators):
-    V = basis_change(dim, basis)
-    assert V is basis_change(Dimension(dim.N), basis)
-    assert not V.flags.writeable
+    F = basis_change(dim, basis)
+    assert F is basis_change(Dimension(dim.N), basis)
+    if basis == "standard":
+        assert F is None
+        return
+    assert not F.flags.writeable
     with pytest.raises(ValueError):
-        V[0, 0] = 0
-    assert np.array_equal(V, basis_change.__wrapped__(dim, basis))
+        F[0, 0] = 0
+    assert np.array_equal(F, basis_change.__wrapped__(dim, basis))
+
+
+@pytest.mark.parametrize("dim,basis,generators", TAG_GENERATORS, ids=TAG_IDS)
+def test_basis_change_factor_is_the_dense_oracle(dim, basis, generators):
+    """F kron 1_{N/m} is the tag's V built whole, entry for entry."""
+    V = dense_v(dim, basis)
+    assert np.max(np.abs(V - dense_basis(dim, basis))) <= 1e-15
+
+
+@pytest.mark.parametrize("N", [5, 1156, 1224])
+def test_standard_tag_has_no_factor(N):
+    assert basis_change(Dimension(N), "standard") is None
+
+
+@pytest.mark.parametrize("N,m", [(4, 2), (9, 3), (1156, 34)])
+def test_monomial_factor_is_n_by_n(N, m):
+    F = basis_change(Dimension(N), "monomial")
+    assert F.shape == (m, m)
+    assert np.max(np.abs(F.conj().T @ F - np.eye(m))) < 1e-14
+
+
+def test_verify_sic_at_1156_matches_the_dense_basis_change():
+    """The factor form against the N x N V at the largest square under the
+    `verify sic --file` cap."""
+    dim, a = Dimension(1156), random_unit(1156, 0)
+    dense = Fiducial(dim, "standard", dense_basis(dim, "monomial") @ a)
+    assert abs(verify_sic(Fiducial(dim, "monomial", a)).max_abs_deviation
+               - verify_sic(dense).max_abs_deviation) < 1e-14
 
 
 @pytest.mark.parametrize("dim,basis,generators", TAG_GENERATORS[2:],
@@ -190,7 +222,7 @@ def test_weyl_tables_refuse_tags_without_phase_permutations(N, basis):
 @pytest.mark.parametrize("N", [4, 9, 16, 25, 36])
 def test_basis_change_carries_zauner_to_monomial(N):
     dim = Dimension(N)
-    V = basis_change(dim, "monomial")
+    V = dense_v(dim, "monomial")
     U = V.conj().T @ zauner_unitary(dim) @ V
     assert np.max(np.abs(U - monomial_zauner(dim))) < 1e-14
 
@@ -198,6 +230,10 @@ def test_basis_change_carries_zauner_to_monomial(N):
 def test_standard_basis_change_keeps_every_bit():
     f = search_fiducial(Dimension(5), rng_seed=0)
     assert np.array_equal(to_standard(f).amplitudes, f.amplitudes)
+    # the certificate reads the amplitudes themselves, with no product
+    dev = np.abs(np.abs(standard_overlaps(f.amplitudes)) ** 2 - 1.0 / 6)
+    dev[0, 0] = 0.0
+    assert verify_sic(f).max_abs_deviation == dev.max()
 
 
 @pytest.mark.parametrize("N,basis", [(5, "monomial"), (9, "rephased4"),
@@ -286,7 +322,7 @@ def test_closed_form_certificate_reads_the_x16_transcription(k, monkeypatch):
     monkeypatch.setattr(adapted16, "_X16_ENTRIES", entries)
     c = closed_n16()
     cert = verify_closed_form(c, 1e-8)
-    X, Z = adapted16.adapted16_generators()[:2]
+    X, Z = adapted16_weyl_generators()
     assert X.expo[col] == (e + 1 + 8 * (1 - sign)) % 32
     assert_witness(cert, c, X, Z, 1e-8)
     assert verify_sic(fiducial_n16(), 1e-8).passed
@@ -444,7 +480,8 @@ def test_n16_embedding_pins_omega32(branch, conj):
 def test_adapted16_generators_match_signed_transcription():
     """Each entry is sign * tau^e as transcribed, tau = -exp(i pi/16)."""
     tau = -np.exp(1j * np.pi / 16)
-    X, Z, T = adapted16.adapted16_generators()
+    X, Z = adapted16_weyl_generators()
+    T = adapted16.adapted16_basis()
     for M, entries in ((X, adapted16._X16_ENTRIES), (Z, adapted16._Z16_ENTRIES)):
         ref = np.zeros((16, 16), dtype=complex)
         for r, c, sg, e in entries:
@@ -547,7 +584,7 @@ def test_zauner_project_idempotent_and_null():
     U = monomial_zauner(dim)
     w, vecs = np.linalg.eig(U)
     # the E0 projection in the monomial basis: V^dag B B^dag V
-    VB = basis_change(dim, "monomial").conj().T @ _e0_basis(dim)
+    VB = dense_v(dim, "monomial").conj().T @ _e0_basis(dim)
     fixed = vecs[:, int(np.argmin(np.abs(w - 1)))]
     out = VB @ (VB.conj().T @ fixed)
     assert best_phase_distance(out / np.linalg.norm(out), fixed) < 1e-10
