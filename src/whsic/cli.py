@@ -41,7 +41,9 @@ tool writes its report during that teardown.
 # the modules it runs, so a command loads only those. Numpy loads with the
 # commands that build arrays: `verify sic --file`, `search`, `verify
 # monomial`, `verify crt` and `generate operators`; the commands that take
-# a builtin run on its closed form in Python numbers.
+# a builtin run on its closed form in Python numbers. The package's records
+# are `typing.NamedTuple`s (see dims), so no command loads `dataclasses`
+# and with it `inspect`, `ast`, `dis` and `tokenize`.
 
 from __future__ import annotations
 

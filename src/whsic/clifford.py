@@ -21,8 +21,7 @@ it. numpy is imported only inside the functions that build arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dims import (Dimension, PhasePermutation, mod_inverse, tau_powers,
                    tau_table)
@@ -33,8 +32,7 @@ if TYPE_CHECKING:  # fractions loads only with the exact Zauner certificate
     import numpy as np
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
+class SymplecticMatrix(NamedTuple):
     """2x2 integer matrix (alpha, beta; gamma, delta), entries interpreted mod
     a caller-supplied modulus (nbar for Clifford work, N for orbit work)."""
 

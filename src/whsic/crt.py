@@ -31,7 +31,7 @@ operations (per chirp) for r prime-power factors and read no tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ from .dims import Dimension, mod_inverse
 SYMPLECTIC_SAMPLES = 20  # random symplectic G per verify_product_iso
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     p: int
     q: int
     n: int      # p**q
@@ -51,8 +50,7 @@ class Factor:
     kappa: int  # inverse of N/n mod nbar
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     N: int
     factors: tuple
 

@@ -28,6 +28,13 @@ rounding inside the objective moved none over N = 5..48, seeds 0..9.
 test pins the two together for N = 1..300.
 It also holds the shared integer conventions `flatten` and `mod_inverse`,
 and imports numpy only inside the functions that build arrays.
+
+Every record of the package is a `typing.NamedTuple`, read-only and
+compared by value. The three that check their fields, `Dimension`,
+`sic.Fiducial` and `mub.Basis`, subclass one and check in `__new__`;
+`_replace` and `_make` skip `__new__`, so no code calls them on these.
+`PhasePermutation` compares by identity, so it is a plain `__slots__`
+class instead.
 """
 
 from __future__ import annotations
@@ -35,27 +42,27 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NegativeRadicand, NotCoprime, NotOrthonormal, NotSquare
 
 if TYPE_CHECKING:
     import numpy as np
 
-@dataclass(frozen=True)
-class Dimension:
+
+class Dimension(NamedTuple("Dimension", [("N", int)])):
     """A Hilbert-space dimension N with its phase modulus nbar.
 
     nbar = N for odd N and 2N for even N. For square N the side length n
     (n*n == N) is available; it is None otherwise.
     """
 
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"dimension must be positive, got {self.N}")
+    def __new__(cls, N: int):
+        if N < 1:
+            raise ValueError(f"dimension must be positive, got {N}")
+        return super().__new__(cls, N)
 
     @property
     def nbar(self) -> int:
@@ -127,35 +134,30 @@ def tau_powers(dim: Dimension, exponents) -> np.ndarray:
     return tau_table(dim)[np.asarray(exponents) % dim.nbar]
 
 
-@dataclass(frozen=True, eq=False)
 class PhasePermutation:
     """|v> -> tau^{expo[v]} |image[v]>, image a permutation of 0..N-1 and expo
     reduced mod nbar, the order of tau. Leading axes stack operators."""
 
-    dim: Dimension
-    image: np.ndarray
-    expo: np.ndarray
+    __slots__ = ("dim", "image", "expo")
 
-    def __post_init__(self):
+    def __init__(self, dim: Dimension, image, expo):
         import numpy as np
-        N, image = self.dim.N, np.asarray(self.image)
+        N, image = dim.N, np.asarray(image)
         hit = np.zeros(image.shape[:-1] + (N + 1,), bool)  # N: outside
         if image.shape[-1:] == (N,):  # a 0-d image has no row to index
             inside = (image >= 0) & (image < N)
             np.put_along_axis(hit, np.where(inside, image, N), True, axis=-1)
         if image.shape[-1:] != (N,) or not hit[..., :N].all():
             raise NotOrthonormal(f"image is not a permutation of 0..{N - 1}")
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "expo", np.asarray(self.expo) % self.dim.nbar)
+        self.dim, self.image = dim, image
+        self.expo = np.asarray(expo) % dim.nbar
 
     @classmethod
     def _reduced(cls, dim: Dimension, image: np.ndarray,
                  expo: np.ndarray) -> "PhasePermutation":
         """Build from exponents already in [0, nbar), skipping the `%`."""
         out = object.__new__(cls)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "image", image)
-        object.__setattr__(out, "expo", expo)
+        out.dim, out.image, out.expo = dim, image, expo
         return out
 
     def __matmul__(self, other: "PhasePermutation") -> "PhasePermutation":
@@ -165,7 +167,8 @@ class PhasePermutation:
             return NotImplemented
         # both exponents lie in [0, nbar), so one subtraction reduces the sum
         nbar = self.dim.nbar
-        expo = other.expo + self.expo.take(other.image, axis=-1)
+        expo = self.expo.take(other.image, axis=-1)
+        expo += other.expo
         expo -= nbar * (expo >= nbar)
         return PhasePermutation._reduced(
             self.dim, self.image.take(other.image, axis=-1), expo)

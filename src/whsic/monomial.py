@@ -32,8 +32,7 @@ that build arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dims import Dimension, PhasePermutation, flatten, require_square
 
@@ -157,8 +156,7 @@ def _primitive_lift(w: tuple[int, int], k: int, N: int) -> tuple[int, int]:
     raise AssertionError("no primitive lift found; contradicts gcd argument")
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     order: int
     members: frozenset
     witness_maps: dict  # member -> SymplecticMatrix mapping the base point to it

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dims import Dimension, flatten, require_square, tau_powers
 from .errors import DimensionMismatch, NotOrthonormal, NotPrime
@@ -41,32 +41,27 @@ def cyclic_latin_square(n: int, k: int) -> tuple:
     return tuple(tuple((a + k * r) % n for a in range(n)) for r in range(n))
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(NamedTuple("Basis", [("dim", Dimension), ("lines", tuple),
+                                  ("expo", tuple), ("fourier", int),
+                                  ("label", str)])):
     """N vectors as integers: row a of `lines` holds the flat labels r*n + s
     of line a, `expo` the tau exponents of vector a on them, and vector
     a + nb steps by tau^{fourier r}. Vectors on disjoint lines are
     orthogonal, and those of one line are the characters of Z_n when
     tau^fourier has order n: otherwise, or if the lines do not partition
-    the grid, NotOrthonormal."""
+    the grid, NotOrthonormal. `lines` and `expo` are read from any n x n
+    tables into tuples of ints. No `__slots__`: `vectors` caches in the
+    instance `__dict__`."""
 
-    dim: Dimension
-    lines: tuple  # n rows of n ints, from any n x n table
-    expo: tuple
-    fourier: int
-    label: str
-
-    def __post_init__(self):
-        n = require_square(self.dim)
-        object.__setattr__(self, "lines", _table(self.lines, n))
-        object.__setattr__(self, "expo", _table(self.expo, n))
-        if sorted(itertools.chain(*self.lines)) != list(range(self.dim.N)):
-            raise NotOrthonormal(
-                f"the lines of {self.label} do not partition the grid")
-        order = self.dim.nbar // math.gcd(self.fourier, self.dim.nbar)
+    def __new__(cls, dim: Dimension, lines, expo, fourier: int, label: str):
+        n = require_square(dim)
+        lines, expo = _table(lines, n), _table(expo, n)
+        if sorted(itertools.chain(*lines)) != list(range(dim.N)):
+            raise NotOrthonormal(f"the lines of {label} do not partition the grid")
+        order = dim.nbar // math.gcd(fourier, dim.nbar)
         if order != n:
-            raise NotOrthonormal(
-                f"tau^{self.fourier} has order {order}, not n = {n}")
+            raise NotOrthonormal(f"tau^{fourier} has order {order}, not n = {n}")
+        return super().__new__(cls, dim, lines, expo, fourier, label)
 
     @functools.cached_property
     def vectors(self):
@@ -135,8 +130,7 @@ def unbiased_witness(A: Basis, B: Basis) -> tuple[int, int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class UnbiasedReport:
+class UnbiasedReport(NamedTuple):
     passed: bool
     max_abs_deviation: float
 

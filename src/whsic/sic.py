@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .dims import Dimension, _checked_sqrt, sigma_power, tau_power, tau_powers
@@ -54,22 +53,25 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Fiducial:
-    dim: Dimension
-    basis: str
-    amplitudes: np.ndarray
-    provenance: dict = field(default_factory=dict)
+class Fiducial(NamedTuple("Fiducial", [("dim", Dimension), ("basis", str),
+                                        ("amplitudes", "np.ndarray"),
+                                        ("provenance", dict)])):
+    """A unit vector in its tag; `provenance` defaults to a fresh {}."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, dim: Dimension, basis: str, amplitudes: np.ndarray,
+                provenance: dict | None = None):
         import numpy as np
-        N, shape = self.dim.N, np.shape(self.amplitudes)
+        N, shape = dim.N, np.shape(amplitudes)
         if shape != (N,):
             raise ValueError(f"a fiducial at N = {N} has {N} amplitudes in "
                              f"one dimension, not an array of shape {shape}")
-        nrm = float(np.linalg.norm(self.amplitudes))
+        nrm = float(np.linalg.norm(amplitudes))
         if not abs(nrm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"fiducial norm {nrm} deviates from 1 beyond 1e-12")
+        return super().__new__(cls, dim, basis, amplitudes,
+                               {} if provenance is None else provenance)
 
 
 class ClosedForm(NamedTuple):
@@ -91,8 +93,7 @@ class ClosedForm(NamedTuple):
                                               for z in self.amplitudes))
 
 
-@dataclass(frozen=True)
-class SicCertificate:
+class SicCertificate(NamedTuple):
     max_abs_deviation: float
     passed: bool
     worst_displacement: tuple[int, int]  # (i, j) of the largest deviation

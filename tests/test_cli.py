@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, reports, determinism, round trips."""
 
-import dataclasses
 import functools
 import json
 import os
@@ -117,7 +116,7 @@ def test_verify_mub_names_its_worst_pair(capsys, monkeypatch):
 
     def with_copy(p):
         bases = prime_family(p)
-        return bases[:-1] + [dataclasses.replace(bases[0], label="copy")]
+        return bases[:-1] + [mub.Basis(*bases[0][:-1], "copy")]
 
     code, rep = run(["verify", "mub", "--p", "3"], capsys)
     assert code == 0 and rep["metrics"]["checked_pairs"] == 6
@@ -326,8 +325,7 @@ def test_verify_crt_kappa_one_exits_one_at_a_displacement(N, ab, capsys,
     `crt` docstring is 3*15 + 4*10 + 6*6 - 31 = 90 = N mod 2N."""
     factor_dimension = crt.factor_dimension
     monkeypatch.setattr(crt, "factor_dimension", lambda N: crt.Factorization(
-        N, tuple(dataclasses.replace(f, kappa=1)
-                 for f in factor_dimension(N).factors)))
+        N, tuple(f._replace(kappa=1) for f in factor_dimension(N).factors)))
     code, rep = run(["verify", "crt", "--dim", str(N)], capsys)
     assert code == 1 and rep["pass"] is False
     assert rep["metrics"]["witness"] == {"displacement": ab}
@@ -516,38 +514,45 @@ def test_cli_import_leaves_scipy_unloaded():
 # unloaded, and parsing alone loads none beyond dims and errors; numpy is
 # loaded exactly when a case does not list it, by the commands that build
 # arrays, which the closed-form commands `verify sic --builtin`, `generate
-# sic` and `generate projection` do not
+# sic` and `generate projection` do not. The records are NamedTuples, so no
+# command loads `dataclasses`, and a numpy-free one loads no `inspect`
+# either (numpy imports it)
+NO_NUMPY = {"numpy", "dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("argv,unloaded", [
-    ([], {"numpy", "adapted16", "clifford", "crt", "fileio", "monomial",
+    ([], {*NO_NUMPY, "adapted16", "clifford", "crt", "fileio", "monomial",
           "mub", "sic", "weyl"}),
     (["verify", "zauner", "--dim", "7"],
-     {"numpy", "sic", "monomial", "mub", "crt", "adapted16", "fileio",
+     {*NO_NUMPY, "sic", "monomial", "mub", "crt", "adapted16", "fileio",
       "weyl"}),
-    (["verify", "mub", "--p", "3"], {"numpy", "sic", "crt", "adapted16",
+    (["verify", "mub", "--p", "3"], {*NO_NUMPY, "sic", "crt", "adapted16",
                                      "fileio", "clifford", "monomial",
                                      "weyl"}),
-    (["verify", "sic", "--builtin", "n4"], {"numpy", "adapted16", "clifford",
+    (["verify", "sic", "--builtin", "n4"], {*NO_NUMPY, "adapted16", "clifford",
                                              "crt", "fileio", "mub", "weyl"}),
-    (["verify", "sic", "--builtin", "n9"], {"numpy", "adapted16", "clifford",
+    (["verify", "sic", "--builtin", "n9"], {*NO_NUMPY, "adapted16", "clifford",
                                              "crt", "fileio", "mub", "weyl"}),
-    (["generate", "mub", "--p", "19"], {"numpy", "sic", "crt", "adapted16",
+    (["generate", "mub", "--p", "19"], {*NO_NUMPY, "sic", "crt", "adapted16",
                                         "fileio", "clifford", "monomial",
                                         "weyl"}),
     (["verify", "zauner", "--dim", "1000000000000"],
-     {"numpy", "sic", "monomial", "mub", "crt", "adapted16", "fileio",
+     {*NO_NUMPY, "sic", "monomial", "mub", "crt", "adapted16", "fileio",
       "weyl"}),
     (["verify", "sic", "--builtin", "n16", "--tol", "1e-8"],
-     {"numpy", "clifford", "crt", "fileio", "monomial", "mub", "weyl"}),
-    (["generate", "sic", "--dim", "4"], {"numpy", "adapted16", "clifford",
+     {*NO_NUMPY, "clifford", "crt", "fileio", "monomial", "mub", "weyl"}),
+    (["generate", "sic", "--dim", "4"], {*NO_NUMPY, "adapted16", "clifford",
                                          "crt", "mub", "weyl"}),
-    (["generate", "sic", "--dim", "9"], {"numpy", "adapted16", "clifford",
+    (["generate", "sic", "--dim", "9"], {*NO_NUMPY, "adapted16", "clifford",
                                          "crt", "mub", "weyl"}),
     (["generate", "sic", "--dim", "16", "--tol", "1e-8"],
-     {"numpy", "clifford", "crt", "monomial", "mub", "weyl"}),
+     {*NO_NUMPY, "clifford", "crt", "monomial", "mub", "weyl"}),
     (["generate", "projection", "--dim", "4"],
-     {"numpy", "adapted16", "clifford", "crt", "fileio", "mub", "weyl"}),
+     {*NO_NUMPY, "adapted16", "clifford", "crt", "fileio", "mub", "weyl"}),
     (["generate", "projection", "--dim", "9", "--m4", "1"],
-     {"numpy", "adapted16", "clifford", "crt", "fileio", "mub", "weyl"}),
+     {*NO_NUMPY, "adapted16", "clifford", "crt", "fileio", "mub", "weyl"}),
+    (["search", "--dim", "5", "--seed", "0"],
+     {"dataclasses", "adapted16", "crt", "monomial", "mub", "weyl"}),
 ])
 def test_command_loads_only_the_modules_it_runs(argv, unloaded):
     proc = run_python(["-c", "import os, sys, whsic.cli; "
@@ -555,7 +560,8 @@ def test_command_loads_only_the_modules_it_runs(argv, unloaded):
                              "code = whsic.cli.main(argv + ['--out', "
                              "os.devnull]) if argv else 0; "
                              "print(code, *sorted(m for m in sys.modules "
-                             "if m.startswith('whsic.') or m == 'numpy'))"])
+                             "if m.startswith('whsic.') or m in "
+                             "('numpy', 'dataclasses', 'inspect')))"])
     assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.split()
     assert code == "0"

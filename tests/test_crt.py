@@ -1,6 +1,5 @@
 """Chinese-remainder factorization of the group and its representations."""
 
-import dataclasses
 from functools import reduce
 
 import numpy as np
@@ -209,8 +208,7 @@ def test_naive_kappa_map_is_rejected_with_a_witness(N):
     witness is Z = D_01, the first displacement where the dense matrices
     differ."""
     fact = factor_dimension(N)
-    naive = Factorization(N, tuple(dataclasses.replace(f, kappa=1)
-                                   for f in fact.factors))
+    naive = Factorization(N, tuple(f._replace(kappa=1) for f in fact.factors))
     assert displacement_witness(naive) == (0, 1)
     assert dense_first_failure(naive) == (0, 1)
     assert dense_first_failure(fact) is None
@@ -225,8 +223,8 @@ def test_central_scalar_alone_is_caught_at_d11(N):
     fact = factor_dimension(N)
     even, *odd = fact.factors  # primes ascend
     assert even.p == 2
-    shifted = Factorization(N, (dataclasses.replace(
-        even, kappa=even.kappa + even.n), *odd))
+    shifted = Factorization(
+        N, (even._replace(kappa=even.kappa + even.n), *odd))
     assert displacement_witness(shifted) == (1, 1)
     assert dense_first_failure(shifted) == (1, 1)
 
@@ -236,15 +234,14 @@ def kappa_variants(fact, rng):
     n_j for the even factor (when there is one), and with 5 draws of every
     kappa_j from 0..3 nbar_j - 1, units or not."""
     N, factors = fact.N, fact.factors
-    out = [fact, Factorization(N, tuple(dataclasses.replace(f, kappa=1)
-                                        for f in factors))]
+    out = [fact, Factorization(N, tuple(f._replace(kappa=1) for f in factors))]
     if factors[0].p == 2:
         even, *odd = factors
-        out.append(Factorization(N, (dataclasses.replace(
-            even, kappa=even.kappa + even.n), *odd)))
+        out.append(Factorization(
+            N, (even._replace(kappa=even.kappa + even.n), *odd)))
     for _ in range(5):
         out.append(Factorization(N, tuple(
-            dataclasses.replace(f, kappa=int(rng.integers(0, 3 * f.nbar)))
+            f._replace(kappa=int(rng.integers(0, 3 * f.nbar)))
             for f in factors)))
     return out
 
@@ -349,8 +346,7 @@ def test_exact_symplectic_half_agrees_with_dense_oracle(N):
 @pytest.mark.parametrize("N", [6, 10, 12, 15, 30])
 def test_naive_kappa_twist_is_rejected_with_a_symplectic_witness(N):
     fact = factor_dimension(N)
-    naive = Factorization(N, tuple(dataclasses.replace(f, kappa=1)
-                                   for f in fact.factors))
+    naive = Factorization(N, tuple(f._replace(kappa=1) for f in fact.factors))
     Gs = chirp_samples(N, 5)
     witness, checked = symplectic_witness(naive, Gs)
     assert witness is not None and checked == len(Gs)
@@ -406,7 +402,7 @@ def random_unit_kappas(fact, rng):
     units = [k for k in range(1, f.nbar)
              if np.gcd(k, f.nbar) == 1 and k != f.kappa]
     factors = list(fact.factors)
-    factors[j] = dataclasses.replace(f, kappa=int(rng.choice(units)))
+    factors[j] = f._replace(kappa=int(rng.choice(units)))
     return Factorization(fact.N, tuple(factors))
 
 
@@ -418,8 +414,7 @@ def test_coefficient_witness_is_the_table_witness(N):
     fact = factor_dimension(N)
     rng = np.random.default_rng(N)
     Gs = [random_symplectic(Dimension(N), rng) for _ in range(5)]
-    naive = Factorization(N, tuple(dataclasses.replace(f, kappa=1)
-                                   for f in fact.factors))
+    naive = Factorization(N, tuple(f._replace(kappa=1) for f in fact.factors))
     witnesses = []
     for cand in (fact, naive, random_unit_kappas(fact, rng)):
         witness, _ = symplectic_witness(cand, Gs)

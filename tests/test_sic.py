@@ -81,6 +81,12 @@ def test_fiducial_rejects_non_unit_norm():
         Fiducial(Dimension(4), "standard", np.ones(4, dtype=complex))
 
 
+def test_fiducial_provenance_defaults_to_a_fresh_dict():
+    a, b = (Fiducial(Dimension(4), "standard", np.ones(4) / 2)
+            for _ in range(2))
+    assert a.provenance == {} and a.provenance is not b.provenance
+
+
 @pytest.mark.parametrize("amplitudes", [np.ones(4) / 2, np.ones((3, 3)) / 3],
                          ids=["four-entries", "3x3"])
 def test_fiducial_refuses_amplitudes_that_are_not_n_entries(amplitudes):

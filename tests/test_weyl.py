@@ -279,3 +279,22 @@ def test_mod_inverse(a, m):
     else:
         with pytest.raises(NotCoprime):
             mod_inverse(a, m)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_dimension_refuses_a_non_positive_n(N):
+    with pytest.raises(ValueError, match=f"dimension must be positive, got {N}"):
+        Dimension(N)
+
+
+def test_records_take_no_assignment():
+    """The records are NamedTuples: a field cannot be set after `__new__`
+    has checked it."""
+    from whsic.clifford import SymplecticMatrix
+    from whsic.sic import SicCertificate
+    for record, field in [(Dimension(4), "N"),
+                          (SymplecticMatrix(1, 0, 0, 1), "alpha"),
+                          (SicCertificate(0.0, True, (0, 1)), "passed")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        assert getattr(record, field) != 0
